@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .errors import NotAGroupError
 from .hopf import HopfAlgebra
+from .linalg import AlgebraPresentation
 from .scalars import CyclotomicField
 
 # -- permutation utilities ----------------------------------------------------
@@ -297,10 +298,7 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
     if H.basis_labels:
         labels = [f"{H.basis_labels[a]}*|{H.basis_labels[i]}" for a in range(dim) for i in range(dim)]
 
-    double = HopfAlgebra(field, D, mult, unit, comult, counit,
-                         [[field.zero] * D for _ in range(D)],
-                         basis_labels=labels,
-                         name=f"D({H.name})" if H.name else "double")
+    algebra = AlgebraPresentation(field, D, mult, unit)
 
     # antipode: S(p_a x e_i) = (eps x S e_i) * (s(p_a) x 1)
     antipode = []
@@ -323,8 +321,7 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
                 for l, cl in enumerate(H.unit):
                     if not cl.is_zero():
                         right[didx(y, l)] = right[didx(y, l)] + cy * cl
-            antipode.append(double.multiply(left, right))
-    double.antipode = antipode
+            antipode.append(algebra.multiply(left, right))
 
     r = {}
     for i in range(dim):
@@ -337,5 +334,8 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
                 if not cl.is_zero():
                     key = (didx(a, i), didx(i, l))
                     r[key] = r.get(key, field.zero) + ca * cl
-    double.r_matrix = {k: v for k, v in r.items() if not v.is_zero()}
-    return double
+    r_matrix = {k: v for k, v in r.items() if not v.is_zero()}
+
+    return HopfAlgebra(field, D, mult, unit, comult, counit, antipode,
+                       r_matrix=r_matrix, basis_labels=labels,
+                       name=f"D({H.name})" if H.name else "double")

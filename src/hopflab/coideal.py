@@ -20,7 +20,7 @@ from .errors import (
     NotCoidealError,
     NotNormalError,
 )
-from .hopf import HopfAlgebra, _tensor2_add
+from .hopf import HopfAlgebra, _tensor_add
 from .linalg import (
     AlgebraPresentation,
     Subspace,
@@ -30,7 +30,7 @@ from .linalg import (
     vec_scale,
     zero_vector,
 )
-from .linalg import _kernel_from_rows
+from .linalg import _kernel_from_rows, _solve_integral, _subalgebra_presentation
 
 
 class CoidealSubalgebra:
@@ -88,36 +88,27 @@ class CoidealSubalgebra:
     def presentation(self) -> AlgebraPresentation:
         """N as an abstract algebra in its echelon-basis coordinates."""
         if "presentation" not in self._cache:
-            H, field = self.hopf, self.hopf.field
-            n = self.dim
-            mult = [[None] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    prod = H.multiply(list(self.space.basis[a]), list(self.space.basis[b]))
-                    coords = self.coords_of(prod)
-                    mult[a][b] = {k: c for k, c in enumerate(coords) if not c.is_zero()}
-            unit = self.coords_of(H.unit)
-            self._cache["presentation"] = AlgebraPresentation(field, n, mult, unit)
+            self._cache["presentation"] = _checked_presentation(self.hopf, self.space)
         return self._cache["presentation"]
 
     def counit_on_basis(self):
         return [self.hopf.counit_of(list(b)) for b in self.space.basis]
 
 
-def _closure_properties(hopf: HopfAlgebra, space: Subspace):
-    """Check 1 in N, N*N <= N, Delta(N) <= H (x) N; return failure or None."""
+def _checked_presentation(hopf: HopfAlgebra, space: Subspace) -> AlgebraPresentation:
+    """N as an algebra on its echelon basis, after checking 1 in N,
+    N*N <= N and Delta(N) <= H (x) N; NotCoidealError names the first
+    failure."""
     if not space.contains_vector(hopf.unit):
-        return "unit not contained"
-    basis = [list(b) for b in space.basis]
-    for a in basis:
-        for b in basis:
-            if not space.contains_vector(hopf.multiply(a, b)):
-                return "not closed under multiplication"
-    for v in basis:
-        for leg in _right_legs(hopf, v):
+        raise NotCoidealError("unit not contained")
+    presentation = _subalgebra_presentation(hopf, space, hopf.unit)
+    if presentation is None:
+        raise NotCoidealError("not closed under multiplication")
+    for v in space.basis:
+        for leg in _right_legs(hopf, list(v)):
             if not space.contains_vector(leg):
-                return "not a left coideal"
-    return None
+                raise NotCoidealError("not a left coideal")
+    return presentation
 
 
 def _right_legs(hopf, v):
@@ -156,48 +147,28 @@ def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
 
 def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace) -> CoidealSubalgebra:
     """Wrap an already-closed subspace as a verified CoidealSubalgebra."""
-    failure = _closure_properties(hopf, space)
-    if failure:
-        raise NotCoidealError(failure)
-    integral = _coideal_integral(hopf, space)
+    presentation = _checked_presentation(hopf, space)
+    integral = _coideal_integral(hopf, space, presentation)
     invariants = _dual_invariants(hopf, space)
     lam = hopf.integrals().dual_integral
     dual_integral = hopf.hit_left(integral, lam)
     normal = _normality(hopf, space, integral)
     hopf_flag = _hopf_subalgebra_flag(hopf, space, integral)
-    return CoidealSubalgebra(hopf, space, integral, invariants, dual_integral,
-                             normal, hopf_flag)
+    ctx = CoidealSubalgebra(hopf, space, integral, invariants, dual_integral,
+                            normal, hopf_flag)
+    ctx._cache["presentation"] = presentation
+    return ctx
 
 
-def _coideal_integral(hopf, space):
-    """Idempotent two-sided integral of N: the unique x in N with
-    n x = eps(n) x, normalized to counit 1."""
-    field = hopf.field
+def _coideal_integral(hopf, space, presentation):
+    """Idempotent two-sided integral of N: the integral of N's presentation
+    for the restricted counit, in ambient coordinates."""
     basis = [list(b) for b in space.basis]
     eps = [hopf.counit_of(b) for b in basis]
-    rows = []
-    for a, na in enumerate(basis):
-        for m in range(hopf.dim):
-            row = {}
-            for b_idx, nb in enumerate(basis):
-                c = hopf.multiply(na, nb)[m] - eps[a] * nb[m]
-                if not c.is_zero():
-                    row[b_idx] = c
-            if row:
-                rows.append(row)
-    sols = _kernel_from_rows(rows, field, space.dim)
-    if not sols:
-        raise IntegralError("coideal subalgebra has no integral")
-    if len(sols) > 1:
-        raise IntegralError("coideal integral space has dimension > 1")
-    x = zero_vector(field, hopf.dim)
-    for c, nb in zip(sols[0], basis):
+    x = zero_vector(hopf.field, hopf.dim)
+    for c, nb in zip(_solve_integral(presentation, eps), basis):
         if not c.is_zero():
             x = vec_add(x, vec_scale(nb, c))
-    eps_x = hopf.counit_of(x)
-    if eps_x.is_zero():
-        raise IntegralError("coideal integral has counit zero")
-    x = vec_scale(x, eps_x.inverse())
     if not vec_eq(hopf.multiply(x, x), x):
         raise IntegralError("coideal integral is not idempotent")
     for na, e in zip(basis, eps):
@@ -373,38 +344,20 @@ def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
         raise NotNormalError("quotient requires a normal coideal subalgebra")
     field = hopf.field
     lam = ctx.integral
-    ideal = Subspace.from_vectors(
-        field, hopf.dim, [hopf.multiply(hopf.basis(i), lam) for i in range(hopf.dim)]
-    )
+    images = [hopf.multiply(hopf.basis(i), lam) for i in range(hopf.dim)]
+    ideal = Subspace.from_vectors(field, hopf.dim, images)
     section = [list(b) for b in ideal.basis]
     qdim = ideal.dim
-    pi_rows = [ideal.coords_of(hopf.multiply(hopf.basis(i), lam)) for i in range(hopf.dim)]
-
-    mult = [[None] * qdim for _ in range(qdim)]
-    for a in range(qdim):
-        for b in range(qdim):
-            coords = ideal.coords_of(hopf.multiply(section[a], section[b]))
-            mult[a][b] = {k: c for k, c in enumerate(coords) if not c.is_zero()}
-    unit = ideal.coords_of(lam)
-    comult = []
-    for a in range(qdim):
-        cell = {}
-        for (j, k), c in hopf.comult_of(section[a]).items():
-            pj, pk = pi_rows[j], pi_rows[k]
-            for x, cx in enumerate(pj):
-                if cx.is_zero():
-                    continue
-                for y, cy in enumerate(pk):
-                    if not cy.is_zero():
-                        _tensor2_add(cell, (x, y), c * cx * cy)
-        comult.append(cell)
+    pi_rows = [ideal.coords_of(v) for v in images]
+    algebra = _subalgebra_presentation(hopf, ideal, lam)
+    comult = [_push_forward(hopf.comult_of(v), pi_rows) for v in section]
     counit = [hopf.counit_of(v) for v in section]
     antipode = []
     for v in section:
         img = hopf.multiply(hopf.antipode_of(v), lam)
         antipode.append(ideal.coords_of(img))
 
-    q = HopfAlgebra(field, qdim, mult, unit, comult, counit, antipode,
+    q = HopfAlgebra(field, qdim, algebra.mult, algebra.unit, comult, counit, antipode,
                     name=f"{hopf.name}//N" if hopf.name else "quotient")
     report = q.verify()
     if not report.ok:
@@ -417,21 +370,26 @@ def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
     return hq
 
 
+def _push_forward(tensor, pi_rows):
+    """(pi x pi) of a sparse 2-tensor {(j, k): c}, where pi_rows[j] is the
+    image of e_j."""
+    out = {}
+    for (j, k), c in tensor.items():
+        pj, pk = pi_rows[j], pi_rows[k]
+        for x, cx in enumerate(pj):
+            if cx.is_zero():
+                continue
+            for y, cy in enumerate(pk):
+                if not cy.is_zero():
+                    _tensor_add(out, (x, y), c * cx * cy)
+    return out
+
+
 def _check_projection_is_hopf_map(hopf, hq: HopfQuotient):
     q = hq.quotient
     for i in range(hopf.dim):
         pi_i = hq._pi_rows[i]
-        lhs = q.comult_of(pi_i)
-        rhs = {}
-        for (j, k), c in hopf.comult[i].items():
-            pj, pk = hq._pi_rows[j], hq._pi_rows[k]
-            for x, cx in enumerate(pj):
-                if cx.is_zero():
-                    continue
-                for y, cy in enumerate(pk):
-                    if not cy.is_zero():
-                        _tensor2_add(rhs, (x, y), c * cx * cy)
-        if lhs != rhs:
+        if q.comult_of(pi_i) != _push_forward(hopf.comult[i], hq._pi_rows):
             raise HopfLabError("projection does not intertwine comultiplication")
         if q.counit_of(pi_i) != hopf.counit[i]:
             raise HopfLabError("projection does not preserve the counit")
@@ -500,7 +458,7 @@ def hopf_center(hopf: HopfAlgebra) -> Subspace:
     """Largest Hopf subalgebra contained in the center of H, by fixpoint
     refinement V <- {v in V : Delta(v) in V (x) V, S(v) in V} from V = Z(H)."""
     field = hopf.field
-    space = hopf.algebra_presentation().center()
+    space = hopf.center()
     while True:
         basis = [list(b) for b in space.basis]
         if not basis:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .coideal import CoidealSubalgebra
 from .errors import HopfLabError, MultiplicityError, NotNormalError
-from .hopf import HopfAlgebra
+from .hopf import CharacterTable, HopfAlgebra, _character_table
 from .linalg import (
     Subspace,
     basis_vector,
@@ -30,67 +30,18 @@ from .linalg import (
 from .linalg import _kernel_from_rows
 
 
-class CoidealCharacters:
-    """Wedderburn data of N ordered so the integral's block comes first:
-    T_0 = Lambda_N, phi_0 = counit restricted to N."""
-
-    def __init__(self, idempotents, characters, degrees, block_idempotents):
-        self.idempotents = idempotents            # T_j, N coords
-        self.characters = characters              # phi_j, values on N basis
-        self.degrees = degrees
-        self.block_idempotents = block_idempotents  # t_j, N coords
-
-    def __len__(self):
-        return len(self.characters)
-
-
-def coideal_characters(ctx: CoidealSubalgebra) -> CoidealCharacters:
+def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
+    """Irr(N) from the Wedderburn data of N's presentation, in N
+    coordinates, with the integral's block first: T_0 = Lambda_N and
+    phi_0 = counit restricted to N."""
     if "characters" in ctx._cache:
         return ctx._cache["characters"]
     alg = ctx.presentation()
-    data = wedderburn(alg)
-    lam_coords = ctx.coords_of(ctx.integral)
-    order = None
-    for idx, e in enumerate(data.central_idempotents):
-        if vec_eq(e, lam_coords):
-            order = idx
-            break
-    if order is None:
-        raise HopfLabError("coideal integral is not among the central idempotents")
-    perm = [order] + [i for i in range(len(data.central_idempotents)) if i != order]
-    idempotents = [data.central_idempotents[i] for i in perm]
-    degrees = [data.degrees[i] for i in perm]
-    blocks = [data.block_primitive_idempotents[i] for i in perm]
-
-    field = ctx.hopf.field
-    characters = []
-    for e, d in zip(idempotents, degrees):
-        space = Subspace.from_vectors(
-            field, ctx.dim,
-            [alg.multiply(basis_vector(field, ctx.dim, i), e) for i in range(ctx.dim)],
-        )
-        inv_d = field.from_rational(d).inverse()
-        phi = []
-        for m in range(ctx.dim):
-            em = basis_vector(field, ctx.dim, m)
-            tr = field.zero
-            for idx, b in enumerate(space.basis):
-                coords = space.coords_of(alg.multiply(em, list(b)))
-                tr = tr + coords[idx]
-            phi.append(tr * inv_d)
-        characters.append(phi)
-
-    chars = CoidealCharacters(idempotents, characters, degrees, blocks)
-    if not vec_eq(characters[0], ctx.counit_on_basis()):
+    chars = _character_table(alg, wedderburn(alg), ctx.coords_of(ctx.integral))
+    if not vec_eq(chars.characters[0], ctx.counit_on_basis()):
         raise HopfLabError("character of the integral block is not the restricted counit")
     ctx._cache["characters"] = chars
     return chars
-
-
-def coideal_characters_subspace(ctx) -> Subspace:
-    """R(N) inside N*."""
-    chars = coideal_characters(ctx)
-    return Subspace.from_vectors(ctx.hopf.field, ctx.dim, chars.characters)
 
 
 def _gamma_columns(ctx):
@@ -256,7 +207,7 @@ def induce_character_by_trace(ctx: CoidealSubalgebra, phi):
     return out
 
 
-def _expand_over_characters(ctx, chars: CoidealCharacters, phi):
+def _expand_over_characters(ctx, chars: CharacterTable, phi):
     """Coefficients of phi in the Irr(N) basis; phi must lie in R(N)."""
     from .errors import InconsistentSystemError
     from .linalg import solve_linear

@@ -21,6 +21,10 @@ from .errors import IntegralError, MissingRMatrixError, NotSemisimpleError
 from .linalg import (
     AlgebraPresentation,
     Subspace,
+    WedderburnData,
+    _left_ideal,
+    _operator_on_subspace,
+    _solve_integral,
     basis_vector,
     vec_add,
     vec_eq,
@@ -90,20 +94,18 @@ class CharacterTable:
         return len(self.characters)
 
 
-class HopfAlgebra:
+class HopfAlgebra(AlgebraPresentation):
     """Finite-dimensional (semisimple) Hopf algebra over Q(zeta_n).
 
-    Immutable after construction; derived data (dual, integrals, character
-    table, grouplikes) is computed once and cached, so instances are safe
-    for concurrent readers.
+    Its algebra structure (field, dim, mult, unit) is the inherited
+    AlgebraPresentation.  Immutable after construction; derived data (dual,
+    integrals, character table, grouplikes) is computed once and cached, so
+    instances are safe for concurrent readers.
     """
 
     def __init__(self, field, dim, mult, unit, comult, counit, antipode,
                  r_matrix=None, basis_labels=None, name=None):
-        self.field = field
-        self.dim = dim
-        self.mult = mult              # mult[i][j]: {k: c}
-        self.unit = list(unit)
+        super().__init__(field, dim, mult, unit)  # mult[i][j]: {k: c}
         self.comult = comult          # comult[i]: {(j, k): c}
         self.counit = list(counit)
         self.antipode = [list(row) for row in antipode]  # antipode[i] = S(e_i)
@@ -151,19 +153,9 @@ class HopfAlgebra:
 
     # -- algebra and coalgebra operations -------------------------------------
 
-    def multiply(self, x, y):
-        out = self.zero()
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            row = self.mult[i]
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                f = xi * yj
-                for k, c in row[j].items():
-                    out[k] = out[k] + f * c
-        return out
+    # Bound in this class too, so that perfbench/tracer.py can wrap
+    # HopfAlgebra.__dict__["multiply"] without touching AlgebraPresentation.
+    multiply = AlgebraPresentation.multiply
 
     def comult_of(self, x):
         """Delta(x) as a sparse dict {(j, k): c}."""
@@ -286,28 +278,19 @@ class HopfAlgebra:
             out = vec_add(out, vec_scale(term, c))
         return out
 
-    def adjoint_matrices(self):
-        """For each basis index i, the matrix (rows = images of basis
-        vectors) of e_i ad - ."""
-        if "ad_mats" not in self._cache:
-            mats = []
-            for i in range(self.dim):
-                ei = self.basis(i)
-                mats.append([self.adjoint(ei, self.basis(m)) for m in range(self.dim)])
-            self._cache["ad_mats"] = mats
-        return self._cache["ad_mats"]
-
     def coadjoint(self, h, p):
         """h coad p, the transpose of h ad - applied to p.
 
-        The adjoint matrix of h is cached (keyed by the coefficient tuple),
-        since induction evaluates coad of the integral many times.
+        The adjoint matrix of the integral is cached, since induction
+        evaluates coad of the integral many times; no other is kept.
         """
-        key = ("coad", tuple(h))
-        mat = self._cache.get(key)
+        integrals = self._cache.get("integrals")
+        is_integral = integrals is not None and vec_eq(h, integrals.integral)
+        mat = self._cache.get("coad_integral") if is_integral else None
         if mat is None:
             mat = [self.adjoint(h, self.basis(m)) for m in range(self.dim)]
-            self._cache[key] = mat
+            if is_integral:
+                self._cache["coad_integral"] = mat
         return [self.pair(p, row) for row in mat]
 
     # -- verification -----------------------------------------------------------
@@ -319,30 +302,11 @@ class HopfAlgebra:
         checks = []
         field, dim = self.field, self.dim
 
-        witness = None
-        for i in range(dim):
-            e = self.basis(i)
-            if not (vec_eq(self.multiply(self.unit, e), e) and vec_eq(self.multiply(e, self.unit), e)):
-                witness = i
-                break
+        # validate's two halves run separately, so a unit failure still
+        # reports whether associativity holds
+        witness = self._unit_witness()
         checks.append(AxiomCheck("unit", witness is None, witness))
-
-        witness = None
-        for i in range(dim):
-            for j in range(dim):
-                ij = [self.field.zero] * dim
-                for k, c in self.mult[i][j].items():
-                    ij[k] = c
-                for k in range(dim):
-                    lhs = self.multiply(ij, self.basis(k))
-                    rhs = self.multiply(self.basis(i), self.multiply(self.basis(j), self.basis(k)))
-                    if not vec_eq(lhs, rhs):
-                        witness = (i, j, k)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        witness = self._associativity_witness()
         checks.append(AxiomCheck("associativity", witness is None, witness))
 
         witness = None
@@ -363,9 +327,9 @@ class HopfAlgebra:
             lhs, rhs = {}, {}
             for (j, k), c in self.comult[i].items():
                 for (a, b), d in self.comult[j].items():
-                    _tensor3_add(lhs, (a, b, k), c * d)
+                    _tensor_add(lhs, (a, b, k), c * d)
                 for (a, b), d in self.comult[k].items():
-                    _tensor3_add(rhs, (j, a, b), c * d)
+                    _tensor_add(rhs, (j, a, b), c * d)
             if lhs != rhs:
                 witness = i
                 break
@@ -380,7 +344,7 @@ class HopfAlgebra:
                     lhs = {}
                     for k, c in self.mult[i][j].items():
                         for jk, d in self.comult[k].items():
-                            _tensor2_add(lhs, jk, c * d)
+                            _tensor_add(lhs, jk, c * d)
                     rhs = self._tensor2_product(self.comult[i], self.comult[j])
                     if lhs != rhs:
                         witness = (i, j)
@@ -436,7 +400,7 @@ class HopfAlgebra:
                 f = c * d
                 for m, cm in self.mult[a][x].items():
                     for n, cn in self.mult[b][y].items():
-                        _tensor2_add(out, (m, n), f * cm * cn)
+                        _tensor_add(out, (m, n), f * cm * cn)
         return out
 
     def _quasitriangular_checks(self):
@@ -447,7 +411,7 @@ class HopfAlgebra:
         for (i, j), c in R.items():
             for m, cm in enumerate(self.antipode[i]):
                 if not cm.is_zero() and not c.is_zero():
-                    _tensor2_add(r_inv, (m, j), c * cm)
+                    _tensor_add(r_inv, (m, j), c * cm)
         prod = self._tensor2_product(R, r_inv)
         unit_tensor = _tensor2_of_pair(self.unit, self.unit, self.field)
         checks.append(AxiomCheck("r_invertible", prod == unit_tensor))
@@ -456,24 +420,24 @@ class HopfAlgebra:
         lhs, rhs = {}, {}
         for (i, j), c in R.items():
             for (a, b), d in self.comult[i].items():
-                _tensor3_add(lhs, (a, b, j), c * d)
+                _tensor_add(lhs, (a, b, j), c * d)
         for (a, b), c in R.items():
             for (x, y), d in R.items():
                 f = c * d
                 for m, cm in self.mult[b][y].items():
-                    _tensor3_add(rhs, (a, x, m), f * cm)
+                    _tensor_add(rhs, (a, x, m), f * cm)
         checks.append(AxiomCheck("r_left_coproduct", lhs == rhs))
 
         # (id x Delta)R = R13 R12
         lhs, rhs = {}, {}
         for (i, j), c in R.items():
             for (a, b), d in self.comult[j].items():
-                _tensor3_add(lhs, (i, a, b), c * d)
+                _tensor_add(lhs, (i, a, b), c * d)
         for (a, b), c in R.items():  # R13
             for (x, y), d in R.items():  # R12
                 f = c * d
                 for m, cm in self.mult[a][x].items():
-                    _tensor3_add(rhs, (m, y, b), f * cm)
+                    _tensor_add(rhs, (m, y, b), f * cm)
         checks.append(AxiomCheck("r_right_coproduct", lhs == rhs))
 
         witness = None
@@ -489,29 +453,14 @@ class HopfAlgebra:
 
     # -- semisimple structure ----------------------------------------------------
 
-    def algebra_presentation(self) -> AlgebraPresentation:
-        if "algebra" not in self._cache:
-            self._cache["algebra"] = AlgebraPresentation(self.field, self.dim, self.mult, self.unit)
-        return self._cache["algebra"]
-
-    def dual_algebra_presentation(self) -> AlgebraPresentation:
-        if "dual_algebra" not in self._cache:
-            dim = self.dim
-            mult = [[{} for _ in range(dim)] for _ in range(dim)]
-            for m in range(dim):
-                for (i, j), c in self.comult[m].items():
-                    mult[i][j][m] = c
-            self._cache["dual_algebra"] = AlgebraPresentation(self.field, dim, mult, self.dual_unit())
-        return self._cache["dual_algebra"]
-
     def integrals(self) -> IntegralPair:
         """Idempotent integral of H and the dual integral with
         <dual_integral, integral> = 1, by solving the defining linear
         systems (both solution spaces must be one-dimensional)."""
         if "integrals" in self._cache:
             return self._cache["integrals"]
-        lam = self._solve_integral(self.algebra_presentation(), self.counit)
-        dual_int = self._solve_integral(self.dual_algebra_presentation(), self.unit)
+        lam = _solve_integral(self, self.counit)
+        dual_int = _solve_integral(self.dual(), self.unit)
         pairing = self.pair(dual_int, lam)
         if pairing.is_zero():
             raise IntegralError("dual integral pairs to zero with the integral")
@@ -520,74 +469,13 @@ class HopfAlgebra:
         self._cache["integrals"] = pair_obj
         return pair_obj
 
-    def _solve_integral(self, algebra, counit_vec):
-        from .linalg import _kernel_from_rows
-
-        dim, field = algebra.dim, algebra.field
-        rows = []
-        for i in range(dim):
-            eps = counit_vec[i]
-            for m in range(dim):
-                row = {}
-                for j in range(dim):
-                    c = algebra.mult[i][j].get(m, field.zero)
-                    if j == m:
-                        c = c - eps
-                    if not c.is_zero():
-                        row[j] = c
-                if row:
-                    rows.append(row)
-        sols = _kernel_from_rows(rows, field, dim)
-        if not sols:
-            raise IntegralError("no integral: solution space is zero")
-        if len(sols) > 1:
-            raise IntegralError("integral is not unique: solution space has dim > 1")
-        x = list(sols[0])
-        eps_x = self.field.zero
-        for c, xi in zip(counit_vec, x):
-            eps_x = eps_x + c * xi
-        if eps_x.is_zero():
-            raise IntegralError("integral has counit zero; input is not semisimple")
-        return vec_scale(x, eps_x.inverse())
-
     def character_table(self) -> CharacterTable:
         """Irreducible characters via the Wedderburn decomposition;
         block of the integral comes first so chi_0 is the counit."""
         if "characters" in self._cache:
             return self._cache["characters"]
-        alg = self.algebra_presentation()
-        data = wedderburn(alg)
-        lam = self.integrals().integral
-        order = None
-        for idx, e in enumerate(data.central_idempotents):
-            if vec_eq(e, lam):
-                order = idx
-                break
-        if order is None:
-            raise NotSemisimpleError("integral is not a central primitive idempotent")
-        perm = [order] + [i for i in range(len(data.central_idempotents)) if i != order]
-        idempotents = [data.central_idempotents[i] for i in perm]
-        degrees = [data.degrees[i] for i in perm]
-        blocks = [data.block_primitive_idempotents[i] for i in perm]
-
-        characters = []
-        for e, d in zip(idempotents, degrees):
-            space = Subspace.from_vectors(
-                self.field, self.dim,
-                [self.multiply(self.basis(i), e) for i in range(self.dim)],
-            )
-            inv_d = self.field.from_rational(d).inverse()
-            chi = []
-            for m in range(self.dim):
-                em = self.basis(m)
-                tr = self.field.zero
-                for idx, b in enumerate(space.basis):
-                    coords = space.coords_of(self.multiply(em, list(b)))
-                    tr = tr + coords[idx]
-                chi.append(tr * inv_d)
-            characters.append(chi)
-
-        table = CharacterTable(idempotents, characters, degrees, blocks)
+        table = _character_table(self, wedderburn(self), self.integrals().integral)
+        characters, degrees = table.characters, table.degrees
         if not vec_eq(characters[0], self.counit):
             raise NotSemisimpleError("character of the integral block is not the counit")
         # regular character identity: dual integral = sum d_i chi_i
@@ -623,7 +511,7 @@ class HopfAlgebra:
         H* are grouplikes of H)."""
         if "grouplikes" in self._cache:
             return self._cache["grouplikes"]
-        dual_alg = self.dual_algebra_presentation()
+        dual_alg = self.dual()
         data = wedderburn(dual_alg)
         out = []
         for e, d in zip(data.central_idempotents, data.degrees):
@@ -681,7 +569,8 @@ class HopfAlgebra:
         return f"<{tag}: dim {self.dim} over {self.field!r}>"
 
 
-def _tensor2_add(t, key, val):
+def _tensor_add(t, key, val):
+    """Add val at key of a sparse tensor (any arity), dropping zeros."""
     if val.is_zero():
         return
     cur = t.get(key)
@@ -690,10 +579,6 @@ def _tensor2_add(t, key, val):
         t.pop(key, None)
     else:
         t[key] = nv
-
-
-def _tensor3_add(t, key, val):
-    _tensor2_add(t, key, val)
 
 
 def _tensor2_of_pair(x, y, field):
@@ -707,19 +592,32 @@ def _tensor2_of_pair(x, y, field):
     return out
 
 
+def _character_table(algebra, data: WedderburnData, integral) -> CharacterTable:
+    """Characters from Wedderburn data, chi(x) = tr(x on A E) / d for each
+    block A E of degree d, with the block of the idempotent integral first.
+    Serves H (integral Lambda) and a coideal subalgebra N (Lambda_N)."""
+    order = next((idx for idx, e in enumerate(data.central_idempotents) if vec_eq(e, integral)), None)
+    if order is None:
+        raise NotSemisimpleError("integral is not a central primitive idempotent")
+    perm = [order] + [i for i in range(len(data)) if i != order]
+    idempotents = [data.central_idempotents[i] for i in perm]
+    degrees = [data.degrees[i] for i in perm]
+    blocks = [data.block_primitive_idempotents[i] for i in perm]
+    field = algebra.field
+    characters = []
+    for e, d in zip(idempotents, degrees):
+        space = _left_ideal(algebra, e)
+        inv_d = field.from_rational(d).inverse()
+        chi = []
+        for m in range(algebra.dim):
+            op = _operator_on_subspace(algebra, basis_vector(field, algebra.dim, m), space)
+            chi.append(sum((op[k][k] for k in range(space.dim)), field.zero) * inv_d)
+        characters.append(chi)
+    return CharacterTable(idempotents, characters, degrees, blocks)
+
+
 def module_action_from_idempotent(hopf: HopfAlgebra, t):
     """Left-module matrices of the module H t (rows = images of the module
     basis), plus the module basis itself."""
-    space = Subspace.from_vectors(
-        hopf.field, hopf.dim,
-        [hopf.multiply(hopf.basis(i), t) for i in range(hopf.dim)],
-    )
-    mats = []
-    for i in range(hopf.dim):
-        ei = hopf.basis(i)
-        rows = []
-        for b in space.basis:
-            img = hopf.multiply(ei, list(b))
-            rows.append(space.coords_of(img))
-        mats.append(rows)
-    return mats, space
+    space = _left_ideal(hopf, t)
+    return [_operator_on_subspace(hopf, hopf.basis(i), space) for i in range(hopf.dim)], space

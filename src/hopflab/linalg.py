@@ -17,6 +17,7 @@ import math
 from .errors import (
     AmbientMismatchError,
     InconsistentSystemError,
+    IntegralError,
     NotSemisimpleError,
     NotSplitError,
 )
@@ -47,10 +48,6 @@ def vec_add(a, b):
     return [x + y for x, y in zip(a, b)]
 
 
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
 def vec_scale(a, s):
     return [x * s for x in a]
 
@@ -61,17 +58,6 @@ def vec_is_zero(a):
 
 def vec_eq(a, b):
     return all(x == y for x, y in zip(a, b))
-
-
-def dot(a, b):
-    out = None
-    for x, y in zip(a, b):
-        if x.is_zero() or y.is_zero():
-            continue
-        out = x * y if out is None else out + x * y
-    if out is None:
-        return a[0].field.zero if a else b[0].field.zero
-    return out
 
 
 def mat_vec(m, v):
@@ -411,15 +397,6 @@ class AlgebraPresentation:
         self.mult = mult
         self.unit = list(unit)
 
-    @classmethod
-    def from_dense_tensor(cls, field, tensor, unit):
-        dim = len(tensor)
-        mult = [
-            [{k: c for k, c in enumerate(tensor[i][j]) if not c.is_zero()} for j in range(dim)]
-            for i in range(dim)
-        ]
-        return cls(field, dim, mult, unit)
-
     def multiply(self, x, y):
         out = zero_vector(self.field, self.dim)
         for i, xi in enumerate(x):
@@ -434,25 +411,34 @@ class AlgebraPresentation:
                     out[k] = out[k] + f * c
         return out
 
-    def left_mult_matrix(self, x):
-        """Rows are images of basis vectors under left multiplication by x."""
-        return [self.multiply(x, basis_vector(self.field, self.dim, j)) for j in range(self.dim)]
-
     def validate(self):
         """Associativity on basis triples and two-sided unit."""
-        e = [basis_vector(self.field, self.dim, i) for i in range(self.dim)]
+        i = self._unit_witness()
+        if i is not None:
+            return False, ("unit", i)
+        ijk = self._associativity_witness()
+        if ijk is not None:
+            return False, ("associativity", ijk)
+        return True, None
+
+    def _unit_witness(self):
+        """First i with 1 e_i != e_i or e_i 1 != e_i, else None."""
         for i in range(self.dim):
-            if not vec_eq(self.multiply(self.unit, e[i]), e[i]):
-                return False, ("unit", i)
-            if not vec_eq(self.multiply(e[i], self.unit), e[i]):
-                return False, ("unit", i)
+            e = basis_vector(self.field, self.dim, i)
+            if not (vec_eq(self.multiply(self.unit, e), e) and vec_eq(self.multiply(e, self.unit), e)):
+                return i
+        return None
+
+    def _associativity_witness(self):
+        """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), else None."""
+        e = [basis_vector(self.field, self.dim, i) for i in range(self.dim)]
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.multiply(e[i], e[j])
                 for k in range(self.dim):
                     if not vec_eq(self.multiply(ij, e[k]), self.multiply(e[i], self.multiply(e[j], e[k]))):
-                        return False, ("associativity", (i, j, k))
-        return True, None
+                        return i, j, k
+        return None
 
     def center(self) -> Subspace:
         """Solutions of e_i x = x e_i for all i."""
@@ -473,6 +459,57 @@ class AlgebraPresentation:
         return Subspace.from_vectors(self.field, self.dim, vecs)
 
 
+def _subalgebra_presentation(algebra, space: Subspace, unit):
+    """The subalgebra on a subspace's echelon basis, with the given unit,
+    as an AlgebraPresentation in that basis's coordinates; None when the
+    unit or a product of two basis vectors leaves the subspace."""
+    unit_coords = space.coords_of(unit)
+    if unit_coords is None:
+        return None
+    basis = [list(b) for b in space.basis]
+    mult = []
+    for a in basis:
+        row = []
+        for b in basis:
+            coords = space.coords_of(algebra.multiply(a, b))
+            if coords is None:
+                return None
+            row.append({k: c for k, c in enumerate(coords) if not c.is_zero()})
+        mult.append(row)
+    return AlgebraPresentation(algebra.field, space.dim, mult, unit_coords)
+
+
+def _solve_integral(algebra, counit):
+    """The integral of an algebra with a counit: the unique x with
+    e_i x = eps(e_i) x for every i, normalized so that eps(x) = 1."""
+    dim, field = algebra.dim, algebra.field
+    rows = []
+    for i in range(dim):
+        eps = counit[i]
+        for m in range(dim):
+            row = {}
+            for j in range(dim):
+                c = algebra.mult[i][j].get(m, field.zero)
+                if j == m:
+                    c = c - eps
+                if not c.is_zero():
+                    row[j] = c
+            if row:
+                rows.append(row)
+    sols = _kernel_from_rows(rows, field, dim)
+    if not sols:
+        raise IntegralError("no integral: solution space is zero")
+    if len(sols) > 1:
+        raise IntegralError("integral is not unique: solution space has dim > 1")
+    x = list(sols[0])
+    eps_x = field.zero
+    for c, xi in zip(counit, x):
+        eps_x = eps_x + c * xi
+    if eps_x.is_zero():
+        raise IntegralError("integral has counit zero; input is not semisimple")
+    return vec_scale(x, eps_x.inverse())
+
+
 class WedderburnData:
     """Central primitive idempotents, block degrees, and one primitive
     idempotent per block (T_i t_j = delta_ij t_j)."""
@@ -484,6 +521,14 @@ class WedderburnData:
 
     def __len__(self):
         return len(self.central_idempotents)
+
+
+def _left_ideal(algebra, t) -> Subspace:
+    """The left ideal A t, spanned by the products e_i t."""
+    return Subspace.from_vectors(
+        algebra.field, algebra.dim,
+        [algebra.multiply(basis_vector(algebra.field, algebra.dim, i), t) for i in range(algebra.dim)],
+    )
 
 
 def _operator_on_subspace(algebra, x, space: Subspace):
@@ -540,7 +585,7 @@ def _split_commutative_block(algebra, block: Subspace, refiners):
     return blocks
 
 
-def wedderburn(algebra: AlgebraPresentation, validate=False) -> WedderburnData:
+def wedderburn(algebra: AlgebraPresentation) -> WedderburnData:
     """Wedderburn data of a split semisimple algebra.
 
     The center is cut into one-dimensional joint eigenspaces by iterated
@@ -548,10 +593,6 @@ def wedderburn(algebra: AlgebraPresentation, validate=False) -> WedderburnData:
     to its idempotent, degrees come from integer square roots of block
     dimensions, and a primitive idempotent is extracted per block.
     """
-    if validate:
-        ok, witness = algebra.validate()
-        if not ok:
-            raise NotSemisimpleError(f"not an associative unital algebra: {witness}")
     field = algebra.field
     center = algebra.center()
     lines = _split_commutative_block(algebra, center, [list(b) for b in center.basis])
@@ -576,21 +617,13 @@ def wedderburn(algebra: AlgebraPresentation, validate=False) -> WedderburnData:
     degrees = []
     primitives = []
     for e in idempotents:
-        block_space = Subspace.from_vectors(
-            field, algebra.dim,
-            [algebra.multiply(basis_vector(field, algebra.dim, i), e) for i in range(algebra.dim)],
-        )
-        d2 = block_space.dim
+        d2 = _left_ideal(algebra, e).dim
         d = math.isqrt(d2)
         if d * d != d2:
             raise NotSemisimpleError(f"block dimension {d2} is not a perfect square")
         degrees.append(d)
         t = primitive_idempotent_in_block(algebra, e) if d > 1 else list(e)
-        left_ideal = Subspace.from_vectors(
-            field, algebra.dim,
-            [algebra.multiply(basis_vector(field, algebra.dim, i), t) for i in range(algebra.dim)],
-        )
-        if left_ideal.dim != d or not vec_eq(algebra.multiply(t, t), t):
+        if _left_ideal(algebra, t).dim != d or not vec_eq(algebra.multiply(t, t), t):
             raise NotSemisimpleError("block idempotent is not primitive")
         primitives.append(t)
     return WedderburnData(idempotents, degrees, primitives)

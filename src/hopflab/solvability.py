@@ -106,6 +106,15 @@ def step_conditions(prev: CoidealSubalgebra, nxt: CoidealSubalgebra) -> StepResu
     return StepResult(central, adjoint, witness)
 
 
+def _verdict(steps):
+    """The chain verdict from its steps: solvable_series, or fails_at
+    naming the first failing step and condition."""
+    for i, s in enumerate(steps):
+        if not s.ok:
+            return f"fails_at({i}, {'i' if not s.central else 'ii'})"
+    return "solvable_series"
+
+
 def check_solvable_series(hopf: HopfAlgebra, chain) -> SeriesReport:
     """Verify a chain; verdict is "solvable_series" only when every step
     passes and the chain runs from k to all of H."""
@@ -118,11 +127,7 @@ def check_solvable_series(hopf: HopfAlgebra, chain) -> SeriesReport:
         if not nxt.space.contains(prev.space):
             raise ChainError("chain is not increasing")
     steps = [step_conditions(prev, nxt) for prev, nxt in zip(chain, chain[1:])]
-    verdict = "solvable_series"
-    for i, s in enumerate(steps):
-        if not s.ok:
-            verdict = f"fails_at({i}, {'i' if not s.central else 'ii'})"
-            break
+    verdict = _verdict(steps)
     if verdict == "solvable_series":
         if chain[0].dim != 1 or chain[-1].dim != hopf.dim:
             verdict = "conditions_hold_but_endpoints_missing"
@@ -303,12 +308,7 @@ def check_quotient_lifting(hopf: HopfAlgebra, n_ctx, quotient_report: SeriesRepo
     starting at N whose steps satisfy the two conditions."""
     lifted = lift_series_through_quotient(hopf, n_ctx, quotient_report.chain)
     steps = [step_conditions(prev, nxt) for prev, nxt in zip(lifted, lifted[1:])]
-    verdict = "solvable_series"
-    for i, s in enumerate(steps):
-        if not s.ok:
-            verdict = f"fails_at({i}, {'i' if not s.central else 'ii'})"
-            break
-    return SeriesReport(lifted, steps, verdict)
+    return SeriesReport(lifted, steps, _verdict(steps))
 
 
 # -- search -----------------------------------------------------------------

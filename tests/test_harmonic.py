@@ -344,11 +344,21 @@ def test_induction_trace_oracle_agreement(s3, a3, trivial, whole, skryabin):
             assert ctx.hopf.characters_subspace().contains_vector(a)
 
 
+def test_coideal_characters_match_the_hopf_subalgebra_table(a3):
+    # Irr(N) of a Hopf subalgebra, once as a coideal subalgebra and once as
+    # a Hopf algebra in its own right: same characters, degrees and order
+    chars = coideal_characters(a3)
+    table = hopf_subalgebra_data(a3).character_table()
+    assert chars.characters == table.characters
+    assert chars.degrees == table.degrees
+    assert chars.idempotents == table.idempotents
+
+
 def test_conjugated_block_idempotents_are_central(s3, a3):
     # Lambda ad t_j lies in the center of H
     lam = s3.integrals().integral
     chars = coideal_characters(a3)
-    center = s3.algebra_presentation().center()
+    center = s3.center()
     for t in chars.block_idempotents:
         assert center.contains_vector(s3.adjoint(lam, a3.to_ambient(t)))
 

@@ -207,6 +207,21 @@ def test_coadjoint_module_identity(s3):
         assert vec_eq(lhs, rhs)
 
 
+def test_coadjoint_cache_does_not_grow():
+    # only the integral's adjoint matrix is kept; other h are not cached
+    s3 = build_s3()
+    s3.character_table()
+    size = len(s3._cache)
+    for n in range(20):
+        h = [s3.field.from_rational(QQ(n + i)) for i in range(s3.dim)]
+        s3.coadjoint(h, s3.counit)
+    assert len(s3._cache) == size
+    lam = s3.integrals().integral
+    for _ in range(2):
+        s3.coadjoint(lam, s3.counit)
+    assert len(s3._cache) == size + 1
+
+
 def test_grouplikes(s3):
     assert len(s3.grouplikes()) == 6
     duals = s3.dual().grouplikes()

@@ -124,14 +124,16 @@ def _quaternion_presentation(field):
 
 def test_wedderburn_trivial_algebra():
     alg = _group_algebra_presentation(Q, [[0]])
-    data = wedderburn(alg, validate=True)
+    assert alg.validate() == (True, None)
+    data = wedderburn(alg)
     assert data.degrees == [1]
     assert data.central_idempotents == [[Q.one]]
 
 
 def test_wedderburn_kz2():
     alg = _group_algebra_presentation(Q, [[0, 1], [1, 0]])
-    data = wedderburn(alg, validate=True)
+    assert alg.validate() == (True, None)
+    data = wedderburn(alg)
     assert sorted(data.degrees) == [1, 1]
     half = Q.scalar("1/2")
     assert {tuple(e) for e in data.central_idempotents} == {
@@ -142,7 +144,8 @@ def test_wedderburn_kz2():
 def test_wedderburn_kz3_over_zeta3():
     table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     alg = _group_algebra_presentation(Q3, table)
-    data = wedderburn(alg, validate=True)
+    assert alg.validate() == (True, None)
+    data = wedderburn(alg)
     assert data.degrees == [1, 1, 1]
     unit = zero_vector(Q3, 3)
     total = unit
@@ -154,7 +157,8 @@ def test_wedderburn_kz3_over_zeta3():
 
 def test_wedderburn_matrix_algebra():
     alg = _matrix_algebra_presentation(Q, 2)
-    data = wedderburn(alg, validate=True)
+    assert alg.validate() == (True, None)
+    data = wedderburn(alg)
     assert data.degrees == [2]
     assert vec_eq(data.central_idempotents[0], alg.unit)
     t = data.block_primitive_idempotents[0]
@@ -198,7 +202,7 @@ def test_wedderburn_s3_block_idempotent():
 
     table, labels = symmetric3_table()
     s3 = group_algebra(table, conductor=3, labels=labels)
-    alg = s3.algebra_presentation()
+    alg = s3
     data = wedderburn(alg)
     assert sorted(data.degrees) == [1, 1, 2]
     i2 = data.degrees.index(2)
