@@ -20,7 +20,7 @@ from .errors import (
     NotCoidealError,
     NotNormalError,
 )
-from .hopf import HopfAlgebra, _tensor_add
+from .hopf import HopfAlgebra
 from .linalg import (
     AlgebraPresentation,
     Subspace,
@@ -30,7 +30,7 @@ from .linalg import (
     vec_scale,
     zero_vector,
 )
-from .linalg import _kernel_from_rows, _solve_integral, _subalgebra_presentation
+from .linalg import _kernel_from_rows, _solve_integral, _subalgebra_presentation, _tensor_add
 
 
 class CoidealSubalgebra:
@@ -469,7 +469,6 @@ def hopf_center(hopf: HopfAlgebra) -> Subspace:
             return space
         rows = []
         deltas = [hopf.comult_of(v) for v in basis]
-        images = [hopf.antipode_of(v) for v in basis]
         # (Q x id) Delta v = 0
         lhs_cols = {}
         for a, delta in enumerate(deltas):
@@ -491,10 +490,11 @@ def hopf_center(hopf: HopfAlgebra) -> Subspace:
                         cur = rhs_cols.setdefault(key, {})
                         cur[a] = cur.get(a, field.zero) + c * qc
         rows.extend(r for r in rhs_cols.values())
+        q_images = [space.quotient_coords(hopf.antipode_of(v)) for v in basis]
         for qi in range(width):
             row = {}
-            for a, img in enumerate(images):
-                c = space.quotient_coords(img)[qi]
+            for a, q in enumerate(q_images):
+                c = q[qi]
                 if not c.is_zero():
                     row[a] = c
             if row:

@@ -296,18 +296,15 @@ def _antipode_hit_constraint(ctx) -> Subspace:
     H = ctx.hopf
     field = H.field
     width = H.dim - ctx.dim
+    if width == 0:
+        return Subspace.full(field, H.dim)
+    # v_j(x)[m] = sum over Delta(e_j) of c * s(x)[k]; s(x)[k] = sum_l S[k][l] x_l
+    # constraint: quotient coords of v_j against N vanish
+    s_duals = [H.dual_antipode_of(basis_vector(field, H.dim, l)) for l in range(H.dim)]
     rows = []
     for j in range(H.dim):
-        # v_j(x)[m] = sum over Delta(e_j) of c * s(x)[k]; s(x)[k] = sum_l S[k][l] x_l
-        # constraint: quotient coords of v_j against N vanish
-        cols = []
-        for l in range(H.dim):
-            xl = basis_vector(field, H.dim, l)
-            sx = H.dual_antipode_of(xl)
-            cols.append(H.act_left(sx, H.basis(j)))
-        if width == 0:
-            continue
-        qcols = [ctx.space.quotient_coords(col) for col in cols]
+        e_j = H.basis(j)
+        qcols = [ctx.space.quotient_coords(H.act_left(sx, e_j)) for sx in s_duals]
         for q in range(width):
             row = {}
             for l in range(H.dim):

@@ -25,6 +25,7 @@ from .linalg import (
     _left_ideal,
     _operator_on_subspace,
     _solve_integral,
+    _tensor_add,
     basis_vector,
     vec_add,
     vec_eq,
@@ -98,9 +99,10 @@ class HopfAlgebra(AlgebraPresentation):
     """Finite-dimensional (semisimple) Hopf algebra over Q(zeta_n).
 
     Its algebra structure (field, dim, mult, unit) is the inherited
-    AlgebraPresentation.  Immutable after construction; derived data (dual,
-    integrals, character table, grouplikes) is computed once and cached, so
-    instances are safe for concurrent readers.
+    AlgebraPresentation.  The tensors are not changed after construction;
+    derived data (dual, integrals, character table, grouplikes, the ad(e_i)
+    operators) is computed once on first use and stored whole in `_cache`,
+    so instances are safe for concurrent readers.
     """
 
     def __init__(self, field, dim, mult, unit, comult, counit, antipode,
@@ -269,29 +271,61 @@ class HopfAlgebra(AlgebraPresentation):
 
     # -- adjoint and coadjoint actions ------------------------------------------
 
+    def _ad_operators(self):
+        """ad[i][m] = e_i ad e_m = sum c e_j e_m S(e_k) over Delta(e_i), as
+        sparse dicts {n: c}; built whole on first use and cached."""
+        ops = self._cache.get("ad")
+        if ops is not None:
+            return ops
+        mult = self.mult
+        s_rows = [[(q, s) for q, s in enumerate(row) if not s.is_zero()] for row in self.antipode]
+        ops = []
+        for i in range(self.dim):
+            row = []
+            for m in range(self.dim):
+                out = {}
+                for (j, k), c in self.comult[i].items():
+                    for p, d in mult[j][m].items():
+                        cd = c * d
+                        for q, s in s_rows[k]:
+                            f = cd * s
+                            for n, e in mult[p][q].items():
+                                _tensor_add(out, n, f * e)
+                row.append(out)
+            ops.append(row)
+        self._cache["ad"] = ops
+        return ops
+
     def adjoint(self, h, a):
         """h ad a = sum h1 a S(h2)."""
+        ops = self._ad_operators()
         out = self.zero()
-        for (j, k), c in self.comult_of(h).items():
-            left = self.multiply(self.basis(j), a)
-            term = self.multiply(left, self.antipode[k])
-            out = vec_add(out, vec_scale(term, c))
+        a_nz = [(m, am) for m, am in enumerate(a) if not am.is_zero()]
+        for i, hi in enumerate(h):
+            if hi.is_zero():
+                continue
+            ad_i = ops[i]
+            for m, am in a_nz:
+                f = hi * am
+                for n, c in ad_i[m].items():
+                    out[n] = out[n] + f * c
         return out
 
     def coadjoint(self, h, p):
-        """h coad p, the transpose of h ad - applied to p.
-
-        The adjoint matrix of the integral is cached, since induction
-        evaluates coad of the integral many times; no other is kept.
-        """
-        integrals = self._cache.get("integrals")
-        is_integral = integrals is not None and vec_eq(h, integrals.integral)
-        mat = self._cache.get("coad_integral") if is_integral else None
-        if mat is None:
-            mat = [self.adjoint(h, self.basis(m)) for m in range(self.dim)]
-            if is_integral:
-                self._cache["coad_integral"] = mat
-        return [self.pair(p, row) for row in mat]
+        """h coad p, the transpose of h ad - applied to p:
+        (h coad p)[m] = sum_i h_i <p, e_i ad e_m>."""
+        ops = self._ad_operators()
+        h_nz = [(i, hi) for i, hi in enumerate(h) if not hi.is_zero()]
+        out = self.zero()
+        for m in range(self.dim):
+            acc = self.field.zero
+            for i, hi in h_nz:
+                for n, c in ops[i][m].items():
+                    pn = p[n]
+                    if not pn.is_zero():
+                        acc = acc + hi * c * pn
+            out[m] = acc
+        return out
 
     # -- verification -----------------------------------------------------------
 
@@ -567,18 +601,6 @@ class HopfAlgebra(AlgebraPresentation):
     def __repr__(self):
         tag = self.name or "HopfAlgebra"
         return f"<{tag}: dim {self.dim} over {self.field!r}>"
-
-
-def _tensor_add(t, key, val):
-    """Add val at key of a sparse tensor (any arity), dropping zeros."""
-    if val.is_zero():
-        return
-    cur = t.get(key)
-    nv = val if cur is None else cur + val
-    if nv.is_zero():
-        t.pop(key, None)
-    else:
-        t[key] = nv
 
 
 def _tensor2_of_pair(x, y, field):

@@ -75,6 +75,18 @@ def mat_vec(m, v):
     return out
 
 
+def _tensor_add(t, key, val):
+    """Add val at key of a sparse tensor (any arity), dropping zeros."""
+    if val.is_zero():
+        return
+    cur = t.get(key)
+    nv = val if cur is None else cur + val
+    if nv.is_zero():
+        t.pop(key, None)
+    else:
+        t[key] = nv
+
+
 def _to_sparse(vec):
     return {j: c for j, c in enumerate(vec) if not c.is_zero()}
 
@@ -254,7 +266,8 @@ class Subspace:
             for j, r in enumerate(row):
                 if not r.is_zero():
                     residual[j] = residual[j] - c * r
-        return [residual[j] for j in range(self.ambient) if j not in set(self.pivots)]
+        pivots = set(self.pivots)
+        return [residual[j] for j in range(self.ambient) if j not in pivots]
 
 
 def subspace_op(u: Subspace, v: Subspace, op: str):
@@ -399,15 +412,17 @@ class AlgebraPresentation:
 
     def multiply(self, x, y):
         out = zero_vector(self.field, self.dim)
+        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
         for i, xi in enumerate(x):
             if xi.is_zero():
                 continue
             row = self.mult[i]
-            for j, yj in enumerate(y):
-                if yj.is_zero():
+            for j, yj in ys:
+                cell = row[j]
+                if not cell:
                     continue
                 f = xi * yj
-                for k, c in row[j].items():
+                for k, c in cell.items():
                     out[k] = out[k] + f * c
         return out
 
@@ -430,13 +445,25 @@ class AlgebraPresentation:
         return None
 
     def _associativity_witness(self):
-        """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), else None."""
-        e = [basis_vector(self.field, self.dim, i) for i in range(self.dim)]
+        """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), else None.
+
+        Compares sum_m c_ij^m c_mk^n with sum_m c_jk^m c_im^n as sparse
+        dicts, visiting only nonzero structure constants."""
+        mult = self.mult
         for i in range(self.dim):
+            row_i = mult[i]
             for j in range(self.dim):
-                ij = self.multiply(e[i], e[j])
+                ij = row_i[j]
+                row_j = mult[j]
                 for k in range(self.dim):
-                    if not vec_eq(self.multiply(ij, e[k]), self.multiply(e[i], self.multiply(e[j], e[k]))):
+                    lhs, rhs = {}, {}
+                    for m, c in ij.items():
+                        for n, d in mult[m][k].items():
+                            _tensor_add(lhs, n, c * d)
+                    for m, c in row_j[k].items():
+                        for n, d in row_i[m].items():
+                            _tensor_add(rhs, n, c * d)
+                    if lhs != rhs:
                         return i, j, k
         return None
 

@@ -69,29 +69,45 @@ def hopf_to_dict(hopf: HopfAlgebra) -> dict:
     return out
 
 
+def _indexed_entries(data, key, arity, dim, field):
+    """{index tuple: scalar} from entries [i, ..., "c"] with `arity`
+    indices, each in range(dim), and no index tuple given twice."""
+    out = {}
+    for entry in data[key]:
+        *idx, c = entry
+        if len(idx) != arity:
+            raise SchemaError(f"{key} entry {entry!r} does not have {arity} indices")
+        for i in idx:
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
+                raise SchemaError(f"{key} index {i!r} is not in range({dim})")
+        idx = tuple(idx)
+        if idx in out:
+            raise SchemaError(f"{key} entry {list(idx)} is given twice")
+        out[idx] = parse_scalar(field, c)
+    return out
+
+
 def hopf_from_dict(data: dict) -> HopfAlgebra:
     try:
         dim = int(data["dim"])
         conductor = int(data["cyclotomic_order"])
         field = CyclotomicField(conductor)
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in data["mult"]:
-            mult[i][j][k] = parse_scalar(field, c)
+        for (i, j, k), c in _indexed_entries(data, "mult", 3, dim, field).items():
+            mult[i][j][k] = c
         comult = [dict() for _ in range(dim)]
-        for i, j, k, c in data["comult"]:
-            comult[i][(j, k)] = parse_scalar(field, c)
+        for (i, j, k), c in _indexed_entries(data, "comult", 3, dim, field).items():
+            comult[i][(j, k)] = c
         unit = [parse_scalar(field, c) for c in data["unit"]]
         counit = [parse_scalar(field, c) for c in data["counit"]]
         antipode = [[field.zero] * dim for _ in range(dim)]
-        for i, j, c in data["antipode"]:
-            antipode[i][j] = parse_scalar(field, c)
+        for (i, j), c in _indexed_entries(data, "antipode", 2, dim, field).items():
+            antipode[i][j] = c
         if len(unit) != dim or len(counit) != dim:
             raise SchemaError("unit/counit length does not match dim")
         r_matrix = None
         if "r_matrix" in data:
-            r_matrix = {}
-            for i, j, c in data["r_matrix"]:
-                r_matrix[(i, j)] = parse_scalar(field, c)
+            r_matrix = _indexed_entries(data, "r_matrix", 2, dim, field)
         labels = data.get("basis_labels")
         if labels is not None and len(labels) != dim:
             raise SchemaError("basis_labels length does not match dim")
@@ -100,7 +116,7 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
                            name=data.get("name"))
     except SchemaError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as err:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as err:
         raise SchemaError(f"malformed Hopf data: {err}") from err
 
 

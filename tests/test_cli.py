@@ -58,6 +58,16 @@ def test_malformed_file_is_operational_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_out_of_range_index_is_operational_error(runner, tmp_path):
+    data = json.loads(corpus_file("s3").read_text())
+    data["mult"][0][2] = 99
+    bad = tmp_path / "bad.hopf.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["verify", str(bad)])
+    assert result.exit_code == 2
+    assert "mult index 99" in result.output
+
+
 def test_axiom_failure_on_load_is_operational_error(runner, tmp_path):
     # commands other than verify refuse to work with a broken structure
     data = json.loads(corpus_file("s3").read_text())

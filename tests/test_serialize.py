@@ -56,14 +56,38 @@ def test_load_verifies(tmp_path):
     assert not loaded_anyway.verify().ok
 
 
+def _s3_data_with(key, edit):
+    data = hopf_to_dict(build("s3"))
+    data[key] = edit(data.get(key))
+    return data
+
+
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
     with pytest.raises(SchemaError):
         load_hopf(path)
-    path.write_text(json.dumps({"dim": 2}))
-    with pytest.raises(SchemaError):
-        load_hopf(path)
+    bad_inputs = [
+        {"dim": 2},
+        _s3_data_with("mult", lambda m: [m[0][:2] + [99, m[0][3]]] + m[1:]),  # k out of range
+        _s3_data_with("mult", lambda m: [m[0][:2] + [-1, m[0][3]]] + m[1:]),  # negative k
+        _s3_data_with("mult", lambda m: [[6, 0, 0, "1"]] + m),                # i out of range
+        _s3_data_with("mult", lambda m: m + [m[0][:3] + ["2"]]),              # duplicate triple
+        _s3_data_with("mult", lambda m: [[0, 0, True, "1"]] + m[1:]),         # non-integer index
+        _s3_data_with("mult", lambda m: [[0, 0, "1"]] + m[1:]),               # too few indices
+        _s3_data_with("mult", lambda m: [m[0][:3] + ["1/0"]] + m[1:]),        # zero denominator
+        _s3_data_with("comult", lambda m: [m[0][:2] + [6, m[0][3]]] + m[1:]),
+        _s3_data_with("comult", lambda m: m + [m[-1]]),
+        _s3_data_with("antipode", lambda m: [[0, -2, "1"]] + m[1:]),
+        _s3_data_with("antipode", lambda m: m + [m[0]]),
+        _s3_data_with("unit", lambda u: ["1/0"] + u[1:]),
+        _s3_data_with("r_matrix", lambda _: [[0, 6, "1"]]),
+        _s3_data_with("r_matrix", lambda _: [[0, 0, "1"], [0, 0, "1"]]),
+    ]
+    for data in bad_inputs:
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError):
+            load_hopf(path)
 
 
 def test_conductor_override(tmp_path):
