@@ -19,13 +19,6 @@ def perm_compose(f, g):
     return tuple(f[g[x]] for x in range(len(f)))
 
 
-def perm_inverse(f):
-    inv = [0] * len(f)
-    for x, y in enumerate(f):
-        inv[y] = x
-    return tuple(inv)
-
-
 def cycle_label(perm):
     """1-based cycle notation; identity is "e"."""
     n = len(perm)

@@ -7,7 +7,9 @@ embed the input content hash and the tool version; running the same
 command twice on the same input produces byte-identical output.
 
 HOPFLAB_CYCLOTOMIC_ORDER overrides the file-level conductor (must be a
-multiple) to retry computations that raised a field-too-small error.
+multiple) to retry computations that raised a field-too-small error.  A
+value that is not a positive integer, like a malformed --chain or --hints
+file, is an operational error.
 """
 
 from __future__ import annotations
@@ -42,7 +44,15 @@ from .solvability import (
 
 def _conductor_override():
     value = os.environ.get("HOPFLAB_CYCLOTOMIC_ORDER")
-    return int(value) if value else None
+    if not value:
+        return None
+    try:
+        order = int(value)
+    except ValueError:
+        order = 0
+    if order < 1:
+        raise SchemaError(f"HOPFLAB_CYCLOTOMIC_ORDER={value!r} is not a positive integer")
+    return order
 
 
 def _load(path, skip_verify=False):
@@ -301,15 +311,30 @@ def induce(file, gens, char_index, workspace, as_text):
           as_text=as_text)
 
 
-def _chain_from_file(hopf, path):
+def _label_lists_from_file(path, what, keywords=()):
+    """The entries of a --chain or --hints file: a JSON list (a chain file
+    may also be {"chain": [...]}) whose entries are lists of basis labels
+    or one of the keywords.  Anything else raises SchemaError."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        _fail(f"cannot read chain file: {err}")
-    entries = data["chain"] if isinstance(data, dict) else data
+    except (OSError, ValueError) as err:
+        raise SchemaError(f"cannot read {what} file: {err}") from err
+    if what == "chain" and isinstance(data, dict):
+        data = data.get("chain")
+    if not isinstance(data, list):
+        raise SchemaError(f"{what} file does not hold a list of entries")
+    for entry in data:
+        if entry in keywords:
+            continue
+        if not (isinstance(entry, list) and all(isinstance(label, str) for label in entry)):
+            raise SchemaError(f"{what} entry {entry!r} is not a list of basis labels")
+    return data
+
+
+def _chain_from_file(hopf, path):
     chain = []
-    for entry in entries:
+    for entry in _label_lists_from_file(path, "chain", keywords=("k", "H")):
         if entry == "k":
             chain.append(coideal_closure(hopf, []))
         elif entry == "H":
@@ -351,9 +376,8 @@ def solvable_find(file, hints_file, workspace, as_text):
         hopf, digest = _load(file)
         hints = []
         if hints_file:
-            with open(hints_file) as fh:
-                for entry in json.load(fh):
-                    hints.append(_parse_gens(hopf, ",".join(entry)))
+            for entry in _label_lists_from_file(hints_file, "hints"):
+                hints.append(_parse_gens(hopf, ",".join(entry)))
         report = find_solvable_series(hopf, hints)
     except (SchemaError, AxiomError, HopfLabError) as err:
         _fail(err)

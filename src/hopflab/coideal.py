@@ -25,12 +25,13 @@ from .linalg import (
     AlgebraPresentation,
     Subspace,
     basis_vector,
+    mat_vec,
     vec_add,
     vec_eq,
     vec_scale,
     zero_vector,
 )
-from .linalg import _kernel_from_rows, _solve_integral, _subalgebra_presentation, _tensor_add
+from .linalg import _kernel_of_images, _solve_integral, _subalgebra_presentation, _tensor_add
 
 
 class CoidealSubalgebra:
@@ -69,11 +70,7 @@ class CoidealSubalgebra:
         return hash(self.space)
 
     def to_ambient(self, coords):
-        out = zero_vector(self.hopf.field, self.hopf.dim)
-        for c, row in zip(coords, self.space.basis):
-            if not c.is_zero():
-                out = vec_add(out, vec_scale(list(row), c))
-        return out
+        return mat_vec(self.space.basis, coords)
 
     def coords_of(self, vec):
         coords = self.space.coords_of(vec)
@@ -165,10 +162,7 @@ def _coideal_integral(hopf, space, presentation):
     for the restricted counit, in ambient coordinates."""
     basis = [list(b) for b in space.basis]
     eps = [hopf.counit_of(b) for b in basis]
-    x = zero_vector(hopf.field, hopf.dim)
-    for c, nb in zip(_solve_integral(presentation, eps), basis):
-        if not c.is_zero():
-            x = vec_add(x, vec_scale(nb, c))
+    x = mat_vec(basis, _solve_integral(presentation, eps))
     if not vec_eq(hopf.multiply(x, x), x):
         raise IntegralError("coideal integral is not idempotent")
     for na, e in zip(basis, eps):
@@ -179,24 +173,15 @@ def _coideal_integral(hopf, space, presentation):
 
 def _dual_invariants(hopf, space):
     """B = (H*)^N = {p : n -> p = eps(n) p for n in N}."""
-    field = hopf.field
-    basis = [list(b) for b in space.basis]
-    rows = []
-    for nb in basis:
+    images = [{} for _ in range(hopf.dim)]
+    for a, nb in enumerate(space.basis):
         eps = hopf.counit_of(nb)
-        # <n -> p, e_m> = <p, e_m n>
+        # <n_a -> e_k*, e_m> = <e_k*, e_m n_a>, one product per (m, a)
         for m in range(hopf.dim):
-            prod = hopf.multiply(hopf.basis(m), nb)
-            row = {}
-            for k, c in enumerate(prod):
-                if k == m:
-                    c = c - eps
-                if not c.is_zero():
-                    row[k] = c
-            if row:
-                rows.append(row)
-    sols = _kernel_from_rows(rows, field, hopf.dim)
-    return Subspace.from_vectors(field, hopf.dim, [list(s) for s in sols])
+            for k, c in enumerate(hopf.multiply(hopf.basis(m), nb)):
+                _tensor_add(images[k], (a, m), c)
+            _tensor_add(images[m], (a, m), -eps)
+    return _kernel_of_images(hopf.field, images)
 
 
 def _normality_pair(hopf, space, integral):
@@ -274,23 +259,14 @@ def invariants_of(hopf: HopfAlgebra, functionals: Subspace) -> Subspace:
         for q in t_basis:
             if not functionals.contains_vector(hopf.dual_multiply(p, q)):
                 raise NotAnAlgebraError("T is not closed under multiplication")
-    rows = []
-    for b in t_basis:
+    images = [{} for _ in range(hopf.dim)]
+    for a, b in enumerate(t_basis):
         b1 = hopf.pair(b, hopf.unit)
-        # act_left(b, e_i)[m] as matrix entries
-        cols = [hopf.act_left(b, hopf.basis(i)) for i in range(hopf.dim)]
-        for m in range(hopf.dim):
-            row = {}
-            for i in range(hopf.dim):
-                c = cols[i][m]
-                if i == m:
-                    c = c - b1
-                if not c.is_zero():
-                    row[i] = c
-            if row:
-                rows.append(row)
-    sols = _kernel_from_rows(rows, field, hopf.dim)
-    return Subspace.from_vectors(field, hopf.dim, [list(s) for s in sols])
+        for i, image in enumerate(images):
+            for m, c in enumerate(hopf.act_left(b, hopf.basis(i))):
+                _tensor_add(image, (a, m), c)
+            _tensor_add(image, (a, i), -b1)
+    return _kernel_of_images(field, images)
 
 
 def double_invariants_roundtrip(ctx: CoidealSubalgebra) -> bool:
@@ -314,11 +290,7 @@ class HopfQuotient:
         self._pi_rows = pi_rows     # projection of each ambient basis vector
 
     def project(self, h):
-        out = zero_vector(self.quotient.field, self.quotient.dim)
-        for i, c in enumerate(h):
-            if not c.is_zero():
-                out = vec_add(out, vec_scale(self._pi_rows[i], c))
-        return out
+        return mat_vec(self._pi_rows, h)
 
     def lift_coideal(self, subspace: Subspace) -> Subspace:
         """The unique coideal subalgebra of H containing N that projects
@@ -412,17 +384,11 @@ def left_kernel(hopf: HopfAlgebra, module_matrices) -> Subspace:
     if not module_matrices or len(module_matrices) != dim:
         raise NotARepresentationError("need one matrix per basis element")
     d = len(module_matrices[0])
-    from .linalg import mat_vec
 
     # representation check: e_i (e_j v) = (e_i e_j) v, unit acts as identity
-    unit_mat = [zero_vector(field, d) for _ in range(d)]
-    for i, c in enumerate(hopf.unit):
-        if not c.is_zero():
-            for r in range(d):
-                unit_mat[r] = vec_add(unit_mat[r], vec_scale(module_matrices[i][r], c))
     for r in range(d):
-        expected = basis_vector(field, d, r)
-        if not vec_eq(unit_mat[r], expected):
+        acted = mat_vec([m[r] for m in module_matrices], hopf.unit)
+        if not vec_eq(acted, basis_vector(field, d, r)):
             raise NotARepresentationError("unit does not act as the identity")
     for i in range(dim):
         for j in range(dim):
@@ -434,24 +400,18 @@ def left_kernel(hopf: HopfAlgebra, module_matrices) -> Subspace:
             if any(not vec_eq(composed[r], expected[r]) for r in range(d)):
                 raise NotARepresentationError(f"matrices violate structure constants at ({i}, {j})")
 
-    rows = []
-    for a in range(dim):
-        for r_in in range(d):
-            for r_out in range(d):
-                row = {}
-                for i in range(dim):
-                    acc = field.zero
-                    for (j, k), c in hopf.comult[i].items():
-                        if j == a:
-                            acc = acc + c * module_matrices[k][r_in][r_out]
-                    if i == a and r_in == r_out:
-                        acc = acc - field.one
-                    if not acc.is_zero():
-                        row[i] = acc
-                if row:
-                    rows.append(row)
-    sols = _kernel_from_rows(rows, field, dim)
-    return Subspace.from_vectors(field, dim, [list(s) for s in sols])
+    images = []
+    for i in range(dim):
+        image = {}  # e_i |-> sum c e_j (x) M_k - e_i (x) id over Delta(e_i) = sum c e_j (x) e_k
+        for (j, k), c in hopf.comult[i].items():
+            for r_in, row in enumerate(module_matrices[k]):
+                for r_out, m in enumerate(row):
+                    if not m.is_zero():
+                        _tensor_add(image, (j, r_in, r_out), c * m)
+        for r in range(d):
+            _tensor_add(image, (i, r, r), -field.one)
+        images.append(image)
+    return _kernel_of_images(field, images)
 
 
 def hopf_center(hopf: HopfAlgebra) -> Subspace:
@@ -459,63 +419,26 @@ def hopf_center(hopf: HopfAlgebra) -> Subspace:
     refinement V <- {v in V : Delta(v) in V (x) V, S(v) in V} from V = Z(H)."""
     field = hopf.field
     space = hopf.center()
-    while True:
-        basis = [list(b) for b in space.basis]
-        if not basis:
-            return space
+    while space.dim < hopf.dim:
         q_of_basis = [space.quotient_coords(hopf.basis(j)) for j in range(hopf.dim)]
-        width = len(q_of_basis[0])
-        if width == 0:
-            return space
-        rows = []
-        deltas = [hopf.comult_of(v) for v in basis]
-        # (Q x id) Delta v = 0
-        lhs_cols = {}
-        for a, delta in enumerate(deltas):
-            for (j, k), c in delta.items():
-                for qi in range(width):
-                    qc = q_of_basis[j][qi]
+        images = []
+        for v in space.basis:
+            image = {}  # (Q x id) Delta v, (id x Q) Delta v and Q S(v)
+            for (j, k), c in hopf.comult_of(v).items():
+                for qi, qc in enumerate(q_of_basis[j]):
                     if not qc.is_zero():
-                        key = (qi, k)
-                        cur = lhs_cols.setdefault(key, {})
-                        cur[a] = cur.get(a, field.zero) + c * qc
-        rows.extend(r for r in lhs_cols.values())
-        rhs_cols = {}
-        for a, delta in enumerate(deltas):
-            for (j, k), c in delta.items():
-                for qi in range(width):
-                    qc = q_of_basis[k][qi]
+                        _tensor_add(image, ("left", qi, k), c * qc)
+                for qi, qc in enumerate(q_of_basis[k]):
                     if not qc.is_zero():
-                        key = (j, qi)
-                        cur = rhs_cols.setdefault(key, {})
-                        cur[a] = cur.get(a, field.zero) + c * qc
-        rows.extend(r for r in rhs_cols.values())
-        q_images = [space.quotient_coords(hopf.antipode_of(v)) for v in basis]
-        for qi in range(width):
-            row = {}
-            for a, q in enumerate(q_images):
-                c = q[qi]
-                if not c.is_zero():
-                    row[a] = c
-            if row:
-                rows.append(row)
-        rows = [
-            {a: c for a, c in row.items() if not c.is_zero()}
-            for row in rows
-        ]
-        rows = [r for r in rows if r]
-        sols = _kernel_from_rows(rows, field, len(basis))
-        vecs = []
-        for sol in sols:
-            v = zero_vector(field, hopf.dim)
-            for a, c in enumerate(sol):
-                if not c.is_zero():
-                    v = vec_add(v, vec_scale(basis[a], c))
-            vecs.append(v)
-        refined = Subspace.from_vectors(field, hopf.dim, vecs)
+                        _tensor_add(image, ("right", j, qi), c * qc)
+            for qi, qc in enumerate(space.quotient_coords(hopf.antipode_of(v))):
+                _tensor_add(image, ("antipode", qi), qc)
+            images.append(image)
+        refined = space.lift(_kernel_of_images(field, images))
         if refined == space:
-            return space
+            break
         space = refined
+    return space
 
 
 def dual_subalgebra_generated(hopf: HopfAlgebra, vectors) -> Subspace:

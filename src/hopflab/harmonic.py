@@ -21,13 +21,14 @@ from .hopf import CharacterTable, HopfAlgebra, _character_table
 from .linalg import (
     Subspace,
     basis_vector,
+    mat_vec,
     vec_add,
     vec_eq,
     vec_scale,
     wedderburn,
     zero_vector,
 )
-from .linalg import _kernel_from_rows
+from .linalg import _kernel_of_images
 
 
 def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
@@ -119,12 +120,7 @@ def frobenius_matrices(ctx: CoidealSubalgebra):
         inv.append([c * scale for c in ctx.coords_of(moved)])
     # check mutual inversion: applying fwd then inv must give the identity
     for a in range(ctx.dim):
-        image = zero_vector(field, ctx.dim)
-        for b, c in enumerate(fwd[a]):
-            if not c.is_zero():
-                image = vec_add(image, vec_scale(inv[b], c))
-        expected = [field.one if i == a else field.zero for i in range(ctx.dim)]
-        if not vec_eq(image, expected):
+        if not vec_eq(mat_vec(inv, fwd[a]), basis_vector(field, ctx.dim, a)):
             raise HopfLabError("Frobenius map and its inverse do not compose to the identity")
     ctx._cache["frobenius"] = (fwd, inv)
     return fwd, inv
@@ -132,12 +128,7 @@ def frobenius_matrices(ctx: CoidealSubalgebra):
 
 def frobenius_apply(ctx, n_coords, inverse=False):
     fwd, inv = frobenius_matrices(ctx)
-    mat = inv if inverse else fwd
-    out = zero_vector(ctx.hopf.field, ctx.dim)
-    for a, c in enumerate(n_coords):
-        if not c.is_zero():
-            out = vec_add(out, vec_scale(mat[a], c))
-    return out
+    return mat_vec(inv if inverse else fwd, n_coords)
 
 
 def character_form(ctx: CoidealSubalgebra, p, q):
@@ -162,11 +153,7 @@ def restrict_character(ctx: CoidealSubalgebra, chi, require_integral=True):
     coeffs = []
     for t in chars.block_idempotents:
         coeffs.append(H.pair(chi, ctx.to_ambient(t)))
-    recon = zero_vector(H.field, ctx.dim)
-    for c, phi in zip(coeffs, chars.characters):
-        if not c.is_zero():
-            recon = vec_add(recon, vec_scale(phi, c))
-    if not vec_eq(recon, restriction):
+    if not vec_eq(mat_vec(chars.characters, coeffs), restriction):
         raise MultiplicityError("restriction does not expand over Irr(N) with <chi, t_j> coefficients")
     if require_integral:
         for c in coeffs:
@@ -295,26 +282,18 @@ def _antipode_hit_constraint(ctx) -> Subspace:
     """{x in H* : s(x) -> H <= N} as a kernel."""
     H = ctx.hopf
     field = H.field
-    width = H.dim - ctx.dim
-    if width == 0:
+    if ctx.dim == H.dim:
         return Subspace.full(field, H.dim)
-    # v_j(x)[m] = sum over Delta(e_j) of c * s(x)[k]; s(x)[k] = sum_l S[k][l] x_l
-    # constraint: quotient coords of v_j against N vanish
-    s_duals = [H.dual_antipode_of(basis_vector(field, H.dim, l)) for l in range(H.dim)]
-    rows = []
-    for j in range(H.dim):
-        e_j = H.basis(j)
-        qcols = [ctx.space.quotient_coords(H.act_left(sx, e_j)) for sx in s_duals]
-        for q in range(width):
-            row = {}
-            for l in range(H.dim):
-                c = qcols[l][q]
-                if not c.is_zero():
-                    row[l] = c
-            if row:
-                rows.append(row)
-    sols = _kernel_from_rows(rows, field, H.dim)
-    return Subspace.from_vectors(field, H.dim, [list(s) for s in sols])
+    # e_l* |-> the classes modulo N of s(e_l*) -> e_j, keyed by (j, class coordinate)
+    images = []
+    for l in range(H.dim):
+        sx = H.dual_antipode_of(basis_vector(field, H.dim, l))
+        images.append({
+            (j, q): c
+            for j in range(H.dim)
+            for q, c in enumerate(ctx.space.quotient_coords(H.act_left(sx, H.basis(j))))
+        })
+    return _kernel_of_images(field, images)
 
 
 def induced_image(ctx: CoidealSubalgebra) -> Subspace:

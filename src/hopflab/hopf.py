@@ -27,6 +27,7 @@ from .linalg import (
     _solve_integral,
     _tensor_add,
     basis_vector,
+    mat_vec,
     vec_add,
     vec_eq,
     vec_scale,
@@ -182,11 +183,7 @@ class HopfAlgebra(AlgebraPresentation):
         return out
 
     def antipode_of(self, x):
-        out = self.zero()
-        for i, xi in enumerate(x):
-            if not xi.is_zero():
-                out = vec_add(out, vec_scale(self.antipode[i], xi))
-        return out
+        return mat_vec(self.antipode, x)
 
     def pair(self, p, x):
         """<p, x> for a functional p and element x."""
@@ -513,9 +510,7 @@ class HopfAlgebra(AlgebraPresentation):
         if not vec_eq(characters[0], self.counit):
             raise NotSemisimpleError("character of the integral block is not the counit")
         # regular character identity: dual integral = sum d_i chi_i
-        reg = self.zero()
-        for chi, d in zip(characters, degrees):
-            reg = vec_add(reg, vec_scale(chi, self.field.from_rational(d)))
+        reg = mat_vec(characters, [self.field.from_rational(d) for d in degrees])
         if not vec_eq(reg, self.integrals().dual_integral):
             raise NotSemisimpleError("sum of d_i chi_i is not the dual integral")
         for i, chi_i in enumerate(characters):

@@ -5,6 +5,14 @@ row-echelon bases so that equality of subspaces is equality of matrices.
 The structure-constant systems this library produces are very sparse, so
 the elimination core works on dict-rows keyed by column.
 
+Two conventions hold throughout the library:
+
+- A solution space is written as the kernel of a linear map given by the
+  images of the basis vectors, each a sparse dict {output key: Scalar}, and
+  solved by `_kernel_of_images`, which transposes the images into equation
+  rows for `_kernel_from_rows`, the one kernel routine.
+- A linear combination sum_i c_i v_i is `mat_vec([v_0, v_1, ...], c)`.
+
 Also here: Wedderburn decomposition of a split semisimple algebra given by
 structure constants (central primitive idempotents, block degrees, one
 primitive idempotent per block).
@@ -22,7 +30,6 @@ from .errors import (
     NotSplitError,
 )
 from .scalars import (
-    Scalar,
     factor_into_linears,
     poly_divmod,
     poly_extgcd,
@@ -228,32 +235,16 @@ class Subspace:
         return Subspace.from_vectors(self.field, self.ambient, list(self.basis) + list(other.basis))
 
     def intersect(self, other):
-        """Exact intersection: combos of self.basis equal to combos of
-        other.basis, read off from the kernel of the stacked bases."""
+        """Exact intersection: the combinations of self.basis whose class
+        modulo other is zero."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        rows = []
-        k = self.dim
-        for j in range(self.ambient):
-            row = {}
-            for i, b in enumerate(self.basis):
-                if not b[j].is_zero():
-                    row[i] = b[j]
-            for i, b in enumerate(other.basis):
-                if not b[j].is_zero():
-                    row[k + i] = -b[j]
-            if row:
-                rows.append(row)
-        ker = _kernel_from_rows(rows, self.field, k + other.dim)
-        vecs = []
-        for sol in ker:
-            vec = zero_vector(self.field, self.ambient)
-            for i in range(k):
-                if not sol[i].is_zero():
-                    vec = vec_add(vec, vec_scale(self.basis[i], sol[i]))
-            vecs.append(vec)
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
+        images = [_to_sparse(other.quotient_coords(b)) for b in self.basis]
+        return self.lift(_kernel_of_images(self.field, images))
+
+    def lift(self, coords):
+        """The subspace whose coordinates in this echelon basis form the
+        Subspace coords of k^dim."""
+        return Subspace.from_vectors(self.field, self.ambient, [mat_vec(self.basis, v) for v in coords.basis])
 
     def quotient_coords(self, vec):
         """Coordinates of vec + self in the canonical complement (the
@@ -285,14 +276,14 @@ def subspace_op(u: Subspace, v: Subspace, op: str):
     raise ValueError(f"unknown subspace op {op!r}")
 
 
-def _kernel_from_rows(rows, field, ncols):
-    """Kernel basis (echelonized) of a system given by sparse equation rows."""
+def _kernel_from_rows(rows, field, ncols) -> Subspace:
+    """Kernel of a system given by sparse equation rows."""
     reduced = _sparse_rref(rows, field)
-    pivot_cols = [p for p, _ in reduced]
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
+    pivot_set = {p for p, _ in reduced}
     vecs = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = zero_vector(field, ncols)
         v[f] = field.one
         for p, row in reduced:
@@ -300,17 +291,27 @@ def _kernel_from_rows(rows, field, ncols):
             if c is not None:
                 v[p] = -c
         vecs.append(v)
-    rows2, pivots2 = rref(vecs, field, ncols) if vecs else ([], [])
-    return [tuple(r) for r in rows2]
+    return Subspace.from_vectors(field, ncols, vecs)
+
+
+def _kernel_of_images(field, images) -> Subspace:
+    """Kernel of the linear map sending e_j to images[j], a sparse dict
+    {output key: Scalar} whose zero values are ignored.  Keys may be any
+    hashable; tagging the keys of several maps stacks them into one map,
+    whose kernel is their joint kernel."""
+    rows = {}
+    for j, image in enumerate(images):
+        for key, c in image.items():
+            if not c.is_zero():
+                rows.setdefault(key, {})[j] = c
+    return _kernel_from_rows(list(rows.values()), field, len(images))
 
 
 def kernel(matrix_rows, field, ncols=None):
     """Kernel of a matrix given as dense equation rows."""
     if ncols is None:
         ncols = len(matrix_rows[0])
-    sparse = [_to_sparse(r) for r in matrix_rows]
-    vecs = _kernel_from_rows(sparse, field, ncols)
-    return Subspace.from_vectors(field, ncols, vecs)
+    return _kernel_from_rows([_to_sparse(r) for r in matrix_rows], field, ncols)
 
 
 def solve_linear(matrix_rows, rhs, field):
@@ -334,8 +335,7 @@ def solve_linear(matrix_rows, rhs, field):
         if c is not None:
             particular[p] = c
     ker_rows = [{c: v for c, v in row.items() if c != ncols} for _, row in reduced]
-    ker = _kernel_from_rows([dict(r) for r in ker_rows], field, ncols)
-    return particular, Subspace.from_vectors(field, ncols, ker)
+    return particular, _kernel_from_rows(ker_rows, field, ncols)
 
 
 def echelonize(vectors, field, ambient):
@@ -469,21 +469,16 @@ class AlgebraPresentation:
 
     def center(self) -> Subspace:
         """Solutions of e_i x = x e_i for all i."""
-        rows = []
-        for i in range(self.dim):
-            # commutator matrix of e_i: column j |-> e_i e_j - e_j e_i
-            for k in range(self.dim):
-                row = {}
-                for j in range(self.dim):
-                    c = self.mult[i][j].get(k, self.field.zero)
-                    d = self.mult[j][i].get(k, self.field.zero)
-                    diff = c - d
-                    if not diff.is_zero():
-                        row[j] = diff
-                if row:
-                    rows.append(row)
-        vecs = _kernel_from_rows(rows, self.field, self.dim)
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+        images = []
+        for j in range(self.dim):
+            image = {}  # e_j |-> sum_i e_i (x) (e_i e_j - e_j e_i)
+            for i in range(self.dim):
+                for k, c in self.mult[i][j].items():
+                    _tensor_add(image, (i, k), c)
+                for k, c in self.mult[j][i].items():
+                    _tensor_add(image, (i, k), -c)
+            images.append(image)
+        return _kernel_of_images(self.field, images)
 
 
 def _subalgebra_presentation(algebra, space: Subspace, unit):
@@ -510,25 +505,20 @@ def _solve_integral(algebra, counit):
     """The integral of an algebra with a counit: the unique x with
     e_i x = eps(e_i) x for every i, normalized so that eps(x) = 1."""
     dim, field = algebra.dim, algebra.field
-    rows = []
-    for i in range(dim):
-        eps = counit[i]
-        for m in range(dim):
-            row = {}
-            for j in range(dim):
-                c = algebra.mult[i][j].get(m, field.zero)
-                if j == m:
-                    c = c - eps
-                if not c.is_zero():
-                    row[j] = c
-            if row:
-                rows.append(row)
-    sols = _kernel_from_rows(rows, field, dim)
-    if not sols:
+    images = []
+    for j in range(dim):
+        image = {}  # e_j |-> sum_i e_i (x) (e_i e_j - eps(e_i) e_j)
+        for i in range(dim):
+            for m, c in algebra.mult[i][j].items():
+                _tensor_add(image, (i, m), c)
+            _tensor_add(image, (i, j), -counit[i])
+        images.append(image)
+    sols = _kernel_of_images(field, images)
+    if sols.dim == 0:
         raise IntegralError("no integral: solution space is zero")
-    if len(sols) > 1:
+    if sols.dim > 1:
         raise IntegralError("integral is not unique: solution space has dim > 1")
-    x = list(sols[0])
+    x = list(sols.basis[0])
     eps_x = field.zero
     for c, xi in zip(counit, x):
         eps_x = eps_x + c * xi
@@ -595,17 +585,7 @@ def _split_commutative_block(algebra, block: Subspace, refiners):
                 power = m
                 for _ in range(mult - 1):
                     power = [mat_vec(m, row) for row in power]
-                ker = kernel([list(r) for r in zip(*power)], algebra.field, blk.dim)
-                # note: rows of `power` are images of basis vectors, so the
-                # operator's matrix acting on coordinate columns is its transpose
-                vecs = []
-                for sol in ker.basis:
-                    vec = zero_vector(algebra.field, algebra.dim)
-                    for i, c in enumerate(sol):
-                        if not c.is_zero():
-                            vec = vec_add(vec, vec_scale(blk.basis[i], c))
-                    vecs.append(vec)
-                sub = Subspace.from_vectors(algebra.field, algebra.dim, vecs)
+                sub = blk.lift(_kernel_of_images(algebra.field, [_to_sparse(r) for r in power]))
                 if sub.dim:
                     nxt.append(sub)
         blocks = nxt

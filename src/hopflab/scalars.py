@@ -189,11 +189,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> QQ:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     def is_integer(self) -> bool:
         return self.is_rational() and self.coeffs[0].denominator == 1
 
@@ -456,10 +451,6 @@ def poly_trim(p: list) -> list:
     return p
 
 
-def poly_degree(p) -> int:
-    return len(p) - 1
-
-
 def poly_add(a, b):
     n = max(len(a), len(b))
     field = (a or b)[0].field
@@ -634,7 +625,7 @@ def _sympy_linear_factors(p, field):
         if fac.degree() == 1:
             monic = fac.monic()
             root = dom.from_sympy(sympy.expand(-monic.all_coeffs()[1]))
-            roots.append((from_dom(root) if field.conductor > 1 else from_dom(root), mult))
+            roots.append((from_dom(root), mult))
         else:
             coeffs = [dom.from_sympy(sympy.expand(c)) for c in reversed(fac.all_coeffs())]
             leftovers.append(poly_monic([from_dom(c) for c in coeffs]))

@@ -69,9 +69,31 @@ def hopf_to_dict(hopf: HopfAlgebra) -> dict:
     return out
 
 
+def _positive_int(data, key):
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError(f"{key} {value!r} is not a positive integer")
+    return value
+
+
+def _scalar(field, text, key):
+    if not isinstance(text, str):
+        raise SchemaError(f"{key} scalar {text!r} is not a string")
+    return parse_scalar(field, text)
+
+
+def _scalar_list(data, key, dim, field):
+    values = data[key]
+    if not isinstance(values, list) or len(values) != dim:
+        raise SchemaError(f"{key} is not a list of {dim} scalars")
+    return [_scalar(field, c, key) for c in values]
+
+
 def _indexed_entries(data, key, arity, dim, field):
     """{index tuple: scalar} from entries [i, ..., "c"] with `arity`
     indices, each in range(dim), and no index tuple given twice."""
+    if not isinstance(data[key], list):
+        raise SchemaError(f"{key} is not a list of entries")
     out = {}
     for entry in data[key]:
         *idx, c = entry
@@ -83,34 +105,35 @@ def _indexed_entries(data, key, arity, dim, field):
         idx = tuple(idx)
         if idx in out:
             raise SchemaError(f"{key} entry {list(idx)} is given twice")
-        out[idx] = parse_scalar(field, c)
+        out[idx] = _scalar(field, c, key)
     return out
 
 
 def hopf_from_dict(data: dict) -> HopfAlgebra:
     try:
-        dim = int(data["dim"])
-        conductor = int(data["cyclotomic_order"])
-        field = CyclotomicField(conductor)
+        dim = _positive_int(data, "dim")
+        field = CyclotomicField(_positive_int(data, "cyclotomic_order"))
+        # unit and counit come first: their lengths bound dim by the file's size
+        unit = _scalar_list(data, "unit", dim, field)
+        counit = _scalar_list(data, "counit", dim, field)
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
         for (i, j, k), c in _indexed_entries(data, "mult", 3, dim, field).items():
             mult[i][j][k] = c
         comult = [dict() for _ in range(dim)]
         for (i, j, k), c in _indexed_entries(data, "comult", 3, dim, field).items():
             comult[i][(j, k)] = c
-        unit = [parse_scalar(field, c) for c in data["unit"]]
-        counit = [parse_scalar(field, c) for c in data["counit"]]
         antipode = [[field.zero] * dim for _ in range(dim)]
         for (i, j), c in _indexed_entries(data, "antipode", 2, dim, field).items():
             antipode[i][j] = c
-        if len(unit) != dim or len(counit) != dim:
-            raise SchemaError("unit/counit length does not match dim")
         r_matrix = None
         if "r_matrix" in data:
             r_matrix = _indexed_entries(data, "r_matrix", 2, dim, field)
         labels = data.get("basis_labels")
-        if labels is not None and len(labels) != dim:
-            raise SchemaError("basis_labels length does not match dim")
+        if labels is not None and not (
+            isinstance(labels, list) and len(labels) == dim
+            and all(isinstance(label, str) for label in labels) and len(set(labels)) == dim
+        ):
+            raise SchemaError(f"basis_labels is not a list of {dim} distinct strings")
         return HopfAlgebra(field, dim, mult, unit, comult, counit, antipode,
                            r_matrix=r_matrix, basis_labels=labels,
                            name=data.get("name"))

@@ -259,6 +259,8 @@ def ascending_chain_contexts(hopf: HopfAlgebra, report: NilpotencyReport):
 def check_nilpotent_criterion(hopf: HopfAlgebra, chain):
     """N_{i+1} Lambda_i central in H Lambda_i for every step of a chain of
     normal coideal subalgebras from k to H."""
+    if not chain:
+        raise ChainError("empty chain")
     for ctx in chain:
         if not ctx.normal:
             raise NotNormalError("criterion requires normal chain members")
@@ -343,10 +345,7 @@ def _normal_candidates(hopf: HopfAlgebra, hints=()):
             break
         sub = hopf_subalgebra_data(cur)
         inner = commutator_subalgebra(sub)
-        space = Subspace.from_vectors(
-            hopf.field, hopf.dim,
-            [cur.to_ambient(list(b)) for b in inner.space.basis],
-        )
+        space = cur.space.lift(inner.space)
         if space.dim == cur.dim:
             break
         cur = coideal_from_subspace(hopf, space)

@@ -1,8 +1,11 @@
+import copy
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hopflab.cli import main
 from hopflab.corpus import corpus_file
@@ -205,3 +208,130 @@ def test_conductor_override_env(runner, monkeypatch):
     monkeypatch.setenv("HOPFLAB_CYCLOTOMIC_ORDER", "5")
     result = runner.invoke(main, ["characters", path_of("z3")])
     assert result.exit_code == 2
+
+
+def _z2_data_with(key, value):
+    data = json.loads(corpus_file("z2").read_text())
+    data[key] = value
+    return data
+
+
+# (command, the file its option names or the data file itself, contents, env)
+BAD_INPUTS = {
+    "chain-without-chain-key": ("solvable-check", "--chain", {"nochain": 1}, None),
+    "chain-entry-number": ("solvable-check", "--chain", {"chain": [5]}, None),
+    "chain-bare-number": ("solvable-check", "--chain", 5, None),
+    "chain-entry-string": ("solvable-check", "--chain", ["k", "(123)", "H"], None),
+    "chain-invalid-json": ("solvable-check", "--chain", "{ nope", None),
+    "nilpotent-chain-entry-number": ("nilpotent-check", "--chain", [5], None),
+    "hints-entry-number": ("solvable-find", "--hints", [5], None),
+    "hints-invalid-json": ("solvable-find", "--hints", "{ nope", None),
+    "hints-dict": ("solvable-find", "--hints", {"a": 1}, None),
+    "hints-bare-number": ("solvable-find", "--hints", 5, None),
+    "env-order-not-a-number": ("characters", None, None, "abc"),
+    "env-order-negative": ("characters", None, None, "-3"),
+    "env-order-zero": ("characters", None, None, "0"),
+    "scalar-as-number": ("verify", "file", _z2_data_with("mult", [[0, 0, 0, 1]]), None),
+    "unit-as-numbers": ("verify", "file", _z2_data_with("unit", [1, 0]), None),
+    "dim-not-integer": ("verify", "file", _z2_data_with("dim", 2.5), None),
+    "labels-string": ("verify", "file", _z2_data_with("basis_labels", "ab"), None),
+    "labels-duplicate": ("verify", "file", _z2_data_with("basis_labels", ["e", "e"]), None),
+    "labels-not-strings": ("verify", "file", _z2_data_with("basis_labels", [0, 1]), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_a_message(runner, tmp_path, monkeypatch, case):
+    command, option, contents, env = BAD_INPUTS[case]
+    if env is not None:
+        monkeypatch.setenv("HOPFLAB_CYCLOTOMIC_ORDER", env)
+    target = path_of("s3")
+    args = []
+    if option is not None:
+        bad = tmp_path / "bad.json"
+        bad.write_text(contents if isinstance(contents, str) else json.dumps(contents))
+        if option == "file":
+            target = str(bad)
+        else:
+            args = [option, str(bad)]
+    result = runner.invoke(main, [command, target] + args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output
+
+
+def test_chain_file_dict_form(runner, tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"chain": ["k", ["(123)"], "H"]}))
+    result = runner.invoke(main, ["solvable-check", path_of("s3"), "--chain", str(chain)])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["result"]["dims"] == [1, 3, 6]
+
+
+# Values a mutation may put anywhere in a JSON document.
+_MUTANTS = st.sampled_from([
+    None, True, -1, 0, 1, 2, 2.5, 99, "", "1", "-1/2", "x", "1/0", "z^7", "k", "H", "g", "e*|g",
+    [], [0], ["1"], [["g"]], [0, 0, "1"], [0, 0, 0, "1"], {}, {"chain": 5},
+])
+
+
+def _paths(doc, prefix=()):
+    """Every path (a tuple of keys and indices) into a JSON document."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _paths(value, prefix + (index,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one or two nodes replaced by a mutant value or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = copy.deepcopy(draw(_MUTANTS))
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(_MUTANTS))
+    return doc
+
+
+_HOPF_DOCS = {name: json.loads(corpus_file(name).read_text()) for name in ("z2", "d-z2")}
+_OPTION_DOCS = [
+    ("solvable-check", "--chain", ["k", ["g"], "H"]),
+    ("nilpotent-check", "--chain", {"chain": ["k", "H"]}),
+    ("solvable-find", "--hints", [["g"]]),
+]
+
+
+@st.composite
+def _mutated_invocation(draw):
+    """(argv builder, file contents): a mutated z2 or d-z2 data file under
+    verify or integrals, or a mutated chain or hints file for z2."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(_HOPF_DOCS)))
+        command = draw(st.sampled_from(["verify", "integrals"]))
+        return (lambda path: [command, path]), draw(_mutated(_HOPF_DOCS[name]))
+    command, option, doc = draw(st.sampled_from(_OPTION_DOCS))
+    return (lambda path: [command, path_of("z2"), option, path]), draw(_mutated(doc))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_invocation())
+def test_mutated_inputs_exit_cleanly(runner, tmp_path, invocation):
+    argv_for, contents = invocation
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(contents))
+    result = runner.invoke(main, argv_for(str(path)))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)

@@ -1,7 +1,13 @@
+import random
+
 import pytest
 
+from hopflab.corpus import corpus_names
+from hopflab.corpus import load as load_corpus
 from hopflab.errors import InconsistentSystemError, NotSplitError
 from hopflab.linalg import (
+    _kernel_of_images,
+    _solve_integral,
     AlgebraPresentation,
     Subspace,
     basis_vector,
@@ -282,3 +288,88 @@ def test_wedderburn_idempotents_are_orthogonal_central():
                 assert vec_eq(prod, e)
             else:
                 assert all(c.is_zero() for c in prod)
+
+
+def _random_scalar(rng, field):
+    """Zero half of the time, else small integer coordinates in the power basis."""
+    if rng.random() < 0.5:
+        return field.zero
+    return field.from_coeffs([rng.randint(-2, 2) for _ in range(field.degree)])
+
+
+def _vec_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def _image_of(dense, v, field):
+    """sum_j v_j dense[j], the image of v under the map with rows dense[j]."""
+    out = [field.zero] * len(dense[0])
+    for vj, row in zip(v, dense):
+        out = [o + vj * c for o, c in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta3)"])
+def test_kernel_of_images_matches_dense_kernel(field):
+    rng = random.Random(37)
+    for _ in range(25):
+        ncols, nout = rng.randint(1, 6), rng.randint(1, 6)
+        dense = [[_random_scalar(rng, field) for _ in range(nout)] for _ in range(ncols)]
+        ker = _kernel_of_images(field, [dict(enumerate(row)) for row in dense])
+        assert ker == kernel([list(col) for col in zip(*dense)], field, ncols)
+        assert ker.dim == ncols - echelonize(dense, field, nout).dim
+        for v in ker.basis:
+            assert all(c.is_zero() for c in _image_of(dense, v, field))
+    # the zero map: every vector is in the kernel
+    assert _kernel_of_images(field, [{} for _ in range(3)]) == Subspace.full(field, 3)
+    assert _kernel_of_images(field, [{"x": field.zero}] * 2) == Subspace.full(field, 2)
+    # two maps stacked by tagging their keys: the joint kernel
+    for _ in range(10):
+        ncols = rng.randint(1, 5)
+        f = [{k: _random_scalar(rng, field) for k in range(2)} for _ in range(ncols)]
+        g = [{k: _random_scalar(rng, field) for k in range(3)} for _ in range(ncols)]
+        stacked = [
+            {**{("f", key): c for key, c in fj.items()}, **{("g", key): c for key, c in gj.items()}}
+            for fj, gj in zip(f, g)
+        ]
+        joint = _kernel_of_images(field, f).intersect(_kernel_of_images(field, g))
+        assert _kernel_of_images(field, stacked) == joint
+
+
+SMALL_CORPUS = [name for name in corpus_names() if name != "d-s3"]
+
+
+def _dense_images(algebra, image_of_basis_vector):
+    """The matrix (rows = images of e_j) of a map given on basis vectors."""
+    return [image_of_basis_vector(basis_vector(algebra.field, algebra.dim, j)) for j in range(algebra.dim)]
+
+
+def _dense_kernel(algebra, image_of_basis_vector):
+    dense = _dense_images(algebra, image_of_basis_vector)
+    return kernel([list(col) for col in zip(*dense)], algebra.field, algebra.dim)
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_center_and_integral_match_dense_oracles(name):
+    H, _ = load_corpus(name, verify=False)
+    assert H.dim <= 8
+    for alg, counit in ((H, H.counit), (H.dual(), H.unit)):
+        basis = [basis_vector(alg.field, alg.dim, i) for i in range(alg.dim)]
+
+        def commutators(x):
+            return [c for e in basis for c in _vec_sub(alg.multiply(e, x), alg.multiply(x, e))]
+
+        center = alg.center()
+        assert center == _dense_kernel(alg, commutators)
+        for z in center.basis:
+            assert all(c.is_zero() for c in commutators(list(z)))
+
+        def integral_defect(x):
+            return [c for e, eps in zip(basis, counit)
+                    for c in _vec_sub(alg.multiply(e, x), [eps * xi for xi in x])]
+
+        line = _dense_kernel(alg, integral_defect)
+        assert line.dim == 1
+        x = list(line.basis[0])
+        eps_x = sum((c * xi for c, xi in zip(counit, x)), alg.field.zero)
+        assert _solve_integral(alg, counit) == [xi * eps_x.inverse() for xi in x]

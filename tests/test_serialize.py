@@ -83,6 +83,16 @@ def test_load_rejects_malformed(tmp_path):
         _s3_data_with("unit", lambda u: ["1/0"] + u[1:]),
         _s3_data_with("r_matrix", lambda _: [[0, 6, "1"]]),
         _s3_data_with("r_matrix", lambda _: [[0, 0, "1"], [0, 0, "1"]]),
+        _s3_data_with("mult", lambda m: [m[0][:3] + [1]] + m[1:]),           # scalar as a number
+        _s3_data_with("unit", lambda u: [1] + u[1:]),
+        _s3_data_with("counit", lambda u: "1" * 6),                          # a string, not a list
+        _s3_data_with("dim", lambda _: 6.5),                                 # non-integer dim
+        _s3_data_with("dim", lambda _: "6"),
+        _s3_data_with("cyclotomic_order", lambda _: 3.5),
+        _s3_data_with("cyclotomic_order", lambda _: 0),
+        _s3_data_with("basis_labels", lambda _: "abcdef"),                   # a string, not a list
+        _s3_data_with("basis_labels", lambda labels: labels[:5] + labels[:1]),  # duplicate label
+        _s3_data_with("basis_labels", lambda _: list(range(6))),             # non-string labels
     ]
     for data in bad_inputs:
         path.write_text(json.dumps(data))
