@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import NotAGroupError
 from .hopf import HopfAlgebra
-from .linalg import AlgebraPresentation
+from .linalg import AlgebraPresentation, _tensor_add
 from .scalars import CyclotomicField
 
 # -- permutation utilities ----------------------------------------------------
@@ -181,6 +181,7 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
     quasitriangular identities for the attached R.
     """
     H = hopf
+    Hd = H.dual()
     dim, field = H.dim, H.field
     D = dim * dim
 
@@ -193,47 +194,16 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
         t3 = {}
         for (u, x), c in H.comult[i].items():
             for (v, w), d in H.comult[x].items():
-                key = (u, v, w)
-                t3[key] = t3.get(key, field.zero) + c * d
-        delta2.append({k: v for k, v in t3.items() if not v.is_zero()})
-
-    # comult items of e_m grouped by first tensor index, for products p_a * q
-    by_first = []
-    for m in range(dim):
-        g = {}
-        for (j, k), c in H.comult[m].items():
-            g.setdefault(j, []).append((k, c))
-        by_first.append(g)
-
-    def dual_mult_basis(a, q):
-        out = [field.zero] * dim
-        for m in range(dim):
-            for k, c in by_first[m].get(a, ()):
-                qk = q[k]
-                if not qk.is_zero():
-                    out[m] = out[m] + c * qk
-        return out
+                _tensor_add(t3, (u, v, w), c * d)
+        delta2.append(t3)
 
     q_cache = {}
 
     def sandwich(u, w, b):
-        # q[k] = <p_b, S(e_w) e_k e_u>
+        # q[k] = <p_b, S(e_w) e_k e_u>, as e_u -> (p_b <- S(e_w)) in H*
         key = (u, w, b)
         if key not in q_cache:
-            sw = H.antipode[w]
-            q = [field.zero] * dim
-            for k in range(dim):
-                acc = field.zero
-                for l, cl in enumerate(sw):
-                    if cl.is_zero():
-                        continue
-                    inner = H.mult[l][k]
-                    for m, cm in inner.items():
-                        cb = H.mult[m][u].get(b)
-                        if cb is not None:
-                            acc = acc + cl * cm * cb
-                q[k] = acc
-            q_cache[key] = q
+            q_cache[key] = Hd.act_left(H.basis(u), Hd.act_right(H.basis(b), H.antipode[w]))
         return q_cache[key]
 
     mult = [[{} for _ in range(D)] for _ in range(D)]
@@ -245,40 +215,24 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
                     out = {}
                     for (u, v, w), c in delta2[i].items():
                         q = sandwich(u, w, b)
-                        pa_q = dual_mult_basis(a, q)
+                        pa_q = Hd.multiply(H.basis(a), q)
                         if all(x.is_zero() for x in pa_q):
                             continue
                         for mp, cm in H.mult[v][j].items():
                             f = c * cm
                             for cd, cq in enumerate(pa_q):
                                 if not cq.is_zero():
-                                    key = didx(cd, mp)
-                                    nv = out.get(key, field.zero) + f * cq
-                                    if nv.is_zero():
-                                        out.pop(key, None)
-                                    else:
-                                        out[key] = nv
+                                    _tensor_add(out, didx(cd, mp), f * cq)
                     row[didx(b, j)] = out
 
     comult = [dict() for _ in range(D)]
     for a in range(dim):
-        dual_delta = {}
-        for j in range(dim):
-            for k in range(dim):
-                c = H.mult[j][k].get(a)
-                if c is not None:
-                    dual_delta[(j, k)] = c
         for i in range(dim):
             cell = comult[didx(a, i)]
-            for (j, k), c in dual_delta.items():
+            for (j, k), c in Hd.comult[a].items():
                 for (u, v), d in H.comult[i].items():
                     # H*cop: second dual leg first
-                    key = (didx(k, u), didx(j, v))
-                    nv = cell.get(key, field.zero) + c * d
-                    if nv.is_zero():
-                        cell.pop(key, None)
-                    else:
-                        cell[key] = nv
+                    _tensor_add(cell, (didx(k, u), didx(j, v)), c * d)
 
     counit = [field.zero] * D
     unit = [field.zero] * D
@@ -296,7 +250,7 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
     # antipode: S(p_a x e_i) = (eps x S e_i) * (s(p_a) x 1)
     antipode = []
     for a in range(dim):
-        s_pa = [H.antipode[y][a] for y in range(dim)]
+        s_pa = Hd.antipode[a]
         for i in range(dim):
             left = [field.zero] * D
             for x in range(dim):
@@ -325,10 +279,8 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
             for l in range(dim):
                 cl = H.unit[l]
                 if not cl.is_zero():
-                    key = (didx(a, i), didx(i, l))
-                    r[key] = r.get(key, field.zero) + ca * cl
-    r_matrix = {k: v for k, v in r.items() if not v.is_zero()}
+                    _tensor_add(r, (didx(a, i), didx(i, l)), ca * cl)
 
     return HopfAlgebra(field, D, mult, unit, comult, counit, antipode,
-                       r_matrix=r_matrix, basis_labels=labels,
+                       r_matrix=r, basis_labels=labels,
                        name=f"D({H.name})" if H.name else "double")

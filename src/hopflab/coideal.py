@@ -31,7 +31,13 @@ from .linalg import (
     vec_scale,
     zero_vector,
 )
-from .linalg import _kernel_of_images, _solve_integral, _subalgebra_presentation, _tensor_add
+from .linalg import (
+    _kernel_of_images,
+    _solve_integral,
+    _subalgebra_generated,
+    _subalgebra_presentation,
+    _tensor_add,
+)
 
 
 class CoidealSubalgebra:
@@ -120,8 +126,8 @@ def _right_legs(hopf, v):
 def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
     """Smallest left coideal subalgebra containing the generators.
 
-    Alternates closure under the right comultiplication legs and under
-    multiplication until the dimension stabilizes (bounded by dim H).
+    Alternates closure under the right comultiplication legs and the
+    subalgebra generated until the dimension stabilizes (bounded by dim H).
     """
     vectors = [list(hopf.unit)] + [list(g) for g in generators]
     space = Subspace.from_vectors(hopf.field, hopf.dim, vectors)
@@ -129,13 +135,7 @@ def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
         new_vecs = list(space.basis)
         for v in space.basis:
             new_vecs.extend(_right_legs(hopf, list(v)))
-        grown = Subspace.from_vectors(hopf.field, hopf.dim, new_vecs)
-        basis = [list(b) for b in grown.basis]
-        prods = list(grown.basis)
-        for a in basis:
-            for b in basis:
-                prods.append(hopf.multiply(a, b))
-        grown = Subspace.from_vectors(hopf.field, hopf.dim, prods)
+        grown = _subalgebra_generated(hopf, new_vecs)
         if grown == space:
             return coideal_from_subspace(hopf, space)
         space = grown
@@ -148,7 +148,7 @@ def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace) -> CoidealSubalgeb
     integral = _coideal_integral(hopf, space, presentation)
     invariants = _dual_invariants(hopf, space)
     lam = hopf.integrals().dual_integral
-    dual_integral = hopf.hit_left(integral, lam)
+    dual_integral = hopf.dual().act_left(integral, lam)
     normal = _normality(hopf, space, integral)
     hopf_flag = _hopf_subalgebra_flag(hopf, space, integral)
     ctx = CoidealSubalgebra(hopf, space, integral, invariants, dual_integral,
@@ -251,22 +251,18 @@ def invariants_of(hopf: HopfAlgebra, functionals: Subspace) -> Subspace:
     Raises NotAnAlgebraError when T misses the counit or is not closed under
     the dual product.
     """
-    field = hopf.field
-    if not functionals.contains_vector(hopf.dual_unit()):
+    if not functionals.contains_vector(hopf.counit):
         raise NotAnAlgebraError("T does not contain the unit of H*")
-    t_basis = [list(b) for b in functionals.basis]
-    for p in t_basis:
-        for q in t_basis:
-            if not functionals.contains_vector(hopf.dual_multiply(p, q)):
-                raise NotAnAlgebraError("T is not closed under multiplication")
+    if _subalgebra_presentation(hopf.dual(), functionals, hopf.counit) is None:
+        raise NotAnAlgebraError("T is not closed under multiplication")
     images = [{} for _ in range(hopf.dim)]
-    for a, b in enumerate(t_basis):
+    for a, b in enumerate(functionals.basis):
         b1 = hopf.pair(b, hopf.unit)
         for i, image in enumerate(images):
             for m, c in enumerate(hopf.act_left(b, hopf.basis(i))):
                 _tensor_add(image, (a, m), c)
             _tensor_add(image, (a, i), -b1)
-    return _kernel_of_images(field, images)
+    return _kernel_of_images(hopf.field, images)
 
 
 def double_invariants_roundtrip(ctx: CoidealSubalgebra) -> bool:
@@ -439,23 +435,6 @@ def hopf_center(hopf: HopfAlgebra) -> Subspace:
             break
         space = refined
     return space
-
-
-def dual_subalgebra_generated(hopf: HopfAlgebra, vectors) -> Subspace:
-    """Smallest subalgebra of H* containing the unit of H* and the given
-    functionals (closure under the dual product)."""
-    field = hopf.field
-    space = Subspace.from_vectors(field, hopf.dim, [hopf.dual_unit()] + [list(v) for v in vectors])
-    while True:
-        prods = list(space.basis)
-        basis = [list(b) for b in space.basis]
-        for p in basis:
-            for q in basis:
-                prods.append(hopf.dual_multiply(p, q))
-        grown = Subspace.from_vectors(field, hopf.dim, prods)
-        if grown == space:
-            return space
-        space = grown
 
 
 def commutator_subalgebra(hopf: HopfAlgebra) -> CoidealSubalgebra:

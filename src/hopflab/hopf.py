@@ -9,10 +9,17 @@ tensors by exact linear algebra.
 
 Conventions (pinned; the verification report is the safety net):
 
-    hit actions         <p <- a, a'> = <p, a a'>      <a -> p, a'> = <p, a' a>
-    dual hit actions    b -> h = sum h1 <b, h2>        h <- b = sum <b, h1> h2
+    H* acting on H      b -> h = sum h1 <b, h2>        h <- b = sum <b, h1> h2
+                        (H.act_left(b, h), H.act_right(h, b))
+    hit actions         <a -> p, a'> = <p, a' a>      <p <- a, a'> = <p, a a'>
+                        (H.dual().act_left(a, p), H.dual().act_right(p, a))
     adjoint             h ad a  = sum h1 a S(h2)
     coadjoint           <h coad p, a> = <p, h ad a>
+
+H* is the cached Hopf algebra H.dual(), whose tensors are the transposes of
+H's, so every H* operation is the matching operation of that object: the
+product pq is H.dual().multiply(p, q), the unit of H* is H.counit and
+s(p) = p o S is H.dual().antipode_of(p).
 """
 
 from __future__ import annotations
@@ -167,12 +174,7 @@ class HopfAlgebra(AlgebraPresentation):
             if xi.is_zero():
                 continue
             for jk, c in self.comult[i].items():
-                cur = out.get(jk)
-                nv = xi * c if cur is None else cur + xi * c
-                if nv.is_zero():
-                    out.pop(jk, None)
-                else:
-                    out[jk] = nv
+                _tensor_add(out, jk, xi * c)
         return out
 
     def counit_of(self, x):
@@ -194,25 +196,6 @@ class HopfAlgebra(AlgebraPresentation):
         return out
 
     # -- the dual Hopf algebra -------------------------------------------------
-
-    def dual_multiply(self, p, q):
-        """Product in H*: <pq, e_m> = sum over Delta(e_m) of p(1st) q(2nd)."""
-        out = self.zero()
-        for m in range(self.dim):
-            acc = self.field.zero
-            for (j, k), c in self.comult[m].items():
-                pj, qk = p[j], q[k]
-                if not (pj.is_zero() or qk.is_zero()):
-                    acc = acc + c * pj * qk
-            out[m] = acc
-        return out
-
-    def dual_unit(self):
-        return list(self.counit)
-
-    def dual_antipode_of(self, p):
-        """s(p) = p o S."""
-        return [self.pair(p, self.antipode[i]) for i in range(self.dim)]
 
     def dual(self) -> "HopfAlgebra":
         """H* with transposed tensors; dual(dual(H)) has identical tensors."""
@@ -238,18 +221,11 @@ class HopfAlgebra(AlgebraPresentation):
         self._cache["dual"] = dual
         return dual
 
-    # -- hit actions -----------------------------------------------------------
-
-    def hit_right(self, p, a):
-        """p <- a with <p <- a, a'> = <p, a a'>."""
-        return [self.pair(p, self.multiply(a, self.basis(i))) for i in range(self.dim)]
-
-    def hit_left(self, a, p):
-        """a -> p with <a -> p, a'> = <p, a' a>."""
-        return [self.pair(p, self.multiply(self.basis(i), a)) for i in range(self.dim)]
+    # -- H* acting on H -------------------------------------------------------
 
     def act_left(self, b, h):
-        """b -> h = sum h1 <b, h2> (H* acting on H from the left)."""
+        """b -> h = sum h1 <b, h2> (H* acting on H from the left); on
+        H.dual() this is the hit action a -> p, <a -> p, a'> = <p, a' a>."""
         out = self.zero()
         for (j, k), c in self.comult_of(h).items():
             bk = b[k]
@@ -258,7 +234,8 @@ class HopfAlgebra(AlgebraPresentation):
         return out
 
     def act_right(self, h, b):
-        """h <- b = sum <b, h1> h2."""
+        """h <- b = sum <b, h1> h2; on H.dual() this is the hit action
+        p <- a, <p <- a, a'> = <p, a a'>."""
         out = self.zero()
         for (j, k), c in self.comult_of(h).items():
             bj = b[j]
@@ -532,7 +509,8 @@ class HopfAlgebra(AlgebraPresentation):
         """(p|q) = <s(q) p, integral> -- the symmetric form making Irr(H)
         orthonormal."""
         lam = self.integrals().integral
-        return self.pair(self.dual_multiply(self.dual_antipode_of(q), p), lam)
+        dual = self.dual()
+        return self.pair(dual.multiply(dual.antipode_of(q), p), lam)
 
     def grouplikes(self):
         """All g with Delta(g) = g x g and eps(g) = 1, read off from the

@@ -501,6 +501,19 @@ def _subalgebra_presentation(algebra, space: Subspace, unit):
     return AlgebraPresentation(algebra.field, space.dim, mult, unit_coords)
 
 
+def _subalgebra_generated(algebra, vectors) -> Subspace:
+    """Smallest subalgebra holding the unit and the vectors: the span,
+    grown by the products of its echelon basis pairs until it is closed."""
+    space = Subspace.from_vectors(algebra.field, algebra.dim, [algebra.unit] + [list(v) for v in vectors])
+    while True:
+        basis = [list(b) for b in space.basis]
+        prods = basis + [algebra.multiply(a, b) for a in basis for b in basis]
+        grown = Subspace.from_vectors(algebra.field, algebra.dim, prods)
+        if grown == space:
+            return space
+        space = grown
+
+
 def _solve_integral(algebra, counit):
     """The integral of an algebra with a counit: the unique x with
     e_i x = eps(e_i) x for every i, normalized so that eps(x) = 1."""

@@ -69,10 +69,9 @@ def hopf_to_dict(hopf: HopfAlgebra) -> dict:
     return out
 
 
-def _positive_int(data, key):
-    value = data[key]
+def _positive_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SchemaError(f"{key} {value!r} is not a positive integer")
+        raise SchemaError(f"{what} {value!r} is not a positive integer")
     return value
 
 
@@ -111,8 +110,8 @@ def _indexed_entries(data, key, arity, dim, field):
 
 def hopf_from_dict(data: dict) -> HopfAlgebra:
     try:
-        dim = _positive_int(data, "dim")
-        field = CyclotomicField(_positive_int(data, "cyclotomic_order"))
+        dim = _positive_int(data["dim"], "dim")
+        field = CyclotomicField(_positive_int(data["cyclotomic_order"], "cyclotomic_order"))
         # unit and counit come first: their lengths bound dim by the file's size
         unit = _scalar_list(data, "unit", dim, field)
         counit = _scalar_list(data, "counit", dim, field)
@@ -162,8 +161,11 @@ def load_hopf(path, verify=True, conductor_override=None):
     """Read a Hopf data file; returns (HopfAlgebra, content_hash).
 
     With verify (the default) the axiom report must be clean; an override
-    conductor embeds the structure constants into the larger field.
+    conductor (a positive multiple of the file's) embeds the structure
+    constants into the larger field.
     """
+    if conductor_override is not None:
+        _positive_int(conductor_override, "override conductor")
     try:
         with open(path) as fh:
             text = fh.read()
@@ -171,7 +173,7 @@ def load_hopf(path, verify=True, conductor_override=None):
     except (OSError, json.JSONDecodeError) as err:
         raise SchemaError(f"cannot read Hopf data: {err}") from err
     hopf = hopf_from_dict(data)
-    if conductor_override:
+    if conductor_override is not None:
         if conductor_override % hopf.field.conductor != 0:
             raise SchemaError(
                 f"override conductor {conductor_override} is not a multiple of "

@@ -25,7 +25,6 @@ from .coideal import (
     coideal_closure,
     coideal_from_subspace,
     commutator_subalgebra,
-    dual_subalgebra_generated,
     hopf_center,
     invariants_of,
     left_kernel,
@@ -34,7 +33,7 @@ from .coideal import (
 from .errors import ChainError, HopfLabError, NotNormalError
 from .harmonic import hopf_subalgebra_data
 from .hopf import HopfAlgebra, module_action_from_idempotent
-from .linalg import Subspace, vec_eq, vec_scale
+from .linalg import Subspace, _subalgebra_generated, vec_eq, vec_scale
 
 
 class StepResult:
@@ -151,11 +150,12 @@ class CommutationResult:
 def check_integral_commutation(hopf: HopfAlgebra, l_ctx, n_ctx) -> CommutationResult:
     """Do the dual integrals commute, and if so is their product the
     integral of the algebra they generate?"""
-    ln = hopf.dual_multiply(l_ctx.dual_integral, n_ctx.dual_integral)
-    nl = hopf.dual_multiply(n_ctx.dual_integral, l_ctx.dual_integral)
+    dual = hopf.dual()
+    ln = dual.multiply(l_ctx.dual_integral, n_ctx.dual_integral)
+    nl = dual.multiply(n_ctx.dual_integral, l_ctx.dual_integral)
     commute = vec_eq(ln, nl)
-    generated = dual_subalgebra_generated(
-        hopf,
+    generated = _subalgebra_generated(
+        dual,
         [list(b) for b in l_ctx.invariants.basis] + [list(b) for b in n_ctx.invariants.basis],
     )
     nl_int = _is_dual_integral_for(hopf, generated, nl)
@@ -169,13 +169,14 @@ def _is_dual_integral_for(hopf, subalgebra: Subspace, x):
     """x b = <b, 1> x = b x for all b in the subalgebra of H*."""
     if all(c.is_zero() for c in x):
         return False
+    dual = hopf.dual()
     for b in subalgebra.basis:
         b = list(b)
         scale = hopf.pair(b, hopf.unit)
         target = vec_scale(x, scale)
-        if not vec_eq(hopf.dual_multiply(x, b), target):
+        if not vec_eq(dual.multiply(x, b), target):
             return False
-        if not vec_eq(hopf.dual_multiply(b, x), target):
+        if not vec_eq(dual.multiply(b, x), target):
             return False
     return True
 

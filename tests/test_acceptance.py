@@ -263,7 +263,7 @@ def test_criterion_8_burnside_instances(algebras):
     # diagnostics available: grouplikes of the double and f_R evaluation
     groups = d_s3.grouplikes()
     assert len(groups) >= 2
-    assert vec_eq(d_s3.f_r(d_s3.dual_unit()), d_s3.unit)
+    assert vec_eq(d_s3.f_r(d_s3.counit), d_s3.unit)
     dual_groups = d_s3.dual().grouplikes()
     group_set = {tuple(g) for g in groups}
     for eta in dual_groups:

@@ -12,7 +12,6 @@ from hopflab.coideal import (
     coideal_from_subspace,
     commutator_subalgebra,
     double_invariants_roundtrip,
-    dual_subalgebra_generated,
     hopf_center,
     invariants_of,
     left_kernel,
@@ -20,7 +19,7 @@ from hopflab.coideal import (
 )
 from hopflab.errors import NotAnAlgebraError, NotNormalError
 from hopflab.hopf import module_action_from_idempotent
-from hopflab.linalg import Subspace, vec_eq
+from hopflab.linalg import Subspace, _subalgebra_generated, vec_eq
 from hopflab.scalars import QQ
 
 
@@ -86,7 +85,7 @@ def test_skryabin_coideal(skryabin_n):
 
 def test_invariants_edge_cases(s3):
     all_of_dual = Subspace.full(s3.field, 6)
-    only_counit = Subspace.from_vectors(s3.field, 6, [s3.dual_unit()])
+    only_counit = Subspace.from_vectors(s3.field, 6, [s3.counit])
     assert invariants_of(s3, only_counit).dim == 6
     assert invariants_of(s3, all_of_dual).dim == 1
     not_algebra = Subspace.from_vectors(s3.field, 6, [s3.basis(1)])
@@ -120,11 +119,11 @@ def test_integral_identities(s3, a3, skryabin_n):
         assert act_span == ctx.space
         # lambda_B <- H = B = Lambda_N -> H*
         b_one = Subspace.from_vectors(
-            H.field, H.dim, [H.hit_right(ctx.dual_integral, H.basis(i)) for i in range(H.dim)]
+            H.field, H.dim, [H.dual().act_right(ctx.dual_integral, H.basis(i)) for i in range(H.dim)]
         )
         assert b_one == ctx.invariants
         b_two = Subspace.from_vectors(
-            H.field, H.dim, [H.hit_left(ctx.integral, H.basis(i)) for i in range(H.dim)]
+            H.field, H.dim, [H.dual().act_left(ctx.integral, H.basis(i)) for i in range(H.dim)]
         )
         assert b_two == ctx.invariants
 
@@ -171,8 +170,8 @@ def test_intersection_invariants_identity(s3):
     n_ctx = coideal_closure(s3, [s3.basis(s3.index_of_label("(123)"))])
     cap = l_ctx.space.intersect(n_ctx.space)
     cap_ctx = coideal_from_subspace(s3, cap)
-    generated = dual_subalgebra_generated(
-        s3, [list(b) for b in l_ctx.invariants.basis] + [list(b) for b in n_ctx.invariants.basis]
+    generated = _subalgebra_generated(
+        s3.dual(), [list(b) for b in l_ctx.invariants.basis] + [list(b) for b in n_ctx.invariants.basis]
     )
     assert cap_ctx.invariants == generated
 

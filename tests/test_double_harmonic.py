@@ -90,7 +90,7 @@ def test_double_grouplike_count(d_s3):
 def test_transposed_f_r(d_s3):
     # f_{R^t} of the unit functional is the unit, and it is anti-compatible
     # with grouplikes (it also lands on grouplikes here)
-    assert vec_eq(d_s3.f_r(d_s3.dual_unit(), transposed=True), d_s3.unit)
+    assert vec_eq(d_s3.f_r(d_s3.counit, transposed=True), d_s3.unit)
     group_set = {tuple(g) for g in d_s3.grouplikes()}
     for eta in d_s3.dual().grouplikes():
         assert tuple(d_s3.f_r(eta, transposed=True)) in group_set

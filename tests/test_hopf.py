@@ -93,10 +93,10 @@ def test_hit_actions_group_dual(s3):
     # p_(12) <- (123) is the functional picking out (123)^-1 (12) = (23)
     p = s3.basis(s3.index_of_label("(12)"))
     a = s3.basis(s3.index_of_label("(123)"))
-    moved = s3.hit_right(p, a)
+    moved = s3.dual().act_right(p, a)
     assert vec_eq(moved, s3.basis(s3.index_of_label("(23)")))
     # 1 -> p = p
-    assert vec_eq(s3.hit_left(s3.unit, p), p)
+    assert vec_eq(s3.dual().act_left(s3.unit, p), p)
 
 
 def test_hit_module_axiom(s3):
@@ -108,8 +108,8 @@ def test_hit_module_axiom(s3):
     for _ in range(5):
         a, b, p = rand_vec(), rand_vec(), rand_vec()
         ab = s3.multiply(a, b)
-        assert vec_eq(s3.hit_left(a, s3.hit_left(b, p)), s3.hit_left(ab, p))
-        assert vec_eq(s3.hit_right(s3.hit_right(p, a), b), s3.hit_right(p, ab))
+        assert vec_eq(s3.dual().act_left(a, s3.dual().act_left(b, p)), s3.dual().act_left(ab, p))
+        assert vec_eq(s3.dual().act_right(s3.dual().act_right(p, a), b), s3.dual().act_right(p, ab))
 
 
 def test_adjoint_is_group_conjugation(s3):
@@ -172,7 +172,7 @@ def test_central_idempotents_orthogonal(s3):
 
 def test_bilinear_form_basics(s3):
     lam_pair = s3.integrals()
-    eps = s3.dual_unit()
+    eps = s3.counit
     assert s3.bilinear_form(eps, eps).is_one()
     table = s3.character_table()
     chi2 = table.characters[table.degrees.index(2)]
@@ -204,8 +204,8 @@ def test_coadjoint_module_identity(s3):
     for _ in range(5):
         h = [s3.field.from_rational(QQ(rng.randint(-3, 3))) for _ in range(s3.dim)]
         x = [s3.field.from_rational(QQ(rng.randint(-3, 3))) for _ in range(s3.dim)]
-        lhs = s3.coadjoint(h, s3.dual_multiply(x, p))
-        rhs = s3.dual_multiply(s3.coadjoint(h, x), p)
+        lhs = s3.coadjoint(h, s3.dual().multiply(x, p))
+        rhs = s3.dual().multiply(s3.coadjoint(h, x), p)
         assert vec_eq(lhs, rhs)
 
 
@@ -283,6 +283,29 @@ def test_adjoint_and_coadjoint_match_dense_reference(name):
             assert vec_eq(H.coadjoint(h, p), [H.pair(p, row) for row in matrix])
 
 
+@pytest.mark.parametrize("name", ["s3", "s3-dual", "d-z2"])
+def test_dual_object_matches_dual_side_definitions(name):
+    # H* operations are those of H.dual(); check each against its definition on H
+    H, _ = load_corpus(name, verify=False)
+    Hd = H.dual()
+    rng = random.Random(name)
+
+    def rand_vec():
+        return [H.field.from_rational(QQ(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(H.dim)]
+
+    assert vec_eq(Hd.unit, H.counit)
+    for l in range(H.dim):
+        assert vec_eq(Hd.antipode[l], Hd.antipode_of(H.basis(l)))
+    for _ in range(3):
+        p, q, a = rand_vec(), rand_vec(), rand_vec()
+        pq = Hd.multiply(p, q)
+        for m in range(H.dim):
+            assert pq[m] == sum((c * p[j] * q[k] for (j, k), c in H.comult[m].items()), H.field.zero)
+        assert vec_eq(Hd.act_left(a, p), [H.pair(p, H.multiply(H.basis(i), a)) for i in range(H.dim)])
+        assert vec_eq(Hd.act_right(p, a), [H.pair(p, H.multiply(a, H.basis(i))) for i in range(H.dim)])
+        assert vec_eq(Hd.antipode_of(p), [H.pair(p, H.antipode[i]) for i in range(H.dim)])
+
+
 def test_coadjoint_cache_does_not_grow():
     # the ad(e_i) operator table is the one entry; no h, not even the
     # integral, adds another
@@ -314,7 +337,7 @@ def test_grouplikes_of_s3_are_group_elements(s3):
 
 
 def test_f_r_trivial_for_group_algebra(s3):
-    eps = s3.dual_unit()
+    eps = s3.counit
     assert vec_eq(s3.f_r(eps), s3.unit)
     # linearity
     p = s3.basis(0)
@@ -338,7 +361,7 @@ def test_drinfeld_double_z2():
     report = d.verify()
     assert report.ok, [c.name for c in report.failures()]
     # f_R of the counit of D(H)* ... the unit functional eps maps to 1
-    assert vec_eq(d.f_r(d.dual_unit()), d.unit)
+    assert vec_eq(d.f_r(d.counit), d.unit)
     # f_R sends dual grouplikes to grouplikes
     dual_groups = d.dual().grouplikes()
     group_set = {tuple(g) for g in d.grouplikes()}
@@ -352,7 +375,7 @@ def test_f_r_multiplicative_on_dual_grouplikes():
     assert len(dual_groups) >= 2
     for p in dual_groups:
         for q in dual_groups:
-            pq = d.dual_multiply(p, q)
+            pq = d.dual().multiply(p, q)
             assert vec_eq(d.f_r(pq), d.multiply(d.f_r(p), d.f_r(q)))
 
 

@@ -109,3 +109,12 @@ def test_conductor_override(tmp_path):
     assert bigger.verify().ok
     with pytest.raises(SchemaError):
         load_hopf(path, conductor_override=4)  # 4 is not a multiple of 3
+
+
+@pytest.mark.parametrize("override", [-3, 0, True])
+def test_conductor_override_not_a_positive_int(tmp_path, override):
+    # -3 % 3 == 0, so a negative multiple must be refused before the field is built
+    path = tmp_path / "z3.hopf.json"
+    save_hopf(build("z3"), path)
+    with pytest.raises(SchemaError, match="not a positive integer"):
+        load_hopf(path, conductor_override=override)
