@@ -200,7 +200,7 @@ class Subspace:
         return self.ambient == other.ambient and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.ambient, tuple(tuple(c.coeffs for c in row) for row in self.basis)))
+        return hash((self.ambient, tuple(tuple((c.num, c.den) for c in row) for row in self.basis)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"

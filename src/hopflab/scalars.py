@@ -1,10 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 A scalar is a polynomial in zeta_n with rational coefficients, kept reduced
-modulo the n-th cyclotomic polynomial, so equality is coefficient-wise and
-every operation is exact.  Conductor n = 1 gives plain rationals.  Rationals
-use arbitrary-precision integers (gmpy2 when available), since echelon forms
-blow up coefficients.
+modulo the n-th cyclotomic polynomial Phi_n.  It is stored as one tuple of
+integer numerators over one positive common denominator, in lowest terms,
+so equality is a comparison of integers and every operation is exact.
+Phi_n is monic with integer coefficients, so products reduce modulo it
+without leaving the integers.  Conductor n = 1 gives plain rationals.
+Python integers have arbitrary precision, since echelon forms blow up
+coefficients; QQ (gmpy2's mpq when available, else fractions.Fraction) is
+met only at the boundary: parsing, printing, sorting and the inverse of an
+irrational element.
 
 Also here: polynomial helpers over scalars and linear-factor extraction,
 which the Wedderburn splitting downstream depends on.
@@ -14,6 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from math import gcd
+from operator import add, sub
 
 from .errors import NotSplitError
 
@@ -78,9 +85,9 @@ class CyclotomicField:
         mod = cyclotomic_polynomial(conductor)
         self.degree = len(mod) - 1
         self.modulus = tuple(QQ(c) for c in mod)
-        # reduced form of zeta^degree, used to cascade higher powers down
-        self._zeta_deg = tuple(-c for c in self.modulus[:-1])
-        self.zero = Scalar(self, (QQ(0),) * self.degree)
+        # integer reduced form of zeta^degree, used to cascade higher powers down
+        self._zeta_deg = tuple(-c for c in mod[:-1])
+        self.zero = _build(self, (0,) * self.degree, 1)
         self.one = self.from_rational(1)
         self._units = None
         cls._instances[conductor] = self
@@ -93,16 +100,18 @@ class CyclotomicField:
         return (CyclotomicField, (self.conductor,))
 
     def from_rational(self, q) -> "Scalar":
-        coeffs = [QQ(0)] * self.degree
-        coeffs[0] = as_rational(q)
-        return Scalar(self, tuple(coeffs))
+        if isinstance(q, int):
+            num, den = int(q), 1
+        else:
+            q = as_rational(q)
+            num, den = int(q.numerator), int(q.denominator)
+        return _build(self, (num,) + self.zero.num[1:], den)
 
     def from_coeffs(self, seq) -> "Scalar":
         coeffs = [as_rational(c) for c in seq]
-        if len(coeffs) > self.degree:
-            coeffs = self._reduce(coeffs)
-        coeffs += [QQ(0)] * (self.degree - len(coeffs))
-        return Scalar(self, tuple(coeffs))
+        den = math.lcm(*(int(c.denominator) for c in coeffs))
+        num = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
+        return _normalized(self, self._reduce(num), den)
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
@@ -119,24 +128,25 @@ class CyclotomicField:
 
     def zeta_power(self, k: int) -> "Scalar":
         k %= self.conductor
-        coeffs = [QQ(0)] * (k + 1)
-        coeffs[k] = QQ(1)
+        coeffs = [0] * (k + 1)
+        coeffs[k] = 1
         return self.from_coeffs(coeffs)
 
     def _reduce(self, coeffs: list) -> list:
-        # reduce a coefficient list of any length modulo Phi_n, cascading
-        # zeta^m = zeta^(m-d) * zeta^d from the top down
+        # reduce an integer coefficient list of any length modulo Phi_n in
+        # place, cascading zeta^m = zeta^(m-d) * zeta^d from the top down;
+        # returns the list cut or padded to length d
         d = self.degree
-        coeffs = list(coeffs)
         zeta_d = self._zeta_deg
-        while len(coeffs) > d:
-            top = coeffs.pop()
+        for m in range(len(coeffs) - 1, d - 1, -1):
+            top = coeffs[m]
             if top:
-                off = len(coeffs) - d
+                off = m - d
                 for i, r in enumerate(zeta_d):
                     if r:
                         coeffs[off + i] += top * r
-        coeffs += [QQ(0)] * (d - len(coeffs))
+        del coeffs[d:]
+        coeffs += [0] * (d - len(coeffs))
         return coeffs
 
     def roots_of_unity(self) -> tuple["Scalar", ...]:
@@ -148,7 +158,7 @@ class CyclotomicField:
                     u = self.zeta_power(k)
                     if sign < 0:
                         u = -u
-                    seen.setdefault(u.coeffs, u)
+                    seen.setdefault(u.num, u)  # roots of unity have den 1
             self._units = tuple(sorted(seen.values(), key=lambda s: s.sort_key()))
         return self._units
 
@@ -156,15 +166,15 @@ class CyclotomicField:
 class Scalar:
     """Element of a CyclotomicField in canonical reduced form.
 
-    Immutable; arithmetic via the usual operators.  Ints and rationals
-    coerce on the fly, scalars from distinct fields do not.
+    ``num`` is a tuple of ``field.degree`` ints and ``den`` a positive int
+    with gcd(den, *num) == 1; the value is sum_k (num[k] / den) zeta^k, and
+    zero is ((0, ..., 0), 1).  Immutable; arithmetic via the usual
+    operators.  Ints and rationals coerce on the fly, scalars from distinct
+    fields do not.  Build instances through the field (from_rational,
+    from_coeffs, scalar), not by calling the class.
     """
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: CyclotomicField, coeffs: tuple):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ("field", "num", "den")
 
     def __setattr__(self, *args):
         raise AttributeError("Scalar is immutable")
@@ -178,24 +188,30 @@ class Scalar:
     def __reduce__(self):
         return (_rebuild_scalar, (self.field.conductor, tuple(str(c) for c in self.coeffs)))
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of 1, zeta, ..., zeta^(degree-1) as QQ values."""
+        den = self.den
+        return tuple(QQ(n, den) for n in self.num)
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num == self.field.one.num
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     def integer_value(self) -> int:
         if not self.is_integer():
             raise ValueError(f"{self} is not an integer")
-        return int(self.coeffs[0])
+        return self.num[0]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -208,19 +224,30 @@ class Scalar:
             return self.field.from_rational(other)
         return NotImplemented
 
+    def _add_or_sub(self, other, op):
+        # op is operator.add or operator.sub; equal denominators (the common
+        # case, often 1) need no cross-multiplication
+        if other.__class__ is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.den, other.den
+        if a == b:
+            num = tuple(map(op, self.num, other.num))
+            if a == 1:
+                return _build(self.field, num, 1)
+            return _normalized(self.field, num, a)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        return _normalized(self.field, [op(x * b, y * a) for x, y in zip(self.num, other.num)], a * b * g)
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._add_or_sub(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._add_or_sub(other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -229,23 +256,32 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return _build(self.field, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        d = self.field.degree
+        if other.__class__ is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        field = self.field
+        den = self.den * other.den
+        a, b = self.num, other.num
+        d = field.degree
         if d == 1:
-            return Scalar(self.field, (a[0] * b[0],))
-        conv = [QQ(0)] * (2 * d - 1)
+            n = a[0] * b[0]
+            if den != 1:
+                g = gcd(n, den)
+                if g != 1:
+                    n //= g
+                    den //= g
+            return _build(field, (n,), den)
+        conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return Scalar(self.field, tuple(self.field._reduce(conv)))
+        return _normalized(field, field._reduce(conv), den)
 
     __rmul__ = __mul__
 
@@ -253,7 +289,8 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         if self.is_rational():
-            return self.field.from_rational(QQ(self.coeffs[0].denominator, self.coeffs[0].numerator))
+            n = self.num[0]
+            return _build(self.field, (self.den if n > 0 else -self.den,) + self.num[1:], abs(n))
         inv = _ratpoly_invert(list(self.coeffs), list(self.field.modulus))
         return self.field.from_coeffs(inv)
 
@@ -285,13 +322,15 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.field is other.field and self.coeffs == other.coeffs
+            return self.field is other.field and self.num == other.num and self.den == other.den
         if isinstance(other, (int, QQ)):
-            return self.is_rational() and self.coeffs[0] == other
+            # ints and QQ values are in lowest terms with a positive denominator
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.conductor, self.coeffs))
+        return hash((self.field.conductor, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -309,17 +348,43 @@ class Scalar:
         if m % n != 0:
             raise ValueError(f"cannot embed {self.field} into {target}")
         step = m // n
-        coeffs = [QQ(0)] * (1 + step * (len(self.coeffs) - 1))
-        for k, c in enumerate(self.coeffs):
+        coeffs = self.coeffs
+        spread = [QQ(0)] * (1 + step * (len(coeffs) - 1))
+        for k, c in enumerate(coeffs):
             if c:
-                coeffs[step * k] = c
-        return target.from_coeffs(coeffs)
+                spread[step * k] = c
+        return target.from_coeffs(spread)
 
     def __str__(self):
         return scalar_to_string(self)
 
     def __repr__(self):
         return f"Scalar({scalar_to_string(self)} @ {self.field!r})"
+
+
+_new_scalar = object.__new__
+_set_field = Scalar.field.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+
+
+def _build(field, num: tuple, den: int) -> Scalar:
+    """The Scalar num/den of field; num and den already in canonical form."""
+    s = _new_scalar(Scalar)
+    _set_field(s, field)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
+
+
+def _normalized(field, num, den: int) -> Scalar:
+    """The Scalar num/den of field, for integer num of length field.degree
+    and den > 0, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _build(field, tuple([x // g for x in num]), den // g)
+    return _build(field, tuple(num), den)
 
 
 def _rebuild_scalar(conductor, coeff_strings):
@@ -415,7 +480,7 @@ def parse_scalar(field: CyclotomicField, text: str) -> Scalar:
     cleaned = cleaned.replace("-", "+-").lstrip("+")
     if cleaned.startswith("-+"):  # came from a leading "-"
         cleaned = "-" + cleaned[2:]
-    coeffs = [QQ(0)] * max(field.degree, 1)
+    coeffs = [QQ(0)] * field.conductor  # by power of z, reduced once at the end
     for term in cleaned.split("+"):
         if not term:
             continue
@@ -434,10 +499,7 @@ def parse_scalar(field: CyclotomicField, text: str) -> Scalar:
             power = 0
         if power >= field.conductor:
             raise ValueError(f"power z^{power} out of range for conductor {field.conductor}")
-        extra = [QQ(0)] * (power + 1)
-        extra[power] = -coeff if neg else coeff
-        base = field.from_coeffs(extra)
-        coeffs = [a + b for a, b in zip(coeffs, base.coeffs)]
+        coeffs[power] += -coeff if neg else coeff
     return field.from_coeffs(coeffs)
 
 
@@ -656,14 +718,14 @@ def factor_into_linears(p, field=None):
     candidates.extend(field.from_rational(q) for q in rationals)
     candidates.extend(units)
     if field.degree > 1:
-        seen = {c.coeffs for c in candidates}
+        seen = set(candidates)
         for q in rationals:
             if q in (0, 1, -1):
                 continue
             for u in units:
                 cand = u * q
-                if cand.coeffs not in seen:
-                    seen.add(cand.coeffs)
+                if cand not in seen:
+                    seen.add(cand)
                     candidates.append(cand)
 
     roots = []

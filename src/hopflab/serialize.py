@@ -75,20 +75,31 @@ def _positive_int(value, what):
     return value
 
 
-def _scalar(field, text, key):
-    if not isinstance(text, str):
-        raise SchemaError(f"{key} scalar {text!r} is not a string")
-    return parse_scalar(field, text)
+def _scalar_reader(field):
+    """read(text, key) -> Scalar for one load.  Each distinct string is
+    parsed once; scalars are immutable, so equal entries share one object,
+    and the table dies with the load."""
+    parsed = {}
+
+    def read(text, key):
+        if not isinstance(text, str):
+            raise SchemaError(f"{key} scalar {text!r} is not a string")
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_scalar(field, text)
+        return value
+
+    return read
 
 
-def _scalar_list(data, key, dim, field):
+def _scalar_list(data, key, dim, read):
     values = data[key]
     if not isinstance(values, list) or len(values) != dim:
         raise SchemaError(f"{key} is not a list of {dim} scalars")
-    return [_scalar(field, c, key) for c in values]
+    return [read(c, key) for c in values]
 
 
-def _indexed_entries(data, key, arity, dim, field):
+def _indexed_entries(data, key, arity, dim, read):
     """{index tuple: scalar} from entries [i, ..., "c"] with `arity`
     indices, each in range(dim), and no index tuple given twice."""
     if not isinstance(data[key], list):
@@ -104,7 +115,7 @@ def _indexed_entries(data, key, arity, dim, field):
         idx = tuple(idx)
         if idx in out:
             raise SchemaError(f"{key} entry {list(idx)} is given twice")
-        out[idx] = _scalar(field, c, key)
+        out[idx] = read(c, key)
     return out
 
 
@@ -112,21 +123,22 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     try:
         dim = _positive_int(data["dim"], "dim")
         field = CyclotomicField(_positive_int(data["cyclotomic_order"], "cyclotomic_order"))
+        read = _scalar_reader(field)
         # unit and counit come first: their lengths bound dim by the file's size
-        unit = _scalar_list(data, "unit", dim, field)
-        counit = _scalar_list(data, "counit", dim, field)
+        unit = _scalar_list(data, "unit", dim, read)
+        counit = _scalar_list(data, "counit", dim, read)
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), c in _indexed_entries(data, "mult", 3, dim, field).items():
+        for (i, j, k), c in _indexed_entries(data, "mult", 3, dim, read).items():
             mult[i][j][k] = c
         comult = [dict() for _ in range(dim)]
-        for (i, j, k), c in _indexed_entries(data, "comult", 3, dim, field).items():
+        for (i, j, k), c in _indexed_entries(data, "comult", 3, dim, read).items():
             comult[i][(j, k)] = c
         antipode = [[field.zero] * dim for _ in range(dim)]
-        for (i, j), c in _indexed_entries(data, "antipode", 2, dim, field).items():
+        for (i, j), c in _indexed_entries(data, "antipode", 2, dim, read).items():
             antipode[i][j] = c
         r_matrix = None
         if "r_matrix" in data:
-            r_matrix = _indexed_entries(data, "r_matrix", 2, dim, field)
+            r_matrix = _indexed_entries(data, "r_matrix", 2, dim, read)
         labels = data.get("basis_labels")
         if labels is not None and not (
             isinstance(labels, list) and len(labels) == dim

@@ -1,3 +1,6 @@
+import math
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -210,3 +213,117 @@ def test_poly_divmod_and_extgcd():
     assert g == [-Q3.zeta, Q3.one]
     x = Q3.scalar(5)
     assert poly_eval(g, x) == poly_eval(a, x) * poly_eval(s, x) + poly_eval([-Q3.zeta, Q3.one], x) * poly_eval(t, x)
+
+
+# -- the integer-numerator form against a Fraction oracle ---------------------
+# The oracle is the coefficient-tuple arithmetic scalars used before they
+# were stored as integer numerators over one denominator: a value is a tuple
+# of `degree` QQ coefficients, products are convolutions reduced modulo Phi_n.
+
+ORACLE_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+
+
+def _oracle_reduce(field, coeffs):
+    d = field.degree
+    coeffs = list(coeffs)
+    zeta_d = tuple(-QQ(c) for c in cyclotomic_polynomial(field.conductor)[:-1])
+    while len(coeffs) > d:
+        top = coeffs.pop()
+        if top:
+            off = len(coeffs) - d
+            for i, r in enumerate(zeta_d):
+                if r:
+                    coeffs[off + i] += top * r
+    coeffs += [QQ(0)] * (d - len(coeffs))
+    return tuple(coeffs)
+
+
+def _oracle_mul(field, a, b):
+    d = field.degree
+    if d == 1:
+        return (a[0] * b[0],)
+    conv = [QQ(0)] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    return _oracle_reduce(field, conv)
+
+
+def _assert_canonical(s):
+    d = s.field.degree
+    assert type(s.den) is int and s.den > 0
+    assert len(s.num) == d and all(type(n) is int for n in s.num)
+    assert math.gcd(s.den, *s.num) == 1
+    if not any(s.num):
+        assert (s.num, s.den) == ((0,) * d, 1)
+
+
+@st.composite
+def _oracle_case(draw):
+    """A field, three scalars with their oracle coefficient tuples (built
+    from lists up to `conductor` long, so from_coeffs reduces), an int and
+    a QQ."""
+    field = CyclotomicField(draw(st.sampled_from(ORACLE_CONDUCTORS)))
+    rational = st.builds(QQ, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+    small = st.builds(QQ, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+    values = []
+    for _ in range(3):
+        coeffs = draw(st.lists(st.one_of(small, rational), min_size=1, max_size=field.conductor))
+        values.append((field.from_coeffs(coeffs), _oracle_reduce(field, coeffs)))
+    return field, values, draw(st.integers(-50, 50)), draw(small)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_oracle_case())
+def test_arithmetic_matches_fraction_oracle(case):
+    field, ((x, ox), (y, oy), (z, oz)), k, q = case
+    d = field.degree
+    zero = (QQ(0),) * d
+    one = (QQ(1),) + zero[1:]
+    as_const = lambda c: (QQ(c),) + zero[1:]
+    results = {
+        "x": (x, ox),
+        "x + y": (x + y, tuple(a + b for a, b in zip(ox, oy))),
+        "x - y": (x - y, tuple(a - b for a, b in zip(ox, oy))),
+        "x - x": (x - x, zero),
+        "-x": (-x, tuple(-a for a in ox)),
+        "x * y": (x * y, _oracle_mul(field, ox, oy)),
+        "x * (y + z)": (x * (y + z), _oracle_mul(field, ox, tuple(a + b for a, b in zip(oy, oz)))),
+        "x * 0": (x * 0, zero),
+        "x + k": (x + k, tuple(a + b for a, b in zip(ox, as_const(k)))),
+        "k - x": (k - x, tuple(b - a for a, b in zip(ox, as_const(k)))),
+        "q * x": (q * x, _oracle_mul(field, as_const(q), ox)),
+        "x * q": (x * q, _oracle_mul(field, ox, as_const(q))),
+        "x + q": (x + q, tuple(a + b for a, b in zip(ox, as_const(q)))),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert got.coeffs == want, name
+        assert all(isinstance(c, QQ) for c in got.coeffs), name
+        assert got.is_zero() == (want == zero), name
+        assert got.is_one() == (want == one), name
+        assert got.is_rational() == (want[1:] == zero[1:]), name
+    if any(ox):
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert _oracle_mul(field, ox, inv.coeffs) == one
+        assert (y / x).coeffs == _oracle_mul(field, oy, inv.coeffs)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    # equality with scalars, ints and QQ, and hashes of equal values
+    assert (x == y) == (ox == oy)
+    assert ((x + y) - y) == x and hash((x + y) - y) == hash(x)
+    assert (x * 6) * QQ(1, 6) == x and hash((x * 6) * QQ(1, 6)) == hash(x)
+    assert (x == k) == (ox == as_const(k))
+    assert (x == q) == (ox == as_const(q))
+    r = field.from_rational(q)
+    assert r == q and r.coeffs == as_const(q) and (r == k) == (q == k)
+    assert field.from_rational(k) == k and hash(field.from_rational(k)) == hash(field.scalar(str(k)))
+    # text and pickle round trips
+    for s in (x, y, z, r, x * y):
+        assert parse_scalar(field, scalar_to_string(s)) == s
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back.field is field and hash(back) == hash(s)
