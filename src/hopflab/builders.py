@@ -138,14 +138,13 @@ def validate_group_table(table):
 # -- Hopf algebra builders --------------------------------------------------------
 
 
-def group_algebra(cayley_table, conductor=1, labels=None, name=None,
-                  attach_trivial_r=True) -> HopfAlgebra:
+def group_algebra(cayley_table, conductor=1, labels=None, name=None) -> HopfAlgebra:
     """kG for a finite group given by its Cayley table.
 
     Basis = group elements in table order, Delta(g) = g x g, eps(g) = 1,
     S(g) = g^-1.  Group algebras are cocommutative, so 1 x 1 is a valid
-    R-matrix; it is attached by default to make the quasitriangular
-    diagnostics available.
+    R-matrix; it is attached to make the quasitriangular diagnostics
+    available.
     """
     identity = validate_group_table(cayley_table)
     field = CyclotomicField(conductor)
@@ -167,9 +166,8 @@ def group_algebra(cayley_table, conductor=1, labels=None, name=None,
         row = [field.zero] * n
         row[inverse[i]] = one
         antipode.append(row)
-    r = {(identity, identity): one} if attach_trivial_r else None
     return HopfAlgebra(field, n, mult, unit, comult, counit, antipode,
-                       r_matrix=r, basis_labels=labels, name=name)
+                       r_matrix={(identity, identity): one}, basis_labels=labels, name=name)
 
 
 def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:

@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from .coideal import coideal_closure, coideal_from_subspace
-from .errors import AxiomError, HopfLabError, SchemaError
+from .errors import HopfLabError, SchemaError
 from .harmonic import coideal_characters, induce_character, reciprocity_table
 from .linalg import Subspace
 from .scalars import scalar_to_string
@@ -128,7 +128,19 @@ text_option = click.option(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """Turns the errors of any command into exit code 2 with a message:
+    HopfLabError (bad input, a field too small) and OSError (a path that
+    cannot be read or written).  Any other exception is a bug and propagates."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (HopfLabError, OSError) as err:
+            _fail(err)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="hopflab")
 def main():
     """Exact computations with semisimple Hopf algebras."""
@@ -140,10 +152,7 @@ def main():
 @text_option
 def verify(file, workspace, as_text):
     """Check every Hopf axiom of a data file."""
-    try:
-        hopf, digest = _load(file, skip_verify=True)
-    except SchemaError as err:
-        _fail(err)
+    hopf, digest = _load(file, skip_verify=True)
     report = hopf.verify()
     lines = [f"{'ok ' if c.ok else 'FAIL'} {c.name}" + (f" at {c.witness}" if c.witness is not None else "")
              for c in report.checks]
@@ -160,12 +169,9 @@ def _transform_command(name, transform):
     @click.option("--skip-verify", is_flag=True)
     @workspace_option
     def cmd(file, out, skip_verify, workspace):
-        try:
-            hopf, digest = _load(file, skip_verify=skip_verify)
-            result_hopf = transform(hopf)
-            out_hash = save_hopf(result_hopf, out)
-        except (SchemaError, AxiomError, HopfLabError) as err:
-            _fail(err)
+        hopf, digest = _load(file, skip_verify=skip_verify)
+        result_hopf = transform(hopf)
+        out_hash = save_hopf(result_hopf, out)
         _emit(name, {"dim": result_hopf.dim, "output": os.path.basename(out),
                      "output_sha256": out_hash},
               0, input_file=file, input_hash=digest, workspace=workspace)
@@ -189,11 +195,8 @@ _transform_command("double", _double)
 @text_option
 def integrals(file, workspace, as_text):
     """Idempotent integral and dual integral."""
-    try:
-        hopf, digest = _load(file)
-        pair = hopf.integrals()
-    except (SchemaError, AxiomError, HopfLabError) as err:
-        _fail(err)
+    hopf, digest = _load(file)
+    pair = hopf.integrals()
     result = {
         "integral": [scalar_to_string(c) for c in pair.integral],
         "dual_integral": [scalar_to_string(c) for c in pair.dual_integral],
@@ -210,11 +213,8 @@ def integrals(file, workspace, as_text):
 @text_option
 def characters(file, workspace, as_text):
     """Character table: degrees and character values on the basis."""
-    try:
-        hopf, digest = _load(file)
-        table = hopf.character_table()
-    except (SchemaError, AxiomError, HopfLabError) as err:
-        _fail(err)
+    hopf, digest = _load(file)
+    table = hopf.character_table()
     result = {
         "degrees": table.degrees,
         "characters": [[scalar_to_string(c) for c in chi] for chi in table.characters],
@@ -238,11 +238,8 @@ def characters(file, workspace, as_text):
 @text_option
 def coideal(file, gens, save, workspace, as_text):
     """Close generators to a left coideal subalgebra and report it."""
-    try:
-        hopf, digest = _load(file)
-        ctx = _context_from_gens(hopf, gens)
-    except (SchemaError, AxiomError, HopfLabError) as err:
-        _fail(err)
+    hopf, digest = _load(file)
+    ctx = _context_from_gens(hopf, gens)
     result = coideal_to_dict(ctx, parent_hash=digest,
                              generators=[g.strip() for g in gens.split(",") if g.strip()])
     if save:
@@ -262,12 +259,9 @@ def coideal(file, gens, save, workspace, as_text):
 @text_option
 def reciprocity(file, gens, workspace, as_text):
     """Frobenius reciprocity table for the coideal closure of the generators."""
-    try:
-        hopf, digest = _load(file)
-        ctx = _context_from_gens(hopf, gens)
-        table = reciprocity_table(ctx)
-    except (SchemaError, AxiomError, HopfLabError) as err:
-        _fail(err)
+    hopf, digest = _load(file)
+    ctx = _context_from_gens(hopf, gens)
+    table = reciprocity_table(ctx)
     result = {
         "entries": table.entries,
         "h_degrees": table.h_degrees,
@@ -290,15 +284,12 @@ def reciprocity(file, gens, workspace, as_text):
 @text_option
 def induce(file, gens, char_index, workspace, as_text):
     """Induce an irreducible character of the coideal closure up to H."""
-    try:
-        hopf, digest = _load(file)
-        ctx = _context_from_gens(hopf, gens)
-        chars = coideal_characters(ctx)
-        if not 0 <= char_index < len(chars):
-            _fail(f"character index {char_index} out of range (N has {len(chars)})")
-        induced = induce_character(ctx, chars.characters[char_index])
-    except (SchemaError, AxiomError, HopfLabError) as err:
-        _fail(err)
+    hopf, digest = _load(file)
+    ctx = _context_from_gens(hopf, gens)
+    chars = coideal_characters(ctx)
+    if not 0 <= char_index < len(chars):
+        _fail(f"character index {char_index} out of range (N has {len(chars)})")
+    induced = induce_character(ctx, chars.characters[char_index])
     degree = hopf.pair(induced, hopf.unit)
     result = {
         "character_index": char_index,
@@ -352,12 +343,9 @@ def _chain_from_file(hopf, path):
 @text_option
 def solvable_check(file, chain_file, workspace, as_text):
     """Verify the two solvable-series conditions along a chain."""
-    try:
-        hopf, digest = _load(file)
-        chain = _chain_from_file(hopf, chain_file)
-        report = check_solvable_series(hopf, chain)
-    except (SchemaError, AxiomError, HopfLabError) as err:
-        _fail(err)
+    hopf, digest = _load(file)
+    chain = _chain_from_file(hopf, chain_file)
+    report = check_solvable_series(hopf, chain)
     text = f"verdict: {report.verdict}  dims: {[c.dim for c in report.chain]}"
     _emit("solvable-check", report.to_dict(), 0 if report.ok else 1,
           input_file=file, input_hash=digest, workspace=workspace,
@@ -372,15 +360,12 @@ def solvable_check(file, chain_file, workspace, as_text):
 @text_option
 def solvable_find(file, hints_file, workspace, as_text):
     """Search for a solvable series (semi-decision; may answer undecided)."""
-    try:
-        hopf, digest = _load(file)
-        hints = []
-        if hints_file:
-            for entry in _label_lists_from_file(hints_file, "hints"):
-                hints.append(_parse_gens(hopf, ",".join(entry)))
-        report = find_solvable_series(hopf, hints)
-    except (SchemaError, AxiomError, HopfLabError) as err:
-        _fail(err)
+    hopf, digest = _load(file)
+    hints = []
+    if hints_file:
+        for entry in _label_lists_from_file(hints_file, "hints"):
+            hints.append(_parse_gens(hopf, ",".join(entry)))
+    report = find_solvable_series(hopf, hints)
     text = f"verdict: {report.verdict}  dims: {[c.dim for c in report.chain]}"
     _emit("solvable-find", report.to_dict(), 0 if report.ok else 1,
           input_file=file, input_hash=digest, workspace=workspace,
@@ -395,22 +380,19 @@ def solvable_find(file, hints_file, workspace, as_text):
 @text_option
 def nilpotent_check(file, chain_file, workspace, as_text):
     """Ascending central series and the nilpotency verdict."""
-    try:
-        hopf, digest = _load(file)
-        report = ascending_central_series(hopf)
-        result = report.to_dict()
-        if chain_file:
-            chain = _chain_from_file(hopf, chain_file)
-            ok, witness = check_nilpotent_criterion(hopf, chain)
-            result["criterion_chain"] = {
-                "dims": [c.dim for c in chain],
-                "passes": ok,
-                "witness": witness,
-            }
-            if ok != report.is_nilpotent:
-                _fail("criterion chain disagrees with the ascending central series")
-    except (SchemaError, AxiomError, HopfLabError) as err:
-        _fail(err)
+    hopf, digest = _load(file)
+    report = ascending_central_series(hopf)
+    result = report.to_dict()
+    if chain_file:
+        chain = _chain_from_file(hopf, chain_file)
+        ok, witness = check_nilpotent_criterion(hopf, chain)
+        result["criterion_chain"] = {
+            "dims": [c.dim for c in chain],
+            "passes": ok,
+            "witness": witness,
+        }
+        if ok != report.is_nilpotent:
+            _fail("criterion chain disagrees with the ascending central series")
     text = f"nilpotent: {report.is_nilpotent}  chain dims: {result['dims']}"
     _emit("nilpotent-check", result, 0 if report.is_nilpotent else 1,
           input_file=file, input_hash=digest, workspace=workspace,

@@ -61,16 +61,7 @@ def _gamma_columns(ctx):
 def embed_functional(ctx: CoidealSubalgebra, p):
     """gamma(p) in H*: <gamma(p), h> = <p, lambda_B -> h>."""
     H = ctx.hopf
-    cols = _gamma_columns(ctx)
-    out = []
-    for i in range(H.dim):
-        acc = H.field.zero
-        for a, c in enumerate(cols[i]):
-            pa = p[a]
-            if not (c.is_zero() or pa.is_zero()):
-                acc = acc + c * pa
-        out.append(acc)
-    return out
+    return [H.pair(p, col) for col in _gamma_columns(ctx)]
 
 
 def project_to_coideal(ctx: CoidealSubalgebra, h):
@@ -84,12 +75,7 @@ def star_action(ctx: CoidealSubalgebra, x, p):
     out = []
     for b in ctx.space.basis:
         moved = H.act_right(list(b), x)
-        coords = ctx.coords_of(moved)
-        acc = H.field.zero
-        for c, pa in zip(coords, p):
-            if not (c.is_zero() or pa.is_zero()):
-                acc = acc + c * pa
-        out.append(acc)
+        out.append(H.pair(p, ctx.coords_of(moved)))
     return out
 
 
@@ -133,19 +119,14 @@ def frobenius_apply(ctx, n_coords, inverse=False):
 
 def character_form(ctx: CoidealSubalgebra, p, q):
     """(p|q)_N = <q, F_N^{-1}(p)>, symmetric and non-degenerate."""
-    finv_p = frobenius_apply(ctx, p, inverse=True)
-    acc = ctx.hopf.field.zero
-    for qa, ca in zip(q, finv_p):
-        if not (qa.is_zero() or ca.is_zero()):
-            acc = acc + qa * ca
-    return acc
+    return ctx.hopf.pair(q, frobenius_apply(ctx, p, inverse=True))
 
 
-def restrict_character(ctx: CoidealSubalgebra, chi, require_integral=True):
+def restrict_character(ctx: CoidealSubalgebra, chi):
     """chi|_N with its expansion coefficients <chi, t_j> over Irr(N).
 
-    The expansion must hold exactly; coefficients must be non-negative
-    integers when require_integral is set.
+    The expansion must hold exactly and the coefficients must be
+    non-negative integers.
     """
     H = ctx.hopf
     chars = coideal_characters(ctx)
@@ -155,12 +136,10 @@ def restrict_character(ctx: CoidealSubalgebra, chi, require_integral=True):
         coeffs.append(H.pair(chi, ctx.to_ambient(t)))
     if not vec_eq(mat_vec(chars.characters, coeffs), restriction):
         raise MultiplicityError("restriction does not expand over Irr(N) with <chi, t_j> coefficients")
-    if require_integral:
-        for c in coeffs:
-            if not c.is_integer() or c.integer_value() < 0:
-                raise MultiplicityError(f"multiplicity {c} is not a non-negative integer")
-        coeffs = [c.integer_value() for c in coeffs]
-    return restriction, coeffs
+    for c in coeffs:
+        if not c.is_integer() or c.integer_value() < 0:
+            raise MultiplicityError(f"multiplicity {c} is not a non-negative integer")
+    return restriction, [c.integer_value() for c in coeffs]
 
 
 def induce_character(ctx: CoidealSubalgebra, phi, check=True):
@@ -213,10 +192,7 @@ def induced_degree_identity(ctx: CoidealSubalgebra, phi, induced):
     """<phi^up, 1> = dim B * <phi, 1>."""
     H = ctx.hopf
     lhs = H.pair(induced, H.unit)
-    one_coords = ctx.coords_of(H.unit)
-    rhs = H.field.zero
-    for c, pa in zip(one_coords, phi):
-        rhs = rhs + c * pa
+    rhs = H.pair(phi, ctx.coords_of(H.unit))
     return lhs == rhs * H.field.from_rational(ctx.invariants.dim)
 
 

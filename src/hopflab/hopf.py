@@ -178,11 +178,7 @@ class HopfAlgebra(AlgebraPresentation):
         return out
 
     def counit_of(self, x):
-        out = self.field.zero
-        for c, xi in zip(self.counit, x):
-            if not (c.is_zero() or xi.is_zero()):
-                out = out + c * xi
-        return out
+        return self.pair(self.counit, x)
 
     def antipode_of(self, x):
         return mat_vec(self.antipode, x)

@@ -7,9 +7,12 @@ so equality is a comparison of integers and every operation is exact.
 Phi_n is monic with integer coefficients, so products reduce modulo it
 without leaving the integers.  Conductor n = 1 gives plain rationals.
 Python integers have arbitrary precision, since echelon forms blow up
-coefficients; QQ (gmpy2's mpq when available, else fractions.Fraction) is
-met only at the boundary: parsing, printing, sorting and the inverse of an
-irrational element.
+coefficients; QQ (fractions.Fraction) is met only at the boundary: parsing,
+printing and sorting.
+
+An irrational scalar a is inverted through its Galois norm: with P the
+product of its conjugates sigma_k(a), zeta -> zeta^k for the units k != 1
+modulo n, the norm N(a) = a * P is a nonzero rational, so 1/a = P / N(a).
 
 Also here: polynomial helpers over scalars and linear-factor extraction,
 which the Wedderburn splitting downstream depends on.
@@ -18,27 +21,20 @@ which the Wedderburn splitting downstream depends on.
 from __future__ import annotations
 
 import math
+from fractions import Fraction as QQ
 from functools import lru_cache
 from math import gcd
 from operator import add, sub
 
 from .errors import NotSplitError
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
-
 
 def as_rational(x) -> QQ:
-    """Coerce an int, string like "3/4", or rational into QQ."""
-    if isinstance(x, (int, str)):
-        return QQ(x)
-    return QQ(x.numerator, x.denominator)
-
-
-def rational_to_string(q) -> str:
-    return str(q)
+    """Coerce an int, string like "3/4", or rational into QQ; a float is
+    refused, since its binary value is seldom the rational meant."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact rational; pass an int, a QQ or a string")
+    return QQ(x)
 
 
 def _intpoly_exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -84,7 +80,6 @@ class CyclotomicField:
         self.conductor = conductor
         mod = cyclotomic_polynomial(conductor)
         self.degree = len(mod) - 1
-        self.modulus = tuple(QQ(c) for c in mod)
         # integer reduced form of zeta^degree, used to cascade higher powers down
         self._zeta_deg = tuple(-c for c in mod[:-1])
         self.zero = _build(self, (0,) * self.degree, 1)
@@ -104,13 +99,13 @@ class CyclotomicField:
             num, den = int(q), 1
         else:
             q = as_rational(q)
-            num, den = int(q.numerator), int(q.denominator)
+            num, den = q.numerator, q.denominator
         return _build(self, (num,) + self.zero.num[1:], den)
 
     def from_coeffs(self, seq) -> "Scalar":
         coeffs = [as_rational(c) for c in seq]
-        den = math.lcm(*(int(c.denominator) for c in coeffs))
-        num = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
         return _normalized(self, self._reduce(num), den)
 
     def scalar(self, value) -> "Scalar":
@@ -291,8 +286,14 @@ class Scalar:
         if self.is_rational():
             n = self.num[0]
             return _build(self.field, (self.den if n > 0 else -self.den,) + self.num[1:], abs(n))
-        inv = _ratpoly_invert(list(self.coeffs), list(self.field.modulus))
-        return self.field.from_coeffs(inv)
+        # 1/a = P / N(a), P the product of the conjugates sigma_k(a), k != 1
+        field = self.field
+        n = field.conductor
+        conjugates = field.one
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conjugates = conjugates * self._substitute(field, k)
+        return conjugates * (self * conjugates).inverse()
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -347,13 +348,17 @@ class Scalar:
         m, n = target.conductor, self.field.conductor
         if m % n != 0:
             raise ValueError(f"cannot embed {self.field} into {target}")
-        step = m // n
-        coeffs = self.coeffs
-        spread = [QQ(0)] * (1 + step * (len(coeffs) - 1))
-        for k, c in enumerate(coeffs):
+        return self._substitute(target, m // n)
+
+    def _substitute(self, target: CyclotomicField, s: int) -> "Scalar":
+        # the image under zeta_n -> zeta_m^s for m = target.conductor, reduced;
+        # a ring map when zeta_m^s has order n (the Galois conjugates and embed)
+        m = target.conductor
+        spread = [0] * m
+        for k, c in enumerate(self.num):
             if c:
-                spread[step * k] = c
-        return target.from_coeffs(spread)
+                spread[k * s % m] += c
+        return _normalized(target, target._reduce(spread), self.den)
 
     def __str__(self):
         return scalar_to_string(self)
@@ -392,56 +397,6 @@ def _rebuild_scalar(conductor, coeff_strings):
     return field.from_coeffs(coeff_strings)
 
 
-# -- rational polynomial helpers used for inversion --------------------------
-
-
-def _ratpoly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _ratpoly_divmod(a, b):
-    a = list(a)
-    inv_lead = QQ(b[-1].denominator, b[-1].numerator)
-    q = [QQ(0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        if len(a) < k + len(b):
-            continue
-        c = a[k + len(b) - 1] * inv_lead
-        q[k] = c
-        if c:
-            for i, d in enumerate(b):
-                a[k + i] -= c * d
-    return _ratpoly_trim(q), _ratpoly_trim(a[: len(b) - 1])
-
-
-def _ratpoly_invert(a, modulus):
-    # extended Euclid: s*a + t*modulus = gcd (a unit mod Phi_n since Phi_n irreducible)
-    r0, r1 = list(modulus), _ratpoly_trim(list(a))
-    s0, s1 = [], [QQ(1)]
-    while r1:
-        q, r = _ratpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        # s_next = s0 - q*s1
-        prod = [QQ(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        nxt = [QQ(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            nxt[i] += c
-        for i, c in enumerate(prod):
-            nxt[i] -= c
-        s0, s1 = s1, _ratpoly_trim(nxt)
-    # r0 = gcd, a nonzero rational (degree 0) since Phi_n is irreducible
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible modulo the cyclotomic polynomial")
-    g = r0[0]
-    return [c / g for c in s0]
-
-
 # -- scalar string form -------------------------------------------------------
 
 
@@ -449,17 +404,17 @@ def scalar_to_string(s: Scalar) -> str:
     """Canonical text form: "p/q" for rationals, else terms in z = zeta_n,
     e.g. "1/2 + 1/2*z^2" or "1 - z"."""
     if s.is_rational():
-        return rational_to_string(s.coeffs[0])
+        return str(s.coeffs[0])
     parts = []
     for k, c in enumerate(s.coeffs):
         if not c:
             continue
         if k == 0:
-            body = rational_to_string(c)
+            body = str(c)
         else:
             z = "z" if k == 1 else f"z^{k}"
             mag = abs(c)
-            body = z if mag == 1 else f"{rational_to_string(mag)}*{z}"
+            body = z if mag == 1 else f"{str(mag)}*{z}"
             if c < 0:
                 body = "-" + body
         parts.append(body)
@@ -514,6 +469,8 @@ def poly_trim(p: list) -> list:
 
 
 def poly_add(a, b):
+    if not (a or b):
+        return []
     n = max(len(a), len(b))
     field = (a or b)[0].field
     out = []
@@ -630,9 +587,7 @@ def _rational_root_candidates(p) -> list:
     """Rational candidates via the rational root theorem applied to the
     rational-coordinate polynomial of a monic p (coordinate 0 has lead 1)."""
     coords = [c.coeffs[0] for c in p]
-    denom_lcm = 1
-    for q in coords:
-        denom_lcm = denom_lcm * q.denominator // math.gcd(denom_lcm, int(q.denominator))
+    denom_lcm = math.lcm(*(q.denominator for q in coords))
     ints = [int(q * denom_lcm) for q in coords]
     while ints and ints[0] == 0:
         ints = ints[1:]
@@ -660,7 +615,7 @@ def _sympy_linear_factors(p, field):
     x = sympy.Symbol("x")
     if field.conductor == 1:
         dom = sympy.QQ
-        to_expr = lambda c: sympy.Rational(int(c.coeffs[0].numerator), int(c.coeffs[0].denominator))
+        to_expr = lambda c: sympy.Rational(c.coeffs[0].numerator, c.coeffs[0].denominator)
         def from_dom(elem):
             q = sympy.Rational(elem)
             return field.from_rational(QQ(int(q.p), int(q.q)))
@@ -670,7 +625,7 @@ def _sympy_linear_factors(p, field):
 
         def to_expr(c):
             return sum(
-                sympy.Rational(int(q.numerator), int(q.denominator)) * zeta**k
+                sympy.Rational(q.numerator, q.denominator) * zeta**k
                 for k, q in enumerate(c.coeffs)
                 if q
             )

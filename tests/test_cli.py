@@ -260,6 +260,39 @@ def test_bad_input_exits_2_with_a_message(runner, tmp_path, monkeypatch, case):
     assert "error: " in result.output
 
 
+# argv for a command whose output path cannot be written: MISSING is no
+# directory, FILE is a regular file
+BAD_OUTPUT_PATHS = {
+    "coideal-save": ["coideal", "{s3}", "--gens", "(123)", "--save", "{tmp}/MISSING/x.json"],
+    "dual-out": ["dual", "{s3}", "--out", "{tmp}/MISSING/x.json"],
+    "double-out": ["double", "{z2}", "--out", "{tmp}/MISSING/x.json"],
+    "workspace-under-file": ["integrals", "{z2}", "--workspace", "{tmp}/FILE/sub"],
+    "corpus-export-under-file": ["corpus", "--export", "{tmp}/FILE/sub"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OUTPUT_PATHS))
+def test_unwritable_output_path_exits_2_with_a_message(runner, tmp_path, case):
+    (tmp_path / "FILE").write_text("")
+    argv = [arg.format(tmp=tmp_path, s3=path_of("s3"), z2=path_of("z2"))
+            for arg in BAD_OUTPUT_PATHS[case]]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output
+
+
+def test_other_exceptions_propagate(runner, monkeypatch):
+    import hopflab.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not bad input")
+
+    monkeypatch.setattr(hopflab.cli, "load_hopf", broken)
+    result = runner.invoke(main, ["integrals", path_of("z2")])
+    assert isinstance(result.exception, RuntimeError)
+
+
 def test_chain_file_dict_form(runner, tmp_path):
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({"chain": ["k", ["(123)"], "H"]}))

@@ -7,6 +7,7 @@ from hopflab.corpus import load as load_corpus
 from hopflab.errors import InconsistentSystemError, NotSplitError
 from hopflab.linalg import (
     _kernel_of_images,
+    _orthogonal_idempotents_from_element,
     _solve_integral,
     AlgebraPresentation,
     Subspace,
@@ -173,6 +174,22 @@ def test_wedderburn_matrix_algebra():
         [alg.multiply(basis_vector(Q, 4, i), t) for i in range(4)], Q, 4
     )
     assert left_ideal.dim == 2
+
+
+def test_split_by_element_with_repeated_root():
+    # x = diag(1, 1, 2) + E_12 in M_3(Q) has minimal polynomial (x-1)^2 (x-2),
+    # so the root 1 has a higher multiplicity than the degree of x - 2
+    alg = _matrix_algebra_presentation(Q, 3)
+    x = zero_vector(Q, 9)
+    x[0], x[1], x[4], x[8] = Q.one, Q.one, Q.one, Q.scalar(2)
+    assert minimal_polynomial(_dense_images(alg, lambda v: alg.multiply(x, v))) == [
+        Q.scalar(-2), Q.scalar(5), Q.scalar(-4), Q.one]
+    e1, e2 = _orthogonal_idempotents_from_element(alg, x, alg.unit, [(Q.one, 2), (Q.scalar(2), 1)])
+    for e in (e1, e2):
+        assert vec_eq(alg.multiply(e, e), e)
+    assert vec_eq(alg.multiply(e1, e2), zero_vector(Q, 9))
+    assert vec_eq(alg.multiply(e2, e1), zero_vector(Q, 9))
+    assert vec_eq([a + b for a, b in zip(e1, e2)], alg.unit)
 
 
 def test_wedderburn_quaternions_not_split_over_q():

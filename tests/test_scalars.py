@@ -11,6 +11,7 @@ from hopflab.scalars import (
     cyclotomic_polynomial,
     factor_into_linears,
     parse_scalar,
+    poly_add,
     poly_divmod,
     poly_eval,
     poly_extgcd,
@@ -213,6 +214,19 @@ def test_poly_divmod_and_extgcd():
     assert g == [-Q3.zeta, Q3.one]
     x = Q3.scalar(5)
     assert poly_eval(g, x) == poly_eval(a, x) * poly_eval(s, x) + poly_eval([-Q3.zeta, Q3.one], x) * poly_eval(t, x)
+    # deg a < deg b: the first quotient is 0, so the first update adds two empty polynomials
+    a, b = [-Q.one, Q.one], poly_from_roots(Q, [(Q.scalar(2), 2)])  # x - 1, (x - 2)^2
+    g, s, t = poly_extgcd(a, b)
+    assert g == [Q.one]
+    assert poly_add(poly_mul(s, a), poly_mul(t, b)) == g
+
+
+def test_floats_are_refused():
+    for field in (Q, Q3):
+        with pytest.raises(TypeError):
+            field.from_rational(0.5)
+        with pytest.raises(TypeError):
+            field.from_coeffs([1, 0.5])
 
 
 # -- the integer-numerator form against a Fraction oracle ---------------------
@@ -221,6 +235,8 @@ def test_poly_divmod_and_extgcd():
 # of `degree` QQ coefficients, products are convolutions reduced modulo Phi_n.
 
 ORACLE_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+# conductor -> the larger conductors its scalars are embedded into
+ORACLE_EMBEDDINGS = {1: (3,), 3: (6, 12), 4: (8, 12)}
 
 
 def _oracle_reduce(field, coeffs):
@@ -322,6 +338,20 @@ def test_arithmetic_matches_fraction_oracle(case):
     r = field.from_rational(q)
     assert r == q and r.coeffs == as_const(q) and (r == k) == (q == k)
     assert field.from_rational(k) == k and hash(field.from_rational(k)) == hash(field.scalar(str(k)))
+    # embed is a ring map, and agrees with spreading the oracle's coefficients
+    for m in ORACLE_EMBEDDINGS.get(field.conductor, ()):
+        target = CyclotomicField(m)
+        step = m // field.conductor
+        spread = [QQ(0)] * m
+        for i, c in enumerate(ox):
+            spread[i * step] = c
+        ex, ey = x.embed(target), y.embed(target)
+        _assert_canonical(ex)
+        assert ex.coeffs == _oracle_reduce(target, spread)
+        assert (x + y).embed(target) == ex + ey
+        assert (x * y).embed(target) == ex * ey
+        assert field.one.embed(target) == target.one
+        assert field.zeta.embed(target) == target.zeta_power(step)
     # text and pickle round trips
     for s in (x, y, z, r, x * y):
         assert parse_scalar(field, scalar_to_string(s)) == s
