@@ -14,12 +14,36 @@ An irrational scalar a is inverted through its Galois norm: with P the
 product of its conjugates sigma_k(a), zeta -> zeta^k for the units k != 1
 modulo n, the norm N(a) = a * P is a nonzero rational, so 1/a = P / N(a).
 
-Also here: polynomial helpers over scalars and linear-factor extraction,
-which the Wedderburn splitting downstream depends on.
+Also here: polynomial helpers over scalars and the roots of a polynomial
+in the field, which the Wedderburn splitting downstream depends on.  The
+roots of a monic squarefree q of degree m come from one modular search:
+
+1. Scale q to f(y) = D^m q(y/D), D the lcm of the denominators.  f is monic
+   over Z[zeta], so each root of f in the field lies in Z[zeta] and has
+   integer coordinates a_0..a_(d-1) in the power basis, d = phi(n).
+2. Every complex conjugate of a root is a root of a conjugate of f, so by
+   Cauchy's bound it has absolute value at most B = 1 + max_i ||f_i||_1
+   (||.||_1 the sum of absolute coordinates).  Through the trace form this
+   bounds each coordinate by C = c_n * B (see _coefficient_bound_factor).
+3. Take the smallest prime p = 1 mod n above m at which the image f_k of f
+   under each embedding zeta -> r^k (r a root of Phi_n modulo p, k a unit
+   modulo n) has only simple roots in F_p.  Hensel-lift r and those roots
+   to a modulus p^K > 2C.
+4. A root a of f maps to a root of every f_k, and by Hensel's lemma to the
+   lift of a simple root modulo p.  So each root is one tuple with one
+   lifted root per embedding, and it is recovered from the tuple by solving
+   the Vandermonde system sum_j a_j r^(kj) = (image of a) modulo p^K and
+   lifting each a_j to the symmetric range, which holds it since |a_j| <= C.
+
+The search is complete, since it visits every tuple, and exact, since a
+tuple is kept only when its coordinates are within C and the candidate is
+checked to be a root by exact evaluation.  It visits prod_k (roots of f_k
+in F_p) <= m^d tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as QQ
 from functools import lru_cache
@@ -84,7 +108,6 @@ class CyclotomicField:
         self._zeta_deg = tuple(-c for c in mod[:-1])
         self.zero = _build(self, (0,) * self.degree, 1)
         self.one = self.from_rational(1)
-        self._units = None
         cls._instances[conductor] = self
         return self
 
@@ -143,19 +166,6 @@ class CyclotomicField:
         del coeffs[d:]
         coeffs += [0] * (d - len(coeffs))
         return coeffs
-
-    def roots_of_unity(self) -> tuple["Scalar", ...]:
-        """All roots of unity contained in the field: <-1, zeta_n>."""
-        if self._units is None:
-            seen = {}
-            for k in range(self.conductor):
-                for sign in (1, -1):
-                    u = self.zeta_power(k)
-                    if sign < 0:
-                        u = -u
-                    seen.setdefault(u.num, u)  # roots of unity have den 1
-            self._units = tuple(sorted(seen.values(), key=lambda s: s.sort_key()))
-        return self._units
 
 
 class Scalar:
@@ -580,83 +590,191 @@ def poly_to_string(p, var="x") -> str:
     return " + ".join(parts)
 
 
-# -- linear factor extraction -------------------------------------------------
+# -- roots in the field ------------------------------------------------------
 
 
-def _rational_root_candidates(p) -> list:
-    """Rational candidates via the rational root theorem applied to the
-    rational-coordinate polynomial of a monic p (coordinate 0 has lead 1)."""
-    coords = [c.coeffs[0] for c in p]
-    denom_lcm = math.lcm(*(q.denominator for q in coords))
-    ints = [int(q * denom_lcm) for q in coords]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return [QQ(0)]
-    a0, ad = abs(ints[0]), abs(ints[-1])
-    ps = [d for d in range(1, a0 + 1) if a0 % d == 0]
-    qs = [d for d in range(1, ad + 1) if ad % d == 0]
-    seen, out = set(), [QQ(0)]
-    for num in ps:
-        for den in qs:
-            for sign in (1, -1):
-                cand = QQ(sign * num, den)
-                if cand not in seen:
-                    seen.add(cand)
-                    out.append(cand)
+@lru_cache(maxsize=None)
+def _coefficient_bound_factor(conductor: int) -> QQ:
+    """c_n = d * ||G^-1||_inf for the trace form G_ij = Tr(zeta^(i-j)).
+
+    An algebraic integer a = sum_j a_j zeta^j has t_i = Tr(a * zeta^-i) =
+    sum_j G_ij a_j; if every conjugate of a has absolute value at most B,
+    then |t_i| <= d*B and so |a_j| <= c_n * B.
+    """
+    field = CyclotomicField(conductor)
+    d = field.degree
+    units = [k for k in range(1, conductor + 1) if gcd(k, conductor) == 1]
+    trace = [sum((field.zeta_power(k * u) for u in units), field.zero).integer_value()
+             for k in range(conductor)]
+    # Gauss-Jordan on [G | I]; G is the Gram matrix of a basis, so invertible
+    rows = [[QQ(trace[(i - j) % conductor]) for j in range(d)] + [QQ(int(i == j)) for j in range(d)]
+            for i in range(d)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(d):
+            factor = rows[r][c]
+            if r != c and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return d * max(sum(abs(x) for x in row[d:]) for row in rows)
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % k for k in range(2, math.isqrt(m) + 1))
+
+
+def _eval_mod(coeffs, x: int, modulus: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = (out * x + c) % modulus
+    return out
+
+
+def _derivative(coeffs):
+    # over ints or scalars
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def _hensel_lift(coeffs, x: int, prime: int, modulus: int) -> int:
+    """The root modulo modulus = prime^(2^s) over the simple root x of the
+    integer polynomial coeffs modulo prime, by Newton steps that square the
+    modulus."""
+    deriv = _derivative(coeffs)
+    m = prime
+    while m < modulus:
+        m *= m
+        x = (x - _eval_mod(coeffs, x, m) * pow(_eval_mod(deriv, x, m), -1, m)) % m
+    return x
+
+
+def _embedding_images(f, ws, modulus):
+    """The images of f (coefficients as integer numerator tuples) under
+    zeta -> w for each w in ws, reduced modulo modulus."""
+    d = len(f[0])
+    images = []
+    for w in ws:
+        powers = [pow(w, j, modulus) for j in range(d)]
+        images.append([sum(c * wj for c, wj in zip(num, powers)) % modulus for num in f])
+    return images
+
+
+def _split_prime(f, n: int, units):
+    """(p, r, roots mod p per embedding) for the smallest prime p = 1 mod n
+    above deg f at which the image of f under every zeta -> r^k, k in units,
+    has only simple roots in F_p; r is a root of Phi_n modulo p."""
+    phi = cyclotomic_polynomial(n)
+    prime = len(f) + (1 - len(f)) % n  # the least 1 mod n that exceeds deg f
+    while True:
+        if _is_prime(prime):
+            r = next(y for y in (pow(x, (prime - 1) // n, prime) for x in range(1, prime))
+                     if _eval_mod(phi, y, prime) == 0)
+            roots = []
+            for image in _embedding_images(f, [pow(r, k, prime) for k in units], prime):
+                deriv = _derivative(image)
+                found = [x for x in range(prime) if _eval_mod(image, x, prime) == 0]
+                if any(_eval_mod(deriv, x, prime) == 0 for x in found):
+                    break
+                roots.append(found)
+            else:
+                return prime, r, roots
+        prime += n
+
+
+def _interpolation_rows(ws, modulus):
+    """Row a holds the coefficients of the Lagrange polynomial that is 1 at
+    ws[a] and 0 at the other points, modulo modulus: solving the Vandermonde
+    system V_aj = ws[a]^j is sum_a v_a * row_a."""
+    rows = []
+    for a, wa in enumerate(ws):
+        poly, scale = [1], 1
+        for b, wb in enumerate(ws):
+            if b != a:
+                poly = [(lo - wb * hi) % modulus for lo, hi in zip([0] + poly, poly + [0])]
+                scale = scale * (wa - wb) % modulus
+        inv = pow(scale, -1, modulus)
+        rows.append([c * inv % modulus for c in poly])
+    return rows
+
+
+def _roots_of_squarefree(q, field):
+    """The roots in field of a monic squarefree q of positive degree, by
+    the modular search described in the module docstring."""
+    n, m = field.conductor, len(q) - 1
+    den = math.lcm(*(c.den for c in q))
+    # f(y) = den^m q(y/den) is monic over Z[zeta]
+    f = [[x * (den ** (m - i) // c.den) for x in c.num] for i, c in enumerate(q)]
+    bound = math.floor(_coefficient_bound_factor(n) * (1 + max(sum(map(abs, c)) for c in f[:-1])))
+    units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+    prime, r, roots_mod_p = _split_prime(f, n, units)
+    modulus = prime
+    while modulus <= 2 * bound:
+        modulus *= modulus
+    r = _hensel_lift(cyclotomic_polynomial(n), r, prime, modulus)
+    ws = [pow(r, k, modulus) for k in units]
+    lifted = [[_hensel_lift(image, x, prime, modulus) for x in found]
+              for image, found in zip(_embedding_images(f, ws, modulus), roots_mod_p)]
+    rows = _interpolation_rows(ws, modulus)
+    half = modulus // 2
+    out = []
+    for values in itertools.product(*lifted):
+        coords = []
+        for j in range(field.degree):
+            c = sum(v * row[j] for v, row in zip(values, rows)) % modulus
+            c = c - modulus if c > half else c
+            if abs(c) > bound:
+                break
+            coords.append(c)
+        else:
+            root = _normalized(field, coords, den)
+            if poly_eval(q, root).is_zero():
+                out.append(root)
     return out
 
 
 def _sympy_linear_factors(p, field):
-    """Complete fallback: factor over Q(zeta_n) with sympy, return
-    (roots list, leftover nonlinear factors as scalar polys)."""
+    """Reference oracle for tests: factor p over Q(zeta_n) with sympy and
+    return (roots with multiplicities, the monic non-linear factors).
+
+    The library never calls it.  It stays in this module under this name
+    because the benchmark's tracer resolves it as a span target.
+    """
     import sympy
 
-    x = sympy.Symbol("x")
-    if field.conductor == 1:
-        dom = sympy.QQ
-        to_expr = lambda c: sympy.Rational(c.coeffs[0].numerator, c.coeffs[0].denominator)
-        def from_dom(elem):
-            q = sympy.Rational(elem)
-            return field.from_rational(QQ(int(q.p), int(q.q)))
-    else:
-        zeta = sympy.exp(2 * sympy.I * sympy.pi * sympy.Rational(1, field.conductor))
-        dom = sympy.QQ.algebraic_field(zeta)
+    rational = field.conductor == 1
+    # the algebraic field keeps its elements in the power basis of zeta
+    dom = sympy.QQ if rational else sympy.QQ.algebraic_field(
+        sympy.exp(2 * sympy.I * sympy.pi / field.conductor))
 
-        def to_expr(c):
-            return sum(
-                sympy.Rational(q.numerator, q.denominator) * zeta**k
-                for k, q in enumerate(c.coeffs)
-                if q
-            )
+    def to_dom(c):
+        coeffs = [sympy.QQ(q.numerator, q.denominator) for q in c.coeffs]
+        return coeffs[0] if rational else dom(coeffs[::-1])
 
-        def from_dom(elem):
-            rep = list(reversed(elem.to_list()))  # ascending
-            return field.from_coeffs([QQ(int(q.numerator), int(q.denominator)) for q in rep])
+    def from_dom(elem):
+        rep = [elem] if rational else elem.to_list()[::-1]
+        return field.from_coeffs([QQ(int(q.numerator), int(q.denominator)) for q in rep])
 
-    expr = sum(to_expr(c) * x**k for k, c in enumerate(p))
-    poly = sympy.Poly(sympy.expand(expr), x, domain=dom)
+    poly = sympy.Poly([to_dom(c) for c in reversed(p)], sympy.Symbol("x"), domain=dom)
     roots, leftovers = [], []
-    _, factors = poly.factor_list()
-    for fac, mult in factors:
-        if fac.degree() == 1:
-            monic = fac.monic()
-            root = dom.from_sympy(sympy.expand(-monic.all_coeffs()[1]))
-            roots.append((from_dom(root), mult))
+    for fac, mult in poly.factor_list()[1]:
+        coeffs = [from_dom(c) for c in reversed(fac.monic().rep.to_list())]
+        if len(coeffs) == 2:
+            roots.append((-coeffs[0], mult))
         else:
-            coeffs = [dom.from_sympy(sympy.expand(c)) for c in reversed(fac.all_coeffs())]
-            leftovers.append(poly_monic([from_dom(c) for c in coeffs]))
+            leftovers.append(coeffs)
     return roots, leftovers
 
 
 def factor_into_linears(p, field=None):
-    """All roots of a monic polynomial in the field, with multiplicities.
+    """All roots of a polynomial in the field, with multiplicities, sorted
+    by sort key.
 
-    Fast path searches rational candidates, roots of unity, and their
-    products, deflating as it goes; anything left is settled by an exact
-    factorization over the field.  Raises NotSplitError when an irreducible
-    non-linear factor survives, which signals that the conductor is too
-    small for this polynomial.
+    The roots of the squarefree part q = p / g, g = gcd(p, p'), come from
+    the complete modular search of the module docstring, each one checked
+    exactly; a root's multiplicity in p is one more than its multiplicity
+    in g.  Raises NotSplitError naming the rootless part (p divided by its
+    linear factors) when that part has positive degree, which signals that
+    the conductor is too small for this polynomial.
     """
     p = poly_trim(list(p))
     if not p:
@@ -666,43 +784,19 @@ def factor_into_linears(p, field=None):
     p = poly_monic(p)
     if len(p) == 1:
         return []
-
-    candidates = []
-    rationals = _rational_root_candidates(p)
-    units = field.roots_of_unity()
-    candidates.extend(field.from_rational(q) for q in rationals)
-    candidates.extend(units)
-    if field.degree > 1:
-        seen = set(candidates)
-        for q in rationals:
-            if q in (0, 1, -1):
-                continue
-            for u in units:
-                cand = u * q
-                if cand not in seen:
-                    seen.add(cand)
-                    candidates.append(cand)
-
-    roots = []
-    rem = p
-    for cand in candidates:
-        while len(rem) > 1 and poly_eval(rem, cand).is_zero():
-            rem, _ = poly_divmod(rem, [-cand, field.one])
-            roots.append(cand)
-        if len(rem) == 1:
-            break
-
-    counted = {}
-    for r in roots:
-        counted[r] = counted.get(r, 0) + 1
-    result = [(r, m) for r, m in counted.items()]
-
-    if len(rem) > 1:
-        extra, leftovers = _sympy_linear_factors(rem, field)
-        result.extend(extra)
-        if leftovers:
-            worst = max(leftovers, key=len)
-            raise NotSplitError(poly_to_string(worst))
-
+    g, _, _ = poly_extgcd(p, _derivative(p))
+    q, _ = poly_divmod(p, g)
+    result = []
+    for root in _roots_of_squarefree(q, field):
+        # p = q * g, so a root of q has one more than its multiplicity in g
+        mult, linear = 1, [-root, field.one]
+        while True:
+            quotient, remainder = poly_divmod(g, linear)
+            if remainder:
+                break
+            g, mult = quotient, mult + 1
+        result.append((root, mult))
+    if len(result) < len(q) - 1:
+        raise NotSplitError(poly_to_string(poly_divmod(p, poly_from_roots(field, result))[0]))
     result.sort(key=lambda rm: rm[0].sort_key())
     return result

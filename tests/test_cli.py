@@ -1,12 +1,15 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hopflab
 from hopflab.cli import main
 from hopflab.corpus import corpus_file
 
@@ -208,6 +211,42 @@ def test_conductor_override_env(runner, monkeypatch):
     monkeypatch.setenv("HOPFLAB_CYCLOTOMIC_ORDER", "5")
     result = runner.invoke(main, ["characters", path_of("z3")])
     assert result.exit_code == 2
+
+
+def test_field_too_small_exits_2_naming_the_rootless_factor(runner, tmp_path, monkeypatch):
+    # kZ3 over Q: the characters need the roots of x^3 - 1, and x^2 + x + 1
+    # has none in Q
+    data = json.loads(corpus_file("z3").read_text())
+    data["cyclotomic_order"] = 1
+    path = tmp_path / "z3-over-q.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["characters", str(path)])
+    assert result.exit_code == 2
+    assert result.output == "error: polynomial does not split: x^2 + x + (1)\n"
+    monkeypatch.setenv("HOPFLAB_CYCLOTOMIC_ORDER", "3")
+    assert runner.invoke(main, ["characters", str(path)]).exit_code == 0
+
+
+NO_SYMPY_SCRIPT = """
+import contextlib, io, sys
+from hopflab.cli import main
+from hopflab.corpus import corpus_file
+for argv in (["characters", "s3"], ["characters", "d-s3"], ["reciprocity", "s3", "--gens", "(12)"]):
+    argv[1] = str(corpus_file(argv[1]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(argv, standalone_mode=False)
+        except SystemExit as exit:
+            assert exit.code == 0, argv
+assert "sympy" not in sys.modules
+"""
+
+
+def test_commands_run_without_sympy():
+    src = os.path.dirname(os.path.dirname(hopflab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _z2_data_with(key, value):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hopflab.scalars import (
     QQ,
     CyclotomicField,
     cyclotomic_polynomial,
+    _sympy_linear_factors,
     factor_into_linears,
     parse_scalar,
     poly_add,
@@ -17,6 +19,7 @@ from hopflab.scalars import (
     poly_extgcd,
     poly_from_roots,
     poly_mul,
+    poly_to_string,
     scalar_to_string,
 )
 
@@ -357,3 +360,80 @@ def test_arithmetic_matches_fraction_oracle(case):
         assert parse_scalar(field, scalar_to_string(s)) == s
         back = pickle.loads(pickle.dumps(s))
         assert back == s and back.field is field and hash(back) == hash(s)
+
+
+# -- roots against the sympy factorization oracle -----------------------------
+
+# extra factors, rootless over some of the fields and split over others:
+# x^2 + x + 1 splits over Q(zeta_3) and Q(zeta_12), x^2 - 2 over Q(zeta_8),
+# x^2 - 5 over Q(zeta_5), and x^3 - 2 over none of them
+EXTRA_FACTORS = ((1, 1, 1), (-2, 0, 1), (-5, 0, 1), (-2, 0, 0, 1))
+
+
+@st.composite
+def _root_case(draw):
+    """A field, distinct roots with multiplicities, and an optional extra
+    factor from EXTRA_FACTORS."""
+    field = CyclotomicField(draw(st.sampled_from(ORACLE_CONDUCTORS)))
+    coeff = st.builds(QQ, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+    roots = draw(st.lists(st.lists(coeff, min_size=1, max_size=field.degree).map(field.from_coeffs),
+                          min_size=0, max_size=3, unique=True))
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    extra = draw(st.one_of(st.none(), st.sampled_from(EXTRA_FACTORS)))
+    return field, list(zip(roots, mults)), extra
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_root_case())
+def test_roots_match_sympy_oracle(case):
+    field, roots, extra = case
+    p = poly_from_roots(field, roots)
+    if extra is not None:
+        p = poly_mul(p, [field.scalar(c) for c in extra])
+    if len(p) == 1:
+        return
+    want, leftovers = _sympy_linear_factors(p, field)
+    want.sort(key=lambda rm: rm[0].sort_key())
+    if leftovers:
+        with pytest.raises(NotSplitError) as err:
+            factor_into_linears(p)
+        rootless, rem = poly_divmod(p, poly_from_roots(field, want))
+        assert not rem
+        assert err.value.factor == poly_to_string(rootless)
+    else:
+        assert factor_into_linears(p) == want
+
+
+def test_roots_of_a_large_constant_term():
+    # the rational root theorem would scan the divisors of 10^9
+    p = poly_from_roots(Q, [(Q.scalar(10**9), 1), (Q.one, 1)])
+    start = time.perf_counter()
+    assert factor_into_linears(p) == [(Q.one, 1), (Q.scalar(10**9), 1)]
+    assert time.perf_counter() - start < 5
+
+
+def _degree_8_roots_over_zeta12():
+    field = CyclotomicField(12)
+    z = field.zeta
+    roots = [z + 1, z**2 - 3 * z, field.scalar("1/2"), 2 * z**5 + z,
+             7 - z**3, z**3 / 5, field.scalar(-1), z**7 + 3 * z**4]
+    return field, sorted(roots, key=lambda r: r.sort_key())
+
+
+def test_roots_of_a_split_degree_8_polynomial_over_zeta12():
+    field, roots = _degree_8_roots_over_zeta12()
+    p = poly_from_roots(field, [(r, 1) for r in roots])
+    start = time.perf_counter()
+    assert factor_into_linears(p) == [(r, 1) for r in roots]
+    assert time.perf_counter() - start < 5
+
+
+def test_not_split_degree_8_polynomial_over_zeta12_names_the_rootless_part():
+    field, roots = _degree_8_roots_over_zeta12()
+    x2_minus_5 = [field.scalar(-5), field.zero, field.one]
+    p = poly_mul(poly_from_roots(field, [(r, 1) for r in roots[:6]]), x2_minus_5)
+    start = time.perf_counter()
+    with pytest.raises(NotSplitError) as err:
+        factor_into_linears(p)
+    assert err.value.factor == "x^2 + (-5)"
+    assert time.perf_counter() - start < 5
