@@ -20,30 +20,34 @@ roots of a monic squarefree q of degree m come from one modular search:
 
 1. Scale q to f(y) = D^m q(y/D), D the lcm of the denominators.  f is monic
    over Z[zeta], so each root of f in the field lies in Z[zeta] and has
-   integer coordinates a_0..a_(d-1) in the power basis, d = phi(n).
+   integer coordinates in the power basis, d = phi(n) of them.
 2. Every complex conjugate of a root is a root of a conjugate of f, so by
-   Cauchy's bound it has absolute value at most B = 1 + max_i ||f_i||_1
-   (||.||_1 the sum of absolute coordinates).  Through the trace form this
-   bounds each coordinate by C = c_n * B (see _coefficient_bound_factor).
-3. Take the smallest prime p = 1 mod n above m at which the image f_k of f
-   under each embedding zeta -> r^k (r a root of Phi_n modulo p, k a unit
-   modulo n) has only simple roots in F_p.  Hensel-lift r and those roots
-   to a modulus p^K > 2C.
-4. A root a of f maps to a root of every f_k, and by Hensel's lemma to the
-   lift of a simple root modulo p.  So each root is one tuple with one
-   lifted root per embedding, and it is recovered from the tuple by solving
-   the Vandermonde system sum_j a_j r^(kj) = (image of a) modulo p^K and
-   lifting each a_j to the symmetric range, which holds it since |a_j| <= C.
+   Fujiwara's bound it has absolute value at most
+   B = 2 max_i ||f_(m-i)||_1^(1/i) (||.||_1 the sum of absolute
+   coordinates).  Hence T2(a) = sum_k |sigma_k(a)|^2 <= d B^2, and T2 is the
+   quadratic form of the trace form G_ij = Tr(zeta^(i-j)).
+3. Take the smallest prime p = 1 mod n above m at which the image f_r of f
+   under zeta -> r (r a root of Phi_n modulo p) has only simple roots in
+   F_p.  The kernel of zeta -> r modulo p^K is the ideal P^K of the prime
+   P = (p, zeta - r) of degree 1, a lattice L of index p^K in Z^d.
+4. A root a of f maps to a root of f_r, and by Hensel's lemma to the lift x
+   of a simple root modulo p.  So a lies in the coset (x, 0, ..., 0) + L.
+   LLL-reduce L under G and decode x by Babai's nearest plane, which returns
+   the coset vector whose Gram-Schmidt coordinates all lie in [-1/2, 1/2].
+   Once every |b_i*|^2 exceeds 4 d B^2, a has such coordinates, so it is
+   what the decoding returns.  K is the least with p^(2K) > (2^(d+1) B^2)^d,
+   which makes it so: every nonzero v in P^K has T2(v) >= d p^(2K/d) (its
+   norm is a multiple of p^K), and LLL keeps every |b_i*|^2 >= 2^(1-d)
+   min_v T2(v).  The search checks the |b_i*|^2 all the same.
 
-The search is complete, since it visits every tuple, and exact, since a
-tuple is kept only when its coordinates are within C and the candidate is
-checked to be a root by exact evaluation.  It visits prod_k (roots of f_k
-in F_p) <= m^d tuples.
+The search is complete, since every root is the decoding of one of the at
+most m lifted roots, and exact, since each decoded candidate is checked to
+be a root by exact evaluation.  Its cost is polynomial in m and d: one LLL
+reduction of a d-dimensional lattice and at most m decodings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction as QQ
 from functools import lru_cache
@@ -541,6 +545,15 @@ def poly_monic(p):
     return [c * inv for c in p]
 
 
+def poly_gcd(a, b):
+    """The monic gcd of a and b.  Unlike poly_extgcd it keeps no cofactors
+    and makes each remainder monic, which holds coefficient growth down."""
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        a, b = b, poly_monic(poly_divmod(a, b)[1])
+    return poly_monic(a)
+
+
 def poly_extgcd(a, b):
     """Monic g with s*a + t*b = g."""
     field = (a or b)[0].field
@@ -594,30 +607,24 @@ def poly_to_string(p, var="x") -> str:
 
 
 @lru_cache(maxsize=None)
-def _coefficient_bound_factor(conductor: int) -> QQ:
-    """c_n = d * ||G^-1||_inf for the trace form G_ij = Tr(zeta^(i-j)).
-
-    An algebraic integer a = sum_j a_j zeta^j has t_i = Tr(a * zeta^-i) =
-    sum_j G_ij a_j; if every conjugate of a has absolute value at most B,
-    then |t_i| <= d*B and so |a_j| <= c_n * B.
-    """
+def _trace_form(conductor: int) -> tuple:
+    """G_ij = Tr(zeta^(i-j)) on the power basis, so that a^T G a =
+    T2(a) = sum_k |sigma_k(a)|^2 over the complex embeddings sigma_k."""
     field = CyclotomicField(conductor)
-    d = field.degree
     units = [k for k in range(1, conductor + 1) if gcd(k, conductor) == 1]
     trace = [sum((field.zeta_power(k * u) for u in units), field.zero).integer_value()
              for k in range(conductor)]
-    # Gauss-Jordan on [G | I]; G is the Gram matrix of a basis, so invertible
-    rows = [[QQ(trace[(i - j) % conductor]) for j in range(d)] + [QQ(int(i == j)) for j in range(d)]
-            for i in range(d)]
-    for c in range(d):
-        pivot = next(r for r in range(c, d) if rows[r][c])
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for r in range(d):
-            factor = rows[r][c]
-            if r != c and factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
-    return d * max(sum(abs(x) for x in row[d:]) for row in rows)
+    return tuple(tuple(trace[(i - j) % conductor] for j in range(field.degree))
+                 for i in range(field.degree))
+
+
+def _ceil_root(a: int, k: int) -> int:
+    """The least integer t >= 0 with t^k >= a."""
+    lo, hi = 0, 1 << (a.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid ** k < a else (lo, mid)
+    return lo
 
 
 def _is_prime(m: int) -> bool:
@@ -637,98 +644,154 @@ def _derivative(coeffs):
 
 
 def _hensel_lift(coeffs, x: int, prime: int, modulus: int) -> int:
-    """The root modulo modulus = prime^(2^s) over the simple root x of the
+    """The root modulo modulus = prime^K over the simple root x of the
     integer polynomial coeffs modulo prime, by Newton steps that square the
-    modulus."""
+    modulus until it reaches prime^K."""
     deriv = _derivative(coeffs)
     m = prime
     while m < modulus:
-        m *= m
+        m = min(m * m, modulus)
         x = (x - _eval_mod(coeffs, x, m) * pow(_eval_mod(deriv, x, m), -1, m)) % m
     return x
 
 
-def _embedding_images(f, ws, modulus):
-    """The images of f (coefficients as integer numerator tuples) under
-    zeta -> w for each w in ws, reduced modulo modulus."""
-    d = len(f[0])
-    images = []
-    for w in ws:
-        powers = [pow(w, j, modulus) for j in range(d)]
-        images.append([sum(c * wj for c, wj in zip(num, powers)) % modulus for num in f])
-    return images
+def _embedding_image(f, w: int, modulus: int) -> list:
+    """The image of f (coefficients as integer numerator tuples) under
+    zeta -> w, reduced modulo modulus."""
+    powers = [pow(w, j, modulus) for j in range(len(f[0]))]
+    return [sum(c * wj for c, wj in zip(num, powers)) % modulus for num in f]
 
 
-def _split_prime(f, n: int, units):
-    """(p, r, roots mod p per embedding) for the smallest prime p = 1 mod n
-    above deg f at which the image of f under every zeta -> r^k, k in units,
-    has only simple roots in F_p; r is a root of Phi_n modulo p."""
+def _split_prime(f, n: int):
+    """(p, r, roots of f_r in F_p) for the smallest prime p = 1 mod n above
+    deg f at which the image f_r of f under zeta -> r has only simple roots
+    in F_p; r is a root of Phi_n modulo p."""
     phi = cyclotomic_polynomial(n)
     prime = len(f) + (1 - len(f)) % n  # the least 1 mod n that exceeds deg f
     while True:
         if _is_prime(prime):
             r = next(y for y in (pow(x, (prime - 1) // n, prime) for x in range(1, prime))
                      if _eval_mod(phi, y, prime) == 0)
-            roots = []
-            for image in _embedding_images(f, [pow(r, k, prime) for k in units], prime):
-                deriv = _derivative(image)
-                found = [x for x in range(prime) if _eval_mod(image, x, prime) == 0]
-                if any(_eval_mod(deriv, x, prime) == 0 for x in found):
-                    break
-                roots.append(found)
-            else:
-                return prime, r, roots
+            image = _embedding_image(f, r, prime)
+            deriv = _derivative(image)
+            found = [x for x in range(prime) if _eval_mod(image, x, prime) == 0]
+            if all(_eval_mod(deriv, x, prime) for x in found):
+                return prime, r, found
         prime += n
 
 
-def _interpolation_rows(ws, modulus):
-    """Row a holds the coefficients of the Lagrange polynomial that is 1 at
-    ws[a] and 0 at the other points, modulo modulus: solving the Vandermonde
-    system V_aj = ws[a]^j is sum_a v_a * row_a."""
-    rows = []
-    for a, wa in enumerate(ws):
-        poly, scale = [1], 1
-        for b, wb in enumerate(ws):
-            if b != a:
-                poly = [(lo - wb * hi) % modulus for lo, hi in zip([0] + poly, poly + [0])]
-                scale = scale * (wa - wb) % modulus
-        inv = pow(scale, -1, modulus)
-        rows.append([c * inv % modulus for c in poly])
-    return rows
+def _lll(basis, gram):
+    """LLL-reduce (delta = 3/4) integer row vectors under the inner product
+    x^T gram y, by Cohen's integral algorithm (A Course in Computational
+    Algebraic Number Theory, 2.6.7).  Returns the reduced basis, the Gram
+    determinants dd (dd[i] = prod_(j<=i) |b_j*|^2, dd[0] = 1, one-based
+    below) and the scaled Gram-Schmidt coefficients lam[k][j] = dd[j] mu_kj."""
+    def dot(x, y):
+        return sum(xi * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, gram))
+
+    n = len(basis)
+    b = [None] + [list(v) for v in basis]
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    dd = [1, dot(b[1], b[1])] + [0] * (n - 1)
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > dd[l]:
+            q = (2 * lam[k][l] + dd[l]) // (2 * dd[l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * dd[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                u = dot(b[k], b[j])
+                for i in range(1, j):
+                    u = (dd[i] * u - lam[k][i] * lam[j][i]) // dd[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    dd[k] = u
+        reduce(k, k - 1)
+        if 4 * dd[k] * dd[k - 2] < 3 * dd[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(1, k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            mu = lam[k][k - 1]
+            swapped = (dd[k - 2] * dd[k] + mu * mu) // dd[k - 1]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (dd[k] * lam[i][k - 1] - mu * t) // dd[k - 1]
+                lam[i][k - 1] = (swapped * t + mu * lam[i][k]) // dd[k]
+            dd[k - 1] = swapped
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                reduce(k, l)
+            k += 1
+    return b[1:], dd, lam
+
+
+def _embedding_lattice(n: int, prime: int, r: int, modulus: int):
+    """The lattice of coordinate vectors v with sum_j v_j r^j = 0 modulo
+    modulus = prime^K, r Hensel-lifted on Phi_n: the ideal P^K for the
+    prime P = (prime, zeta - r) of degree 1.  Returns the lifted r, an
+    LLL-reduced basis b_i under the trace form G, the rows G b_i* and the
+    squared lengths |b_i*|^2, which is what nearest-plane decoding needs."""
+    r = _hensel_lift(cyclotomic_polynomial(n), r, prime, modulus)
+    gram = _trace_form(n)
+    d = len(gram)
+    start = [[modulus] + [0] * (d - 1)]
+    start += [[-pow(r, j, modulus)] + [int(i == j) for i in range(1, d)] for j in range(1, d)]
+    basis, dd, lam = _lll(start, gram)
+    stars = []
+    for i, v in enumerate(basis, 1):
+        star = [QQ(x) for x in v]
+        for j, s in enumerate(stars, 1):
+            mu = QQ(lam[i][j], dd[j])
+            star = [x - mu * y for x, y in zip(star, s)]
+        stars.append(star)
+    projections = [[sum(g * x for g, x in zip(row, star)) for row in gram] for star in stars]
+    return r, basis, projections, [QQ(dd[i], dd[i - 1]) for i in range(1, d + 1)]
+
+
+def _nearest_in_coset(x: int, basis, projections, norms) -> list:
+    """Babai's nearest plane: the vector v of the coset (x, 0, ..., 0) + L
+    whose Gram-Schmidt coordinates all lie in [-1/2, 1/2]."""
+    v = [x] + [0] * (len(basis) - 1)
+    for b, g, norm in zip(reversed(basis), reversed(projections), reversed(norms)):
+        c = round(sum(a * w for a, w in zip(v, g)) / norm)
+        v = [a - c * e for a, e in zip(v, b)]
+    return v
 
 
 def _roots_of_squarefree(q, field):
     """The roots in field of a monic squarefree q of positive degree, by
     the modular search described in the module docstring."""
-    n, m = field.conductor, len(q) - 1
+    n, m, d = field.conductor, len(q) - 1, field.degree
     den = math.lcm(*(c.den for c in q))
     # f(y) = den^m q(y/den) is monic over Z[zeta]
     f = [[x * (den ** (m - i) // c.den) for x in c.num] for i, c in enumerate(q)]
-    bound = math.floor(_coefficient_bound_factor(n) * (1 + max(sum(map(abs, c)) for c in f[:-1])))
-    units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
-    prime, r, roots_mod_p = _split_prime(f, n, units)
+    # Fujiwara: every conjugate of a root is at most bound, so T2 <= d * bound^2
+    bound = 2 * max(_ceil_root(sum(map(abs, c)), m - i) for i, c in enumerate(f[:-1]))
+    prime, r, roots_mod_p = _split_prime(f, n)
+    # the least modulus = prime^K with modulus^2 > (2^(d+1) bound^2)^d
     modulus = prime
-    while modulus <= 2 * bound:
-        modulus *= modulus
-    r = _hensel_lift(cyclotomic_polynomial(n), r, prime, modulus)
-    ws = [pow(r, k, modulus) for k in units]
-    lifted = [[_hensel_lift(image, x, prime, modulus) for x in found]
-              for image, found in zip(_embedding_images(f, ws, modulus), roots_mod_p)]
-    rows = _interpolation_rows(ws, modulus)
-    half = modulus // 2
+    while modulus ** 2 <= (2 ** (d + 1) * bound ** 2) ** d:
+        modulus *= prime
+    r_lifted, basis, projections, norms = _embedding_lattice(n, prime, r, modulus)
+    if 4 * d * bound ** 2 >= min(norms):
+        # the LLL bound of the module docstring rules this out
+        raise RuntimeError(f"reduced basis too short to decode roots over {field!r}")
+    image = _embedding_image(f, r_lifted, modulus)
     out = []
-    for values in itertools.product(*lifted):
-        coords = []
-        for j in range(field.degree):
-            c = sum(v * row[j] for v, row in zip(values, rows)) % modulus
-            c = c - modulus if c > half else c
-            if abs(c) > bound:
-                break
-            coords.append(c)
-        else:
-            root = _normalized(field, coords, den)
-            if poly_eval(q, root).is_zero():
-                out.append(root)
+    for x in roots_mod_p:
+        coords = _nearest_in_coset(_hensel_lift(image, x, prime, modulus), basis, projections, norms)
+        root = _normalized(field, coords, den)
+        if poly_eval(q, root).is_zero():
+            out.append(root)
     return out
 
 
@@ -784,7 +847,7 @@ def factor_into_linears(p, field=None):
     p = poly_monic(p)
     if len(p) == 1:
         return []
-    g, _, _ = poly_extgcd(p, _derivative(p))
+    g = poly_gcd(p, _derivative(p))
     q, _ = poly_divmod(p, g)
     result = []
     for root in _roots_of_squarefree(q, field):

@@ -227,6 +227,16 @@ def test_field_too_small_exits_2_naming_the_rootless_factor(runner, tmp_path, mo
     assert runner.invoke(main, ["characters", str(path)]).exit_code == 0
 
 
+@pytest.mark.parametrize("order", ["24", "36"])
+def test_characters_at_a_raised_conductor(runner, monkeypatch, order):
+    # the README's remedy for a field that is too small: phi(24) = 8 and
+    # phi(36) = 12, and the degrees of kZ6 stay six ones
+    monkeypatch.setenv("HOPFLAB_CYCLOTOMIC_ORDER", order)
+    result = runner.invoke(main, ["characters", path_of("z6")])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["result"]["degrees"] == [1] * 6
+
+
 NO_SYMPY_SCRIPT = """
 import contextlib, io, sys
 from hopflab.cli import main
