@@ -6,6 +6,10 @@ integral lambda_B = Lambda_N -> lambda (normalized so <lambda_B, 1> = dim B),
 and the normality / Hopf-subalgebra flags, each computed by two independent
 tests that must agree.
 
+One kernel serves both sides of the correspondence N <-> B: H^T for a
+subalgebra T of H*, and B = (H*)^N as the invariants of N acting on
+H.dual() by the hit action, since <n, 1_{H*}> = eps(n).
+
 Quotients H//N for normal N are realized on the ideal H*Lambda_N, which the
 projection h |-> h*Lambda_N identifies with H/HN+.
 """
@@ -146,11 +150,13 @@ def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace) -> CoidealSubalgeb
     """Wrap an already-closed subspace as a verified CoidealSubalgebra."""
     presentation = _checked_presentation(hopf, space)
     integral = _coideal_integral(hopf, space, presentation)
-    invariants = _dual_invariants(hopf, space)
+    invariants = _invariants(hopf.dual(), space)
     lam = hopf.integrals().dual_integral
     dual_integral = hopf.dual().act_left(integral, lam)
-    normal = _normality(hopf, space, integral)
-    hopf_flag = _hopf_subalgebra_flag(hopf, space, integral)
+    normal = _agreed(_normality_pair(hopf, space, integral),
+                     "normality tests disagree (adjoint-stability vs central integral)")
+    hopf_flag = _agreed(_hopf_subalgebra_pair(hopf, space, integral),
+                        "Hopf-subalgebra tests disagree (cocommutative integral vs direct)")
     ctx = CoidealSubalgebra(hopf, space, integral, invariants, dual_integral,
                             normal, hopf_flag)
     ctx._cache["presentation"] = presentation
@@ -171,17 +177,13 @@ def _coideal_integral(hopf, space, presentation):
     return x
 
 
-def _dual_invariants(hopf, space):
-    """B = (H*)^N = {p : n -> p = eps(n) p for n in N}."""
-    images = [{} for _ in range(hopf.dim)]
-    for a, nb in enumerate(space.basis):
-        eps = hopf.counit_of(nb)
-        # <n_a -> e_k*, e_m> = <e_k*, e_m n_a>, one product per (m, a)
-        for m in range(hopf.dim):
-            for k, c in enumerate(hopf.multiply(hopf.basis(m), nb)):
-                _tensor_add(images[k], (a, m), c)
-            _tensor_add(images[m], (a, m), -eps)
-    return _kernel_of_images(hopf.field, images)
+def _agreed(tests, message):
+    """The common verdict of two independent tests; HopfLabError(message)
+    when they disagree."""
+    first, second = tests
+    if first != second:
+        raise HopfLabError(message)
+    return first
 
 
 def _normality_pair(hopf, space, integral):
@@ -197,13 +199,6 @@ def _normality_pair(hopf, space, integral):
         for i in range(hopf.dim)
     )
     return by_adjoint, by_center
-
-
-def _normality(hopf, space, integral):
-    by_adjoint, by_center = _normality_pair(hopf, space, integral)
-    if by_adjoint != by_center:
-        raise HopfLabError("normality tests disagree (adjoint-stability vs central integral)")
-    return by_adjoint
 
 
 def _hopf_subalgebra_pair(hopf, space, integral):
@@ -224,13 +219,6 @@ def _hopf_subalgebra_pair(hopf, space, integral):
                 direct = False
                 break
     return by_integral, direct
-
-
-def _hopf_subalgebra_flag(hopf, space, integral):
-    by_integral, direct = _hopf_subalgebra_pair(hopf, space, integral)
-    if by_integral != direct:
-        raise HopfLabError("Hopf-subalgebra tests disagree (cocommutative integral vs direct)")
-    return by_integral
 
 
 def normality_tests(ctx: CoidealSubalgebra):
@@ -255,13 +243,25 @@ def invariants_of(hopf: HopfAlgebra, functionals: Subspace) -> Subspace:
         raise NotAnAlgebraError("T does not contain the unit of H*")
     if _subalgebra_presentation(hopf.dual(), functionals, hopf.counit) is None:
         raise NotAnAlgebraError("T is not closed under multiplication")
-    images = [{} for _ in range(hopf.dim)]
-    for a, b in enumerate(functionals.basis):
-        b1 = hopf.pair(b, hopf.unit)
-        for i, image in enumerate(images):
-            for m, c in enumerate(hopf.act_left(b, hopf.basis(i))):
-                _tensor_add(image, (a, m), c)
-            _tensor_add(image, (a, i), -b1)
+    return _invariants(hopf, functionals)
+
+
+def _invariants(hopf, functionals):
+    """H^T for the span T of functionals.basis, read off the coproduct:
+    b -> e_i = sum c <b, e_k> e_j over Delta(e_i) = sum c e_j (x) e_k."""
+    basis = functionals.basis
+    columns = [[(a, b[k]) for a, b in enumerate(basis) if not b[k].is_zero()]
+               for k in range(hopf.dim)]
+    units = [hopf.pair(b, hopf.unit) for b in basis]
+    images = []
+    for i in range(hopf.dim):
+        image = {}
+        for (j, k), c in hopf.comult[i].items():
+            for a, bk in columns[k]:
+                _tensor_add(image, (a, j), c * bk)
+        for a, u in enumerate(units):
+            _tensor_add(image, (a, i), -u)
+        images.append(image)
     return _kernel_of_images(hopf.field, images)
 
 
@@ -297,13 +297,20 @@ class HopfQuotient:
         invariants in H.  The plain linear preimage would be larger (it
         contains the whole kernel of the projection) and is not a coideal.
         """
-        field = self.hopf.field
-        bbar = _dual_invariants(self.quotient, subspace)
+        bbar = _invariants(self.quotient.dual(), subspace)
         pulled = []
         for b in bbar.basis:
             pulled.append([self.quotient.pair(list(b), self._pi_rows[i]) for i in range(self.hopf.dim)])
-        span = Subspace.from_vectors(field, self.hopf.dim, pulled)
+        span = Subspace.from_vectors(self.hopf.field, self.hopf.dim, pulled)
         return invariants_of(self.hopf, span)
+
+    def lift_chain(self, quotient_chain):
+        """N followed by the lifts of the members of dim > 1 of a chain of
+        coideal subalgebras of H//N, as verified contexts of H."""
+        return [self.context] + [
+            coideal_from_subspace(self.hopf, self.lift_coideal(ctx_bar.space))
+            for ctx_bar in quotient_chain if ctx_bar.dim > 1
+        ]
 
 
 def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
@@ -320,18 +327,11 @@ def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
     algebra = _subalgebra_presentation(hopf, ideal, lam)
     comult = [_push_forward(hopf.comult_of(v), pi_rows) for v in section]
     counit = [hopf.counit_of(v) for v in section]
-    antipode = []
-    for v in section:
-        img = hopf.multiply(hopf.antipode_of(v), lam)
-        antipode.append(ideal.coords_of(img))
-
+    antipode = [mat_vec(pi_rows, hopf.antipode_of(v)) for v in section]
     q = HopfAlgebra(field, qdim, algebra.mult, algebra.unit, comult, counit, antipode,
                     name=f"{hopf.name}//N" if hopf.name else "quotient")
-    report = q.verify()
-    if not report.ok:
-        from .errors import AxiomError
-        raise AxiomError(report)
-    if hopf.dim % qdim != 0 or qdim * ctx.dim != hopf.dim:
+    q.require_axioms()
+    if qdim * ctx.dim != hopf.dim:
         raise HopfLabError("quotient dimension does not divide as expected")
     hq = HopfQuotient(hopf, ctx, q, section, pi_rows)
     _check_projection_is_hopf_map(hopf, hq)

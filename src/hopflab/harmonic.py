@@ -28,7 +28,7 @@ from .linalg import (
     wedderburn,
     zero_vector,
 )
-from .linalg import _kernel_of_images
+from .linalg import _kernel_of_images, _left_ideal
 
 
 def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
@@ -50,11 +50,9 @@ def _gamma_columns(ctx):
     lambda_B -> e_i; gamma(p)[i] pairs p against these."""
     if "gamma_cols" not in ctx._cache:
         H = ctx.hopf
-        cols = []
-        for i in range(H.dim):
-            v = H.act_left(ctx.dual_integral, H.basis(i))
-            cols.append(ctx.coords_of(v))
-        ctx._cache["gamma_cols"] = cols
+        ctx._cache["gamma_cols"] = [
+            ctx.coords_of(project_to_coideal(ctx, H.basis(i))) for i in range(H.dim)
+        ]
     return ctx._cache["gamma_cols"]
 
 
@@ -242,10 +240,7 @@ def embedding_image(ctx: CoidealSubalgebra) -> Subspace:
         field, H.dim,
         [embed_functional(ctx, basis_vector(field, ctx.dim, a)) for a in range(ctx.dim)],
     )
-    by_ideal = Subspace.from_vectors(
-        field, H.dim,
-        [H.dual().multiply(H.basis(i), ctx.dual_integral) for i in range(H.dim)],
-    )
+    by_ideal = _left_ideal(H.dual(), ctx.dual_integral)
     by_condition = _antipode_hit_constraint(ctx)
     if not (by_gamma == by_ideal == by_condition):
         raise HopfLabError("the three descriptions of Im(gamma) differ")
@@ -322,8 +317,5 @@ def hopf_subalgebra_data(ctx: CoidealSubalgebra) -> HopfAlgebra:
     antipode = [ctx.coords_of(H.antipode_of(list(b))) for b in ctx.space.basis]
     sub = HopfAlgebra(field, n, pres.mult, pres.unit, comult, counit, antipode,
                       name="subalgebra")
-    report = sub.verify()
-    if not report.ok:
-        from .errors import AxiomError
-        raise AxiomError(report)
+    sub.require_axioms()
     return sub

@@ -24,7 +24,7 @@ s(p) = p o S is H.dual().antipode_of(p).
 
 from __future__ import annotations
 
-from .errors import IntegralError, MissingRMatrixError, NotSemisimpleError
+from .errors import AxiomError, IntegralError, MissingRMatrixError, NotSemisimpleError
 from .linalg import (
     AlgebraPresentation,
     Subspace,
@@ -396,6 +396,13 @@ class HopfAlgebra(AlgebraPresentation):
         if self.r_matrix is not None:
             checks.extend(self._quasitriangular_checks())
         return AxiomReport(checks)
+
+    def require_axioms(self):
+        """Run verify(); raise AxiomError with its report unless every
+        check holds."""
+        report = self.verify()
+        if not report.ok:
+            raise AxiomError(report)
 
     def _tensor2_product(self, t1, t2):
         out = {}

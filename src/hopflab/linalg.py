@@ -209,19 +209,26 @@ class Subspace:
         if self.ambient != other.ambient:
             raise AmbientMismatchError(f"ambient {self.ambient} vs {other.ambient}")
 
-    def coords_of(self, vec):
-        """Coordinates of vec in the echelon basis, or None if not in span."""
-        coords = [vec[p] for p in self.pivots]
+    def _reduce(self, vec):
+        """(coordinates along the echelon basis, residual): row by row,
+        subtract residual[p] times the row of pivot p.  In RREF the other
+        rows are zero at p, so residual[p] is still vec[p] there."""
+        coords = []
         residual = list(vec)
-        for c, row in zip(coords, self.basis):
+        for p, row in zip(self.pivots, self.basis):
+            c = residual[p]
+            coords.append(c)
             if c.is_zero():
                 continue
             for j, r in enumerate(row):
                 if not r.is_zero():
                     residual[j] = residual[j] - c * r
-        if not vec_is_zero(residual):
-            return None
-        return coords
+        return coords, residual
+
+    def coords_of(self, vec):
+        """Coordinates of vec in the echelon basis, or None if not in span."""
+        coords, residual = self._reduce(vec)
+        return coords if vec_is_zero(residual) else None
 
     def contains_vector(self, vec):
         return self.coords_of(vec) is not None
@@ -249,14 +256,7 @@ class Subspace:
     def quotient_coords(self, vec):
         """Coordinates of vec + self in the canonical complement (the
         non-pivot coordinates after reduction by the echelon basis)."""
-        residual = list(vec)
-        for p, row in zip(self.pivots, self.basis):
-            c = residual[p]
-            if c.is_zero():
-                continue
-            for j, r in enumerate(row):
-                if not r.is_zero():
-                    residual[j] = residual[j] - c * r
+        residual = self._reduce(vec)[1]
         pivots = set(self.pivots)
         return [residual[j] for j in range(self.ambient) if j not in pivots]
 
@@ -613,7 +613,6 @@ def wedderburn(algebra: AlgebraPresentation) -> WedderburnData:
     to its idempotent, degrees come from integer square roots of block
     dimensions, and a primitive idempotent is extracted per block.
     """
-    field = algebra.field
     center = algebra.center()
     lines = _split_commutative_block(algebra, center, [list(b) for b in center.basis])
     if any(blk.dim != 1 for blk in lines):

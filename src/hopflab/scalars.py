@@ -345,6 +345,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value hashes as the int or QQ it equals
+        if self.is_rational():
+            return hash(QQ(self.num[0], self.den))
         return hash((self.field.conductor, self.num, self.den))
 
     def __bool__(self):

@@ -193,10 +193,7 @@ def load_hopf(path, verify=True, conductor_override=None):
             )
         hopf = hopf.with_field(conductor_override)
     if verify:
-        report = hopf.verify()
-        if not report.ok:
-            from .errors import AxiomError
-            raise AxiomError(report)
+        hopf.require_axioms()
     return hopf, content_hash(text)
 
 

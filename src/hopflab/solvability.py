@@ -13,9 +13,9 @@ diagnostic.
 
 find_solvable_series is a semi-decision procedure: it searches a
 deterministic candidate pool (hints, Hopf center, commutator iterates,
-left kernels of the irreducible modules) and recurses through quotients,
-returning a fully verified series or the verdict "undecided", never an
-unverified claim.
+left kernels of the irreducible modules) and recurses through quotients.
+It returns check_solvable_series's own report on the series it found, or
+the verdict "undecided", never an unverified claim.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .coideal import (
 from .errors import ChainError, HopfLabError, NotNormalError
 from .harmonic import hopf_subalgebra_data
 from .hopf import HopfAlgebra, module_action_from_idempotent
-from .linalg import Subspace, _subalgebra_generated, vec_eq, vec_scale
+from .linalg import Subspace, _left_ideal, _subalgebra_generated, vec_eq, vec_scale
 
 
 class StepResult:
@@ -114,17 +114,26 @@ def _verdict(steps):
     return "solvable_series"
 
 
-def check_solvable_series(hopf: HopfAlgebra, chain) -> SeriesReport:
-    """Verify a chain; verdict is "solvable_series" only when every step
-    passes and the chain runs from k to all of H."""
+def _check_chain(hopf: HopfAlgebra, chain, require_normal=False):
+    """Raise unless the chain is a nonempty increasing chain of coideal
+    subalgebras of hopf (each normal, when required); member errors come
+    before ordering errors."""
     if not chain:
         raise ChainError("empty chain")
     for ctx in chain:
         if ctx.hopf is not hopf:
             raise ChainError("chain entry belongs to a different Hopf algebra")
+        if require_normal and not ctx.normal:
+            raise NotNormalError("criterion requires normal chain members")
     for prev, nxt in zip(chain, chain[1:]):
         if not nxt.space.contains(prev.space):
             raise ChainError("chain is not increasing")
+
+
+def check_solvable_series(hopf: HopfAlgebra, chain) -> SeriesReport:
+    """Verify a chain; verdict is "solvable_series" only when every step
+    passes and the chain runs from k to all of H."""
+    _check_chain(hopf, chain)
     steps = [step_conditions(prev, nxt) for prev, nxt in zip(chain, chain[1:])]
     verdict = _verdict(steps)
     if verdict == "solvable_series":
@@ -195,13 +204,8 @@ def check_projection_injectivity(hopf: HopfAlgebra, n_ctx, l_ctx) -> Injectivity
     commute, injectivity is forced and cross-checked."""
     if not n_ctx.normal:
         raise NotNormalError("projection requires a normal coideal subalgebra")
-    field = hopf.field
-    one_minus = list(hopf.unit)
-    one_minus = [a - b for a, b in zip(one_minus, n_ctx.integral)]
-    kernel_space = Subspace.from_vectors(
-        field, hopf.dim,
-        [hopf.multiply(hopf.basis(i), one_minus) for i in range(hopf.dim)],
-    )
+    one_minus = [a - b for a, b in zip(hopf.unit, n_ctx.integral)]
+    kernel_space = _left_ideal(hopf, one_minus)
     overlap = l_ctx.space.intersect(kernel_space)
     injective = overlap.dim == 0
     cap = l_ctx.space.intersect(n_ctx.space)
@@ -260,14 +264,7 @@ def ascending_chain_contexts(hopf: HopfAlgebra, report: NilpotencyReport):
 def check_nilpotent_criterion(hopf: HopfAlgebra, chain):
     """N_{i+1} Lambda_i central in H Lambda_i for every step of a chain of
     normal coideal subalgebras from k to H."""
-    if not chain:
-        raise ChainError("empty chain")
-    for ctx in chain:
-        if not ctx.normal:
-            raise NotNormalError("criterion requires normal chain members")
-    for prev, nxt in zip(chain, chain[1:]):
-        if not nxt.space.contains(prev.space):
-            raise ChainError("chain is not increasing")
+    _check_chain(hopf, chain, require_normal=True)
     if chain[0].dim != 1 or chain[-1].dim != hopf.dim:
         return False, ("endpoints", None)
     for i, (prev, nxt) in enumerate(zip(chain, chain[1:])):
@@ -293,23 +290,10 @@ def nilpotent_implies_solvable_check(hopf: HopfAlgebra, chain) -> SeriesReport:
     return report
 
 
-def lift_series_through_quotient(hopf: HopfAlgebra, n_ctx: CoidealSubalgebra, quotient_chain):
-    """Lift a verified series of H//N back to H through the lattice
-    correspondence, yielding a chain starting at N."""
-    hq = quotient(hopf, n_ctx)
-    lifted = [n_ctx]
-    for ctx_bar in quotient_chain:
-        if ctx_bar.dim == 1:
-            continue
-        space = hq.lift_coideal(ctx_bar.space)
-        lifted.append(coideal_from_subspace(hopf, space))
-    return lifted
-
-
 def check_quotient_lifting(hopf: HopfAlgebra, n_ctx, quotient_report: SeriesReport) -> SeriesReport:
     """Constructive test: a solvable series of H//N lifts to a chain of H
     starting at N whose steps satisfy the two conditions."""
-    lifted = lift_series_through_quotient(hopf, n_ctx, quotient_report.chain)
+    lifted = quotient(hopf, n_ctx).lift_chain(quotient_report.chain)
     steps = [step_conditions(prev, nxt) for prev, nxt in zip(lifted, lifted[1:])]
     return SeriesReport(lifted, steps, _verdict(steps))
 
@@ -365,44 +349,34 @@ def _normal_candidates(hopf: HopfAlgebra, hints=()):
 def find_solvable_series(hopf: HopfAlgebra, hints=()) -> SeriesReport:
     """Greedy recursive search for a solvable series from k to H.
 
-    Returns a verified SeriesReport on success, or one with verdict
-    "undecided" -- never a false negative claim.
+    Returns check_solvable_series's own report on the chain found, or one
+    with verdict "undecided" -- never a false negative claim.
     """
-    chain = _search(hopf, hints)
-    if chain is None:
-        return SeriesReport([], [], "undecided")
-    report = check_solvable_series(hopf, chain)
-    if not report.ok:
-        raise HopfLabError("search produced a chain that fails verification")
-    return report
+    report = _search(hopf, hints)
+    return report if report is not None else SeriesReport([], [], "undecided")
 
 
 def _search(hopf: HopfAlgebra, hints=()):
+    """check_solvable_series's report on the first chain found that passes
+    it, or None: k < H, else k < N followed by the lift of a series of
+    H//N, for each candidate N whose step from k holds."""
     k_ctx = coideal_closure(hopf, [])
     if hopf.dim == 1:
-        return [k_ctx]
+        return check_solvable_series(hopf, [k_ctx])
     full_ctx = coideal_from_subspace(hopf, Subspace.full(hopf.field, hopf.dim))
-    if step_conditions(k_ctx, full_ctx).ok:
-        return [k_ctx, full_ctx]
+    report = check_solvable_series(hopf, [k_ctx, full_ctx])
+    if report.ok:
+        return report
     for cand in _normal_candidates(hopf, hints):
         if not step_conditions(k_ctx, cand).ok:
             continue
         hq = quotient(hopf, cand)
-        sub_chain = _search(hq.quotient)
-        if sub_chain is None:
+        sub_report = _search(hq.quotient)
+        if sub_report is None:
             continue
-        chain = [k_ctx, cand]
-        for ctx_bar in sub_chain:
-            if ctx_bar.dim == 1:
-                continue
-            space = hq.lift_coideal(ctx_bar.space)
-            if space.dim == cand.dim:
-                continue
-            chain.append(coideal_from_subspace(hopf, space))
-        if chain[-1].dim != hopf.dim:
-            continue
-        if all(step_conditions(p, n).ok for p, n in zip(chain, chain[1:])):
-            return chain
+        report = check_solvable_series(hopf, [k_ctx] + hq.lift_chain(sub_report.chain))
+        if report.ok:
+            return report
     return None
 
 

@@ -17,6 +17,7 @@ from hopflab.coideal import (
     left_kernel,
     quotient,
 )
+from hopflab.corpus import load
 from hopflab.errors import NotAnAlgebraError, NotNormalError
 from hopflab.hopf import module_action_from_idempotent
 from hopflab.linalg import Subspace, _subalgebra_generated, vec_eq
@@ -126,6 +127,22 @@ def test_integral_identities(s3, a3, skryabin_n):
             H.field, H.dim, [H.dual().act_left(ctx.integral, H.basis(i)) for i in range(H.dim)]
         )
         assert b_two == ctx.invariants
+
+
+def test_invariants_on_a_noncommutative_noncocommutative_algebra():
+    # D(S3) is neither commutative nor cocommutative, so neither side of
+    # N <-> B = (H*)^N is symmetric
+    H, _ = load("d-s3", verify=False)
+    for label, dim, normal in (("e*|(12)", 12, False), ("(12)*|e", 6, True)):
+        ctx = coideal_closure(H, [H.basis(H.index_of_label(label))])
+        assert (ctx.dim, ctx.normal) == (dim, normal)
+        # B = Lambda_N -> H*
+        hit_span = Subspace.from_vectors(
+            H.field, H.dim, [H.dual().act_left(ctx.integral, H.basis(i)) for i in range(H.dim)]
+        )
+        assert hit_span == ctx.invariants
+        assert invariants_of(H, ctx.invariants) == ctx.space
+        assert ctx.dim * ctx.invariants.dim == H.dim
 
 
 def test_antipode_image_and_quotient_kernel(s3, a3, skryabin_n):

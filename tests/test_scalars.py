@@ -346,9 +346,15 @@ def test_arithmetic_matches_fraction_oracle(case):
     assert (x * 6) * QQ(1, 6) == x and hash((x * 6) * QQ(1, 6)) == hash(x)
     assert (x == k) == (ox == as_const(k))
     assert (x == q) == (ox == as_const(q))
+    if x == k:
+        assert hash(x) == hash(k)
+    if x == q:
+        assert hash(x) == hash(q)
     r = field.from_rational(q)
     assert r == q and r.coeffs == as_const(q) and (r == k) == (q == k)
+    assert hash(r) == hash(q) and (r in {q}) and (q in {r})
     assert field.from_rational(k) == k and hash(field.from_rational(k)) == hash(field.scalar(str(k)))
+    assert hash(field.from_rational(k)) == hash(k) and field.from_rational(k) in {k}
     # embed is a ring map, and agrees with spreading the oracle's coefficients
     for m in ORACLE_EMBEDDINGS.get(field.conductor, ()):
         target = CyclotomicField(m)

@@ -13,6 +13,7 @@ from hopflab.builders import (
 from hopflab.coideal import coideal_closure, coideal_from_subspace
 from hopflab.errors import ChainError, NotNormalError
 from hopflab.linalg import Subspace, vec_eq
+from hopflab import solvability
 from hopflab.solvability import (
     ascending_central_series,
     ascending_chain_contexts,
@@ -219,6 +220,33 @@ def test_find_solvable_series_s3_dual(s3):
     report = find_solvable_series(s3.dual())
     assert report.ok
     assert [c.dim for c in report.chain] == [1, 6]
+
+
+def test_search_verifies_its_chain_once(monkeypatch, s3):
+    # the chain found is checked by check_solvable_series alone: on s3 the
+    # step (k, A3) runs in the candidate filter and in that check, (A3, S3)
+    # only in the check; on the commutative dual, k < H is checked once
+    real = solvability.step_conditions
+
+    def steps_during_search(hopf):
+        calls = []
+
+        def spy(prev, nxt):
+            if prev.hopf is hopf:
+                calls.append((prev.dim, nxt.dim))
+            return real(prev, nxt)
+
+        monkeypatch.setattr(solvability, "step_conditions", spy)
+        report = find_solvable_series(hopf)
+        monkeypatch.undo()
+        assert report.ok
+        assert report.to_dict() == check_solvable_series(hopf, report.chain).to_dict()
+        return calls
+
+    calls = steps_during_search(s3)
+    assert calls.count((3, 6)) == 1
+    assert calls.count((1, 3)) == 2
+    assert steps_during_search(s3.dual()) == [(1, 6)]
 
 
 @pytest.mark.parametrize("name", ["d4", "q8"])
