@@ -25,20 +25,20 @@ from .linalg import (
     vec_add,
     vec_eq,
     vec_scale,
-    wedderburn,
     zero_vector,
 )
 from .linalg import _kernel_of_images, _left_ideal
 
 
 def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
-    """Irr(N) from the Wedderburn data of N's presentation, in N
-    coordinates, with the integral's block first: T_0 = Lambda_N and
-    phi_0 = counit restricted to N."""
+    """Irr(N) from the central primitive idempotents and the regular trace
+    of N's presentation, in N coordinates, with the integral's block first:
+    T_0 = Lambda_N and phi_0 = counit restricted to N.  The t_j are found
+    when restriction or induction first reads them."""
     if "characters" in ctx._cache:
         return ctx._cache["characters"]
     alg = ctx.presentation()
-    chars = _character_table(alg, wedderburn(alg), ctx.coords_of(ctx.integral))
+    chars = _character_table(alg, ctx.coords_of(ctx.integral))
     if not vec_eq(chars.characters[0], ctx.counit_on_basis()):
         raise HopfLabError("character of the integral block is not the restricted counit")
     ctx._cache["characters"] = chars

@@ -5,7 +5,10 @@ unit, counit and antipode over a fixed cyclotomic field.  Elements of H are
 coefficient vectors over the canonical basis; functionals (elements of H*)
 are vectors of values on that basis.  Everything downstream -- integrals,
 character tables, grouplikes, coideal subalgebras -- is computed from these
-tensors by exact linear algebra.
+tensors by exact linear algebra.  Characters come from the central primitive
+idempotents and the regular trace, and the grouplikes are the degree-1
+characters of H*; a primitive idempotent t_j of a block is found only where
+restriction and induction of coideal characters read it, on first use.
 
 Conventions (pinned; the verification report is the safety net):
 
@@ -28,9 +31,8 @@ from .errors import AxiomError, IntegralError, MissingRMatrixError, NotSemisimpl
 from .linalg import (
     AlgebraPresentation,
     Subspace,
-    WedderburnData,
-    _left_ideal,
-    _operator_on_subspace,
+    _block_primitive_idempotents,
+    _central_blocks,
     _solve_integral,
     _tensor_add,
     basis_vector,
@@ -38,7 +40,6 @@ from .linalg import (
     vec_add,
     vec_eq,
     vec_scale,
-    wedderburn,
     zero_vector,
 )
 from .scalars import CyclotomicField
@@ -89,15 +90,30 @@ class IntegralPair:
 
 
 class CharacterTable:
-    """Central primitive idempotents E_i, irreducible characters chi_i,
-    degrees d_i and block primitive idempotents t_i, with the integral's
-    block first (E_0 = integral, chi_0 = counit)."""
+    """Central primitive idempotents E_i, irreducible characters chi_i and
+    degrees d_i of a semisimple algebra, with the integral's block first
+    (E_0 = integral, chi_0 = counit).
 
-    def __init__(self, idempotents, characters, degrees, block_idempotents):
+    The characters come from the E_i and the regular trace alone.  The block
+    primitive idempotents t_i, which only restriction and induction of
+    coideal characters read, are found on first access of
+    `block_idempotents` and stored whole, so a table is safe for concurrent
+    readers (at worst two of them find the same t_i twice).
+    """
+
+    def __init__(self, algebra, idempotents, degrees, characters):
+        self._algebra = algebra
         self.idempotents = idempotents
-        self.characters = characters
         self.degrees = degrees
-        self.block_idempotents = block_idempotents
+        self.characters = characters
+        self._block_idempotents = None
+
+    @property
+    def block_idempotents(self):
+        if self._block_idempotents is None:
+            self._block_idempotents = _block_primitive_idempotents(
+                self._algebra, self.idempotents, self.degrees)
+        return self._block_idempotents
 
     def __len__(self):
         return len(self.characters)
@@ -481,11 +497,12 @@ class HopfAlgebra(AlgebraPresentation):
         return pair_obj
 
     def character_table(self) -> CharacterTable:
-        """Irreducible characters via the Wedderburn decomposition;
-        block of the integral comes first so chi_0 is the counit."""
+        """Irreducible characters from the central primitive idempotents and
+        the regular trace; block of the integral comes first so chi_0 is the
+        counit."""
         if "characters" in self._cache:
             return self._cache["characters"]
-        table = _character_table(self, wedderburn(self), self.integrals().integral)
+        table = _character_table(self, self.integrals().integral)
         characters, degrees = table.characters, table.degrees
         if not vec_eq(characters[0], self.counit):
             raise NotSemisimpleError("character of the integral block is not the counit")
@@ -516,27 +533,16 @@ class HopfAlgebra(AlgebraPresentation):
         return self.pair(dual.multiply(dual.antipode_of(q), p), lam)
 
     def grouplikes(self):
-        """All g with Delta(g) = g x g and eps(g) = 1, read off from the
-        one-dimensional blocks of the dual algebra (algebra characters of
-        H* are grouplikes of H)."""
+        """All g with Delta(g) = g x g and eps(g) = 1: the characters of the
+        degree-1 blocks of the dual algebra, in the order of its center
+        (an algebra map H* -> k is evaluation at a grouplike of H)."""
         if "grouplikes" in self._cache:
             return self._cache["grouplikes"]
-        dual_alg = self.dual()
-        data = wedderburn(dual_alg)
-        out = []
-        for e, d in zip(data.central_idempotents, data.degrees):
-            if d != 1:
-                continue
-            pivot = next(m for m, c in enumerate(e) if not c.is_zero())
-            inv = e[pivot].inverse()
-            g = self.zero()
-            for i in range(self.dim):
-                # omega(p_i) where p_i e = omega(p_i) e in H*
-                val = dual_alg.multiply(self.basis(i), list(e))[pivot] * inv
-                g[i] = val
+        _, degrees, characters = _central_blocks(self.dual())
+        out = [g for g, d in zip(characters, degrees) if d == 1]
+        for g in out:
             if self.comult_of(g) != _tensor2_of_pair(g, g, self.field) or not self.counit_of(g).is_one():
                 raise NotSemisimpleError("dual line did not produce a grouplike")
-            out.append(g)
         self._cache["grouplikes"] = out
         return out
 
@@ -590,32 +596,14 @@ def _tensor2_of_pair(x, y, field):
     return out
 
 
-def _character_table(algebra, data: WedderburnData, integral) -> CharacterTable:
-    """Characters from Wedderburn data, chi(x) = tr(x on A E) / d for each
-    block A E of degree d, with the block of the idempotent integral first.
-    Serves H (integral Lambda) and a coideal subalgebra N (Lambda_N)."""
-    order = next((idx for idx, e in enumerate(data.central_idempotents) if vec_eq(e, integral)), None)
+def _character_table(algebra, integral) -> CharacterTable:
+    """Characters from the central primitive idempotents and the regular
+    trace, chi_i(x) = tr(L_{x E_i}) / d_i, with the block of the idempotent
+    integral first; no primitive idempotent is found here.  Serves H
+    (integral Lambda) and a coideal subalgebra N (Lambda_N)."""
+    idempotents, degrees, characters = _central_blocks(algebra)
+    order = next((idx for idx, e in enumerate(idempotents) if vec_eq(e, integral)), None)
     if order is None:
         raise NotSemisimpleError("integral is not a central primitive idempotent")
-    perm = [order] + [i for i in range(len(data)) if i != order]
-    idempotents = [data.central_idempotents[i] for i in perm]
-    degrees = [data.degrees[i] for i in perm]
-    blocks = [data.block_primitive_idempotents[i] for i in perm]
-    field = algebra.field
-    characters = []
-    for e, d in zip(idempotents, degrees):
-        space = _left_ideal(algebra, e)
-        inv_d = field.from_rational(d).inverse()
-        chi = []
-        for m in range(algebra.dim):
-            op = _operator_on_subspace(algebra, basis_vector(field, algebra.dim, m), space)
-            chi.append(sum((op[k][k] for k in range(space.dim)), field.zero) * inv_d)
-        characters.append(chi)
-    return CharacterTable(idempotents, characters, degrees, blocks)
-
-
-def module_action_from_idempotent(hopf: HopfAlgebra, t):
-    """Left-module matrices of the module H t (rows = images of the module
-    basis), plus the module basis itself."""
-    space = _left_ideal(hopf, t)
-    return [_operator_on_subspace(hopf, hopf.basis(i), space) for i in range(hopf.dim)], space
+    perm = [order] + [i for i in range(len(idempotents)) if i != order]
+    return CharacterTable(algebra, *([part[i] for i in perm] for part in (idempotents, degrees, characters)))

@@ -13,9 +13,12 @@ Two conventions hold throughout the library:
   rows for `_kernel_from_rows`, the one kernel routine.
 - A linear combination sum_i c_i v_i is `mat_vec([v_0, v_1, ...], c)`.
 
-Also here: Wedderburn decomposition of a split semisimple algebra given by
-structure constants (central primitive idempotents, block degrees, one
-primitive idempotent per block).
+Also here: Wedderburn data of a semisimple algebra given by structure
+constants.  The central part -- central primitive idempotents E_i and
+degrees d_i, with d_i^2 = tr(L_{E_i}) -- and the characters
+chi_i(x) = tr(L_{x E_i}) / d_i come from the center and the regular trace
+alone.  A primitive idempotent per block is a separate, costlier step that
+needs each block split over the field; `wedderburn` runs both.
 """
 
 from __future__ import annotations
@@ -605,47 +608,72 @@ def _split_commutative_block(algebra, block: Subspace, refiners):
     return blocks
 
 
-def wedderburn(algebra: AlgebraPresentation) -> WedderburnData:
-    """Wedderburn data of a split semisimple algebra.
+def _central_blocks(algebra):
+    """(central primitive idempotents E_i, block degrees d_i, characters
+    chi_i) of a semisimple algebra whose center splits over its field.
 
     The center is cut into one-dimensional joint eigenspaces by iterated
-    refinement along its echelon basis (deterministic), each line is scaled
-    to its idempotent, degrees come from integer square roots of block
-    dimensions, and a primitive idempotent is extracted per block.
+    refinement along its echelon basis (deterministic) and each line is
+    scaled to its idempotent.  With the regular trace t_k = tr(L_{e_k}) =
+    sum_l c_kl^l and the trace form tr(L_{e_m e_j}) = sum_k c_mj^k t_k, built
+    in one pass over mult, d_i^2 = tr(L_{E_i}) = dim A E_i and
+    chi_i(x) = tr(L_{x E_i}) / d_i.
     """
     center = algebra.center()
     lines = _split_commutative_block(algebra, center, [list(b) for b in center.basis])
     if any(blk.dim != 1 for blk in lines):
         raise NotSemisimpleError("center did not split into lines")
 
-    idempotents = []
+    field = algebra.field
+    traces = [sum((cell[k] for k, cell in enumerate(row) if k in cell), field.zero)
+              for row in algebra.mult]
+    form = [[sum((c * traces[k] for k, c in cell.items()), field.zero) for cell in row]
+            for row in algebra.mult]
+    idempotents, degrees, characters = [], [], []
     for blk in lines:
         u = list(blk.basis[0])
         u2 = algebra.multiply(u, u)
-        theta = None
-        for j, c in enumerate(u[: algebra.dim]):
-            if not c.is_zero():
-                theta = u2[j] / c
-                break
-        if theta is None or theta.is_zero():
+        theta = u2[blk.pivots[0]]  # u is 1 at its pivot
+        if theta.is_zero():
             raise NotSemisimpleError("nilpotent central element found")
         if not vec_eq(u2, vec_scale(u, theta)):
             raise NotSemisimpleError("central line is not closed under squaring")
-        idempotents.append(vec_scale(u, theta.inverse()))
-
-    degrees = []
-    primitives = []
-    for e in idempotents:
-        d2 = _left_ideal(algebra, e).dim
+        e = vec_scale(u, theta.inverse())
+        # L_E is a projection, so its trace is its rank, a positive integer
+        d2 = sum((c * t for c, t in zip(e, traces)), field.zero).integer_value()
         d = math.isqrt(d2)
         if d * d != d2:
             raise NotSemisimpleError(f"block dimension {d2} is not a perfect square")
+        idempotents.append(e)
         degrees.append(d)
-        t = primitive_idempotent_in_block(algebra, e) if d > 1 else list(e)
+        characters.append(vec_scale(mat_vec(form, e), field.from_rational(d).inverse()))
+    return idempotents, degrees, characters
+
+
+def _block_primitive_idempotents(algebra, idempotents, degrees):
+    """One primitive idempotent t_i per block, E_i t_i = t_i (E_i itself
+    when d_i = 1).  A NotSplitError from the search names the block's
+    degree and the conductor."""
+    primitives = []
+    for e, d in zip(idempotents, degrees):
+        try:
+            t = primitive_idempotent_in_block(algebra, e) if d > 1 else list(e)
+        except NotSplitError as err:
+            raise NotSplitError(err.factor, f"no primitive idempotent in the block of degree {d} "
+                                f"at conductor {algebra.field.conductor}: {err}") from err
         if _left_ideal(algebra, t).dim != d or not vec_eq(algebra.multiply(t, t), t):
             raise NotSemisimpleError("block idempotent is not primitive")
         primitives.append(t)
-    return WedderburnData(idempotents, degrees, primitives)
+    return primitives
+
+
+def wedderburn(algebra: AlgebraPresentation) -> WedderburnData:
+    """Wedderburn data of a split semisimple algebra: the central part
+    (`_central_blocks`) and one primitive idempotent per block
+    (`_block_primitive_idempotents`)."""
+    idempotents, degrees, _ = _central_blocks(algebra)
+    return WedderburnData(idempotents, degrees,
+                          _block_primitive_idempotents(algebra, idempotents, degrees))
 
 
 def _corner_candidates(algebra, corner_basis):
@@ -673,63 +701,44 @@ def primitive_idempotent_in_block(algebra: AlgebraPresentation, central_idempote
     field = algebra.field
     e = list(central_idempotent)
     while True:
-        corner_vecs = []
-        for i in range(algebra.dim):
-            v = algebra.multiply(algebra.multiply(e, basis_vector(field, algebra.dim, i)), e)
-            corner_vecs.append(v)
-        corner = Subspace.from_vectors(field, algebra.dim, corner_vecs)
+        corner = Subspace.from_vectors(field, algebra.dim, [
+            algebra.multiply(algebra.multiply(e, basis_vector(field, algebra.dim, i)), e)
+            for i in range(algebra.dim)
+        ])
         if corner.dim == 1:
             return e
-        split = None
         not_split_error = None
         for x in _corner_candidates(algebra, corner.basis):
-            op = _operator_on_subspace(algebra, x, corner)
-            p = minimal_polynomial(op, field)
+            p = minimal_polynomial(_operator_on_subspace(algebra, x, corner), field)
             try:
                 roots = factor_into_linears(p, field)
             except NotSplitError as err:
                 not_split_error = err
                 continue
-            if len(roots) < 2:
-                continue
-            split = _orthogonal_idempotents_from_element(algebra, x, e, roots)
-            break
-        if split is None:
+            if len(roots) > 1:
+                e = _first_idempotent_from_element(algebra, x, e, roots)
+                break
+        else:
             if not_split_error is not None:
                 raise not_split_error
             raise NotSemisimpleError("block admits no splitting element")
-        e = split[0]
 
 
-def _orthogonal_idempotents_from_element(algebra, x, e, roots):
-    """Chinese-remainder idempotents of k[x] inside the corner algebra with
-    unit e, ordered by root sort key."""
+def _first_idempotent_from_element(algebra, x, e, roots):
+    """The Chinese-remainder idempotent of k[x] for the first root, inside
+    the corner algebra with unit e: (s h)(x) mod p, where p is the minimal
+    polynomial of x, h = p / (X - r)^m and s h = 1 mod (X - r)^m."""
     field = algebra.field
     full = poly_from_roots(field, roots)
-    idems = []
-    for root, mult in roots:
-        g = poly_from_roots(field, [(root, mult)])
-        h, _ = poly_divmod(full, g)
-        # invert h modulo g, then idempotent = (s*h)(x)
-        gcd, s, _ = poly_extgcd(h, g)
-        if len(gcd) != 1:
-            raise NotSemisimpleError("idempotent construction failed")
-        sh = poly_mul(s, h)
-        _, sh = poly_divmod(sh, full)
-        idems.append(_eval_poly_in_algebra(algebra, sh, x, e))
-    total = idems[0]
-    for f in idems[1:]:
-        total = vec_add(total, f)
-    if not vec_eq(total, e):
-        raise NotSemisimpleError("idempotents do not sum to the corner unit")
-    return idems
-
-
-def _eval_poly_in_algebra(algebra, p, x, unit_vec):
-    """Evaluate a scalar polynomial at an algebra element; the constant term
-    multiplies the given local unit."""
-    out = vec_scale(unit_vec, p[-1]) if p else zero_vector(algebra.field, algebra.dim)
-    for c in reversed(p[:-1]):
-        out = algebra.multiply(out, x)
-        out = vec_add(out, vec_scale(unit_vec, c))
-    return out
+    g = poly_from_roots(field, roots[:1])
+    h, _ = poly_divmod(full, g)
+    gcd, s, _ = poly_extgcd(h, g)
+    if len(gcd) != 1:
+        raise NotSemisimpleError("idempotent construction failed")
+    _, sh = poly_divmod(poly_mul(s, h), full)
+    f = vec_scale(e, sh[-1])  # Horner's rule, e being the unit of the corner
+    for c in reversed(sh[:-1]):
+        f = vec_add(algebra.multiply(f, x), vec_scale(e, c))
+    if not vec_eq(algebra.multiply(f, f), f):
+        raise NotSemisimpleError("Chinese-remainder element is not idempotent")
+    return f

@@ -13,7 +13,8 @@ diagnostic.
 
 find_solvable_series is a semi-decision procedure: it searches a
 deterministic candidate pool (hints, Hopf center, commutator iterates,
-left kernels of the irreducible modules) and recurses through quotients.
+left kernels of the irreducible modules, read off their characters) and
+recurses through quotients.
 It returns check_solvable_series's own report on the series it found, or
 the verdict "undecided", never an unverified claim.
 """
@@ -27,12 +28,12 @@ from .coideal import (
     commutator_subalgebra,
     hopf_center,
     invariants_of,
-    left_kernel,
     quotient,
 )
+from .coideal import _invariants
 from .errors import ChainError, HopfLabError, NotNormalError
 from .harmonic import hopf_subalgebra_data
-from .hopf import HopfAlgebra, module_action_from_idempotent
+from .hopf import HopfAlgebra
 from .linalg import Subspace, _left_ideal, _subalgebra_generated, vec_eq, vec_scale
 
 
@@ -335,10 +336,9 @@ def _normal_candidates(hopf: HopfAlgebra, hints=()):
             break
         cur = coideal_from_subspace(hopf, space)
 
-    table = hopf.character_table()
-    for t in table.block_idempotents:
-        mats, _ = module_action_from_idempotent(hopf, t)
-        add(left_kernel(hopf, mats))
+    # left kernels LKer(V_chi) = {h : chi -> h = <chi, 1> h} (Burciu)
+    for chi in hopf.character_table().characters:
+        add(_invariants(hopf, Subspace.from_vectors(hopf.field, hopf.dim, [chi])))
 
     def sort_key(ctx):
         return (ctx.dim, tuple(tuple(c.sort_key() for c in row) for row in ctx.space.basis))

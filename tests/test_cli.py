@@ -227,6 +227,25 @@ def test_field_too_small_exits_2_naming_the_rootless_factor(runner, tmp_path, mo
     assert runner.invoke(main, ["characters", str(path)]).exit_code == 0
 
 
+def test_kq8_over_q_has_characters_but_no_quaternion_primitive_idempotent(runner, tmp_path):
+    # the characters need only central idempotents, and Q splits the center
+    # of kQ8; its degree-2 block is the rational quaternions, which Q does
+    # not split, so reciprocity, which reads that block's t_j, exits 2
+    data = json.loads(corpus_file("q8").read_text())
+    data["cyclotomic_order"] = 1
+    path = tmp_path / "q8-over-q.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["characters", str(path)])
+    assert result.exit_code == 0
+    over_q = json.loads(result.output)["result"]
+    assert sorted(over_q["degrees"]) == [1, 1, 1, 1, 2]
+    assert over_q == json.loads(runner.invoke(main, ["characters", path_of("q8")]).output)["result"]
+    result = runner.invoke(main, ["reciprocity", str(path), "--gens", "H"])
+    assert result.exit_code == 2
+    assert result.output == ("error: no primitive idempotent in the block of degree 2 at "
+                             "conductor 1: polynomial does not split: x^2 + (16)\n")
+
+
 @pytest.mark.parametrize("order", ["24", "36"])
 def test_characters_at_a_raised_conductor(runner, monkeypatch, order):
     # the README's remedy for a field that is too small: phi(24) = 8 and

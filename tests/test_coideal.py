@@ -1,5 +1,7 @@
 import pytest
 
+from moduletools import module_action_from_idempotent
+
 from hopflab.builders import (
     cyclic_group_table,
     dihedral8_table,
@@ -19,7 +21,6 @@ from hopflab.coideal import (
 )
 from hopflab.corpus import load
 from hopflab.errors import NotAnAlgebraError, NotNormalError
-from hopflab.hopf import module_action_from_idempotent
 from hopflab.linalg import Subspace, _subalgebra_generated, vec_eq
 from hopflab.scalars import QQ
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hopflab.builders import group_algebra, symmetric3_table
+from hopflab import linalg
+from hopflab.builders import group_algebra, permutation_group_table, symmetric3_table
 from hopflab.coideal import coideal_closure, coideal_from_subspace, invariants_of
 from hopflab.harmonic import (
     character_form,
@@ -20,8 +21,10 @@ from hopflab.harmonic import (
     restrict_character,
     star_action,
 )
+from hopflab.corpus import load
 from hopflab.linalg import Subspace, basis_vector, vec_add, vec_eq, vec_scale, zero_vector
 from hopflab.scalars import QQ
+from hopflab.solvability import find_solvable_series
 
 
 @pytest.fixture(scope="module")
@@ -419,3 +422,43 @@ def test_induced_image(s3, a3, trivial, whole):
     lam = s3.integrals().dual_integral
     assert induced_image(trivial).contains_vector(lam)
     assert induced_image(trivial).dim == 1
+
+
+def test_ks5_over_q_characters_and_s4_reciprocity():
+    # Q splits S5, so its characters need no larger field; the characters
+    # come from central idempotents alone, and only the S4 stabiliser's
+    # blocks need primitive idempotents
+    table, labels = permutation_group_table([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 5)
+    ks5 = group_algebra(table, conductor=1, labels=labels, name="kS5")
+    h_table = ks5.character_table()
+    assert sorted(h_table.degrees) == [1, 1, 4, 4, 5, 5, 6]
+    assert all(c.is_rational() for chi in h_table.characters for c in chi)
+    s4 = coideal_closure(ks5, [ks5.basis(ks5.index_of_label(g)) for g in ("(12)", "(1234)")])
+    assert s4.dim == 24
+    rec = reciprocity_table(s4)
+    assert sorted(rec.n_degrees) == [1, 1, 2, 3, 3]
+    assert rec.h_degrees == h_table.degrees
+    for row, d in zip(rec.entries, rec.h_degrees):
+        assert sum(m * n for m, n in zip(row, rec.n_degrees)) == d
+
+
+def test_primitive_idempotents_only_on_demand(monkeypatch, s3):
+    calls = []
+    original = linalg.primitive_idempotent_in_block
+
+    def spy(algebra, central_idempotent):
+        calls.append(algebra.dim)
+        return original(algebra, central_idempotent)
+
+    monkeypatch.setattr(linalg, "primitive_idempotent_in_block", spy)
+    d_s3, _ = load("d-s3")
+    d_s3.character_table()
+    d_s3.dual().grouplikes()
+    for name in ("q8", "s3-dual"):
+        hopf, _ = load(name)
+        assert find_solvable_series(hopf).ok
+    assert calls == []
+    # the whole of kS3 as a coideal has a degree-2 block, whose t_j the
+    # reciprocity entries <chi_i, t_j> read
+    reciprocity_table(coideal_closure(s3, [s3.basis(i) for i in range(6)]))
+    assert calls == [6]

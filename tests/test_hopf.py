@@ -2,20 +2,23 @@ import random
 
 import pytest
 
+from moduletools import module_action_from_idempotent
+
 from hopflab.builders import (
     cyclic_group_table,
     dihedral8_table,
     drinfeld_double,
     group_algebra,
+    permutation_group_table,
     quaternion_table,
     symmetric3_table,
     validate_group_table,
 )
+from hopflab.coideal import _invariants, left_kernel
 from hopflab.corpus import corpus_names
 from hopflab.corpus import load as load_corpus
 from hopflab.errors import NotAGroupError
-from hopflab.hopf import module_action_from_idempotent
-from hopflab.linalg import AlgebraPresentation, basis_vector, vec_add, vec_eq, vec_scale
+from hopflab.linalg import AlgebraPresentation, Subspace, basis_vector, vec_add, vec_eq, vec_scale
 from hopflab.scalars import QQ
 
 
@@ -353,6 +356,26 @@ def test_module_action_matches_character(s3):
     for m in range(s3.dim):
         tr = mats[m][0][0] + mats[m][1][1]
         assert tr == table.characters[idx][m]
+
+
+def _ka4():
+    table, labels = permutation_group_table([(1, 2, 0, 3), (1, 0, 3, 2)], 4)
+    return group_algebra(table, conductor=3, labels=labels, name="kA4")
+
+
+@pytest.mark.parametrize("name", list(corpus_names()) + ["kA4"])
+def test_trace_formula_and_left_kernels_match_module_matrices(name):
+    # chi_i(x) = tr(L_{x E_i}) / d_i against the trace of x on the module
+    # H t_i, and LKer(V_i) = {h : chi_i -> h = d_i h} against left_kernel
+    # of the module matrices
+    H = _ka4() if name == "kA4" else load_corpus(name, verify=False)[0]
+    table = H.character_table()
+    for chi, d, t in zip(table.characters, table.degrees, table.block_idempotents):
+        mats, space = module_action_from_idempotent(H, t)
+        assert space.dim == d
+        assert [sum((m[r][r] for r in range(d)), H.field.zero) for m in mats] == chi
+        by_character = _invariants(H, Subspace.from_vectors(H.field, H.dim, [chi]))
+        assert by_character == left_kernel(H, mats)
 
 
 def test_drinfeld_double_z2():

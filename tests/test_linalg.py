@@ -7,7 +7,7 @@ from hopflab.corpus import load as load_corpus
 from hopflab.errors import InconsistentSystemError, NotSplitError
 from hopflab.linalg import (
     _kernel_of_images,
-    _orthogonal_idempotents_from_element,
+    _first_idempotent_from_element,
     _solve_integral,
     AlgebraPresentation,
     Subspace,
@@ -184,7 +184,9 @@ def test_split_by_element_with_repeated_root():
     x[0], x[1], x[4], x[8] = Q.one, Q.one, Q.one, Q.scalar(2)
     assert minimal_polynomial(_dense_images(alg, lambda v: alg.multiply(x, v))) == [
         Q.scalar(-2), Q.scalar(5), Q.scalar(-4), Q.one]
-    e1, e2 = _orthogonal_idempotents_from_element(alg, x, alg.unit, [(Q.one, 2), (Q.scalar(2), 1)])
+    roots = [(Q.one, 2), (Q.scalar(2), 1)]
+    e1 = _first_idempotent_from_element(alg, x, alg.unit, roots)
+    e2 = _first_idempotent_from_element(alg, x, alg.unit, roots[::-1])
     for e in (e1, e2):
         assert vec_eq(alg.multiply(e, e), e)
     assert vec_eq(alg.multiply(e1, e2), zero_vector(Q, 9))
@@ -194,8 +196,9 @@ def test_split_by_element_with_repeated_root():
 
 def test_wedderburn_quaternions_not_split_over_q():
     alg = _quaternion_presentation(Q)
-    with pytest.raises(NotSplitError):
+    with pytest.raises(NotSplitError, match="block of degree 2 at conductor 1") as excinfo:
         wedderburn(alg)
+    assert str(excinfo.value).endswith(f"polynomial does not split: {excinfo.value.factor}")
 
 
 def test_wedderburn_quaternions_split_over_zeta4():
