@@ -110,7 +110,9 @@ class CyclotomicField:
         self.degree = len(mod) - 1
         # integer reduced form of zeta^degree, used to cascade higher powers down
         self._zeta_deg = tuple(-c for c in mod[:-1])
-        self.zero = _build(self, (0,) * self.degree, 1)
+        # num[1:] of every rational scalar, the one test of rationality
+        self._zero_tail = (0,) * (self.degree - 1)
+        self.zero = _build(self, (0,) + self._zero_tail, 1)
         self.one = self.from_rational(1)
         cls._instances[conductor] = self
         return self
@@ -127,7 +129,7 @@ class CyclotomicField:
         else:
             q = as_rational(q)
             num, den = q.numerator, q.denominator
-        return _build(self, (num,) + self.zero.num[1:], den)
+        return _build(self, (num,) + self._zero_tail, den)
 
     def from_coeffs(self, seq) -> "Scalar":
         coeffs = [as_rational(c) for c in seq]
@@ -206,13 +208,13 @@ class Scalar:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return self.num == self.field.zero.num
 
     def is_one(self) -> bool:
         return self.den == 1 and self.num == self.field.one.num
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return self.num[1:] == self.field._zero_tail
 
     def is_integer(self) -> bool:
         return self.den == 1 and self.is_rational()
@@ -234,12 +236,18 @@ class Scalar:
         return NotImplemented
 
     def _add_or_sub(self, other, op):
-        # op is operator.add or operator.sub; equal denominators (the common
-        # case, often 1) need no cross-multiplication
+        # op is operator.add or operator.sub; x +- 0 is x and 0 + y is y, and
+        # equal denominators (the common case, often 1) need no
+        # cross-multiplication
         if other.__class__ is not Scalar or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        zero = self.field.zero.num
+        if other.num == zero:
+            return self
+        if op is add and self.num == zero:
+            return other
         a, b = self.den, other.den
         if a == b:
             num = tuple(map(op, self.num, other.num))
@@ -273,24 +281,27 @@ class Scalar:
             if other is NotImplemented:
                 return NotImplemented
         field = self.field
-        den = self.den * other.den
-        a, b = self.num, other.num
-        d = field.degree
-        if d == 1:
-            n = a[0] * b[0]
-            if den != 1:
-                g = gcd(n, den)
-                if g != 1:
-                    n //= g
-                    den //= g
-            return _build(field, (n,), den)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return _normalized(field, field._reduce(conv), den)
+        tail = field._zero_tail
+        if other.num[1:] == tail:
+            x, r = self, other
+        elif self.num[1:] == tail:
+            x, r = other, self
+        else:
+            conv = [0] * (2 * field.degree - 1)
+            for i, ai in enumerate(self.num):
+                if ai:
+                    for j, bj in enumerate(other.num):
+                        if bj:
+                            conv[i + j] += ai * bj
+            return _normalized(field, field._reduce(conv), self.den * other.den)
+        # the rational factor r scales x's numerators: no convolution
+        n, den = r.num[0], r.den
+        if den == 1:
+            if n == 1:
+                return x
+            if n == 0:
+                return field.zero
+        return _normalized(field, [c * n for c in x.num], x.den * den)
 
     __rmul__ = __mul__
 
@@ -299,7 +310,7 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         if self.is_rational():
             n = self.num[0]
-            return _build(self.field, (self.den if n > 0 else -self.den,) + self.num[1:], abs(n))
+            return _build(self.field, (self.den if n > 0 else -self.den,) + self.field._zero_tail, abs(n))
         # 1/a = P / N(a), P the product of the conjugates sigma_k(a), k != 1
         field = self.field
         n = field.conductor

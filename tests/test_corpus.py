@@ -1,6 +1,7 @@
 import pytest
 
 from hopflab.corpus import build, coideal_lattice, corpus_names, load
+from hopflab.scalars import CyclotomicField
 
 EXPECTED_DIMS = {
     "z2": 2, "z3": 3, "z6": 6, "s3": 6, "s3-dual": 6,
@@ -17,6 +18,18 @@ def test_every_bundled_file_verifies(name):
     hopf, digest = load(name)  # verify=True raises on any axiom failure
     assert hopf.dim == EXPECTED_DIMS[name]
     assert digest
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_DIMS))
+def test_loading_reduces_modulo_phi_at_most_dim_times(name, monkeypatch):
+    # the structure constants are rational, so loading and verifying a file
+    # multiplies almost no two irrational scalars; unlike a time, a count of
+    # Phi_n reductions does not depend on machine load
+    calls = []
+    reduce = CyclotomicField._reduce
+    monkeypatch.setattr(CyclotomicField, "_reduce", lambda self, coeffs: calls.append(self) or reduce(self, coeffs))
+    hopf, _ = load(name)  # verify=True
+    assert len(calls) <= hopf.dim
 
 
 def test_doubles_have_r_matrices():

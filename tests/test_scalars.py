@@ -192,6 +192,26 @@ def test_operator_edge_paths():
     assert bool(Q3.zero) is False and bool(Q3.one) is True
 
 
+def test_a_rational_factor_skips_the_reduction(monkeypatch):
+    # Phi_n reduction is only for products of two irrational scalars
+    Q12 = CyclotomicField(12)
+    irrationals = (Q3.scalar("1/2 - 3*z"), Q12.scalar("2 + z - 5/6*z^3"))
+    calls = []
+    reduce = CyclotomicField._reduce
+    monkeypatch.setattr(CyclotomicField, "_reduce", lambda self, coeffs: calls.append(self) or reduce(self, coeffs))
+    for x in irrationals:
+        field = x.field
+        for r in (field.one, -field.one, field.zero, field.from_rational(QQ(-4, 9)), field.from_rational(7)):
+            assert x * r == r * x == x * r.coeffs[0]
+            assert (x * r).coeffs == tuple(c * r.coeffs[0] for c in x.coeffs)
+        assert x * field.one is x and field.one * x is x
+        assert x + field.zero is x and field.zero + x is x and x - field.zero is x
+    assert calls == []
+    for x in irrationals:
+        x * x
+    assert calls == [Q3, Q12]
+
+
 def test_parse_rejects_out_of_range_power():
     with pytest.raises(ValueError):
         parse_scalar(Q3, "z^5")
@@ -325,6 +345,23 @@ def test_arithmetic_matches_fraction_oracle(case):
         "x * q": (x * q, _oracle_mul(field, ox, as_const(q))),
         "x + q": (x + q, tuple(a + b for a, b in zip(ox, as_const(q)))),
     }
+    # rational Scalar operands on both sides of *, and a zero Scalar on both
+    # sides of + and -; R(shared)'s denominator is a multiple of x.den, and
+    # R(den)'s numerator cancels it
+    rationals = {
+        "R(q)": field.from_rational(q), "R(k)": field.from_rational(k),
+        "one": field.one, "-one": -field.one, "zero": field.zero,
+        "R(shared)": field.from_rational(QQ(k or 1, 2 * x.den)),
+        "R(den)": field.from_rational(QQ(x.den, 3)),
+    }
+    for label, r in rationals.items():
+        c = r.coeffs[0]
+        results[f"x * {label}"] = (x * r, _oracle_mul(field, ox, as_const(c)))
+        results[f"{label} * x"] = (r * x, _oracle_mul(field, as_const(c), ox))
+    results["x + 0"] = (x + field.zero, ox)
+    results["0 + x"] = (field.zero + x, ox)
+    results["x - 0"] = (x - field.zero, ox)
+    results["0 - x"] = (field.zero - x, tuple(-a for a in ox))
     for name, (got, want) in results.items():
         _assert_canonical(got)
         assert got.coeffs == want, name
