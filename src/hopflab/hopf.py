@@ -10,6 +10,13 @@ idempotents and the regular trace, and the grouplikes are the degree-1
 characters of H*; a primitive idempotent t_j of a block is found only where
 restriction and induction of coideal characters read it, on first use.
 
+verify() compares the two sides of each tensor identity exactly on integer
+structure constants: every constant is read once as integer numerators of
+powers of zeta over one common denominator D of the whole algebra, both
+sides are summed as Python ints per output index and power of zeta, and
+only a sum that does not vanish as it stands is reduced modulo the
+cyclotomic polynomial Phi_n before it counts as a failure.
+
 Conventions (pinned; the verification report is the safety net):
 
     H* acting on H      b -> h = sum h1 <b, h2>        h <- b = sum <b, h1> h2
@@ -27,17 +34,24 @@ s(p) = p o S is H.dual().antipode_of(p).
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import AxiomError, IntegralError, MissingRMatrixError, NotSemisimpleError
 from .linalg import (
     AlgebraPresentation,
     Subspace,
     _block_primitive_idempotents,
     _central_blocks,
+    _common_denominator,
+    _first_nonzero,
+    _int_cell,
+    _int_mult,
+    _int_terms,
     _solve_integral,
     _tensor_add,
+    _to_sparse,
     basis_vector,
     mat_vec,
-    vec_add,
     vec_eq,
     vec_scale,
     zero_vector,
@@ -318,9 +332,10 @@ class HopfAlgebra(AlgebraPresentation):
     def verify(self) -> AxiomReport:
         """Exact check of every Hopf axiom plus the involutive-antipode
         semisimplicity witness; quasitriangular identities when an R-matrix
-        is attached."""
+        is attached.  Each failing check names its first failing basis
+        index (or pair, or triple) in loop order."""
         checks = []
-        field, dim = self.field, self.dim
+        dim = self.dim
 
         # validate's two halves run separately, so a unit failure still
         # reports whether associativity holds
@@ -342,65 +357,12 @@ class HopfAlgebra(AlgebraPresentation):
                 break
         checks.append(AxiomCheck("counit", witness is None, witness))
 
-        witness = None
-        for i in range(dim):
-            lhs, rhs = {}, {}
-            for (j, k), c in self.comult[i].items():
-                for (a, b), d in self.comult[j].items():
-                    _tensor_add(lhs, (a, b, k), c * d)
-                for (a, b), d in self.comult[k].items():
-                    _tensor_add(rhs, (j, a, b), c * d)
-            if lhs != rhs:
-                witness = i
-                break
-        checks.append(AxiomCheck("coassociativity", witness is None, witness))
-
-        witness = None
-        if self.comult_of(self.unit) != _tensor2_of_pair(self.unit, self.unit, field):
-            witness = "unit"
-        else:
-            for i in range(dim):
-                for j in range(dim):
-                    lhs = {}
-                    for k, c in self.mult[i][j].items():
-                        for jk, d in self.comult[k].items():
-                            _tensor_add(lhs, jk, c * d)
-                    rhs = self._tensor2_product(self.comult[i], self.comult[j])
-                    if lhs != rhs:
-                        witness = (i, j)
-                        break
-                if witness:
-                    break
-        checks.append(AxiomCheck("comult_is_algebra_map", witness is None, witness))
-
-        witness = None
-        if not self.counit_of(self.unit).is_one():
-            witness = "unit"
-        else:
-            for i in range(dim):
-                for j in range(dim):
-                    lhs = field.zero
-                    for k, c in self.mult[i][j].items():
-                        lhs = lhs + c * self.counit[k]
-                    if lhs != self.counit[i] * self.counit[j]:
-                        witness = (i, j)
-                        break
-                if witness:
-                    break
-        checks.append(AxiomCheck("counit_is_algebra_map", witness is None, witness))
-
-        witness = None
-        for i in range(dim):
-            left = self.zero()
-            right = self.zero()
-            for (j, k), c in self.comult[i].items():
-                left = vec_add(left, vec_scale(self.multiply(self.antipode[j], self.basis(k)), c))
-                right = vec_add(right, vec_scale(self.multiply(self.basis(j), self.antipode[k]), c))
-            target = vec_scale(self.unit, self.counit[i])
-            if not (vec_eq(left, target) and vec_eq(right, target)):
-                witness = i
-                break
-        checks.append(AxiomCheck("antipode", witness is None, witness))
+        tensors = _IntegerTensors(self)
+        for name, witness in (("coassociativity", tensors.coassociativity_witness()),
+                              ("comult_is_algebra_map", tensors.comult_is_algebra_map_witness()),
+                              ("counit_is_algebra_map", tensors.counit_is_algebra_map_witness()),
+                              ("antipode", tensors.antipode_witness())):
+            checks.append(AxiomCheck(name, witness is None, witness))
 
         witness = None
         for i in range(dim):
@@ -410,7 +372,7 @@ class HopfAlgebra(AlgebraPresentation):
         checks.append(AxiomCheck("antipode_involutive", witness is None, witness))
 
         if self.r_matrix is not None:
-            checks.extend(self._quasitriangular_checks())
+            checks.extend(tensors.quasitriangular_checks())
         return AxiomReport(checks)
 
     def require_axioms(self):
@@ -419,64 +381,6 @@ class HopfAlgebra(AlgebraPresentation):
         report = self.verify()
         if not report.ok:
             raise AxiomError(report)
-
-    def _tensor2_product(self, t1, t2):
-        out = {}
-        for (a, b), c in t1.items():
-            for (x, y), d in t2.items():
-                f = c * d
-                for m, cm in self.mult[a][x].items():
-                    for n, cn in self.mult[b][y].items():
-                        _tensor_add(out, (m, n), f * cm * cn)
-        return out
-
-    def _quasitriangular_checks(self):
-        checks = []
-        R = self.r_matrix
-        # invertibility via the standard inverse (S x id)R
-        r_inv = {}
-        for (i, j), c in R.items():
-            for m, cm in enumerate(self.antipode[i]):
-                if not cm.is_zero() and not c.is_zero():
-                    _tensor_add(r_inv, (m, j), c * cm)
-        prod = self._tensor2_product(R, r_inv)
-        unit_tensor = _tensor2_of_pair(self.unit, self.unit, self.field)
-        checks.append(AxiomCheck("r_invertible", prod == unit_tensor))
-
-        # (Delta x id)R = R13 R23
-        lhs, rhs = {}, {}
-        for (i, j), c in R.items():
-            for (a, b), d in self.comult[i].items():
-                _tensor_add(lhs, (a, b, j), c * d)
-        for (a, b), c in R.items():
-            for (x, y), d in R.items():
-                f = c * d
-                for m, cm in self.mult[b][y].items():
-                    _tensor_add(rhs, (a, x, m), f * cm)
-        checks.append(AxiomCheck("r_left_coproduct", lhs == rhs))
-
-        # (id x Delta)R = R13 R12
-        lhs, rhs = {}, {}
-        for (i, j), c in R.items():
-            for (a, b), d in self.comult[j].items():
-                _tensor_add(lhs, (i, a, b), c * d)
-        for (a, b), c in R.items():  # R13
-            for (x, y), d in R.items():  # R12
-                f = c * d
-                for m, cm in self.mult[a][x].items():
-                    _tensor_add(rhs, (m, y, b), f * cm)
-        checks.append(AxiomCheck("r_right_coproduct", lhs == rhs))
-
-        witness = None
-        for h in range(self.dim):
-            flipped = {(k, j): c for (j, k), c in self.comult[h].items()}
-            lhs = self._tensor2_product(flipped, R)
-            rhs = self._tensor2_product(R, self.comult[h])
-            if lhs != rhs:
-                witness = h
-                break
-        checks.append(AxiomCheck("r_intertwines_coproduct", witness is None, witness))
-        return checks
 
     # -- semisimple structure ----------------------------------------------------
 
@@ -583,6 +487,203 @@ class HopfAlgebra(AlgebraPresentation):
     def __repr__(self):
         tag = self.name or "HopfAlgebra"
         return f"<{tag}: dim {self.dim} over {self.field!r}>"
+
+
+class _IntegerTensors:
+    """The tensors of a Hopf algebra as integer slices over one common
+    denominator D (see linalg._int_terms), read once for one verify() call.
+    Each check sums both sides of its identity into one integer dict per
+    basis index (or pair) and returns the first index, in loop order, at
+    which they differ, or None."""
+
+    def __init__(self, hopf):
+        r = hopf.r_matrix or {}
+        self.field = hopf.field
+        self.D = D = _common_denominator(itertools.chain(
+            (c for row in hopf.mult for cell in row for c in cell.values()),
+            (c for cell in hopf.comult for c in cell.values()),
+            hopf.unit, hopf.counit, itertools.chain.from_iterable(hopf.antipode), r.values()))
+        self.mult = _int_mult(hopf.mult, D)                      # [i][j]: [(k, t, x)]
+        self.comult = [[(j, k, t, x) for (j, k), t, x in _int_cell(cell, D)]
+                       for cell in hopf.comult]                  # [i]: [(j, k, t, x)]
+        self.unit = [_int_terms(c, D) for c in hopf.unit]        # [i]: [(t, x)]
+        self.counit = [_int_terms(c, D) for c in hopf.counit]
+        self.antipode = [_int_cell(_to_sparse(row), D) for row in hopf.antipode]  # [i]: [(j, t, x)]
+        self.r = [(i, j, t, x) for (i, j), t, x in _int_cell(r, D)]
+
+    def _add_product(self, acc, t1, t2, sign):
+        """acc += sign * t1 t2 in H (x) H, for t1 and t2 lists of
+        (a, b, t, x); keys (m, n, zeta power)."""
+        mult = self.mult
+        for a, b, t, x in t1:
+            mult_a, mult_b = mult[a], mult[b]
+            for c, d, u, y in t2:
+                ac = mult_a[c]
+                if not ac:
+                    continue
+                bd = mult_b[d]
+                if not bd:
+                    continue
+                xy, tu = sign * x * y, t + u
+                for m, v, z in ac:
+                    f, tuv = xy * z, tu + v
+                    for n, w, e in bd:
+                        key = (m, n, tuv + w)
+                        acc[key] = acc.get(key, 0) + f * e
+
+    def _sub_unit_tensor(self, acc, scale):
+        """acc -= scale * 1 (x) 1; keys (a, b, zeta power)."""
+        for a, terms_a in enumerate(self.unit):
+            for t, x in terms_a:
+                for b, terms_b in enumerate(self.unit):
+                    for u, y in terms_b:
+                        key = (a, b, t + u)
+                        acc[key] = acc.get(key, 0) - scale * x * y
+
+    def coassociativity_witness(self):
+        """First i with (Delta x id) Delta(e_i) != (id x Delta) Delta(e_i)."""
+        comult = self.comult
+        for i, cell in enumerate(comult):
+            acc = {}
+            for j, k, t, x in cell:
+                for a, b, u, y in comult[j]:
+                    key = (a, b, k, t + u)
+                    acc[key] = acc.get(key, 0) + x * y
+                for a, b, u, y in comult[k]:
+                    key = (j, a, b, t + u)
+                    acc[key] = acc.get(key, 0) - x * y
+            if _first_nonzero(self.field, acc) is not None:
+                return i
+        return None
+
+    def comult_is_algebra_map_witness(self):
+        """"unit" if Delta(1) != 1 (x) 1, else the first (i, j) with
+        Delta(e_i e_j) != Delta(e_i) Delta(e_j)."""
+        comult, D2 = self.comult, self.D ** 2
+        acc = {}
+        for i, terms in enumerate(self.unit):
+            for t, x in terms:
+                for a, b, u, y in comult[i]:
+                    key = (a, b, t + u)
+                    acc[key] = acc.get(key, 0) + x * y
+        self._sub_unit_tensor(acc, 1)
+        if _first_nonzero(self.field, acc) is not None:
+            return "unit"
+        for i, mult_i in enumerate(self.mult):
+            for j, cell in enumerate(mult_i):
+                acc = {}
+                for k, t, x in cell:  # two factors against four
+                    x *= D2
+                    for a, b, u, y in comult[k]:
+                        key = (a, b, t + u)
+                        acc[key] = acc.get(key, 0) + x * y
+                self._add_product(acc, comult[i], comult[j], -1)
+                if _first_nonzero(self.field, acc) is not None:
+                    return i, j
+        return None
+
+    def counit_is_algebra_map_witness(self):
+        """"unit" if eps(1) != 1, else the first (i, j) with
+        eps(e_i e_j) != eps(e_i) eps(e_j)."""
+        counit = self.counit
+        acc = {(0,): -self.D ** 2}
+        for i, terms in enumerate(self.unit):
+            for t, x in terms:
+                for u, y in counit[i]:
+                    key = (t + u,)
+                    acc[key] = acc.get(key, 0) + x * y
+        if _first_nonzero(self.field, acc) is not None:
+            return "unit"
+        for i, mult_i in enumerate(self.mult):
+            acc = {}
+            for j, cell in enumerate(mult_i):
+                for k, t, x in cell:
+                    for u, y in counit[k]:
+                        key = (j, t + u)
+                        acc[key] = acc.get(key, 0) + x * y
+                for t, x in counit[i]:
+                    for u, y in counit[j]:
+                        key = (j, t + u)
+                        acc[key] = acc.get(key, 0) - x * y
+            first = _first_nonzero(self.field, acc)
+            if first is not None:
+                return i, first[0]
+        return None
+
+    def antipode_witness(self):
+        """First i with S(e_i1) e_i2 != eps(e_i) 1 or e_i1 S(e_i2) != eps(e_i) 1;
+        keys (side, n, zeta power)."""
+        mult, antipode, D = self.mult, self.antipode, self.D
+        for i, cell in enumerate(self.comult):
+            acc = {}
+            for j, k, t, x in cell:
+                for q, u, y in antipode[j]:
+                    xy, tu = x * y, t + u
+                    for n, v, z in mult[q][k]:
+                        key = (0, n, tu + v)
+                        acc[key] = acc.get(key, 0) + xy * z
+                for q, u, y in antipode[k]:
+                    xy, tu = x * y, t + u
+                    for n, v, z in mult[j][q]:
+                        key = (1, n, tu + v)
+                        acc[key] = acc.get(key, 0) + xy * z
+            for t, x in self.counit[i]:  # two factors against three
+                for n, terms in enumerate(self.unit):
+                    for u, y in terms:
+                        for side in (0, 1):
+                            key = (side, n, t + u)
+                            acc[key] = acc.get(key, 0) - D * x * y
+            if _first_nonzero(self.field, acc) is not None:
+                return i
+        return None
+
+    def quasitriangular_checks(self):
+        """The four identities of the attached R-matrix; only the last
+        names a witness."""
+        field, D, R, comult, mult = self.field, self.D, self.r, self.comult, self.mult
+        checks = []
+        # invertibility via the standard inverse (S x id)R: five factors
+        # against two
+        acc = {}
+        r_inv = [(m, j, t + u, x * y) for i, j, t, x in R for m, u, y in self.antipode[i]]
+        self._add_product(acc, R, r_inv, 1)
+        self._sub_unit_tensor(acc, D ** 3)
+        checks.append(AxiomCheck("r_invertible", _first_nonzero(field, acc) is None))
+
+        # (Delta x id)R = R13 R23 and (id x Delta)R = R13 R12: two factors
+        # against three
+        left, right = {}, {}
+        for i, j, t, x in R:
+            x *= D
+            for a, b, u, y in comult[i]:
+                key = (a, b, j, t + u)
+                left[key] = left.get(key, 0) + x * y
+            for a, b, u, y in comult[j]:
+                key = (i, a, b, t + u)
+                right[key] = right.get(key, 0) + x * y
+        for a, b, t, x in R:
+            for c, d, u, y in R:
+                xy, tu = x * y, t + u
+                for m, v, z in mult[b][d]:
+                    key = (a, c, m, tu + v)
+                    left[key] = left.get(key, 0) - xy * z
+                for m, v, z in mult[a][c]:
+                    key = (m, d, b, tu + v)
+                    right[key] = right.get(key, 0) - xy * z
+        checks.append(AxiomCheck("r_left_coproduct", _first_nonzero(field, left) is None))
+        checks.append(AxiomCheck("r_right_coproduct", _first_nonzero(field, right) is None))
+
+        # Delta^op(h) R = R Delta(h)
+        witness = None
+        for h, cell in enumerate(comult):
+            acc = {}
+            self._add_product(acc, [(k, j, t, x) for j, k, t, x in cell], R, 1)
+            self._add_product(acc, R, cell, -1)
+            if _first_nonzero(field, acc) is not None:
+                witness = h
+                break
+        checks.append(AxiomCheck("r_intertwines_coproduct", witness is None, witness))
+        return checks
 
 
 def _tensor2_of_pair(x, y, field):

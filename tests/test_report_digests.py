@@ -3,9 +3,14 @@
 A refactor must keep every report byte-identical.  Each case runs one CLI
 command in-process and compares the sha256 of its stdout, plus its exit
 code, against the value pinned below.  The set covers `solvable-find` and
-`nilpotent-check` on every corpus file except d-s3, `characters` with and
-without `--text` on every corpus file, and `coideal` and `reciprocity` for
-every label but the first of s3, s3-dual and d-z2.
+`nilpotent-check` on every corpus file except d-s3, `verify` and
+`characters` with and without `--text` on every corpus file, and `coideal`
+and `reciprocity` for every label but the first of s3, s3-dual and d-z2.
+
+`verify` is also pinned, with and without `--text`, on tampered copies of
+corpus files (one entry of one tensor replaced, some by irrational or
+fractional values), so that every tensor check fails in some report and
+its witness is pinned too.
 
 A change that is meant to alter a report regenerates the table with
 
@@ -15,6 +20,9 @@ and says in its description which reports changed and why.
 """
 
 import hashlib
+import json
+import os
+import tempfile
 
 import pytest
 from click.testing import CliRunner
@@ -24,6 +32,24 @@ from hopflab.corpus import corpus_file, corpus_names, load
 
 COIDEAL_FILES = ("s3", "s3-dual", "d-z2")
 
+# (corpus file, section, entry index, new value): the entry's scalar is
+# replaced.  Between them the copies fail every check of `verify`.
+TAMPERED = (
+    ("s3", "mult", 9, "2"),
+    ("z3", "mult", 5, "z"),
+    ("d-s3", "mult", 100, "1/2"),
+    ("d-z2", "mult", 5, "-1"),
+    ("d-s3", "comult", 150, "z^2"),
+    ("d4", "comult", 5, "1/2"),
+    ("s3-dual", "comult", 20, "z"),
+    ("s3-dual", "counit", 2, "1"),
+    ("z6", "counit", 4, "z"),
+    ("d-z2", "antipode", 1, "2"),
+    ("q8", "antipode", 5, "z"),
+    ("d-s3", "r_matrix", 20, "z"),
+    ("q8", "unit", 0, "1/2"),
+)
+
 
 def _commands():
     commands = []
@@ -31,8 +57,9 @@ def _commands():
         if name != "d-s3":
             for command in ("solvable-find", "nilpotent-check"):
                 commands.append((command, name))
-        commands.append(("characters", name))
-        commands.append(("characters", name, "--text"))
+        for command in ("verify", "characters"):
+            commands.append((command, name))
+            commands.append((command, name, "--text"))
     for name in COIDEAL_FILES:
         hopf, _ = load(name, verify=False)
         for i in range(1, hopf.dim):
@@ -41,45 +68,91 @@ def _commands():
     return commands
 
 
-def _digest(args):
+def _digest(args, path=None):
     command, name, *rest = args
-    result = CliRunner().invoke(main, [command, str(corpus_file(name)), *rest])
+    result = CliRunner().invoke(main, [command, str(path or corpus_file(name)), *rest])
     return hashlib.sha256(result.stdout_bytes).hexdigest(), result.exit_code
+
+
+def _tampered_cases():
+    """(case, text flag, key in PINNED) for each tampered copy, with and
+    without --text."""
+    cases = []
+    for case in TAMPERED:
+        name, section, index, value = case
+        for text in ((), ("--text",)):
+            cases.append((case, text, " ".join(("verify", f"{name} {section}[{index}]={value}", *text))))
+    return cases
+
+
+def _tampered_digest(directory, case, text):
+    """Digest of `verify` on the corpus file `case` names with one entry
+    replaced; the file name and bytes, which the report's input block
+    records, are fixed."""
+    name, section, index, value = case
+    data = json.loads(corpus_file(name).read_text())
+    entries = data[section]
+    if isinstance(entries[index], list):
+        entries[index][-1] = value
+    else:
+        entries[index] = value
+    path = os.path.join(directory, f"{name}-{section}-{index}.hopf.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return _digest(("verify", name, *text), path)
 
 
 PINNED = {
     'solvable-find z2': ('cfa508e3d882e6a7502169017061884a367947d4b6cffa9cc4d24b6a0d247ff5', 0),
     'nilpotent-check z2': ('6e6455e05d2cf3bea53faf1b770d8868d1b692447d3bf227622fdabcf280a7ee', 0),
+    'verify z2': ('5f35ed720170590efb4206c72e616f547c0db36ad4bbac3256cd118702c8b545', 0),
+    'verify z2 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters z2': ('23ba22b0d0b9badaa9cb94fe669d886cb728d06e307035effefcc3a91de82bde', 0),
     'characters z2 --text': ('2cb39893455e18b5d9945d49abb6418d3d207eef06eba6aece005a27517c4247', 0),
     'solvable-find z3': ('c6517b23bb8e8efc4d40c9da8328d90ed73a87c4b1ac2fc5813a3c6b04e1d7eb', 0),
     'nilpotent-check z3': ('ab29094506252d51f11fb6f273d06baae2154ebac2ae311f4f1256ae5135865b', 0),
+    'verify z3': ('b1003c78796955ebde489887b35a64237511a7c79b5b2c7e8ba02f6cbbc3ade5', 0),
+    'verify z3 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters z3': ('c6ddf4200e76920aff7f54c207fb673f5bfb9c75c5d0df6ed579cf7b89a205b4', 0),
     'characters z3 --text': ('f42745128242860270ebc6ac19e94e13e6a248e311ccc1ddb6a46bc212dcc6ef', 0),
     'solvable-find z6': ('3b2c93bbfb8daa99c18893c4d01e2ec69b6e6095bea442b1a66001a11f789dda', 0),
     'nilpotent-check z6': ('1a9bddf4ff0e30a6c245ddf3dd1302d371ecd951f5cdea7a7e809990bd20fa54', 0),
+    'verify z6': ('e22882d9bd26dbe2612b8bbf7bbafbc803f41c57cc7cfea673c465bdc6cdcec5', 0),
+    'verify z6 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters z6': ('84ea73d2af443874d22f2a41340a384cd90cc12ea0409fc3391ca0e067514623', 0),
     'characters z6 --text': ('4cc967ecc2688018d4a372cac51e2ea2607f199246ce71149eee5397a3fa015a', 0),
     'solvable-find s3': ('47cff9b88f14d00a90a82de8062ee339fd95e586c87b8bd4cb2a871c66861dd6', 0),
     'nilpotent-check s3': ('ad91d7abc8c0b70c57282beec9891e1464d691db7fd0abdb4e79c3e0a28a7c5b', 1),
+    'verify s3': ('f844a04a9ec3601f74112d2cd3e6029f72fcdcb61d5bc45283811af77c6c2a92', 0),
+    'verify s3 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters s3': ('cdd6632e75368a850775bde9018ad66447a0d6489c08d6f9d457f81b5ad18bd6', 0),
     'characters s3 --text': ('ef30b34dc67c9203c863af2878aa02c84ea766a51cfbb89f16124a2223fa6733', 0),
     'solvable-find s3-dual': ('1761b79a2f4e75e52f9746830eb7b7bb3e13c9064658433633f682216af170da', 0),
     'nilpotent-check s3-dual': ('78c0c5bf733a014bed7f4fba1a5edc8d7ca1374bf22c0176311edf2f62dc5e9e', 0),
+    'verify s3-dual': ('6aa18d515f4ee431cfc94bb844bf9af6d71d0454797468a4099479e6f30c2d10', 0),
+    'verify s3-dual --text': ('76a827338a8f93f92766eea8eb48ee13427b0a06e728232f893a0d79cafd18fe', 0),
     'characters s3-dual': ('9cde6d6c3e410404984b311f8845d81ff72cba32aa278ec92aeb3bc1a8e0d3e4', 0),
     'characters s3-dual --text': ('5464c93f3e6682080055834a63bc10f7c7913523510f384346773f3d9cba68a3', 0),
     'solvable-find d4': ('e6abd666011a7686a3cb7b203c47c79baf0b4a4df845f88283918378b70dbca7', 0),
     'nilpotent-check d4': ('99de8f8a7ca3f40ccd9e50721803c7b394bda80c5f2e3cb3b7775be3c78c0617', 0),
+    'verify d4': ('786efcd43fdea03c4baad377338d295b6d47d2e494c64ba90faa004fcb9446e8', 0),
+    'verify d4 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters d4': ('110a4c80ed301a64e44ac0c9cf2c7cdc267d8a5a0d2bc933de2af6dd9bbbd685', 0),
     'characters d4 --text': ('ccb0562513b42204afb8fa23aa7f7701b6bc1f6d84be6969e886750a6a638fad', 0),
     'solvable-find q8': ('e1bd586d8a2912a4b87b9425ed969aac00e64713890027bf8f954362e8b87267', 0),
     'nilpotent-check q8': ('43f205ff039e037b9e61cbb8149f1be0d438be84941ba0cdf3099ac3ec24e500', 0),
+    'verify q8': ('a0712ce04f2137119094253c7931e89ab46f6673f9ff5ef4c99c70941d1e844c', 0),
+    'verify q8 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters q8': ('8f68822e6f1c6048ada87c20615e5cb09e091da43ba499ffd1de39a5903ba860', 0),
     'characters q8 --text': ('82e9023b3fea1578804d423ae7000eaac2218cda317bc37505aa4084fa45fdd4', 0),
     'solvable-find d-z2': ('1353a74951696021703b320ef9765f9428892fee92c0fd90ad604e0cd7868674', 0),
     'nilpotent-check d-z2': ('69c7f645c806f93bde6a7cecd652be3bbd62f2c6dcb8a784869c806c5a4b8d9d', 0),
+    'verify d-z2': ('47791aedafb479e5aaf6f0789bf62ad9a712cccd7bab0bcf1f76c61fe1b0c737', 0),
+    'verify d-z2 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters d-z2': ('68810433b12977c7f85403dfdaa71d7d7a2bfe1a1cd56741bc2ac824c7e8c0bb', 0),
     'characters d-z2 --text': ('bede68a30fbf38ed25fd33a73ab08595bde25e30c79458d7d89811dd37b761a8', 0),
+    'verify d-s3': ('9417fabfcc582506bb52d87f681fba9f023ac10617f5a6110d58584f9301f840', 0),
+    'verify d-s3 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters d-s3': ('9037dd43a9941509b79d5c9bfd08945be50324f72bf2335460576c18c8cf7b51', 0),
     'characters d-s3 --text': ('071d5316f1eafe4e596d22e71dda76ec5cb137c75793097f643e56bd60cfe4c6', 0),
     'coideal s3 --gens (23)': ('39f5281e18a8618c3c375eb8ebcd03670af1a0159b4c3c39dc94c2b8789b1fc6', 0),
@@ -108,6 +181,32 @@ PINNED = {
     'reciprocity d-z2 --gens g*|e': ('0107e85b14365844b2d01160b9bf83a58181a3694240986513da253e6ba31882', 0),
     'coideal d-z2 --gens g*|g': ('b5ac364871b26749aaa93a33e5cdcacdcff67903ba51a0e5740fc8d57927496a', 0),
     'reciprocity d-z2 --gens g*|g': ('8d97598edefb27017d62f80d4afd858adfdccc8403e6757896cf9a9f8c9e1083', 0),
+    'verify s3 mult[9]=2': ('d271702bca0937b8552f46db41fb3106c947de594549d3bf7086414c976644c9', 1),
+    'verify s3 mult[9]=2 --text': ('ee2cffb73c36ff2e93b76ef94da18de21fcb78172edb34cf695fd530fb03a038', 1),
+    'verify z3 mult[5]=z': ('60132c06611f8f99ff16985389f2163d352a289f73057620531f807760c3e799', 1),
+    'verify z3 mult[5]=z --text': ('31f6140ba6f525950d54e459d7a14a5941bc839df951d535069fbd725a6b62e1', 1),
+    'verify d-s3 mult[100]=1/2': ('718bdf00a9ab5f4fa93853e3d4148da3ad79f419fe9b874e6bdefed2b851f76f', 1),
+    'verify d-s3 mult[100]=1/2 --text': ('9e55ee1acfc709fafd3679817074dcea85dd503f6133780753db86be51b65e3a', 1),
+    'verify d-z2 mult[5]=-1': ('119b1bf7d260c0ab8735fb06b84784f4a71545f1ffb02cfd0d24e5d4808b47e3', 1),
+    'verify d-z2 mult[5]=-1 --text': ('f8b68d8f93b9cf9aeecdcfbe48ca8e7e52ca1525e81b43ebbb18c40910b97985', 1),
+    'verify d-s3 comult[150]=z^2': ('f0791f8a30c736346061e58bf8cd4c3171f9812500c1b08debde11b79d621f55', 1),
+    'verify d-s3 comult[150]=z^2 --text': ('ce7b0a831794b3e84a2bfdf89f1e598df22cb1641e06477d4e0bff40cfac174c', 1),
+    'verify d4 comult[5]=1/2': ('94801a749320e95030a8b31d43fc8f22b59de558647fd7ce66657688313d33b2', 1),
+    'verify d4 comult[5]=1/2 --text': ('51e6a7738ec887fc20bd806b9ced7d1f0b822d659933c167be6242b30974b67e', 1),
+    'verify s3-dual comult[20]=z': ('2a7344061af2a86b278f7e2392138869f2b6721b85b01bafecdfa4c6105ad305', 1),
+    'verify s3-dual comult[20]=z --text': ('25734b82a9eda7e5e9e2babe115f991c9dbc57cda07740f246b958ebfd68da70', 1),
+    'verify s3-dual counit[2]=1': ('16b41f444ed885b4297fc25ad8944592c81f533f921421d5c7246c04ab5fb5e8', 1),
+    'verify s3-dual counit[2]=1 --text': ('f2f6539f80f6d0c05d286796a24ce8152b3bcb18c46aa84e53ce762b86c1c98d', 1),
+    'verify z6 counit[4]=z': ('9bf5e6ba24a87b40672d64389d9f6ec07d1db161b92e498a1d58087ac4229ab9', 1),
+    'verify z6 counit[4]=z --text': ('03c08f3a1a0257ebae5f880f1b9130bb53281ebc18c163ae8b67b9f722789846', 1),
+    'verify d-z2 antipode[1]=2': ('982af31e46c5447c067f258257ea2f65cebf948416061b13b36911bc9f014230', 1),
+    'verify d-z2 antipode[1]=2 --text': ('d2f74f09f6443a1f762f8df7e18f736bfb1a787647f0ffec7e2ac66bce7f8928', 1),
+    'verify q8 antipode[5]=z': ('f8b0d3b923b33e43afbbc2e8d573b5d3889418ce32fb5dc984bfc82b0863a7fa', 1),
+    'verify q8 antipode[5]=z --text': ('0c5939587751cd836d3b85fccaad03a81c222a0cabbecaeeee4a9fca97c802c6', 1),
+    'verify d-s3 r_matrix[20]=z': ('1695448df786c929ba5bf2ad1acc61528ad111cf7520894a621703c7e5f7d2f3', 1),
+    'verify d-s3 r_matrix[20]=z --text': ('ccf30cf4c53832db8bc426e4f2d9d5c070c6e7e1ecef5395c2598b77d824c59f', 1),
+    'verify q8 unit[0]=1/2': ('bff70e211b9afd517f3069dbc2e8ff07e9d8a6f703aa24b85404c83e50a84726', 1),
+    'verify q8 unit[0]=1/2 --text': ('582c6409712397b6ad820925f991890bc48222ffeb45d2915543b8184af7dbf5', 1),
 }
 
 
@@ -116,7 +215,16 @@ def test_report_matches_pinned_digest(args):
     assert _digest(args) == PINNED[" ".join(args)]
 
 
+@pytest.mark.parametrize("case, text, key", [pytest.param(*c, id=c[-1]) for c in _tampered_cases()])
+def test_tampered_verify_report_matches_pinned_digest(case, text, key, tmp_path):
+    assert _tampered_digest(tmp_path, case, text) == PINNED[key]
+
+
 if __name__ == "__main__":
     for args in _commands():
         digest, code = _digest(args)
         print(f"    {' '.join(args)!r}: ({digest!r}, {code}),")
+    with tempfile.TemporaryDirectory() as directory:
+        for case, text, key in _tampered_cases():
+            digest, code = _tampered_digest(directory, case, text)
+            print(f"    {key!r}: ({digest!r}, {code}),")
