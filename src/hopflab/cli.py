@@ -8,8 +8,8 @@ command twice on the same input produces byte-identical output.
 
 HOPFLAB_CYCLOTOMIC_ORDER overrides the file-level conductor (must be a
 multiple) to retry computations that raised a field-too-small error.  A
-value that is not a positive integer, like a malformed --chain or --hints
-file, is an operational error.
+value that is not a positive integer, like a malformed --chain file, is an
+operational error.
 """
 
 from __future__ import annotations
@@ -302,30 +302,25 @@ def induce(file, gens, char_index, workspace, as_text):
           as_text=as_text)
 
 
-def _label_lists_from_file(path, what, keywords=()):
-    """The entries of a --chain or --hints file: a JSON list (a chain file
-    may also be {"chain": [...]}) whose entries are lists of basis labels
-    or one of the keywords.  Anything else raises SchemaError."""
+def _chain_from_file(hopf, path):
+    """The chain a --chain file names: a JSON list, or {"chain": [...]},
+    whose entries are "k", "H" or lists of basis labels.  Anything else
+    raises SchemaError."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as err:
-        raise SchemaError(f"cannot read {what} file: {err}") from err
-    if what == "chain" and isinstance(data, dict):
+        raise SchemaError(f"cannot read chain file: {err}") from err
+    if isinstance(data, dict):
         data = data.get("chain")
     if not isinstance(data, list):
-        raise SchemaError(f"{what} file does not hold a list of entries")
+        raise SchemaError("chain file does not hold a list of entries")
     for entry in data:
-        if entry in keywords:
-            continue
-        if not (isinstance(entry, list) and all(isinstance(label, str) for label in entry)):
-            raise SchemaError(f"{what} entry {entry!r} is not a list of basis labels")
-    return data
-
-
-def _chain_from_file(hopf, path):
+        if entry not in ("k", "H") and not (
+                isinstance(entry, list) and all(isinstance(label, str) for label in entry)):
+            raise SchemaError(f"chain entry {entry!r} is not a list of basis labels")
     chain = []
-    for entry in _label_lists_from_file(path, "chain", keywords=("k", "H")):
+    for entry in data:
         if entry == "k":
             chain.append(coideal_closure(hopf, []))
         elif entry == "H":
@@ -354,18 +349,13 @@ def solvable_check(file, chain_file, workspace, as_text):
 
 @main.command(name="solvable-find")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--hints", "hints_file", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="JSON list of generator-label lists to seed the search")
 @workspace_option
 @text_option
-def solvable_find(file, hints_file, workspace, as_text):
-    """Search for a solvable series (semi-decision; may answer undecided)."""
+def solvable_find(file, workspace, as_text):
+    """Search for a solvable series through normal coideal subalgebras
+    (may answer undecided)."""
     hopf, digest = _load(file)
-    hints = []
-    if hints_file:
-        for entry in _label_lists_from_file(hints_file, "hints"):
-            hints.append(_parse_gens(hopf, ",".join(entry)))
-    report = find_solvable_series(hopf, hints)
+    report = find_solvable_series(hopf)
     text = f"verdict: {report.verdict}  dims: {[c.dim for c in report.chain]}"
     _emit("solvable-find", report.to_dict(), 0 if report.ok else 1,
           input_file=file, input_hash=digest, workspace=workspace,

@@ -11,12 +11,13 @@ them on basis pairs is exhaustive.  Normality of the chain members is not
 required by the conditions themselves and is surfaced separately as a
 diagnostic.
 
-find_solvable_series is a semi-decision procedure: it searches a
-deterministic candidate pool (hints, Hopf center, commutator iterates,
-left kernels of the irreducible modules, read off their characters) and
-recurses through quotients.
-It returns check_solvable_series's own report on the series it found, or
-the verdict "undecided", never an unverified claim.
+find_solvable_series searches the chains k < N < ... with N normal,
+recursing through H//N.  Its candidates N are the lattice of left kernels:
+the meet-closure of the left kernels of the irreducible modules, read off
+their characters, which for semisimple H is every normal left coideal
+subalgebra.  It returns check_solvable_series's own report on the series
+it found, or the verdict "undecided" when no chain of that class exists,
+never an unverified claim.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from .coideal import (
     CoidealSubalgebra,
     coideal_closure,
     coideal_from_subspace,
-    commutator_subalgebra,
     hopf_center,
     invariants_of,
     quotient,
 )
 from .coideal import _invariants
 from .errors import ChainError, HopfLabError, NotNormalError
-from .harmonic import hopf_subalgebra_data
 from .hopf import HopfAlgebra
 from .linalg import Subspace, _left_ideal, _subalgebra_generated, vec_eq, vec_scale
 
@@ -302,64 +301,43 @@ def check_quotient_lifting(hopf: HopfAlgebra, n_ctx, quotient_report: SeriesRepo
 # -- search -----------------------------------------------------------------
 
 
-def _normal_candidates(hopf: HopfAlgebra, hints=()):
-    """Deterministic pool of proper nontrivial normal coideal subalgebras."""
-    seen = {}
+def _normal_candidates(hopf: HopfAlgebra):
+    """The proper nontrivial normal left coideal subalgebras of H, ordered
+    by dim, then echelon basis.
 
-    def add(space):
-        if space.dim <= 1 or space.dim >= hopf.dim:
-            return
-        if space in seen:
-            return
-        ctx = coideal_from_subspace(hopf, space)
-        if ctx.normal:
-            seen[space] = ctx
-
-    for gens in hints:
-        ctx = coideal_closure(hopf, gens)
-        if 1 < ctx.dim < hopf.dim and ctx.normal:
-            seen.setdefault(ctx.space, ctx)
-
-    add(hopf_center(hopf))
-
-    # derived series of commutator subalgebras, while they stay Hopf
-    cur = commutator_subalgebra(hopf)
-    for _ in range(hopf.dim):
-        if cur.dim > 1:
-            add(cur.space)
-        if cur.dim == 1 or not cur.hopf_subalgebra:
-            break
-        sub = hopf_subalgebra_data(cur)
-        inner = commutator_subalgebra(sub)
-        space = cur.space.lift(inner.space)
-        if space.dim == cur.dim:
-            break
-        cur = coideal_from_subspace(hopf, space)
-
-    # left kernels LKer(V_chi) = {h : chi -> h = <chi, 1> h} (Burciu)
+    For semisimple H these are the left kernels of modules (Burciu), and
+    LKer(V + W) = LKer V cap LKer W, so they are the meet-closure of the
+    irreducible left kernels LKer(V_chi) = {h : chi -> h = <chi, 1> h}.
+    """
+    lattice = set()
     for chi in hopf.character_table().characters:
-        add(_invariants(hopf, Subspace.from_vectors(hopf.field, hopf.dim, [chi])))
+        kernel = _invariants(hopf, Subspace.from_vectors(hopf.field, hopf.dim, [chi]))
+        if kernel not in lattice:
+            lattice |= {kernel} | {kernel.intersect(member) for member in lattice}
+    members = [space for space in lattice if 1 < space.dim < hopf.dim]
+    return sorted(members, key=lambda space: (
+        space.dim, tuple(tuple(c.sort_key() for c in row) for row in space.basis)))
 
-    def sort_key(ctx):
-        return (ctx.dim, tuple(tuple(c.sort_key() for c in row) for row in ctx.space.basis))
 
-    return sorted(seen.values(), key=sort_key)
-
-
-def find_solvable_series(hopf: HopfAlgebra, hints=()) -> SeriesReport:
-    """Greedy recursive search for a solvable series from k to H.
+def find_solvable_series(hopf: HopfAlgebra) -> SeriesReport:
+    """Recursive search for a solvable series: k < H, else k < N followed
+    by the lift of a series of H//N found the same way, for each N in the
+    lattice of left kernels (_normal_candidates).
 
     Returns check_solvable_series's own report on the chain found, or one
-    with verdict "undecided" -- never a false negative claim.
+    with verdict "undecided" when no chain of that class passes.  That is
+    not a claim that H is not solvable in the paper's sense: its series
+    need not pass through normal coideal subalgebras of H.
     """
-    report = _search(hopf, hints)
+    report = _search(hopf)
     return report if report is not None else SeriesReport([], [], "undecided")
 
 
-def _search(hopf: HopfAlgebra, hints=()):
+def _search(hopf: HopfAlgebra):
     """check_solvable_series's report on the first chain found that passes
     it, or None: k < H, else k < N followed by the lift of a series of
-    H//N, for each candidate N whose step from k holds."""
+    H//N, for each candidate N whose step from k holds.  A candidate's
+    context is built only when the loop reaches it."""
     k_ctx = coideal_closure(hopf, [])
     if hopf.dim == 1:
         return check_solvable_series(hopf, [k_ctx])
@@ -367,7 +345,10 @@ def _search(hopf: HopfAlgebra, hints=()):
     report = check_solvable_series(hopf, [k_ctx, full_ctx])
     if report.ok:
         return report
-    for cand in _normal_candidates(hopf, hints):
+    for space in _normal_candidates(hopf):
+        cand = coideal_from_subspace(hopf, space)
+        if not cand.normal:
+            raise HopfLabError(f"left-kernel lattice member of dim {space.dim} is not normal")
         if not step_conditions(k_ctx, cand).ok:
             continue
         hq = quotient(hopf, cand)

@@ -1,6 +1,8 @@
 """Independent group-theoretic oracles computed straight from Cayley
 tables, with no Hopf machinery, for cross-checking the solvability layer."""
 
+import itertools
+
 
 def identity_of(table):
     n = len(table)
@@ -65,3 +67,29 @@ def is_solvable_group(table):
 def center_of_group(table):
     n = len(table)
     return frozenset(x for x in range(n) if all(table[x][y] == table[y][x] for y in range(n)))
+
+
+def conjugacy_classes(table):
+    inv = inverse_map(table)
+    n = len(table)
+    classes, seen = [], set()
+    for x in range(n):
+        if x not in seen:
+            cls = frozenset(table[table[g][x]][inv[g]] for g in range(n))
+            classes.append(cls)
+            seen |= cls
+    return classes
+
+
+def normal_subgroups(table):
+    """Every normal subgroup: the unions of conjugacy classes that contain
+    the identity and are closed under the product."""
+    e = identity_of(table)
+    classes = [c for c in conjugacy_classes(table) if e not in c]
+    found = []
+    for r in range(len(classes) + 1):
+        for combo in itertools.combinations(classes, r):
+            members = frozenset({e}.union(*combo))
+            if all(table[a][b] in members for a in members for b in members):
+                found.append(members)
+    return found

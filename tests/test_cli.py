@@ -10,8 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hopflab
+from hopflab.builders import group_algebra, permutation_group_table
 from hopflab.cli import main
 from hopflab.corpus import corpus_file
+from hopflab.serialize import save_hopf
 
 
 @pytest.fixture(scope="module")
@@ -166,12 +168,31 @@ def test_solvable_find(runner):
     assert payload["dims"] == [1, 3, 6]
 
 
-def test_solvable_find_with_hints(runner, tmp_path):
-    hints = tmp_path / "hints.json"
-    hints.write_text(json.dumps([["(123)"]]))
-    result = runner.invoke(main, ["solvable-find", path_of("s3"), "--hints", str(hints)])
-    assert result.exit_code == 0
-    assert json.loads(result.output)["result"]["dims"] == [1, 3, 6]
+def _group_algebra_file(tmp_path, generators, conductor, name):
+    table, labels = permutation_group_table(generators, len(generators[0]))
+    path = str(tmp_path / f"{name}.hopf.json")
+    save_hopf(group_algebra(table, conductor=conductor, labels=labels, name=name), path)
+    return path
+
+
+def test_solvable_find_ks4_over_q(runner, tmp_path):
+    # kS4's characters are rational, so its search needs no root of unity
+    path = _group_algebra_file(tmp_path, [(1, 0, 2, 3), (1, 2, 3, 0)], 1, "kS4")
+    result = runner.invoke(main, ["solvable-find", path])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["result"]
+    assert payload["verdict"] == "solvable_series"
+    assert payload["dims"] == [1, 4, 12, 24]
+
+
+def test_solvable_find_ka5_is_undecided(runner, tmp_path):
+    # A5 is simple: its pool is empty and k < H fails
+    path = _group_algebra_file(tmp_path, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], 5, "kA5")
+    result = runner.invoke(main, ["solvable-find", path])
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.output)["result"]
+    assert payload["verdict"] == "undecided"
+    assert payload["dims"] == []
 
 
 def test_nilpotent_check(runner):
@@ -292,10 +313,6 @@ BAD_INPUTS = {
     "chain-entry-string": ("solvable-check", "--chain", ["k", "(123)", "H"], None),
     "chain-invalid-json": ("solvable-check", "--chain", "{ nope", None),
     "nilpotent-chain-entry-number": ("nilpotent-check", "--chain", [5], None),
-    "hints-entry-number": ("solvable-find", "--hints", [5], None),
-    "hints-invalid-json": ("solvable-find", "--hints", "{ nope", None),
-    "hints-dict": ("solvable-find", "--hints", {"a": 1}, None),
-    "hints-bare-number": ("solvable-find", "--hints", 5, None),
     "env-order-not-a-number": ("characters", None, None, "abc"),
     "env-order-negative": ("characters", None, None, "-3"),
     "env-order-zero": ("characters", None, None, "0"),
@@ -410,14 +427,13 @@ _HOPF_DOCS = {name: json.loads(corpus_file(name).read_text()) for name in ("z2",
 _OPTION_DOCS = [
     ("solvable-check", "--chain", ["k", ["g"], "H"]),
     ("nilpotent-check", "--chain", {"chain": ["k", "H"]}),
-    ("solvable-find", "--hints", [["g"]]),
 ]
 
 
 @st.composite
 def _mutated_invocation(draw):
     """(argv builder, file contents): a mutated z2 or d-z2 data file under
-    verify or integrals, or a mutated chain or hints file for z2."""
+    verify or integrals, or a mutated chain file for z2."""
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(_HOPF_DOCS)))
         command = draw(st.sampled_from(["verify", "integrals"]))

@@ -1,17 +1,18 @@
 import pytest
 
-from grouptools import derived_series, is_solvable_group, center_of_group
+from grouptools import center_of_group, derived_series, is_solvable_group, normal_subgroups
 
 from hopflab.builders import (
     cyclic_group_table,
     dihedral8_table,
     drinfeld_double,
     group_algebra,
+    permutation_group_table,
     quaternion_table,
     symmetric3_table,
 )
 from hopflab.coideal import coideal_closure, coideal_from_subspace
-from hopflab.errors import ChainError, NotNormalError
+from hopflab.errors import ChainError, HopfLabError, NotNormalError
 from hopflab.linalg import Subspace, vec_eq
 from hopflab import solvability
 from hopflab.solvability import (
@@ -261,3 +262,44 @@ def test_find_solvable_series_double_z2():
     report = find_solvable_series(d)
     assert report.ok
     assert report.chain[-1].dim == 4
+
+
+POOL_GROUPS = {
+    "s3": GROUPS["s3"],
+    "d4": GROUPS["d4"],
+    "q8": GROUPS["q8"],
+    "a4": (permutation_group_table([(1, 2, 0, 3), (1, 0, 3, 2)], 4), 3),
+    "s4": (permutation_group_table([(1, 0, 2, 3), (1, 2, 3, 0)], 4), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_GROUPS))
+def test_candidate_pool_is_the_proper_normal_subgroups(name):
+    # for kG the normal left coideal subalgebras are the spans kN of the
+    # normal subgroups N, found here by brute force over conjugacy classes
+    (table, labels), conductor = POOL_GROUPS[name]
+    hopf = group_algebra(table, conductor=conductor, labels=labels)
+    expected = {
+        Subspace.from_vectors(hopf.field, hopf.dim, [hopf.basis(g) for g in members])
+        for members in normal_subgroups(table) if 1 < len(members) < len(table)
+    }
+    pool = solvability._normal_candidates(hopf)
+    assert len(pool) == len(expected)
+    assert set(pool) == expected
+    assert [space.dim for space in pool] == sorted(space.dim for space in pool)
+
+
+@pytest.mark.parametrize("name, dims", [("z2", [2, 2, 2]), ("s3", [2, 6, 6, 6, 6, 18])])
+def test_candidate_pool_of_doubles_is_normal(name, dims):
+    hopf = drinfeld_double(build(name)[0])
+    pool = solvability._normal_candidates(hopf)
+    assert [space.dim for space in pool] == dims
+    assert all(coideal_from_subspace(hopf, space).normal for space in pool)
+
+
+def test_search_rejects_a_non_normal_candidate(monkeypatch, s3):
+    # the pool rests on a theorem; a member that is not normal is a bug
+    b_n = Subspace.from_vectors(s3.field, 6, [s3.basis(s3.index_of_label(x)) for x in ("e", "(12)")])
+    monkeypatch.setattr(solvability, "_normal_candidates", lambda hopf: [b_n])
+    with pytest.raises(HopfLabError, match="not normal"):
+        find_solvable_series(s3)
