@@ -10,7 +10,23 @@ is a self-adjoint bijection N -> N* whose inverse induces the symmetric
 form (p|p')_N = <p', F_N^{-1}(p)> making the irreducible N-characters
 orthonormal, Hopf subalgebra or not.  Induction of characters is
 implemented as integral coad gamma(phi) and validated against the
-independent trace formula phi_j^up = (Lambda ad t_j) -> lambda.
+independent trace formula phi_j^up = (Lambda ad t_j) -> lambda, which is
+computed from E_j as below.
+
+Restriction and induction read E_j / d_j where the paper reads a primitive
+idempotent t_j of N's block j, E_j being the block's central idempotent and
+d_j its degree:
+
+    <chi, t_j> = <chi, E_j> / d_j        Lambda ad t_j = (Lambda ad E_j) / d_j
+
+E_j is a sum of d_j primitive idempotents, each conjugate to t_j in N, and
+both maps are trace functions on N.  <chi, -> is one because chi|_N is the
+character of an N-module.  Lambda ad - is one because the two-sided
+integral satisfies Lambda_1 h (x) Lambda_2 = Lambda_1 (x) Lambda_2 S(h), so
+Lambda ad (xy) = Lambda ad (y S^2(x)), and S^2 = id for semisimple H in
+characteristic 0 (Larson-Radford, 1988).  No primitive idempotent is found,
+so restriction, induction and reciprocity need only the center of N to
+split.
 """
 
 from __future__ import annotations
@@ -22,10 +38,7 @@ from .linalg import (
     Subspace,
     basis_vector,
     mat_vec,
-    vec_add,
     vec_eq,
-    vec_scale,
-    zero_vector,
 )
 from .linalg import _kernel_of_images, _left_ideal
 
@@ -33,8 +46,7 @@ from .linalg import _kernel_of_images, _left_ideal
 def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
     """Irr(N) from the central primitive idempotents and the regular trace
     of N's presentation, in N coordinates, with the integral's block first:
-    T_0 = Lambda_N and phi_0 = counit restricted to N.  The t_j are found
-    when restriction or induction first reads them."""
+    T_0 = Lambda_N and phi_0 = counit restricted to N."""
     if "characters" in ctx._cache:
         return ctx._cache["characters"]
     alg = ctx.presentation()
@@ -120,18 +132,22 @@ def character_form(ctx: CoidealSubalgebra, p, q):
     return ctx.hopf.pair(q, frobenius_apply(ctx, p, inverse=True))
 
 
+def _multiplicities(ctx: CoidealSubalgebra, chars: CharacterTable, chi):
+    """<chi, t_j> = <chi, E_j> / d_j for every block j of N (module docstring)."""
+    H = ctx.hopf
+    return [H.pair(chi, ctx.to_ambient(e)) / d for e, d in zip(chars.idempotents, chars.degrees)]
+
+
 def restrict_character(ctx: CoidealSubalgebra, chi):
-    """chi|_N with its expansion coefficients <chi, t_j> over Irr(N).
+    """chi|_N with its expansion coefficients <chi, t_j> over Irr(N), read
+    as <chi, E_j> / d_j.
 
     The expansion must hold exactly and the coefficients must be
     non-negative integers.
     """
-    H = ctx.hopf
     chars = coideal_characters(ctx)
     restriction = ctx.restrict_functional(chi)
-    coeffs = []
-    for t in chars.block_idempotents:
-        coeffs.append(H.pair(chi, ctx.to_ambient(t)))
+    coeffs = _multiplicities(ctx, chars, chi)
     if not vec_eq(mat_vec(chars.characters, coeffs), restriction):
         raise MultiplicityError("restriction does not expand over Irr(N) with <chi, t_j> coefficients")
     for c in coeffs:
@@ -154,21 +170,17 @@ def induce_character(ctx: CoidealSubalgebra, phi, check=True):
 
 
 def induce_character_by_trace(ctx: CoidealSubalgebra, phi):
-    """Independent induction: expand phi over Irr(N), then
-    phi_j^up = (Lambda ad t_j) -> lambda."""
+    """Independent induction: expand phi = sum_j alpha_j phi_j over Irr(N);
+    then sum_j alpha_j phi_j^up = (Lambda ad z) -> lambda with
+    z = sum_j (alpha_j / d_j) E_j, since Lambda ad t_j = (Lambda ad E_j) / d_j
+    (module docstring)."""
     H = ctx.hopf
-    field = H.field
     chars = coideal_characters(ctx)
     alpha = _expand_over_characters(ctx, chars, phi)
+    z = mat_vec(chars.idempotents, [a_j / d for a_j, d in zip(alpha, chars.degrees)])
     pair_data = H.integrals()
-    out = zero_vector(field, H.dim)
-    for a_j, t in zip(alpha, chars.block_idempotents):
-        if a_j.is_zero():
-            continue
-        conj = H.adjoint(pair_data.integral, ctx.to_ambient(t))
-        term = H.dual().act_left(conj, pair_data.dual_integral)
-        out = vec_add(out, vec_scale(term, a_j))
-    return out
+    conj = H.adjoint(pair_data.integral, ctx.to_ambient(z))
+    return H.dual().act_left(conj, pair_data.dual_integral)
 
 
 def _expand_over_characters(ctx, chars: CharacterTable, phi):
@@ -195,8 +207,8 @@ def induced_degree_identity(ctx: CoidealSubalgebra, phi, induced):
 
 
 class ReciprocityTable:
-    """Non-negative integer matrix M[i][j] = <chi_i, t_j>, equal to both
-    Frobenius-reciprocity pairings."""
+    """Non-negative integer matrix M[i][j] = <chi_i, t_j> = <chi_i, E_j> / d_j,
+    equal to both Frobenius-reciprocity pairings."""
 
     def __init__(self, entries, h_degrees, n_degrees):
         self.entries = entries
@@ -205,8 +217,9 @@ class ReciprocityTable:
 
 
 def reciprocity_table(ctx: CoidealSubalgebra) -> ReciprocityTable:
-    """Computes (chi_i|_N | phi_j)_N, (chi_i | phi_j^up)_H and <chi_i, t_j>
-    independently; they must coincide and be non-negative integers."""
+    """Computes (chi_i|_N | phi_j)_N, (chi_i | phi_j^up)_H and
+    <chi_i, t_j> = <chi_i, E_j> / d_j independently; they must coincide and
+    be non-negative integers."""
     H = ctx.hopf
     table = H.character_table()
     chars = coideal_characters(ctx)
@@ -216,10 +229,9 @@ def reciprocity_table(ctx: CoidealSubalgebra) -> ReciprocityTable:
     for i, chi in enumerate(table.characters):
         restriction = ctx.restrict_functional(chi)
         row = []
-        for j in range(len(chars)):
+        for j, direct in enumerate(_multiplicities(ctx, chars, chi)):
             by_form = character_form(ctx, restriction, chars.characters[j])
             by_induction = H.bilinear_form(chi, induced[j])
-            direct = H.pair(chi, ctx.to_ambient(chars.block_idempotents[j]))
             if by_form != by_induction or by_form != direct:
                 raise HopfLabError(
                     f"reciprocity pairings disagree at (chi_{i}, phi_{j})"

@@ -7,8 +7,7 @@ are vectors of values on that basis.  Everything downstream -- integrals,
 character tables, grouplikes, coideal subalgebras -- is computed from these
 tensors by exact linear algebra.  Characters come from the central primitive
 idempotents and the regular trace, and the grouplikes are the degree-1
-characters of H*; a primitive idempotent t_j of a block is found only where
-restriction and induction of coideal characters read it, on first use.
+characters of H*; no primitive idempotent of a block is found.
 
 verify() compares the two sides of each tensor identity exactly on integer
 structure constants: every constant is read once as integer numerators of
@@ -40,7 +39,6 @@ from .errors import AxiomError, IntegralError, MissingRMatrixError, NotSemisimpl
 from .linalg import (
     AlgebraPresentation,
     Subspace,
-    _block_primitive_idempotents,
     _central_blocks,
     _common_denominator,
     _first_nonzero,
@@ -108,26 +106,15 @@ class CharacterTable:
     degrees d_i of a semisimple algebra, with the integral's block first
     (E_0 = integral, chi_0 = counit).
 
-    The characters come from the E_i and the regular trace alone.  The block
-    primitive idempotents t_i, which only restriction and induction of
-    coideal characters read, are found on first access of
-    `block_idempotents` and stored whole, so a table is safe for concurrent
-    readers (at worst two of them find the same t_i twice).
+    The characters come from the E_i and the regular trace alone, and
+    restriction and induction of coideal characters read E_i / d_i where the
+    paper reads a primitive idempotent t_i (see `hopflab.harmonic`).
     """
 
-    def __init__(self, algebra, idempotents, degrees, characters):
-        self._algebra = algebra
+    def __init__(self, idempotents, degrees, characters):
         self.idempotents = idempotents
         self.degrees = degrees
         self.characters = characters
-        self._block_idempotents = None
-
-    @property
-    def block_idempotents(self):
-        if self._block_idempotents is None:
-            self._block_idempotents = _block_primitive_idempotents(
-                self._algebra, self.idempotents, self.degrees)
-        return self._block_idempotents
 
     def __len__(self):
         return len(self.characters)
@@ -707,4 +694,4 @@ def _character_table(algebra, integral) -> CharacterTable:
     if order is None:
         raise NotSemisimpleError("integral is not a central primitive idempotent")
     perm = [order] + [i for i in range(len(idempotents)) if i != order]
-    return CharacterTable(algebra, *([part[i] for i in perm] for part in (idempotents, degrees, characters)))
+    return CharacterTable(*([part[i] for i in perm] for part in (idempotents, degrees, characters)))

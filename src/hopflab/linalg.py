@@ -18,7 +18,8 @@ constants.  The central part -- central primitive idempotents E_i and
 degrees d_i, with d_i^2 = tr(L_{E_i}) -- and the characters
 chi_i(x) = tr(L_{x E_i}) / d_i come from the center and the regular trace
 alone.  A primitive idempotent per block is a separate, costlier step that
-needs each block split over the field; `wedderburn` runs both.
+needs each block split over the field; only `wedderburn` takes it, after
+the central part.
 """
 
 from __future__ import annotations
@@ -701,10 +702,12 @@ def _central_blocks(algebra):
     return idempotents, degrees, characters
 
 
-def _block_primitive_idempotents(algebra, idempotents, degrees):
-    """One primitive idempotent t_i per block, E_i t_i = t_i (E_i itself
-    when d_i = 1).  A NotSplitError from the search names the block's
-    degree and the conductor."""
+def wedderburn(algebra: AlgebraPresentation) -> WedderburnData:
+    """Wedderburn data of a split semisimple algebra: the central part
+    (`_central_blocks`) and one primitive idempotent t_i per block,
+    E_i t_i = t_i (E_i itself when d_i = 1).  A NotSplitError from the
+    search names the block's degree and the conductor."""
+    idempotents, degrees, _ = _central_blocks(algebra)
     primitives = []
     for e, d in zip(idempotents, degrees):
         try:
@@ -715,16 +718,7 @@ def _block_primitive_idempotents(algebra, idempotents, degrees):
         if _left_ideal(algebra, t).dim != d or not vec_eq(algebra.multiply(t, t), t):
             raise NotSemisimpleError("block idempotent is not primitive")
         primitives.append(t)
-    return primitives
-
-
-def wedderburn(algebra: AlgebraPresentation) -> WedderburnData:
-    """Wedderburn data of a split semisimple algebra: the central part
-    (`_central_blocks`) and one primitive idempotent per block
-    (`_block_primitive_idempotents`)."""
-    idempotents, degrees, _ = _central_blocks(algebra)
-    return WedderburnData(idempotents, degrees,
-                          _block_primitive_idempotents(algebra, idempotents, degrees))
+    return WedderburnData(idempotents, degrees, primitives)
 
 
 def _corner_candidates(algebra, corner_basis):

@@ -248,10 +248,10 @@ def test_field_too_small_exits_2_naming_the_rootless_factor(runner, tmp_path, mo
     assert runner.invoke(main, ["characters", str(path)]).exit_code == 0
 
 
-def test_kq8_over_q_has_characters_but_no_quaternion_primitive_idempotent(runner, tmp_path):
+def test_kq8_over_q_needs_only_the_center_of_n_to_split(runner, tmp_path):
     # the characters need only central idempotents, and Q splits the center
-    # of kQ8; its degree-2 block is the rational quaternions, which Q does
-    # not split, so reciprocity, which reads that block's t_j, exits 2
+    # of kQ8; restriction and induction read <chi, E_j> / d_j, so the
+    # quaternion block, which Q does not split, is no obstacle either
     data = json.loads(corpus_file("q8").read_text())
     data["cyclotomic_order"] = 1
     path = tmp_path / "q8-over-q.json"
@@ -261,10 +261,15 @@ def test_kq8_over_q_has_characters_but_no_quaternion_primitive_idempotent(runner
     over_q = json.loads(result.output)["result"]
     assert sorted(over_q["degrees"]) == [1, 1, 1, 1, 2]
     assert over_q == json.loads(runner.invoke(main, ["characters", path_of("q8")]).output)["result"]
-    result = runner.invoke(main, ["reciprocity", str(path), "--gens", "H"])
+    for argv in (["reciprocity", "--gens", "H"], ["induce", "--gens", "H", "--index", "1"]):
+        result = runner.invoke(main, [argv[0], str(path)] + argv[1:])
+        assert result.exit_code == 0
+        at_conductor_4 = runner.invoke(main, [argv[0], path_of("q8")] + argv[1:])
+        assert json.loads(result.output)["result"] == json.loads(at_conductor_4.output)["result"]
+    # N = k<i> is kZ4, whose center needs the roots of x^2 + 1
+    result = runner.invoke(main, ["induce", str(path), "--gens", "i"])
     assert result.exit_code == 2
-    assert result.output == ("error: no primitive idempotent in the block of degree 2 at "
-                             "conductor 1: polynomial does not split: x^2 + (16)\n")
+    assert result.output == "error: polynomial does not split: x^2 + (1)\n"
 
 
 @pytest.mark.parametrize("order", ["24", "36"])

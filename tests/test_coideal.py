@@ -1,6 +1,6 @@
 import pytest
 
-from moduletools import module_action_from_idempotent
+from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
 from hopflab.builders import (
     cyclic_group_table,
@@ -233,12 +233,13 @@ def test_left_kernels(s3):
         i for i, (chi, d) in enumerate(zip(table.characters, table.degrees))
         if d == 1 and not vec_eq(chi, s3.counit)
     )
-    mats, _ = module_action_from_idempotent(s3, table.block_idempotents[sign_idx])
+    ts = table_primitive_idempotents(s3, table)
+    mats, _ = module_action_from_idempotent(s3, ts[sign_idx])
     lk = left_kernel(s3, mats)
     a3_ctx = coideal_closure(s3, [s3.basis(s3.index_of_label("(123)"))])
     assert lk == a3_ctx.space
     # trivial module: LKer = H
-    triv_mats, _ = module_action_from_idempotent(s3, table.block_idempotents[0])
+    triv_mats, _ = module_action_from_idempotent(s3, ts[0])
     assert left_kernel(s3, triv_mats) == Subspace.full(s3.field, 6)
     # regular module: LKer = k
     reg_mats = [[s3.multiply(s3.basis(i), s3.basis(r)) for r in range(6)] for i in range(6)]

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from moduletools import table_primitive_idempotents
+
 from hopflab import linalg
 from hopflab.builders import group_algebra, permutation_group_table, symmetric3_table
 from hopflab.coideal import coideal_closure, coideal_from_subspace, invariants_of
@@ -21,7 +23,7 @@ from hopflab.harmonic import (
     restrict_character,
     star_action,
 )
-from hopflab.corpus import load
+from hopflab.corpus import build, coideal_lattice, load
 from hopflab.linalg import Subspace, basis_vector, vec_add, vec_eq, vec_scale, zero_vector
 from hopflab.scalars import QQ
 from hopflab.solvability import find_solvable_series
@@ -362,7 +364,7 @@ def test_conjugated_block_idempotents_are_central(s3, a3):
     lam = s3.integrals().integral
     chars = coideal_characters(a3)
     center = s3.center()
-    for t in chars.block_idempotents:
+    for t in table_primitive_idempotents(a3.presentation(), chars):
         assert center.contains_vector(s3.adjoint(lam, a3.to_ambient(t)))
 
 
@@ -373,7 +375,7 @@ def test_degree_sum_identity(s3, a3, skryabin):
         table = H.character_table()
         chars = coideal_characters(ctx)
         one_coords = ctx.coords_of(H.unit)
-        for j, t in enumerate(chars.block_idempotents):
+        for j, t in enumerate(table_primitive_idempotents(ctx.presentation(), chars)):
             rhs = H.field.zero
             for chi, d in zip(table.characters, table.degrees):
                 rhs = rhs + H.field.from_rational(d) * H.pair(chi, ctx.to_ambient(t))
@@ -426,8 +428,8 @@ def test_induced_image(s3, a3, trivial, whole):
 
 def test_ks5_over_q_characters_and_s4_reciprocity():
     # Q splits S5, so its characters need no larger field; the characters
-    # come from central idempotents alone, and only the S4 stabiliser's
-    # blocks need primitive idempotents
+    # and the S4 stabiliser's reciprocity entries come from central
+    # idempotents alone
     table, labels = permutation_group_table([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 5)
     ks5 = group_algebra(table, conductor=1, labels=labels, name="kS5")
     h_table = ks5.character_table()
@@ -442,7 +444,42 @@ def test_ks5_over_q_characters_and_s4_reciprocity():
         assert sum(m * n for m, n in zip(row, rec.n_degrees)) == d
 
 
-def test_primitive_idempotents_only_on_demand(monkeypatch, s3):
+def _d_s3_coideals(H):
+    # 1 (x) kS3 and the closures of p_e (x) (12) and p_e (x) (123): blocks of
+    # degrees 2 and 3
+    def one_tensor(g):
+        return [H.field.one if label.endswith("|" + g) else H.field.zero for label in H.basis_labels]
+
+    gens = ([one_tensor("(12)"), one_tensor("(123)")],
+            [H.basis(H.index_of_label("e*|(12)"))],
+            [H.basis(H.index_of_label("e*|(123)"))])
+    return [coideal_closure(H, g) for g in gens]
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8", "s3-dual", "d-s3"])
+def test_primitive_idempotent_reads_equal_central_idempotent_reads(name):
+    # the identity restriction, induction and reciprocity rest on:
+    # <chi, t_j> = <chi, E_j> / d_j and Lambda ad t_j = (Lambda ad E_j) / d_j
+    # for every block j of N and every character chi of H, with t_j found
+    # in N's presentation; the s3-dual lattice has the 3-dim non-Hopf coideal
+    H = build(name)
+    contexts = _d_s3_coideals(H) if name == "d-s3" else [ctx for _, ctx in coideal_lattice(name, H)]
+    lam = H.integrals().integral
+    characters = H.character_table().characters
+    degrees_seen = set()
+    for ctx in contexts:
+        chars = coideal_characters(ctx)
+        for e, d in zip(chars.idempotents, chars.degrees):
+            t = ctx.to_ambient(linalg.primitive_idempotent_in_block(ctx.presentation(), e))
+            e = ctx.to_ambient(e)
+            assert vec_eq(H.adjoint(lam, t), vec_scale(H.adjoint(lam, e), QQ(1, d)))
+            for chi in characters:
+                assert H.pair(chi, t) == H.pair(chi, e) / d
+            degrees_seen.add(d)
+    assert max(degrees_seen) == {"s3-dual": 1, "d-s3": 3}.get(name, 2)
+
+
+def test_no_primitive_idempotent_is_searched(monkeypatch, s3):
     calls = []
     original = linalg.primitive_idempotent_in_block
 
@@ -457,8 +494,11 @@ def test_primitive_idempotents_only_on_demand(monkeypatch, s3):
     for name in ("q8", "s3-dual"):
         hopf, _ = load(name)
         assert find_solvable_series(hopf).ok
-    assert calls == []
-    # the whole of kS3 as a coideal has a degree-2 block, whose t_j the
-    # reciprocity entries <chi_i, t_j> read
+    # the whole of kS3 as a coideal has a degree-2 block, and so does
+    # 1 (x) kS3 inside d-s3: restriction and induction read E_j / d_j
     reciprocity_table(coideal_closure(s3, [s3.basis(i) for i in range(6)]))
-    assert calls == [6]
+    ctx = _d_s3_coideals(d_s3)[0]
+    assert 2 in coideal_characters(ctx).degrees
+    for phi in coideal_characters(ctx).characters:
+        induce_character(ctx, phi)
+    assert calls == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from moduletools import module_action_from_idempotent
+from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
 from hopflab.builders import (
     cyclic_group_table,
@@ -351,7 +351,8 @@ def test_f_r_trivial_for_group_algebra(s3):
 def test_module_action_matches_character(s3):
     table = s3.character_table()
     idx = table.degrees.index(2)
-    mats, space = module_action_from_idempotent(s3, table.block_idempotents[idx])
+    t = table_primitive_idempotents(s3, table)[idx]
+    mats, space = module_action_from_idempotent(s3, t)
     assert space.dim == 2
     for m in range(s3.dim):
         tr = mats[m][0][0] + mats[m][1][1]
@@ -370,7 +371,8 @@ def test_trace_formula_and_left_kernels_match_module_matrices(name):
     # of the module matrices
     H = _ka4() if name == "kA4" else load_corpus(name, verify=False)[0]
     table = H.character_table()
-    for chi, d, t in zip(table.characters, table.degrees, table.block_idempotents):
+    ts = table_primitive_idempotents(H, table)
+    for chi, d, t in zip(table.characters, table.degrees, ts):
         mats, space = module_action_from_idempotent(H, t)
         assert space.dim == d
         assert [sum((m[r][r] for r in range(d)), H.field.zero) for m in mats] == chi
