@@ -98,8 +98,6 @@ def _fail(message):
 
 
 def _parse_gens(hopf, gens):
-    if gens.strip() == "H":
-        return [hopf.basis(i) for i in range(hopf.dim)]
     out = []
     for token in gens.split(","):
         token = token.strip()
@@ -116,6 +114,10 @@ def _parse_gens(hopf, gens):
 
 
 def _context_from_gens(hopf, gens):
+    """The coideal subalgebra that --gens names: H itself for "H", which is
+    closed already, else the closure of the listed basis elements."""
+    if gens.strip() == "H":
+        return coideal_from_subspace(hopf, Subspace.full(hopf.field, hopf.dim))
     return coideal_closure(hopf, _parse_gens(hopf, gens))
 
 
@@ -323,10 +325,8 @@ def _chain_from_file(hopf, path):
     for entry in data:
         if entry == "k":
             chain.append(coideal_closure(hopf, []))
-        elif entry == "H":
-            chain.append(coideal_from_subspace(hopf, Subspace.full(hopf.field, hopf.dim)))
         else:
-            chain.append(coideal_closure(hopf, _parse_gens(hopf, ",".join(entry))))
+            chain.append(_context_from_gens(hopf, entry if entry == "H" else ",".join(entry)))
     return chain
 
 

@@ -36,6 +36,7 @@ from .linalg import (
     zero_vector,
 )
 from .linalg import (
+    _is_two_sided_integral,
     _kernel_of_images,
     _solve_integral,
     _subalgebra_generated,
@@ -171,9 +172,8 @@ def _coideal_integral(hopf, space, presentation):
     x = mat_vec(basis, _solve_integral(presentation, eps))
     if not vec_eq(hopf.multiply(x, x), x):
         raise IntegralError("coideal integral is not idempotent")
-    for na, e in zip(basis, eps):
-        if not vec_eq(hopf.multiply(x, na), vec_scale(x, e)):
-            raise IntegralError("coideal integral is not two-sided")
+    if not _is_two_sided_integral(hopf, x, basis, eps):
+        raise IntegralError("coideal integral is not two-sided")
     return x
 
 

@@ -7,7 +7,9 @@ are vectors of values on that basis.  Everything downstream -- integrals,
 character tables, grouplikes, coideal subalgebras -- is computed from these
 tensors by exact linear algebra.  Characters come from the central primitive
 idempotents and the regular trace, and the grouplikes are the degree-1
-characters of H*; no primitive idempotent of a block is found.
+characters of H*; no primitive idempotent of a block is found.  The
+integrals of H and H* are their regular characters, certified as
+two-sided integrals (integrals()).
 
 verify() compares the two sides of each tensor identity exactly on integer
 structure constants: every constant is read once as integer numerators of
@@ -45,7 +47,8 @@ from .linalg import (
     _int_cell,
     _int_mult,
     _int_terms,
-    _solve_integral,
+    _is_two_sided_integral,
+    _regular_trace,
     _tensor_add,
     _to_sparse,
     basis_vector,
@@ -372,17 +375,39 @@ class HopfAlgebra(AlgebraPresentation):
     # -- semisimple structure ----------------------------------------------------
 
     def integrals(self) -> IntegralPair:
-        """Idempotent integral of H and the dual integral with
-        <dual_integral, integral> = 1, by solving the defining linear
-        systems (both solution spaces must be one-dimensional)."""
+        """Idempotent integral Lambda of H and the dual integral lambda with
+        <lambda, Lambda> = 1, read off the regular traces: for semisimple H
+        over characteristic 0, Lambda is the regular character of H*,
+        Lambda_k ~ tr(L_{e^k}) = sum_l Delta(e_l)_(k, l), scaled so that
+        eps(Lambda) = 1, and lambda that of H, lambda_k ~ tr(L_{e_k}) =
+        sum_l c_kl^l (Larson-Radford).
+
+        Each is certified as a two-sided integral, h x = x h = eps(h) x for
+        every basis element, in H and in H*.  That makes it the only left
+        integral up to scale: a left integral y satisfies
+        y = Lambda y = eps(y) Lambda.  IntegralError when a check fails,
+        since then the input is not semisimple."""
         if "integrals" in self._cache:
             return self._cache["integrals"]
-        lam = _solve_integral(self, self.counit)
-        dual_int = _solve_integral(self.dual(), self.unit)
+        dual = self.dual()
+        lam = _regular_trace(dual)
+        eps_lam = self.counit_of(lam)
+        if eps_lam.is_zero():
+            raise IntegralError("regular character of H* has counit zero; input is not semisimple")
+        lam = vec_scale(lam, eps_lam.inverse())
+        dual_int = _regular_trace(self)
         pairing = self.pair(dual_int, lam)
         if pairing.is_zero():
-            raise IntegralError("dual integral pairs to zero with the integral")
+            raise IntegralError("dual integral pairs to zero with the integral; "
+                                "input is not semisimple")
         dual_int = vec_scale(dual_int, pairing.inverse())
+        basis = [self.basis(i) for i in range(self.dim)]
+        if not _is_two_sided_integral(self, lam, basis, self.counit):
+            raise IntegralError("regular character of H* is not a two-sided integral; "
+                                "input is not semisimple")
+        if not _is_two_sided_integral(dual, dual_int, basis, self.unit):
+            raise IntegralError("regular character of H is not a two-sided integral of H*; "
+                                "input is not semisimple")
         pair_obj = IntegralPair(lam, dual_int)
         self._cache["integrals"] = pair_obj
         return pair_obj
@@ -418,10 +443,26 @@ class HopfAlgebra(AlgebraPresentation):
 
     def bilinear_form(self, p, q):
         """(p|q) = <s(q) p, integral> -- the symmetric form making Irr(H)
-        orthonormal."""
-        lam = self.integrals().integral
-        dual = self.dual()
-        return self.pair(dual.multiply(dual.antipode_of(q), p), lam)
+        orthonormal -- as sum q_a G[a][k] p_k over the sparse Gram matrix
+        G[a][k] = sum_j Delta(integral)_(j, k) S(e_j)_a, built whole on
+        first use and cached."""
+        gram = self._cache.get("gram")
+        if gram is None:
+            gram = [{} for _ in range(self.dim)]
+            for (j, k), c in self.comult_of(self.integrals().integral).items():
+                for a, s in enumerate(self.antipode[j]):
+                    if not s.is_zero():
+                        _tensor_add(gram[a], k, c * s)
+            self._cache["gram"] = gram
+        out = self.field.zero
+        for qa, row in zip(q, gram):
+            if qa.is_zero():
+                continue
+            for k, g in row.items():
+                pk = p[k]
+                if not pk.is_zero():
+                    out = out + qa * g * pk
+        return out
 
     def grouplikes(self):
         """All g with Delta(g) = g x g and eps(g) = 1: the characters of the
@@ -491,6 +532,7 @@ class _IntegerTensors:
             (c for cell in hopf.comult for c in cell.values()),
             hopf.unit, hopf.counit, itertools.chain.from_iterable(hopf.antipode), r.values()))
         self.mult = _int_mult(hopf.mult, D)                      # [i][j]: [(k, t, x)]
+        self.nonzero_cells = [[(j, cell) for j, cell in enumerate(row) if cell] for row in self.mult]
         self.comult = [[(j, k, t, x) for (j, k), t, x in _int_cell(cell, D)]
                        for cell in hopf.comult]                  # [i]: [(j, k, t, x)]
         self.unit = [_int_terms(c, D) for c in hopf.unit]        # [i]: [(t, x)]
@@ -498,17 +540,23 @@ class _IntegerTensors:
         self.antipode = [_int_cell(_to_sparse(row), D) for row in hopf.antipode]  # [i]: [(j, t, x)]
         self.r = [(i, j, t, x) for (i, j), t, x in _int_cell(r, D)]
 
-    def _add_product(self, acc, t1, t2, sign):
-        """acc += sign * t1 t2 in H (x) H, for t1 and t2 lists of
-        (a, b, t, x); keys (m, n, zeta power)."""
-        mult = self.mult
+    def _left_index(self, t1):
+        """The terms (a, b, t, x) of t1 under each c with e_a e_c != 0:
+        {c: [(b, t, x, mult[a][c])]}."""
+        index = {}
         for a, b, t, x in t1:
-            mult_a, mult_b = mult[a], mult[b]
-            for c, d, u, y in t2:
-                ac = mult_a[c]
-                if not ac:
-                    continue
-                bd = mult_b[d]
+            for c, ac in self.nonzero_cells[a]:
+                index.setdefault(c, []).append((b, t, x, ac))
+        return index
+
+    def _add_product(self, acc, left, t2, sign):
+        """acc += sign * t1 t2 in H (x) H, for left = _left_index(t1) and t2
+        a list of (c, d, u, y); keys (m, n, zeta power).  Only the term
+        pairs with e_a e_c != 0 are visited."""
+        mult = self.mult
+        for c, d, u, y in t2:
+            for b, t, x, ac in left.get(c, ()):
+                bd = mult[b][d]
                 if not bd:
                     continue
                 xy, tu = sign * x * y, t + u
@@ -557,6 +605,7 @@ class _IntegerTensors:
         if _first_nonzero(self.field, acc) is not None:
             return "unit"
         for i, mult_i in enumerate(self.mult):
+            left = self._left_index(comult[i])
             for j, cell in enumerate(mult_i):
                 acc = {}
                 for k, t, x in cell:  # two factors against four
@@ -564,7 +613,7 @@ class _IntegerTensors:
                     for a, b, u, y in comult[k]:
                         key = (a, b, t + u)
                         acc[key] = acc.get(key, 0) + x * y
-                self._add_product(acc, comult[i], comult[j], -1)
+                self._add_product(acc, left, comult[j], -1)
                 if _first_nonzero(self.field, acc) is not None:
                     return i, j
         return None
@@ -633,7 +682,8 @@ class _IntegerTensors:
         # against two
         acc = {}
         r_inv = [(m, j, t + u, x * y) for i, j, t, x in R for m, u, y in self.antipode[i]]
-        self._add_product(acc, R, r_inv, 1)
+        r_left = self._left_index(R)
+        self._add_product(acc, r_left, r_inv, 1)
         self._sub_unit_tensor(acc, D ** 3)
         checks.append(AxiomCheck("r_invertible", _first_nonzero(field, acc) is None))
 
@@ -664,8 +714,8 @@ class _IntegerTensors:
         witness = None
         for h, cell in enumerate(comult):
             acc = {}
-            self._add_product(acc, [(k, j, t, x) for j, k, t, x in cell], R, 1)
-            self._add_product(acc, R, cell, -1)
+            self._add_product(acc, self._left_index([(k, j, t, x) for j, k, t, x in cell]), R, 1)
+            self._add_product(acc, r_left, cell, -1)
             if _first_nonzero(field, acc) is not None:
                 witness = h
                 break

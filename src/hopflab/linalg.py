@@ -569,9 +569,30 @@ def _subalgebra_generated(algebra, vectors) -> Subspace:
         space = grown
 
 
+def _regular_trace(algebra):
+    """t_k = tr(L_{e_k}) = sum_l c_kl^l, the character of the left regular
+    representation."""
+    zero = algebra.field.zero
+    return [sum((cell[k] for k, cell in enumerate(row) if k in cell), zero) for row in algebra.mult]
+
+
+def _is_two_sided_integral(algebra, x, basis, counit):
+    """b x = x b = eps(b) x for every vector b of basis, whose counit
+    values are given in the same order."""
+    for b, eps in zip(basis, counit):
+        target = vec_scale(x, eps)
+        if not (vec_eq(algebra.multiply(b, x), target) and vec_eq(algebra.multiply(x, b), target)):
+            return False
+    return True
+
+
 def _solve_integral(algebra, counit):
     """The integral of an algebra with a counit: the unique x with
-    e_i x = eps(e_i) x for every i, normalized so that eps(x) = 1."""
+    e_i x = eps(e_i) x for every i, normalized so that eps(x) = 1.
+
+    It serves coideal subalgebras N, which have no dual algebra to read a
+    regular trace from; the integrals of H and H* are their regular
+    characters (HopfAlgebra.integrals)."""
     dim, field = algebra.dim, algebra.field
     images = []
     for j in range(dim):
@@ -677,8 +698,7 @@ def _central_blocks(algebra):
         raise NotSemisimpleError("center did not split into lines")
 
     field = algebra.field
-    traces = [sum((cell[k] for k, cell in enumerate(row) if k in cell), field.zero)
-              for row in algebra.mult]
+    traces = _regular_trace(algebra)
     form = [[sum((c * traces[k] for k, c in cell.items()), field.zero) for cell in row]
             for row in algebra.mult]
     idempotents, degrees, characters = [], [], []

@@ -748,12 +748,14 @@ def _lll(basis, gram):
     return b[1:], dd, lam
 
 
+@lru_cache(maxsize=256)
 def _embedding_lattice(n: int, prime: int, r: int, modulus: int):
     """The lattice of coordinate vectors v with sum_j v_j r^j = 0 modulo
     modulus = prime^K, r Hensel-lifted on Phi_n: the ideal P^K for the
     prime P = (prime, zeta - r) of degree 1.  Returns the lifted r, an
     LLL-reduced basis b_i under the trace form G, the rows G b_i* and the
-    squared lengths |b_i*|^2, which is what nearest-plane decoding needs."""
+    squared lengths |b_i*|^2, which is what nearest-plane decoding needs,
+    as tuples: it depends only on its arguments, so it is cached."""
     r = _hensel_lift(cyclotomic_polynomial(n), r, prime, modulus)
     gram = _trace_form(n)
     d = len(gram)
@@ -767,8 +769,10 @@ def _embedding_lattice(n: int, prime: int, r: int, modulus: int):
             mu = QQ(lam[i][j], dd[j])
             star = [x - mu * y for x, y in zip(star, s)]
         stars.append(star)
-    projections = [[sum(g * x for g, x in zip(row, star)) for row in gram] for star in stars]
-    return r, basis, projections, [QQ(dd[i], dd[i - 1]) for i in range(1, d + 1)]
+    projections = tuple(tuple(sum(g * x for g, x in zip(row, star)) for row in gram)
+                        for star in stars)
+    return (r, tuple(map(tuple, basis)), projections,
+            tuple(QQ(dd[i], dd[i - 1]) for i in range(1, d + 1)))
 
 
 def _nearest_in_coset(x: int, basis, projections, norms) -> list:

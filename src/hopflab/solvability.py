@@ -33,7 +33,14 @@ from .coideal import (
 from .coideal import _invariants
 from .errors import ChainError, HopfLabError, NotNormalError
 from .hopf import HopfAlgebra
-from .linalg import Subspace, _left_ideal, _subalgebra_generated, vec_eq, vec_scale
+from .linalg import (
+    Subspace,
+    _is_two_sided_integral,
+    _left_ideal,
+    _subalgebra_generated,
+    vec_eq,
+    vec_scale,
+)
 
 
 class StepResult:
@@ -178,16 +185,8 @@ def _is_dual_integral_for(hopf, subalgebra: Subspace, x):
     """x b = <b, 1> x = b x for all b in the subalgebra of H*."""
     if all(c.is_zero() for c in x):
         return False
-    dual = hopf.dual()
-    for b in subalgebra.basis:
-        b = list(b)
-        scale = hopf.pair(b, hopf.unit)
-        target = vec_scale(x, scale)
-        if not vec_eq(dual.multiply(x, b), target):
-            return False
-        if not vec_eq(dual.multiply(b, x), target):
-            return False
-    return True
+    basis = [list(b) for b in subalgebra.basis]
+    return _is_two_sided_integral(hopf.dual(), x, basis, [hopf.pair(b, hopf.unit) for b in basis])
 
 
 class InjectivityResult:

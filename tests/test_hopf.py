@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,12 +15,24 @@ from hopflab.builders import (
     symmetric3_table,
     validate_group_table,
 )
+from click.testing import CliRunner
+
+from hopflab.cli import main
 from hopflab.coideal import _invariants, left_kernel
-from hopflab.corpus import corpus_names
+from hopflab.corpus import corpus_file, corpus_names
 from hopflab.corpus import load as load_corpus
-from hopflab.errors import NotAGroupError
-from hopflab.linalg import AlgebraPresentation, Subspace, basis_vector, vec_add, vec_eq, vec_scale
-from hopflab.scalars import QQ
+from hopflab.errors import IntegralError, NotAGroupError
+from hopflab.hopf import HopfAlgebra
+from hopflab.linalg import (
+    AlgebraPresentation,
+    Subspace,
+    _solve_integral,
+    basis_vector,
+    vec_add,
+    vec_eq,
+    vec_scale,
+)
+from hopflab.scalars import QQ, CyclotomicField
 
 
 def build_s3():
@@ -142,6 +155,79 @@ def test_integral_of_dual(s3):
     assert vec_eq(pair.integral, s3.basis(s3.index_of_label("e")))
 
 
+def _oracle_algebra(name):
+    if name == "kS4":
+        table, labels = permutation_group_table([(1, 0, 2, 3), (1, 2, 3, 0)], 4)
+        return group_algebra(table, conductor=1, labels=labels, name="kS4")
+    if name == "k^A4":
+        return _ka4().dual()
+    if name == "D(kD4)":
+        table, labels = dihedral8_table()
+        return drinfeld_double(group_algebra(table, conductor=4, labels=labels))
+    return load_corpus(name, verify=False)[0]
+
+
+@pytest.mark.parametrize("name", list(corpus_names()) + ["kS4", "k^A4", "D(kD4)"])
+def test_integrals_match_the_kernel_solve(name):
+    # the regular characters against the defining linear systems: the
+    # one-dimensional solution spaces, normalized by eps(Lambda) = 1 and
+    # <lambda, Lambda> = 1
+    H = _oracle_algebra(name)
+    lam = _solve_integral(H, H.counit)
+    dual_int = _solve_integral(H.dual(), H.unit)
+    dual_int = vec_scale(dual_int, H.pair(dual_int, lam).inverse())
+    pair = H.integrals()
+    assert pair.integral == lam
+    assert pair.dual_integral == dual_int
+
+
+def _sweedler_h4():
+    """Sweedler's 4-dimensional Hopf algebra over Q on 1, g, x, gx: g^2 = 1,
+    x^2 = 0, xg = -gx, g grouplike, Delta(x) = x (x) 1 + g (x) x.  It is
+    not semisimple, and its antipode has order 4."""
+    field = CyclotomicField(1)
+    one, minus = field.one, -field.one
+    products = {(0, 0): (0, one), (0, 1): (1, one), (0, 2): (2, one), (0, 3): (3, one),
+                (1, 0): (1, one), (1, 1): (0, one), (1, 2): (3, one), (1, 3): (2, one),
+                (2, 0): (2, one), (2, 1): (3, minus), (3, 0): (3, one), (3, 1): (2, minus)}
+    mult = [[{} for _ in range(4)] for _ in range(4)]
+    for (i, j), (k, c) in products.items():
+        mult[i][j][k] = c
+    comult = [{(0, 0): one}, {(1, 1): one}, {(2, 0): one, (1, 2): one}, {(3, 1): one, (0, 3): one}]
+    zero = field.zero
+    antipode = [[one, zero, zero, zero], [zero, one, zero, zero],
+                [zero, zero, zero, minus], [zero, zero, one, zero]]
+    return HopfAlgebra(field, 4, mult, [one, zero, zero, zero], comult,
+                       [one, one, zero, zero], antipode, name="H4")
+
+
+def test_integrals_of_a_non_semisimple_algebra_raise():
+    # the regular character of H4* is (1 + g) / 2 after scaling, which x
+    # does not multiply to eps(x) (1 + g) / 2 = 0
+    H4 = _sweedler_h4()
+    assert not H4.verify().ok
+    with pytest.raises(IntegralError, match="not semisimple"):
+        H4.integrals()
+
+
+def test_integrals_and_characters_solve_no_linear_system(monkeypatch):
+    # the integrals of H and H* are read off the regular traces; the
+    # kernel solve serves coideal subalgebras only
+    calls = []
+
+    def spy(algebra, counit):
+        calls.append(algebra.dim)
+        return _solve_integral(algebra, counit)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("hopflab") and hasattr(module, "_solve_integral"):
+            monkeypatch.setattr(module, "_solve_integral", spy)
+    for name in corpus_names():
+        for command in ("characters", "integrals"):
+            assert CliRunner().invoke(main, [command, str(corpus_file(name))]).exit_code == 0
+    assert calls == []
+
+
 def test_character_table_z2(z2):
     table = z2.character_table()
     assert table.degrees == [1, 1]
@@ -188,6 +274,25 @@ def test_bilinear_form_basics(s3):
     # symmetric on the character span
     assert s3.bilinear_form(sign, chi2) == s3.bilinear_form(chi2, sign)
     assert s3.pair(lam_pair.dual_integral, lam_pair.integral).is_one()
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_bilinear_form_matches_its_definition(name):
+    # (p|q) = <s(q) p, Lambda> with the product and antipode of H.dual(),
+    # on the characters and on seeded random functionals
+    H, _ = load_corpus(name, verify=False)
+    dual, lam, field = H.dual(), H.integrals().integral, H.field
+    rng = random.Random(name)
+
+    def rand_scalar():
+        a, b = (QQ(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2))
+        return field.from_rational(a) + field.from_rational(b) * field.zeta
+
+    functionals = H.character_table().characters + [
+        [rand_scalar() for _ in range(H.dim)] for _ in range(3)]
+    for p in functionals:
+        for q in functionals:
+            assert H.bilinear_form(p, q) == H.pair(dual.multiply(dual.antipode_of(q), p), lam)
 
 
 def test_coadjoint_lands_in_characters(s3):

@@ -4,8 +4,8 @@ A refactor must keep every report byte-identical.  Each case runs one CLI
 command in-process and compares the sha256 of its stdout, plus its exit
 code, against the value pinned below.  The set covers `solvable-find` on
 every corpus file (on d-s3 with and without `--text`), `nilpotent-check`
-on every corpus file except d-s3, `verify` and `characters` with and
-without `--text` on every corpus file, and `coideal` and `reciprocity` for
+on every corpus file except d-s3, `verify`, `characters` and `integrals`
+with and without `--text` on every corpus file, and `coideal` and `reciprocity` for
 every label but the first of s3, s3-dual and d-z2.
 
 `verify` is also pinned, with and without `--text`, on tampered copies of
@@ -60,7 +60,7 @@ def _commands():
             commands.append(("solvable-find", name, "--text"))
         else:
             commands.append(("nilpotent-check", name))
-        for command in ("verify", "characters"):
+        for command in ("verify", "characters", "integrals"):
             commands.append((command, name))
             commands.append((command, name, "--text"))
     for name in COIDEAL_FILES:
@@ -212,6 +212,24 @@ PINNED = {
     'verify d-s3 r_matrix[20]=z --text': ('ccf30cf4c53832db8bc426e4f2d9d5c070c6e7e1ecef5395c2598b77d824c59f', 1),
     'verify q8 unit[0]=1/2': ('bff70e211b9afd517f3069dbc2e8ff07e9d8a6f703aa24b85404c83e50a84726', 1),
     'verify q8 unit[0]=1/2 --text': ('582c6409712397b6ad820925f991890bc48222ffeb45d2915543b8184af7dbf5', 1),
+    'integrals z2': ('2d8dfd8a4a0b158ea22339a4dbccca7b5621f8164924dca985113e8262b39b4f', 0),
+    'integrals z2 --text': ('bae459687854cc30e0745fc098cd02225170c49bf1c8f0af83e83a3e26613cf2', 0),
+    'integrals z3': ('41428019e81fc353f76afff09828664172ae7887551bf5a46f7e1c1c573bad79', 0),
+    'integrals z3 --text': ('9b466c590027d9d91b89e9e3076913438a042f73858b32409cd2946e0e0bea1d', 0),
+    'integrals z6': ('5dd175a901b26b70034131272e46fe9887095f7e63210815ac39258ede90ecad', 0),
+    'integrals z6 --text': ('561c8406f18e8790134f85c3a991e1357ebc490dcedc4e6e0b644ffc47bb0f3d', 0),
+    'integrals s3': ('c0d709aabf62b50a4931d689b512e0d2b59c00d9aface579d6673100aac3ae79', 0),
+    'integrals s3 --text': ('6e1ad1dec8e50f713daee3bb0d34b6be0d10547dae1bddcf574af0ebba31e466', 0),
+    'integrals s3-dual': ('e0dc2a84cf8d1945cd4d8e4ca31fa72c3c49fd6978c16a75d309d032cd9d1abe', 0),
+    'integrals s3-dual --text': ('28f873edc76efd655b68f02980b890098813c3ab522dc47d0b13da2d915d0bd1', 0),
+    'integrals d4': ('9aa61da1f767dc395dec2f70fc63e369fe8e101351a0f94d25f61afcb4789c06', 0),
+    'integrals d4 --text': ('0a3936e5978f97dc62694e52fb517d5f9332f4d47730e0a9332eb9aa495246ae', 0),
+    'integrals q8': ('c4b9f0e601f4c3824fb7dbebf25600b6676c944b4be7ebce3fafaedb1bcd4c7c', 0),
+    'integrals q8 --text': ('fae3d206c1a87559a4030e75f2d92b38dd69a51473fe4f6182f7c14687fc0411', 0),
+    'integrals d-z2': ('ed87ae43665094bb23eaf685cc440b4b32d1e3623d3204b8d40fbf193471fa10', 0),
+    'integrals d-z2 --text': ('cf45841a93698510760ad360513ca895c33da19d9dc2946c776f9c50af9ed185', 0),
+    'integrals d-s3': ('e0f62989940235f0646b9b82dde4f1802990d641cf82f816f2dc5e35ad24a2ae', 0),
+    'integrals d-s3 --text': ('536e6628d910e52b10d812af961ab4b815c3fec017e677975210e4ad3df6d984', 0),
 }
 
 
