@@ -5,8 +5,9 @@ command in-process and compares the sha256 of its stdout, plus its exit
 code, against the value pinned below.  The set covers `solvable-find` on
 every corpus file (on d-s3 with and without `--text`), `nilpotent-check`
 on every corpus file except d-s3, `verify`, `characters` and `integrals`
-with and without `--text` on every corpus file, and `coideal` and `reciprocity` for
-every label but the first of s3, s3-dual and d-z2.
+with and without `--text` on every corpus file, `coideal` and `reciprocity` for
+every label but the first of s3, s3-dual, d-z2, d4, q8 and z6, and `coideal`,
+`reciprocity` and `induce --index 0` with `--gens H` on every corpus file.
 
 `verify` is also pinned, with and without `--text`, on tampered copies of
 corpus files (one entry of one tensor replaced, some by irrational or
@@ -31,7 +32,7 @@ from click.testing import CliRunner
 from hopflab.cli import main
 from hopflab.corpus import corpus_file, corpus_names, load
 
-COIDEAL_FILES = ("s3", "s3-dual", "d-z2")
+COIDEAL_FILES = ("s3", "s3-dual", "d-z2", "d4", "q8", "z6")
 
 # (corpus file, section, entry index, new value): the entry's scalar is
 # replaced.  Between them the copies fail every check of `verify`.
@@ -63,6 +64,9 @@ def _commands():
         for command in ("verify", "characters", "integrals"):
             commands.append((command, name))
             commands.append((command, name, "--text"))
+        commands.append(("coideal", name, "--gens", "H"))
+        commands.append(("reciprocity", name, "--gens", "H"))
+        commands.append(("induce", name, "--gens", "H", "--index", "0"))
     for name in COIDEAL_FILES:
         hopf, _ = load(name, verify=False)
         for i in range(1, hopf.dim):
@@ -230,6 +234,71 @@ PINNED = {
     'integrals d-z2 --text': ('cf45841a93698510760ad360513ca895c33da19d9dc2946c776f9c50af9ed185', 0),
     'integrals d-s3': ('e0f62989940235f0646b9b82dde4f1802990d641cf82f816f2dc5e35ad24a2ae', 0),
     'integrals d-s3 --text': ('536e6628d910e52b10d812af961ab4b815c3fec017e677975210e4ad3df6d984', 0),
+    'coideal z2 --gens H': ('61327b40a917aefb255dafbe0f4d764d817d23a6abb7cd6f25795e6acaa08b23', 0),
+    'reciprocity z2 --gens H': ('89ce6627299e2077c14dc8a42c2be504098f631646288e9b5199fda8e4472b99', 0),
+    'induce z2 --gens H --index 0': ('e75bb15697278b4ada6c4375a2a45004386708e4a27b81feb94b18b7ff492a28', 0),
+    'coideal z3 --gens H': ('e4438d8f096d592dab65fbf7a53ba3c5e5078d3c4321296f862858e3d7f9a6a3', 0),
+    'reciprocity z3 --gens H': ('72736574ea69f7b0768778181512972e04b51bfd2da8f95c228f1e6958ceece1', 0),
+    'induce z3 --gens H --index 0': ('58cf769cc0eab142ac2ae7b6a7394f915f48c8694f1b65aa0bbd3a59d1be7cdc', 0),
+    'coideal z6 --gens H': ('a462ab119c5ddc5fd90147dc13ae34b7d3c46924cb175bc3b8a5e8de3d50988e', 0),
+    'reciprocity z6 --gens H': ('02ac67de140a0bd14c35ca8e538df6c2650b837dcff9e460e9b9ba47913f1d1c', 0),
+    'induce z6 --gens H --index 0': ('b913fbcc98803a6899654df17e2dec3e50ddb7ecc64216dbbd79d598a6844974', 0),
+    'coideal s3 --gens H': ('f15fe686e7cb02411ea10f8d2ed8711af16028aa00167cd442ae1ee70aaa8ec4', 0),
+    'reciprocity s3 --gens H': ('30c365f5190ee45f0392ff78d5d96f1900ede751463e89585df8662e0f018e43', 0),
+    'induce s3 --gens H --index 0': ('abcedbabb2177e9d3f243a25bae96347c55ca1ff4f2a6a45b0cf6b3450551dcb', 0),
+    'coideal s3-dual --gens H': ('3f32485e49da13b5af3d1104e9fe18553b2a4237ebe00a78dc03e25e414516c9', 0),
+    'reciprocity s3-dual --gens H': ('cf684f8d1958354a2312e578c50b546766b4935b9d57df181cd0094c5e749db3', 0),
+    'induce s3-dual --gens H --index 0': ('3bcc95b1ed2b095304c8f367ba2ba7e4d98c11fe573cedca9709ac7bd0fb6b83', 0),
+    'coideal d4 --gens H': ('c54b198736113c28e383fd0ecf99ab75133f26e5fcf52949fbbc873ac28db344', 0),
+    'reciprocity d4 --gens H': ('77f8e69f1b3c89a2b323b5914aa02d45b2fea1561c3c2e1a28f72a22f5cd6466', 0),
+    'induce d4 --gens H --index 0': ('40cda2bf07d2ec0d33e2061c63f7a02c306487383f6187546fae8568551f1f30', 0),
+    'coideal q8 --gens H': ('00a298a76ece374c995c099aefe424747b4879f65809d3d6ce6d60bdcf5e042c', 0),
+    'reciprocity q8 --gens H': ('8d9246debfc7b2717c88103eed88df562c9bbb7a1ea09c409f24146b3026319d', 0),
+    'induce q8 --gens H --index 0': ('735f03671cd75b283fe12f5fdaabdc086f7c7f2a771ef248bdc67ddd9cbf372b', 0),
+    'coideal d-z2 --gens H': ('fc05181954ede417866e319b599ba5cae8f0a7e458366c6e344d3179811960a0', 0),
+    'reciprocity d-z2 --gens H': ('8d97598edefb27017d62f80d4afd858adfdccc8403e6757896cf9a9f8c9e1083', 0),
+    'induce d-z2 --gens H --index 0': ('d674322f24d288e026c8d05236178a97631e29d75c1c73f8c3f9e66e39b29fe5', 0),
+    'coideal d-s3 --gens H': ('8361592564fa466d3ce62f1e5f2854da9afde0c317a38b12af42a239a1fae9d7', 0),
+    'reciprocity d-s3 --gens H': ('824e01551e23ce0b54489eaef471248643528947c756e27a79b1cd40a7e75039', 0),
+    'induce d-s3 --gens H --index 0': ('f77d5fd1ca5355405dd9f7a6e8046cbf5877a6c7ad6b90bda270ef2b079aad11', 0),
+    'coideal d4 --gens (24)': ('408af45b50f5f3294aae40efe0256de2ae640def3f65eca684cd23548a94b26e', 0),
+    'reciprocity d4 --gens (24)': ('96a20a794cddc8558931ed468cebb92133dfaf3a548ac091dfb3ec672afa707e', 0),
+    'coideal d4 --gens (13)': ('3c18cbb1c61bc8bba7006397b604bc35ecc0b1f1743b3643b9adfa032e23c1df', 0),
+    'reciprocity d4 --gens (13)': ('96a20a794cddc8558931ed468cebb92133dfaf3a548ac091dfb3ec672afa707e', 0),
+    'coideal d4 --gens (12)(34)': ('533c70d9ae420ab6cf70c9319ea64d123b731728cd70a2827899c81a359cc5d0', 0),
+    'reciprocity d4 --gens (12)(34)': ('d4f18d4f30060adcc510b6d7258b22a630d0353d5a3cedeffc9a4ea7abe86218', 0),
+    'coideal d4 --gens (1234)': ('e874a7a0e83f16e7b86cbc93218c14697113d07651b5b7d55daf937de49a53e0', 0),
+    'reciprocity d4 --gens (1234)': ('2141e260c6c1e26c6b6d409dfc9ed0f8ab67198824c2c7440d9260d64a2032df', 0),
+    'coideal d4 --gens (13)(24)': ('e9fe056251a94e470d8bd5dbe05d88652ee69e6e73d853f1a43c28d141b1aa9a', 0),
+    'reciprocity d4 --gens (13)(24)': ('40b36ebc47a8df024e0a3a215e55f943cb491cc6bcdcc0f9df58fef986eeaccc', 0),
+    'coideal d4 --gens (1432)': ('4bce16e752169340239b786b11840528207b36ef3fcd1b3565cc1b58a91b465f', 0),
+    'reciprocity d4 --gens (1432)': ('2141e260c6c1e26c6b6d409dfc9ed0f8ab67198824c2c7440d9260d64a2032df', 0),
+    'coideal d4 --gens (14)(23)': ('d44ebf081b6da801813c8cfece9ac6e73d568731b677b0af5ffa47f8016c968a', 0),
+    'reciprocity d4 --gens (14)(23)': ('d4f18d4f30060adcc510b6d7258b22a630d0353d5a3cedeffc9a4ea7abe86218', 0),
+    'coideal q8 --gens -1': ('a693eaccb102c124e7ec4b5ab73253a18869f507d7f622cb541f08bbf625cdcb', 0),
+    'reciprocity q8 --gens -1': ('55860389689b3cda2b72cd66b1bcc614f69f9fff9ad3e147853f39ec5b7d7041', 0),
+    'coideal q8 --gens i': ('63ac39030da9a0589a7e389e22beb7eb3edb424168128da2eceb22654c671aa1', 0),
+    'reciprocity q8 --gens i': ('842163f9070ece69decd22fb7d9c2fcf1a7a73fcbc381132a8cc45cd5a5ab910', 0),
+    'coideal q8 --gens -i': ('d6c7a077021533c32f326474ded17f1295b00c18dd80b5b2385047ec3bed3c57', 0),
+    'reciprocity q8 --gens -i': ('842163f9070ece69decd22fb7d9c2fcf1a7a73fcbc381132a8cc45cd5a5ab910', 0),
+    'coideal q8 --gens j': ('9505d355bafae72641c9dc55b4bf1f3f888c6feb608a6cccafebb2b67934e907', 0),
+    'reciprocity q8 --gens j': ('c64394ccd817b355ba7977ef77efd37c033f9b3b7ab066cb95143b012ada54dc', 0),
+    'coideal q8 --gens -j': ('98d9cfed4fe82f79afe5736da10d689cb1fa3423b6b08c347a32712153fa6ae0', 0),
+    'reciprocity q8 --gens -j': ('c64394ccd817b355ba7977ef77efd37c033f9b3b7ab066cb95143b012ada54dc', 0),
+    'coideal q8 --gens k': ('2b136800965538865b209758a3bedae2e519e60b3657bbcef2548a331ce3fac1', 0),
+    'reciprocity q8 --gens k': ('83ea5a650db15733b92e147264acaf069c0025f22fe24eb8359130e74f8415d2', 0),
+    'coideal q8 --gens -k': ('7b2dac7d6bfd4215c1b8c2a9f3d8cccda158ae65dcff07eb896950e92af0b3e9', 0),
+    'reciprocity q8 --gens -k': ('83ea5a650db15733b92e147264acaf069c0025f22fe24eb8359130e74f8415d2', 0),
+    'coideal z6 --gens g': ('bb687b64732b83c17a3122b8599dcab27e884bd57bc5acae0beeb850e2beea16', 0),
+    'reciprocity z6 --gens g': ('02ac67de140a0bd14c35ca8e538df6c2650b837dcff9e460e9b9ba47913f1d1c', 0),
+    'coideal z6 --gens g^2': ('052571ca52d5a6a5b6607a0b7f7ce9df8de3106492978d6726fb22dee726f164', 0),
+    'reciprocity z6 --gens g^2': ('f6e288a0c80555ef5cb46e3dc25717e8f126aab7e7626951220014ff5293abb4', 0),
+    'coideal z6 --gens g^3': ('612f5cadd184ff66dda895dab7de051d2bc41298126659be0d45c9a5c27eadcb', 0),
+    'reciprocity z6 --gens g^3': ('6ae268a0276935b4f3ffe88d54be8e478ec7e9c10e2ea97fd96da75058fad756', 0),
+    'coideal z6 --gens g^4': ('f713ce1ad4f0f06d163ae96432eea8eaa1632ff3d8f337eb2334b1f6b3245b51', 0),
+    'reciprocity z6 --gens g^4': ('f6e288a0c80555ef5cb46e3dc25717e8f126aab7e7626951220014ff5293abb4', 0),
+    'coideal z6 --gens g^5': ('be21237dd701ae2855ab100bf77f08278d39fbd2d40a8bd55836e646f1faef6b', 0),
+    'reciprocity z6 --gens g^5': ('02ac67de140a0bd14c35ca8e538df6c2650b837dcff9e460e9b9ba47913f1d1c', 0),
 }
 
 
