@@ -98,17 +98,19 @@ def _fail(message):
 
 
 def _parse_gens(hopf, gens):
+    """Basis vectors for the comma-separated tokens of gens.  A token is a
+    basis label, or else, when no label matches, a basis index."""
+    labels = hopf.basis_labels or []
     out = []
     for token in gens.split(","):
         token = token.strip()
         if not token:
             continue
-        try:
-            if token.isdigit():
-                out.append(hopf.basis(int(token)))
-            else:
-                out.append(hopf.basis(hopf.index_of_label(token)))
-        except (KeyError, ValueError, IndexError):
+        if token in labels:
+            out.append(hopf.basis(labels.index(token)))
+        elif token.isdecimal() and int(token) < hopf.dim:
+            out.append(hopf.basis(int(token)))
+        else:
             _fail(f"unknown basis element {token!r}")
     return out
 
@@ -233,7 +235,8 @@ def characters(file, workspace, as_text):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--gens", required=True, help='comma-separated basis labels, or "H"')
+@click.option("--gens", required=True,
+              help='comma-separated basis labels (a basis index where no label matches), or "H"')
 @click.option("--save", type=click.Path(dir_okay=False), default=None,
               help="also write the context as JSON")
 @workspace_option

@@ -4,7 +4,9 @@ A CoidealSubalgebra bundles a verified left coideal subalgebra N of H with
 its idempotent integral, the invariant subalgebra B = (H*)^N, the dual
 integral lambda_B = Lambda_N -> lambda (normalized so <lambda_B, 1> = dim B),
 and the normality / Hopf-subalgebra flags, each computed by two independent
-tests that must agree.
+tests that must agree.  Lambda_N is the x with tr(L_{n x}) = eps(n) on N,
+read from N's trace form.  coideal_closure only grows a span;
+coideal_from_subspace is the one place that checks and presents N.
 
 One kernel serves both sides of the correspondence N <-> B: H^T for a
 subalgebra T of H*, and B = (H*)^N as the invariants of N acting on
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from .errors import (
     HopfLabError,
+    InconsistentSystemError,
     IntegralError,
     NotAnAlgebraError,
     NotARepresentationError,
@@ -30,6 +33,7 @@ from .linalg import (
     Subspace,
     basis_vector,
     mat_vec,
+    solve_linear,
     vec_add,
     vec_eq,
     vec_scale,
@@ -38,10 +42,9 @@ from .linalg import (
 from .linalg import (
     _is_two_sided_integral,
     _kernel_of_images,
-    _solve_integral,
-    _subalgebra_generated,
     _subalgebra_presentation,
     _tensor_add,
+    _trace_form,
 )
 
 
@@ -131,20 +134,21 @@ def _right_legs(hopf, v):
 def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
     """Smallest left coideal subalgebra containing the generators.
 
-    Alternates closure under the right comultiplication legs and the
-    subalgebra generated until the dimension stabilizes (bounded by dim H).
+    Each pass spans the basis, the products of its pairs and its right
+    comultiplication legs; a pass that adds nothing leaves a subspace
+    closed under both, which coideal_from_subspace checks and presents.
     """
     vectors = [list(hopf.unit)] + [list(g) for g in generators]
     space = Subspace.from_vectors(hopf.field, hopf.dim, vectors)
-    for _ in range(hopf.dim + 1):
-        new_vecs = list(space.basis)
-        for v in space.basis:
-            new_vecs.extend(_right_legs(hopf, list(v)))
-        grown = _subalgebra_generated(hopf, new_vecs)
+    while True:
+        basis = [list(b) for b in space.basis]
+        vectors = basis + [hopf.multiply(a, b) for a in basis for b in basis]
+        for v in basis:
+            vectors.extend(_right_legs(hopf, v))
+        grown = Subspace.from_vectors(hopf.field, hopf.dim, vectors)
         if grown == space:
             return coideal_from_subspace(hopf, space)
         space = grown
-    raise HopfLabError("coideal closure did not stabilize within dim H steps")
 
 
 def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace) -> CoidealSubalgebra:
@@ -165,11 +169,24 @@ def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace) -> CoidealSubalgeb
 
 
 def _coideal_integral(hopf, space, presentation):
-    """Idempotent two-sided integral of N: the integral of N's presentation
-    for the restricted counit, in ambient coordinates."""
+    """Idempotent two-sided integral of N, in ambient coordinates: the x
+    with T_N x = eps|_N for the trace form T_N of N's presentation.
+
+    N Lambda_N is the trivial block, of dimension 1, so tr(L_{n Lambda_N})
+    = eps(n); the form is non-degenerate for semisimple N in characteristic
+    0, so the solution is unique.  The two-sided certificate makes it the
+    only left integral too: y = Lambda_N y = eps(y) Lambda_N.
+    """
     basis = [list(b) for b in space.basis]
     eps = [hopf.counit_of(b) for b in basis]
-    x = mat_vec(basis, _solve_integral(presentation, eps))
+    try:
+        coords, kernel = solve_linear(_trace_form(presentation), eps, hopf.field)
+    except InconsistentSystemError:
+        kernel = None
+    if kernel is None or kernel.dim:
+        raise IntegralError("trace form of the coideal subalgebra is degenerate; "
+                            "input is not semisimple")
+    x = mat_vec(basis, coords)
     if not vec_eq(hopf.multiply(x, x), x):
         raise IntegralError("coideal integral is not idempotent")
     if not _is_two_sided_integral(hopf, x, basis, eps):

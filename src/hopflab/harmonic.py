@@ -27,6 +27,10 @@ Lambda ad (xy) = Lambda ad (y S^2(x)), and S^2 = id for semisimple H in
 characteristic 0 (Larson-Radford, 1988).  No primitive idempotent is found,
 so restriction, induction and reciprocity need only the center of N to
 split.
+
+Any functional phi on N in the span of Irr(N) has coefficients
+<phi, E_j> / d_j there, since phi_i(E_j) = d_j delta_ij; restriction,
+reciprocity and the trace-formula induction read them so, solving nothing.
 """
 
 from __future__ import annotations
@@ -132,10 +136,11 @@ def character_form(ctx: CoidealSubalgebra, p, q):
     return ctx.hopf.pair(q, frobenius_apply(ctx, p, inverse=True))
 
 
-def _multiplicities(ctx: CoidealSubalgebra, chars: CharacterTable, chi):
-    """<chi, t_j> = <chi, E_j> / d_j for every block j of N (module docstring)."""
-    H = ctx.hopf
-    return [H.pair(chi, ctx.to_ambient(e)) / d for e, d in zip(chars.idempotents, chars.degrees)]
+def _irr_coefficients(ctx: CoidealSubalgebra, chars: CharacterTable, phi):
+    """[<phi, E_j> / d_j] for a functional phi on N: its coefficients over
+    Irr(N) when it lies in their span, since phi_i(E_j) = d_j delta_ij.
+    For phi = chi|_N they are <chi, t_j> (module docstring)."""
+    return [ctx.hopf.pair(phi, e) / d for e, d in zip(chars.idempotents, chars.degrees)]
 
 
 def restrict_character(ctx: CoidealSubalgebra, chi):
@@ -147,7 +152,7 @@ def restrict_character(ctx: CoidealSubalgebra, chi):
     """
     chars = coideal_characters(ctx)
     restriction = ctx.restrict_functional(chi)
-    coeffs = _multiplicities(ctx, chars, chi)
+    coeffs = _irr_coefficients(ctx, chars, restriction)
     if not vec_eq(mat_vec(chars.characters, coeffs), restriction):
         raise MultiplicityError("restriction does not expand over Irr(N) with <chi, t_j> coefficients")
     for c in coeffs:
@@ -170,32 +175,20 @@ def induce_character(ctx: CoidealSubalgebra, phi, check=True):
 
 
 def induce_character_by_trace(ctx: CoidealSubalgebra, phi):
-    """Independent induction: expand phi = sum_j alpha_j phi_j over Irr(N);
-    then sum_j alpha_j phi_j^up = (Lambda ad z) -> lambda with
+    """Independent induction: expand phi = sum_j alpha_j phi_j over Irr(N)
+    with alpha_j = <phi, E_j> / d_j, checked exactly; then
+    sum_j alpha_j phi_j^up = (Lambda ad z) -> lambda with
     z = sum_j (alpha_j / d_j) E_j, since Lambda ad t_j = (Lambda ad E_j) / d_j
     (module docstring)."""
     H = ctx.hopf
     chars = coideal_characters(ctx)
-    alpha = _expand_over_characters(ctx, chars, phi)
+    alpha = _irr_coefficients(ctx, chars, phi)
+    if not vec_eq(mat_vec(chars.characters, alpha), phi):
+        raise HopfLabError("functional is not in the span of Irr(N)")
     z = mat_vec(chars.idempotents, [a_j / d for a_j, d in zip(alpha, chars.degrees)])
     pair_data = H.integrals()
     conj = H.adjoint(pair_data.integral, ctx.to_ambient(z))
     return H.dual().act_left(conj, pair_data.dual_integral)
-
-
-def _expand_over_characters(ctx, chars: CharacterTable, phi):
-    """Coefficients of phi in the Irr(N) basis; phi must lie in R(N)."""
-    from .errors import InconsistentSystemError
-    from .linalg import solve_linear
-
-    rows = [[chars.characters[j][a] for j in range(len(chars))] for a in range(ctx.dim)]
-    try:
-        sol, ker = solve_linear(rows, list(phi), ctx.hopf.field)
-    except InconsistentSystemError:
-        raise HopfLabError("functional is not in the span of Irr(N)") from None
-    if ker.dim:
-        raise HopfLabError("irreducible characters of N are linearly dependent")
-    return sol
 
 
 def induced_degree_identity(ctx: CoidealSubalgebra, phi, induced):
@@ -229,7 +222,7 @@ def reciprocity_table(ctx: CoidealSubalgebra) -> ReciprocityTable:
     for i, chi in enumerate(table.characters):
         restriction = ctx.restrict_functional(chi)
         row = []
-        for j, direct in enumerate(_multiplicities(ctx, chars, chi)):
+        for j, direct in enumerate(_irr_coefficients(ctx, chars, restriction)):
             by_form = character_form(ctx, restriction, chars.characters[j])
             by_induction = H.bilinear_form(chi, induced[j])
             if by_form != by_induction or by_form != direct:

@@ -29,7 +29,6 @@ import math
 from .errors import (
     AmbientMismatchError,
     InconsistentSystemError,
-    IntegralError,
     NotSemisimpleError,
     NotSplitError,
 )
@@ -576,6 +575,16 @@ def _regular_trace(algebra):
     return [sum((cell[k] for k, cell in enumerate(row) if k in cell), zero) for row in algebra.mult]
 
 
+def _trace_form(algebra):
+    """Rows T[m][j] = tr(L_{e_m e_j}) = sum_k c_mj^k t_k, t the regular
+    trace; non-degenerate exactly when the algebra is semisimple, in
+    characteristic 0."""
+    traces = _regular_trace(algebra)
+    zero = algebra.field.zero
+    return [[sum((c * traces[k] for k, c in cell.items()), zero) for cell in row]
+            for row in algebra.mult]
+
+
 def _is_two_sided_integral(algebra, x, basis, counit):
     """b x = x b = eps(b) x for every vector b of basis, whose counit
     values are given in the same order."""
@@ -584,36 +593,6 @@ def _is_two_sided_integral(algebra, x, basis, counit):
         if not (vec_eq(algebra.multiply(b, x), target) and vec_eq(algebra.multiply(x, b), target)):
             return False
     return True
-
-
-def _solve_integral(algebra, counit):
-    """The integral of an algebra with a counit: the unique x with
-    e_i x = eps(e_i) x for every i, normalized so that eps(x) = 1.
-
-    It serves coideal subalgebras N, which have no dual algebra to read a
-    regular trace from; the integrals of H and H* are their regular
-    characters (HopfAlgebra.integrals)."""
-    dim, field = algebra.dim, algebra.field
-    images = []
-    for j in range(dim):
-        image = {}  # e_j |-> sum_i e_i (x) (e_i e_j - eps(e_i) e_j)
-        for i in range(dim):
-            for m, c in algebra.mult[i][j].items():
-                _tensor_add(image, (i, m), c)
-            _tensor_add(image, (i, j), -counit[i])
-        images.append(image)
-    sols = _kernel_of_images(field, images)
-    if sols.dim == 0:
-        raise IntegralError("no integral: solution space is zero")
-    if sols.dim > 1:
-        raise IntegralError("integral is not unique: solution space has dim > 1")
-    x = list(sols.basis[0])
-    eps_x = field.zero
-    for c, xi in zip(counit, x):
-        eps_x = eps_x + c * xi
-    if eps_x.is_zero():
-        raise IntegralError("integral has counit zero; input is not semisimple")
-    return vec_scale(x, eps_x.inverse())
 
 
 class WedderburnData:
@@ -688,9 +667,8 @@ def _central_blocks(algebra):
     The center is cut into one-dimensional joint eigenspaces by iterated
     refinement along its echelon basis (deterministic) and each line is
     scaled to its idempotent.  With the regular trace t_k = tr(L_{e_k}) =
-    sum_l c_kl^l and the trace form tr(L_{e_m e_j}) = sum_k c_mj^k t_k, built
-    in one pass over mult, d_i^2 = tr(L_{E_i}) = dim A E_i and
-    chi_i(x) = tr(L_{x E_i}) / d_i.
+    sum_l c_kl^l and the trace form tr(L_{e_m e_j}) (`_trace_form`),
+    d_i^2 = tr(L_{E_i}) = dim A E_i and chi_i(x) = tr(L_{x E_i}) / d_i.
     """
     center = algebra.center()
     lines = _split_commutative_block(algebra, center, [list(b) for b in center.basis])
@@ -699,8 +677,7 @@ def _central_blocks(algebra):
 
     field = algebra.field
     traces = _regular_trace(algebra)
-    form = [[sum((c * traces[k] for k, c in cell.items()), field.zero) for cell in row]
-            for row in algebra.mult]
+    form = _trace_form(algebra)
     idempotents, degrees, characters = [], [], []
     for blk in lines:
         u = list(blk.basis[0])

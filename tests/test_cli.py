@@ -248,6 +248,20 @@ def test_field_too_small_exits_2_naming_the_rootless_factor(runner, tmp_path, mo
     assert runner.invoke(main, ["characters", str(path)]).exit_code == 0
 
 
+def test_gens_tokens_are_labels_before_indices(runner):
+    # q8's label "1" is the unit, not basis index 1 (the label "-1"); s3 has
+    # no label "1", so there the token is basis index 1, the label "(23)"
+    def report(name, gens):
+        result = runner.invoke(main, ["coideal", path_of(name), "--gens", gens])
+        assert result.exit_code == 0
+        return json.loads(result.output)["result"]
+
+    assert report("q8", "1")["dim"] == 1
+    assert report("q8", "-1")["dim"] == 2
+    assert report("s3", "1")["basis"] == report("s3", "(23)")["basis"]
+    assert report("s3", "1")["dim"] == 2
+
+
 def test_kq8_over_q_needs_only_the_center_of_n_to_split(runner, tmp_path):
     # the characters need only central idempotents, and Q splits the center
     # of kQ8; restriction and induction read <chi, E_j> / d_j, so the

@@ -20,7 +20,7 @@ from hopflab.coideal import (
     quotient,
 )
 from hopflab.corpus import load
-from hopflab.errors import NotAnAlgebraError, NotNormalError
+from hopflab.errors import NotAnAlgebraError, NotCoidealError, NotNormalError
 from hopflab.linalg import Subspace, _subalgebra_generated, vec_eq
 from hopflab.scalars import QQ
 
@@ -83,6 +83,19 @@ def test_skryabin_coideal(skryabin_n):
     assert skryabin_n.hopf_subalgebra is False
     # the ambient is commutative, so every coideal subalgebra is normal
     assert skryabin_n.normal is True
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([["(12)"]], "unit not contained"),
+    ([["e"], ["(12)"], ["(123)"]], "not closed under multiplication"),
+    # x = (123) + (132) satisfies x^2 = 2 + x, but the right legs of x
+    # are (123) and (132) themselves
+    ([["e"], ["(123)", "(132)"]], "not a left coideal"),
+])
+def test_coideal_from_subspace_names_the_first_failure(s3, terms, message):
+    vectors = [s3.element({label: 1 for label in labels}) for labels in terms]
+    with pytest.raises(NotCoidealError, match=message):
+        coideal_from_subspace(s3, Subspace.from_vectors(s3.field, s3.dim, vectors))
 
 
 def test_invariants_edge_cases(s3):

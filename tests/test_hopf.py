@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from integraltools import solve_integral
 from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
 from hopflab.builders import (
@@ -17,16 +18,16 @@ from hopflab.builders import (
 )
 from click.testing import CliRunner
 
+from hopflab import linalg
 from hopflab.cli import main
-from hopflab.coideal import _invariants, left_kernel
-from hopflab.corpus import corpus_file, corpus_names
+from hopflab.coideal import _invariants, coideal_closure, coideal_from_subspace, left_kernel
+from hopflab.corpus import coideal_lattice, corpus_file, corpus_names
 from hopflab.corpus import load as load_corpus
 from hopflab.errors import IntegralError, NotAGroupError
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import (
     AlgebraPresentation,
     Subspace,
-    _solve_integral,
     basis_vector,
     vec_add,
     vec_eq,
@@ -155,10 +156,17 @@ def test_integral_of_dual(s3):
     assert vec_eq(pair.integral, s3.basis(s3.index_of_label("e")))
 
 
+PERMUTATION_GROUPS = {"kS4": ([(1, 0, 2, 3), (1, 2, 3, 0)], 4),
+                      "kA5": ([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], 5)}
+
+
 def _oracle_algebra(name):
-    if name == "kS4":
-        table, labels = permutation_group_table([(1, 0, 2, 3), (1, 2, 3, 0)], 4)
-        return group_algebra(table, conductor=1, labels=labels, name="kS4")
+    if name in PERMUTATION_GROUPS:
+        table, labels = permutation_group_table(*PERMUTATION_GROUPS[name])
+        return group_algebra(table, conductor=1, labels=labels, name=name)
+    if name == "kQ8/Q":
+        table, labels = quaternion_table()
+        return group_algebra(table, conductor=1, labels=labels, name="kQ8")
     if name == "k^A4":
         return _ka4().dual()
     if name == "D(kD4)":
@@ -167,18 +175,34 @@ def _oracle_algebra(name):
     return load_corpus(name, verify=False)[0]
 
 
-@pytest.mark.parametrize("name", list(corpus_names()) + ["kS4", "k^A4", "D(kD4)"])
+def _oracle_coideals(name, H):
+    """The coideal subalgebras N whose integrals are checked: the catalogued
+    lattice of a corpus file (N = H for d-s3, which has none), N = H for
+    kS4 and kA5, and every single-generator coideal of kQ8 over Q, where
+    the centres of some N do not split."""
+    if name == "kQ8/Q":
+        return [coideal_closure(H, [H.basis(i)]) for i in range(H.dim)]
+    if name in corpus_names() and name != "d-s3":
+        return [ctx for _, ctx in coideal_lattice(name, H)]
+    if name in corpus_names() or name in PERMUTATION_GROUPS:
+        return [coideal_from_subspace(H, Subspace.full(H.field, H.dim))]
+    return []
+
+
+@pytest.mark.parametrize("name", list(corpus_names()) + ["kS4", "k^A4", "D(kD4)", "kA5", "kQ8/Q"])
 def test_integrals_match_the_kernel_solve(name):
-    # the regular characters against the defining linear systems: the
-    # one-dimensional solution spaces, normalized by eps(Lambda) = 1 and
-    # <lambda, Lambda> = 1
+    # the regular characters and the trace form of each N against the
+    # defining linear systems: the one-dimensional solution spaces,
+    # normalized by eps(Lambda) = 1 and <lambda, Lambda> = 1
     H = _oracle_algebra(name)
-    lam = _solve_integral(H, H.counit)
-    dual_int = _solve_integral(H.dual(), H.unit)
+    lam = solve_integral(H, H.counit)
+    dual_int = solve_integral(H.dual(), H.unit)
     dual_int = vec_scale(dual_int, H.pair(dual_int, lam).inverse())
     pair = H.integrals()
     assert pair.integral == lam
     assert pair.dual_integral == dual_int
+    for ctx in _oracle_coideals(name, H):
+        assert ctx.to_ambient(solve_integral(ctx.presentation(), ctx.counit_on_basis())) == ctx.integral
 
 
 def _sweedler_h4():
@@ -210,22 +234,34 @@ def test_integrals_of_a_non_semisimple_algebra_raise():
         H4.integrals()
 
 
+def test_the_integral_of_a_non_semisimple_coideal_raises():
+    # N = H4 is closed, but its trace form vanishes on the radical
+    # span{x, gx}, so no integral with eps = 1 is found
+    H4 = _sweedler_h4()
+    with pytest.raises(IntegralError, match="not semisimple"):
+        coideal_from_subspace(H4, Subspace.full(H4.field, H4.dim))
+
+
 def test_integrals_and_characters_solve_no_linear_system(monkeypatch):
-    # the integrals of H and H* are read off the regular traces; the
-    # kernel solve serves coideal subalgebras only
+    # the integrals of H and H* are read off the regular traces and those
+    # of coideal subalgebras off their trace forms: no hopflab module keeps
+    # the kernel solve, and `integrals` reduces no matrix at all
+    assert [name for name, module in sys.modules.items()
+            if name.startswith("hopflab") and hasattr(module, "_solve_integral")] == []
     calls = []
+    sparse_rref = linalg._sparse_rref
 
-    def spy(algebra, counit):
-        calls.append(algebra.dim)
-        return _solve_integral(algebra, counit)
+    def spy(rows, field):
+        calls.append(len(rows))
+        return sparse_rref(rows, field)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("hopflab") and hasattr(module, "_solve_integral"):
-            monkeypatch.setattr(module, "_solve_integral", spy)
+    monkeypatch.setattr(linalg, "_sparse_rref", spy)
     for name in corpus_names():
-        for command in ("characters", "integrals"):
-            assert CliRunner().invoke(main, [command, str(corpus_file(name))]).exit_code == 0
+        assert CliRunner().invoke(main, ["integrals", str(corpus_file(name))]).exit_code == 0
     assert calls == []
+    for name in corpus_names():
+        assert CliRunner().invoke(main, ["characters", str(corpus_file(name))]).exit_code == 0
+    assert calls
 
 
 def test_character_table_z2(z2):

@@ -1,0 +1,32 @@
+"""Every module of the package but __init__.py, which re-exports, uses each
+name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hopflab
+
+MODULES = sorted(p for p in Path(hopflab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    """{bound name: line} for every import statement of a module."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert unused == {}

@@ -8,7 +8,7 @@ from hopflab.errors import InconsistentSystemError, NotSplitError
 from hopflab.linalg import (
     _kernel_of_images,
     _first_idempotent_from_element,
-    _solve_integral,
+    _trace_form,
     AlgebraPresentation,
     Subspace,
     basis_vector,
@@ -392,4 +392,8 @@ def test_center_and_integral_match_dense_oracles(name):
         assert line.dim == 1
         x = list(line.basis[0])
         eps_x = sum((c * xi for c, xi in zip(counit, x)), alg.field.zero)
-        assert _solve_integral(alg, counit) == [xi * eps_x.inverse() for xi in x]
+        # the trace-form solve T x = eps that finds the integral of a
+        # coideal subalgebra, against the dense kernel line
+        solution, rest = solve_linear(_trace_form(alg), counit, alg.field)
+        assert rest.dim == 0
+        assert solution == [xi * eps_x.inverse() for xi in x]
