@@ -8,6 +8,19 @@ tests that must agree.  Lambda_N is the x with tr(L_{n x}) = eps(n) on N,
 read from N's trace form.  coideal_closure only grows a span;
 coideal_from_subspace is the one place that checks and presents N.
 
+N = H, where every chain of the paper ends, reads its context from H's
+own certified data and builds none of it again:
+  - the presentation is H's own, since the echelon basis of H is the
+    identity;
+  - Lambda_N is H's integral: integrals() certifies it as two-sided, so it
+    solves N's trace form, whose solution is unique;
+  - B = (H*)^H = k eps, since h -> p = eps(h) p for all h forces
+    Delta(p) = p (x) eps;
+  - N is normal: H is adjoint-stable, and Lambda is central by the same
+    two-sided certificate (Larson-Radford);
+  - of the two Hopf-subalgebra tests only the cocommutativity of
+    Delta(Lambda) is not a tautology, and it still runs.
+
 One kernel serves both sides of the correspondence N <-> B: H^T for a
 subalgebra T of H*, and B = (H*)^N as the invariants of N acting on
 H.dual() by the hit action, since <n, 1_{H*}> = eps(n).
@@ -106,13 +119,14 @@ class CoidealSubalgebra:
         return [self.hopf.counit_of(list(b)) for b in self.space.basis]
 
 
-def _checked_presentation(hopf: HopfAlgebra, space: Subspace) -> AlgebraPresentation:
+def _checked_presentation(hopf: HopfAlgebra, space: Subspace, products=None) -> AlgebraPresentation:
     """N as an algebra on its echelon basis, after checking 1 in N,
     N*N <= N and Delta(N) <= H (x) N; NotCoidealError names the first
-    failure."""
+    failure.  products, when given, are those of the basis pairs in
+    row-major order."""
     if not space.contains_vector(hopf.unit):
         raise NotCoidealError("unit not contained")
-    presentation = _subalgebra_presentation(hopf, space, hopf.unit)
+    presentation = _subalgebra_presentation(hopf, space, hopf.unit, products)
     if presentation is None:
         raise NotCoidealError("not closed under multiplication")
     for v in space.basis:
@@ -136,32 +150,47 @@ def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
 
     Each pass spans the basis, the products of its pairs and its right
     comultiplication legs; a pass that adds nothing leaves a subspace
-    closed under both, which coideal_from_subspace checks and presents.
+    closed under both, which coideal_from_subspace checks and presents
+    from that pass's products.  A span that reaches H is closed already.
     """
     vectors = [list(hopf.unit)] + [list(g) for g in generators]
     space = Subspace.from_vectors(hopf.field, hopf.dim, vectors)
-    while True:
+    while space.dim < hopf.dim:
         basis = [list(b) for b in space.basis]
-        vectors = basis + [hopf.multiply(a, b) for a in basis for b in basis]
+        products = [hopf.multiply(a, b) for a in basis for b in basis]
+        vectors = basis + products
         for v in basis:
             vectors.extend(_right_legs(hopf, v))
         grown = Subspace.from_vectors(hopf.field, hopf.dim, vectors)
         if grown == space:
-            return coideal_from_subspace(hopf, space)
+            return coideal_from_subspace(hopf, space, products=products)
         space = grown
+    return coideal_from_subspace(hopf, space)
 
 
-def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace) -> CoidealSubalgebra:
-    """Wrap an already-closed subspace as a verified CoidealSubalgebra."""
-    presentation = _checked_presentation(hopf, space)
-    integral = _coideal_integral(hopf, space, presentation)
-    invariants = _invariants(hopf.dual(), space)
+def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace, *, products=None) -> CoidealSubalgebra:
+    """Wrap an already-closed subspace as a verified CoidealSubalgebra.
+
+    products, when given, are those of the echelon basis pairs in row-major
+    order, which the presentation then reads instead of multiplying again.
+    N = H reads its context from H (see the module docstring).
+    """
+    if space.dim == hopf.dim:
+        presentation = AlgebraPresentation(hopf.field, hopf.dim, hopf.mult, hopf.unit)
+        integral = hopf.integrals().integral
+        invariants = Subspace.from_vectors(hopf.field, hopf.dim, [hopf.counit])
+        normal = True
+        hopf_pair = (_is_cocommutative(hopf, integral), True)
+    else:
+        presentation = _checked_presentation(hopf, space, products)
+        integral = _coideal_integral(hopf, space, presentation)
+        invariants = _invariants(hopf.dual(), space)
+        normal = _agreed(_normality_pair(hopf, space, integral),
+                         "normality tests disagree (adjoint-stability vs central integral)")
+        hopf_pair = _hopf_subalgebra_pair(hopf, space, integral)
+    hopf_flag = _agreed(hopf_pair, "Hopf-subalgebra tests disagree (cocommutative integral vs direct)")
     lam = hopf.integrals().dual_integral
     dual_integral = hopf.dual().act_left(integral, lam)
-    normal = _agreed(_normality_pair(hopf, space, integral),
-                     "normality tests disagree (adjoint-stability vs central integral)")
-    hopf_flag = _agreed(_hopf_subalgebra_pair(hopf, space, integral),
-                        "Hopf-subalgebra tests disagree (cocommutative integral vs direct)")
     ctx = CoidealSubalgebra(hopf, space, integral, invariants, dual_integral,
                             normal, hopf_flag)
     ctx._cache["presentation"] = presentation
@@ -218,11 +247,16 @@ def _normality_pair(hopf, space, integral):
     return by_adjoint, by_center
 
 
+def _is_cocommutative(hopf, x):
+    """Delta(x) = Delta^op(x)."""
+    delta = hopf.comult_of(x)
+    return delta == {(k, j): c for (j, k), c in delta.items()}
+
+
 def _hopf_subalgebra_pair(hopf, space, integral):
     """Cocommutativity of the integral, and the direct test
     Delta(N) <= N (x) N plus S(N) <= N."""
-    delta = hopf.comult_of(integral)
-    by_integral = delta == {(k, j): c for (j, k), c in delta.items()}
+    by_integral = _is_cocommutative(hopf, integral)
     direct = all(
         space.contains_vector(hopf.antipode_of(list(b))) for b in space.basis
     )

@@ -50,13 +50,16 @@ from .linalg import _kernel_of_images, _left_ideal
 def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
     """Irr(N) from the central primitive idempotents and the regular trace
     of N's presentation, in N coordinates, with the integral's block first:
-    T_0 = Lambda_N and phi_0 = counit restricted to N."""
+    T_0 = Lambda_N and phi_0 = counit restricted to N.  For N = H, whose
+    echelon basis is the identity, that is H's own character table."""
     if "characters" in ctx._cache:
         return ctx._cache["characters"]
-    alg = ctx.presentation()
-    chars = _character_table(alg, ctx.coords_of(ctx.integral))
-    if not vec_eq(chars.characters[0], ctx.counit_on_basis()):
-        raise HopfLabError("character of the integral block is not the restricted counit")
+    if ctx.dim == ctx.hopf.dim:
+        chars = ctx.hopf.character_table()
+    else:
+        chars = _character_table(ctx.presentation(), ctx.coords_of(ctx.integral))
+        if not vec_eq(chars.characters[0], ctx.counit_on_basis()):
+            raise HopfLabError("character of the integral block is not the restricted counit")
     ctx._cache["characters"] = chars
     return chars
 

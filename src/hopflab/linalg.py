@@ -535,24 +535,27 @@ class AlgebraPresentation:
         return _kernel_of_images(self.field, images)
 
 
-def _subalgebra_presentation(algebra, space: Subspace, unit):
+def _subalgebra_presentation(algebra, space: Subspace, unit, products=None):
     """The subalgebra on a subspace's echelon basis, with the given unit,
     as an AlgebraPresentation in that basis's coordinates; None when the
-    unit or a product of two basis vectors leaves the subspace."""
+    unit or a product of two basis vectors leaves the subspace.  products,
+    when given, are those of the basis pairs in row-major order, already
+    computed."""
     unit_coords = space.coords_of(unit)
     if unit_coords is None:
         return None
-    basis = [list(b) for b in space.basis]
-    mult = []
-    for a in basis:
-        row = []
-        for b in basis:
-            coords = space.coords_of(algebra.multiply(a, b))
-            if coords is None:
-                return None
-            row.append({k: c for k, c in enumerate(coords) if not c.is_zero()})
-        mult.append(row)
-    return AlgebraPresentation(algebra.field, space.dim, mult, unit_coords)
+    if products is None:
+        basis = [list(b) for b in space.basis]
+        products = (algebra.multiply(a, b) for a in basis for b in basis)
+    cells = []
+    for product in products:
+        coords = space.coords_of(product)
+        if coords is None:
+            return None
+        cells.append({k: c for k, c in enumerate(coords) if not c.is_zero()})
+    n = space.dim
+    return AlgebraPresentation(algebra.field, n, [cells[i * n:(i + 1) * n] for i in range(n)],
+                               unit_coords)
 
 
 def _subalgebra_generated(algebra, vectors) -> Subspace:

@@ -2,14 +2,21 @@ import pytest
 
 from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
+from hopflab import coideal
 from hopflab.builders import (
     cyclic_group_table,
     dihedral8_table,
     group_algebra,
     klein_table,
+    permutation_group_table,
     symmetric3_table,
 )
 from hopflab.coideal import (
+    _checked_presentation,
+    _coideal_integral,
+    _hopf_subalgebra_pair,
+    _invariants,
+    _normality_pair,
     coideal_closure,
     coideal_from_subspace,
     commutator_subalgebra,
@@ -19,8 +26,9 @@ from hopflab.coideal import (
     left_kernel,
     quotient,
 )
-from hopflab.corpus import load
+from hopflab.corpus import corpus_names, load
 from hopflab.errors import NotAnAlgebraError, NotCoidealError, NotNormalError
+from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import Subspace, _subalgebra_generated, vec_eq
 from hopflab.scalars import QQ
 
@@ -303,3 +311,80 @@ def test_lattice_correspondence_through_quotient(s3, a3):
             s3.field, 2, [hq.project(list(b)) for b in lifted.basis]
         )
         assert projected == sub
+
+
+PERMUTATION_GROUPS = {"kS4": ([(1, 0, 2, 3), (1, 2, 3, 0)], 1),
+                      "kA4": ([(1, 2, 0, 3), (1, 0, 3, 2)], 3)}
+WHOLE_ALGEBRAS = [(name, dual) for name in list(corpus_names()) + list(PERMUTATION_GROUPS)
+                  for dual in (False, True)]
+
+
+def _whole_algebra(name, dual):
+    if name in PERMUTATION_GROUPS:
+        generators, conductor = PERMUTATION_GROUPS[name]
+        table, labels = permutation_group_table(generators, 4)
+        H = group_algebra(table, conductor=conductor, labels=labels, name=name)
+    else:
+        H = load(name, verify=False)[0]
+    return H.dual() if dual else H
+
+
+@pytest.mark.parametrize("name, dual", WHOLE_ALGEBRAS,
+                         ids=[f"{name}{'*' if dual else ''}" for name, dual in WHOLE_ALGEBRAS])
+def test_whole_algebra_context_matches_the_general_routines(name, dual):
+    # N = H reads H's presentation, integral and counit; the routines that
+    # check and present a proper N must find the same on the full space
+    H = _whole_algebra(name, dual)
+    full = Subspace.full(H.field, H.dim)
+    ctx = coideal_from_subspace(H, full)
+    general = _checked_presentation(H, full)
+    presentation = ctx.presentation()
+    assert (presentation.dim, presentation.mult, presentation.unit) == (
+        general.dim, general.mult, general.unit)
+    assert ctx.integral == _coideal_integral(H, full, general)
+    assert ctx.invariants == _invariants(H.dual(), full)
+    assert _normality_pair(H, full, ctx.integral) == (ctx.normal, ctx.normal) == (True, True)
+    assert _hopf_subalgebra_pair(H, full, ctx.integral) == (ctx.hopf_subalgebra,) * 2 == (True, True)
+
+
+def test_whole_algebra_context_builds_nothing_again(monkeypatch):
+    # neither coideal_from_subspace on the full space nor a closure that
+    # reaches H presents, solves, takes invariants or runs the adjoint
+    calls = []
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called for N = H")
+        return spy
+
+    for name in ("_subalgebra_presentation", "_trace_form", "_invariants", "_normality_pair"):
+        monkeypatch.setattr(coideal, name, refuse(name))
+    monkeypatch.setattr(HopfAlgebra, "adjoint", refuse("adjoint"))
+    for name in corpus_names():
+        base = load(name, verify=False)[0]
+        for H in (base, base.dual()):
+            ctx = coideal_from_subspace(H, Subspace.full(H.field, H.dim))
+            assert (ctx.dim, ctx.normal, ctx.hopf_subalgebra, ctx.invariants.dim) == (H.dim, True, True, 1)
+            assert coideal_closure(H, [H.basis(i) for i in range(H.dim)]) == ctx
+    assert calls == []
+
+
+def test_closure_presents_n_from_its_confirming_pass(s3, monkeypatch):
+    # the last pass of the closure multiplies each pair of N's basis once;
+    # the presentation reads those products instead of multiplying again
+    pairs = []
+    multiply = HopfAlgebra.multiply
+
+    def recorded(self, x, y):
+        pairs.append((tuple(x), tuple(y)))
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(HopfAlgebra, "multiply", recorded)
+    ctx = coideal_closure(s3, [s3.basis(s3.index_of_label("(123)"))])
+    assert ctx.dim == 3
+    basis = ctx.space.basis
+    basis_pairs = [(basis.index(a), basis.index(b)) for a, b in pairs if a in basis and b in basis]
+    # span{1, (123)} grows to A3 in the first pass, which multiplies its
+    # 2 x 2 pairs; the second confirms A3 with its 3 x 3, and no more follow
+    assert len(basis_pairs) == 2 * 2 + 3 * 3

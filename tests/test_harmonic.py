@@ -24,6 +24,7 @@ from hopflab.harmonic import (
     star_action,
 )
 from hopflab.corpus import build, coideal_lattice, load
+from hopflab.hopf import _character_table
 from hopflab.linalg import Subspace, basis_vector, vec_add, vec_eq, vec_scale, zero_vector
 from hopflab.scalars import QQ
 from hopflab.solvability import find_solvable_series
@@ -357,6 +358,20 @@ def test_coideal_characters_match_the_hopf_subalgebra_table(a3):
     assert chars.characters == table.characters
     assert chars.degrees == table.degrees
     assert chars.idempotents == table.idempotents
+
+
+@pytest.mark.parametrize("name", ["s3", "s3-dual", "q8", "d-s3"])
+def test_whole_algebra_characters_are_the_hopf_table(name):
+    # N = H reads H's own character table, which the trace route on N's
+    # presentation reproduces block for block
+    H = load(name, verify=False)[0]
+    ctx = coideal_from_subspace(H, Subspace.full(H.field, H.dim))
+    chars = coideal_characters(ctx)
+    assert chars is H.character_table()
+    by_trace = _character_table(ctx.presentation(), ctx.coords_of(ctx.integral))
+    assert chars.characters == by_trace.characters
+    assert chars.degrees == by_trace.degrees
+    assert chars.idempotents == by_trace.idempotents
 
 
 def test_conjugated_block_idempotents_are_central(s3, a3):

@@ -235,11 +235,20 @@ def test_integrals_of_a_non_semisimple_algebra_raise():
 
 
 def test_the_integral_of_a_non_semisimple_coideal_raises():
-    # N = H4 is closed, but its trace form vanishes on the radical
-    # span{x, gx}, so no integral with eps = 1 is found
+    # N = H4 reads H4's own integral, whose certificate fails
     H4 = _sweedler_h4()
     with pytest.raises(IntegralError, match="not semisimple"):
         coideal_from_subspace(H4, Subspace.full(H4.field, H4.dim))
+
+
+def test_the_trace_form_of_a_non_semisimple_proper_coideal_raises():
+    # N = span{1, x} is a left coideal subalgebra of H4 (x^2 = 0 and
+    # Delta(x) = x (x) 1 + g (x) x), but its trace form vanishes on the
+    # radical span{x}, so no integral with eps = 1 is found
+    H4 = _sweedler_h4()
+    space = Subspace.from_vectors(H4.field, H4.dim, [H4.basis(0), H4.basis(2)])
+    with pytest.raises(IntegralError, match="trace form of the coideal subalgebra is degenerate"):
+        coideal_from_subspace(H4, space)
 
 
 def test_integrals_and_characters_solve_no_linear_system(monkeypatch):
