@@ -5,8 +5,11 @@ its idempotent integral, the invariant subalgebra B = (H*)^N, the dual
 integral lambda_B = Lambda_N -> lambda (normalized so <lambda_B, 1> = dim B),
 and the normality / Hopf-subalgebra flags, each computed by two independent
 tests that must agree.  Lambda_N is the x with tr(L_{n x}) = eps(n) on N,
-read from N's trace form.  coideal_closure only grows a span;
-coideal_from_subspace is the one place that checks and presents N.
+read from N's trace form.  coideal_from_subspace is the one place that
+checks and presents N.  Neither coideal_closure nor hopf_center iterates
+on its own: the closure is the subalgebra that a left coideal (the right
+legs of the generators) generates, and HZ(H) the left kernel of the
+adjoint module (Burciu), certified before it is returned.
 
 N = H, where every chain of the paper ends, reads its context from H's
 own certified data and builds none of it again:
@@ -55,6 +58,7 @@ from .linalg import (
 from .linalg import (
     _is_two_sided_integral,
     _kernel_of_images,
+    _subalgebra_generated,
     _subalgebra_presentation,
     _tensor_add,
     _trace_form,
@@ -64,10 +68,11 @@ from .linalg import (
 class CoidealSubalgebra:
     """A left coideal subalgebra N of a Hopf algebra, with derived data."""
 
-    def __init__(self, hopf, space, integral, invariants, dual_integral,
-                 normal, hopf_subalgebra):
+    def __init__(self, hopf, space, presentation, integral, invariants,
+                 dual_integral, normal, hopf_subalgebra):
         self.hopf = hopf
         self.space = space                  # Subspace of H
+        self._presentation = presentation   # N on its echelon basis
         self.integral = integral            # Lambda_N, ambient coords
         self.invariants = invariants        # B = (H*)^N, Subspace of H*
         self.dual_integral = dual_integral  # lambda_B, ambient H* coords
@@ -111,9 +116,7 @@ class CoidealSubalgebra:
 
     def presentation(self) -> AlgebraPresentation:
         """N as an abstract algebra in its echelon-basis coordinates."""
-        if "presentation" not in self._cache:
-            self._cache["presentation"] = _checked_presentation(self.hopf, self.space)
-        return self._cache["presentation"]
+        return self._presentation
 
     def counit_on_basis(self):
         return [self.hopf.counit_of(list(b)) for b in self.space.basis]
@@ -129,43 +132,44 @@ def _checked_presentation(hopf: HopfAlgebra, space: Subspace, products=None) -> 
     presentation = _subalgebra_presentation(hopf, space, hopf.unit, products)
     if presentation is None:
         raise NotCoidealError("not closed under multiplication")
-    for v in space.basis:
-        for leg in _right_legs(hopf, list(v)):
-            if not space.contains_vector(leg):
-                raise NotCoidealError("not a left coideal")
+    if not _legs_inside(hopf, space, right=True):
+        raise NotCoidealError("not a left coideal")
     return presentation
 
 
-def _right_legs(hopf, v):
-    """Vectors w_j with Delta(v) = sum_j e_j (x) w_j."""
+def _legs(hopf, v, right):
+    """The right legs w_j of Delta(v) = sum_j e_j (x) w_j, or with right
+    false the left legs w_k of Delta(v) = sum_k w_k (x) e_k."""
     legs = {}
     for (j, k), c in hopf.comult_of(v).items():
-        row = legs.setdefault(j, zero_vector(hopf.field, hopf.dim))
-        row[k] = row[k] + c
+        leg, i = (j, k) if right else (k, j)
+        row = legs.setdefault(leg, zero_vector(hopf.field, hopf.dim))
+        row[i] = row[i] + c
     return list(legs.values())
 
 
-def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
-    """Smallest left coideal subalgebra containing the generators.
+def _legs_inside(hopf, space, right):
+    """Every right (or left) leg of every basis vector of space lies in it:
+    Delta(V) <= H (x) V (or V (x) H)."""
+    return all(space.contains_vector(leg)
+               for b in space.basis for leg in _legs(hopf, list(b), right))
 
-    Each pass spans the basis, the products of its pairs and its right
-    comultiplication legs; a pass that adds nothing leaves a subspace
-    closed under both, which coideal_from_subspace checks and presents
-    from that pass's products.  A span that reaches H is closed already.
+
+def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
+    """Smallest left coideal subalgebra containing the generators: the
+    subalgebra generated by the right legs w_j of their coproducts
+    Delta(g) = sum_j e_j (x) w_j.
+
+    The legs span the smallest left coideal C holding the generators:
+    g = sum_j eps(e_j) w_j, and by coassociativity sum_j Delta(e_j) (x) w_j
+    = sum_j e_j (x) Delta(w_j), so every Delta(w_j) lies in H (x) C.  A
+    product of left coideals is one, since Delta(ab) = a1 b1 (x) a2 b2, so
+    the subalgebra C generates is a left coideal subalgebra.  The
+    presentation reads the products of the pass that confirmed closure.
     """
-    vectors = [list(hopf.unit)] + [list(g) for g in generators]
-    space = Subspace.from_vectors(hopf.field, hopf.dim, vectors)
-    while space.dim < hopf.dim:
-        basis = [list(b) for b in space.basis]
-        products = [hopf.multiply(a, b) for a in basis for b in basis]
-        vectors = basis + products
-        for v in basis:
-            vectors.extend(_right_legs(hopf, v))
-        grown = Subspace.from_vectors(hopf.field, hopf.dim, vectors)
-        if grown == space:
-            return coideal_from_subspace(hopf, space, products=products)
-        space = grown
-    return coideal_from_subspace(hopf, space)
+    legs = [leg for g in generators for leg in _legs(hopf, list(g), right=True)]
+    space, products = _subalgebra_generated(hopf, legs)
+    return coideal_from_subspace(hopf, space, products=products)
 
 
 def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace, *, products=None) -> CoidealSubalgebra:
@@ -191,10 +195,8 @@ def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace, *, products=None) 
     hopf_flag = _agreed(hopf_pair, "Hopf-subalgebra tests disagree (cocommutative integral vs direct)")
     lam = hopf.integrals().dual_integral
     dual_integral = hopf.dual().act_left(integral, lam)
-    ctx = CoidealSubalgebra(hopf, space, integral, invariants, dual_integral,
-                            normal, hopf_flag)
-    ctx._cache["presentation"] = presentation
-    return ctx
+    return CoidealSubalgebra(hopf, space, presentation, integral, invariants,
+                             dual_integral, normal, hopf_flag)
 
 
 def _coideal_integral(hopf, space, presentation):
@@ -256,20 +258,14 @@ def _is_cocommutative(hopf, x):
 def _hopf_subalgebra_pair(hopf, space, integral):
     """Cocommutativity of the integral, and the direct test
     Delta(N) <= N (x) N plus S(N) <= N."""
-    by_integral = _is_cocommutative(hopf, integral)
-    direct = all(
-        space.contains_vector(hopf.antipode_of(list(b))) for b in space.basis
-    )
-    if direct:
-        for b in space.basis:
-            legs = {}
-            for (j, k), c in hopf.comult_of(list(b)).items():
-                row = legs.setdefault(k, zero_vector(hopf.field, hopf.dim))
-                row[j] = row[j] + c
-            if any(not space.contains_vector(leg) for leg in legs.values()):
-                direct = False
-                break
-    return by_integral, direct
+    return _is_cocommutative(hopf, integral), _is_hopf_subspace(hopf, space)
+
+
+def _is_hopf_subspace(hopf, space):
+    """S(V) <= V and Delta(V) <= V (x) H, on the basis of a left coideal V,
+    whose Delta(V) <= H (x) V then lies in V (x) V."""
+    return (all(space.contains_vector(hopf.antipode_of(list(b))) for b in space.basis)
+            and _legs_inside(hopf, space, right=False))
 
 
 def normality_tests(ctx: CoidealSubalgebra):
@@ -462,29 +458,24 @@ def left_kernel(hopf: HopfAlgebra, module_matrices) -> Subspace:
 
 
 def hopf_center(hopf: HopfAlgebra) -> Subspace:
-    """Largest Hopf subalgebra contained in the center of H, by fixpoint
-    refinement V <- {v in V : Delta(v) in V (x) V, S(v) in V} from V = Z(H)."""
-    field = hopf.field
-    space = hopf.center()
-    while space.dim < hopf.dim:
-        q_of_basis = [space.quotient_coords(hopf.basis(j)) for j in range(hopf.dim)]
-        images = []
-        for v in space.basis:
-            image = {}  # (Q x id) Delta v, (id x Q) Delta v and Q S(v)
-            for (j, k), c in hopf.comult_of(v).items():
-                for qi, qc in enumerate(q_of_basis[j]):
-                    if not qc.is_zero():
-                        _tensor_add(image, ("left", qi, k), c * qc)
-                for qi, qc in enumerate(q_of_basis[k]):
-                    if not qc.is_zero():
-                        _tensor_add(image, ("right", j, qi), c * qc)
-            for qi, qc in enumerate(space.quotient_coords(hopf.antipode_of(v))):
-                _tensor_add(image, ("antipode", qi), qc)
-            images.append(image)
-        refined = space.lift(_kernel_of_images(field, images))
-        if refined == space:
-            break
-        space = refined
+    """Largest Hopf subalgebra HZ(H) contained in the center of H, read as
+    the left kernel K = {h : h1 chi(h2) = chi(1) h} of the adjoint module,
+    chi(e_i) = tr(e_i ad -), and certified.
+
+    HZ(H) <= K, since z1 (x) z2 ad a = z1 (x) a z2 S(z3) = z (x) a when
+    Delta(z) lies in a central Hopf subalgebra; and K is a left coideal,
+    since Delta(chi -> h) = h1 (x) chi -> h2.  The code checks that K is
+    central, S-stable and holds its left legs, so Delta(K) <= K (x) K and K
+    generates a central Hopf subalgebra: K <= HZ(H) by maximality.  A
+    failed check raises HopfLabError.
+    """
+    zero = hopf.field.zero
+    chi = [sum((op.get(m, zero) for m, op in enumerate(ad_i)), zero) for ad_i in hopf._ad_operators()]
+    space = _invariants(hopf, Subspace.from_vectors(hopf.field, hopf.dim, [chi]))
+    central = all(vec_eq(hopf.multiply(hopf.basis(i), list(b)), hopf.multiply(list(b), hopf.basis(i)))
+                  for b in space.basis for i in range(hopf.dim))
+    if not (central and _is_hopf_subspace(hopf, space)):
+        raise HopfLabError("the left kernel of the adjoint module is not a central Hopf subalgebra")
     return space
 
 

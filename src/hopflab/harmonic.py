@@ -261,8 +261,6 @@ def _antipode_hit_constraint(ctx) -> Subspace:
     """{x in H* : s(x) -> H <= N} as a kernel."""
     H = ctx.hopf
     field = H.field
-    if ctx.dim == H.dim:
-        return Subspace.full(field, H.dim)
     # e_l* |-> the classes modulo N of s(e_l*) -> e_j, keyed by (j, class coordinate)
     images = []
     for sx in H.dual().antipode:

@@ -558,17 +558,24 @@ def _subalgebra_presentation(algebra, space: Subspace, unit, products=None):
                                unit_coords)
 
 
-def _subalgebra_generated(algebra, vectors) -> Subspace:
-    """Smallest subalgebra holding the unit and the vectors: the span,
-    grown by the products of its echelon basis pairs until it is closed."""
+def _subalgebra_generated(algebra, vectors):
+    """(S, products): S is the smallest subalgebra holding the unit and the
+    vectors, the span grown by the products of its echelon basis pairs
+    until a pass adds nothing or the span is the whole algebra, which is
+    closed already.  This is the library's one grow-until-closed loop;
+    coideal_closure feeds it a left coideal.  products are those of the
+    confirming pass, S's basis pairs in row-major order, so presenting S
+    multiplies nothing again; None when no pass confirmed S.  Earlier
+    passes multiply the pairs of the previous span again."""
     space = Subspace.from_vectors(algebra.field, algebra.dim, [algebra.unit] + [list(v) for v in vectors])
-    while True:
+    while space.dim < algebra.dim:
         basis = [list(b) for b in space.basis]
-        prods = basis + [algebra.multiply(a, b) for a in basis for b in basis]
-        grown = Subspace.from_vectors(algebra.field, algebra.dim, prods)
+        products = [algebra.multiply(a, b) for a in basis for b in basis]
+        grown = Subspace.from_vectors(algebra.field, algebra.dim, basis + products)
         if grown == space:
-            return space
+            return space, products
         space = grown
+    return space, None
 
 
 def _regular_trace(algebra):

@@ -170,7 +170,7 @@ def check_integral_commutation(hopf: HopfAlgebra, l_ctx, n_ctx) -> CommutationRe
     ln = dual.multiply(l_ctx.dual_integral, n_ctx.dual_integral)
     nl = dual.multiply(n_ctx.dual_integral, l_ctx.dual_integral)
     commute = vec_eq(ln, nl)
-    generated = _subalgebra_generated(
+    generated, _ = _subalgebra_generated(
         dual,
         [list(b) for b in l_ctx.invariants.basis] + [list(b) for b in n_ctx.invariants.basis],
     )

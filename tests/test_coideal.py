@@ -1,14 +1,20 @@
+import functools
+import itertools
+
 import pytest
 
+from grouptools import center_of_group, subgroup_closure
 from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
 from hopflab import coideal
 from hopflab.builders import (
     cyclic_group_table,
     dihedral8_table,
+    drinfeld_double,
     group_algebra,
     klein_table,
     permutation_group_table,
+    quaternion_table,
     symmetric3_table,
 )
 from hopflab.coideal import (
@@ -26,10 +32,10 @@ from hopflab.coideal import (
     left_kernel,
     quotient,
 )
-from hopflab.corpus import corpus_names, load
-from hopflab.errors import NotAnAlgebraError, NotCoidealError, NotNormalError
+from hopflab.corpus import coideal_lattice, corpus_names, load
+from hopflab.errors import HopfLabError, NotAnAlgebraError, NotCoidealError, NotNormalError
 from hopflab.hopf import HopfAlgebra
-from hopflab.linalg import Subspace, _subalgebra_generated, vec_eq
+from hopflab.linalg import Subspace, _subalgebra_generated, vec_add, vec_eq
 from hopflab.scalars import QQ
 
 
@@ -209,7 +215,7 @@ def test_intersection_invariants_identity(s3):
     n_ctx = coideal_closure(s3, [s3.basis(s3.index_of_label("(123)"))])
     cap = l_ctx.space.intersect(n_ctx.space)
     cap_ctx = coideal_from_subspace(s3, cap)
-    generated = _subalgebra_generated(
+    generated, _ = _subalgebra_generated(
         s3.dual(), [list(b) for b in l_ctx.invariants.basis] + [list(b) for b in n_ctx.invariants.basis]
     )
     assert cap_ctx.invariants == generated
@@ -268,14 +274,12 @@ def test_left_kernels(s3):
     assert reg.dim == 1 and reg.contains_vector(s3.unit)
 
 
-def test_hopf_center(s3, s3_dual):
-    assert hopf_center(s3).dim == 1
-    assert hopf_center(s3_dual).dim == 6  # commutative
-    d4 = group_algebra(dihedral8_table()[0], conductor=4, labels=dihedral8_table()[1])
-    center = hopf_center(d4)
-    assert center.dim == 2  # group algebra of the center of D4
+def test_hopf_center(s3_dual):
+    # a commutative Hopf algebra is its own Hopf center; group algebras
+    # are checked against their groups' centers below
     klein = group_algebra(klein_table()[0], conductor=1)
-    assert hopf_center(klein).dim == 4
+    for H in [s3_dual, klein] + [load(name, verify=False)[0] for name in ("z2", "z3", "z6")]:
+        assert hopf_center(H) == Subspace.full(H.field, H.dim)
 
 
 def test_commutator_subalgebra(s3, s3_dual, a3):
@@ -319,11 +323,28 @@ WHOLE_ALGEBRAS = [(name, dual) for name in list(corpus_names()) + list(PERMUTATI
                   for dual in (False, True)]
 
 
-def _whole_algebra(name, dual):
+# Cayley table builders and the conductor that splits each group algebra
+TABLE_GROUPS = {"kS3": (symmetric3_table, 3), "kD4": (dihedral8_table, 4), "kQ8": (quaternion_table, 4)}
+
+
+def _group(name):
+    """(Cayley table, kG); the basis of kG is the table's order."""
     if name in PERMUTATION_GROUPS:
         generators, conductor = PERMUTATION_GROUPS[name]
         table, labels = permutation_group_table(generators, 4)
-        H = group_algebra(table, conductor=conductor, labels=labels, name=name)
+    else:
+        build, conductor = TABLE_GROUPS[name]
+        table, labels = build()
+    return table, group_algebra(table, conductor=conductor, labels=labels, name=name)
+
+
+def _span_of_elements(H, members):
+    return Subspace.from_vectors(H.field, H.dim, [H.basis(i) for i in sorted(members)])
+
+
+def _whole_algebra(name, dual):
+    if name in PERMUTATION_GROUPS:
+        H = _group(name)[1]
     else:
         H = load(name, verify=False)[0]
     return H.dual() if dual else H
@@ -388,3 +409,47 @@ def test_closure_presents_n_from_its_confirming_pass(s3, monkeypatch):
     # span{1, (123)} grows to A3 in the first pass, which multiplies its
     # 2 x 2 pairs; the second confirms A3 with its 3 x 3, and no more follow
     assert len(basis_pairs) == 2 * 2 + 3 * 3
+
+
+@pytest.mark.parametrize("name", ["kS3", "kD4", "kQ8", "kA4", "kS4"])
+def test_hopf_center_of_a_group_algebra_is_its_centers_algebra(name):
+    # HZ(kG) = k[Z(G)], and the commutative k^G is its own Hopf center
+    table, H = _group(name)
+    assert hopf_center(H) == _span_of_elements(H, center_of_group(table))
+    assert hopf_center(H.dual()) == Subspace.full(H.field, H.dim)
+
+
+def test_hopf_center_dims_of_doubles():
+    d_s3 = load("d-s3", verify=False)[0]
+    assert (hopf_center(d_s3).dim, hopf_center(d_s3.dual()).dim) == (2, 6)
+    for table, labels in (dihedral8_table(), quaternion_table()):
+        double = drinfeld_double(group_algebra(table, conductor=4, labels=labels))
+        assert hopf_center(double).dim == 8
+
+
+def test_hopf_center_refuses_a_kernel_that_is_not_central(s3, monkeypatch):
+    monkeypatch.setattr(coideal, "_invariants", lambda hopf, functionals: Subspace.full(hopf.field, hopf.dim))
+    with pytest.raises(HopfLabError, match="not a central Hopf subalgebra"):
+        hopf_center(s3)
+
+
+@pytest.mark.parametrize("name", ["kS3", "kD4", "kQ8", "kA4"])
+def test_closure_of_group_elements_is_the_subgroup_algebra(name):
+    table, H = _group(name)
+    elements = range(len(table))
+    for gens in itertools.chain(itertools.combinations(elements, 1), itertools.combinations(elements, 2)):
+        ctx = coideal_closure(H, [H.basis(g) for g in gens])
+        assert ctx.space == _span_of_elements(H, subgroup_closure(table, gens)), gens
+
+
+def test_closure_of_basis_sums_on_s3_dual_is_the_smallest_catalogued_member():
+    # the catalogue of k^S3 is every left coideal subalgebra, closed under
+    # intersection, so the closure of v is the meet of the members holding v
+    H = load("s3-dual", verify=False)[0]
+    lattice = [ctx.space for _, ctx in coideal_lattice("s3-dual", H)]
+    for r in range(1, H.dim + 1):
+        for members in itertools.combinations(range(H.dim), r):
+            v = functools.reduce(vec_add, (H.basis(i) for i in members))
+            smallest = functools.reduce(Subspace.intersect, [s for s in lattice if s.contains_vector(v)])
+            assert smallest in lattice
+            assert coideal_closure(H, [v]).space == smallest, members
