@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import NotAGroupError
 from .hopf import HopfAlgebra
-from .linalg import AlgebraPresentation, _tensor_add
+from .linalg import AlgebraPresentation, _tensor_add, _to_sparse
 from .scalars import CyclotomicField
 
 # -- permutation utilities ----------------------------------------------------
@@ -232,52 +232,27 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
                     # H*cop: second dual leg first
                     _tensor_add(cell, (didx(k, u), didx(j, v)), c * d)
 
-    counit = [field.zero] * D
-    unit = [field.zero] * D
-    for a in range(dim):
-        for i in range(dim):
-            counit[didx(a, i)] = H.unit[a] * H.counit[i]
-            unit[didx(a, i)] = H.counit[a] * H.unit[i]
+    def pure(p, h):
+        # p (x) h for p in H* and h in H; index a * dim + i is p_a (x) e_i
+        return [c * d for c in p for d in h]
 
+    unit = pure(H.counit, H.unit)
+    counit = pure(H.unit, H.counit)
     labels = None
     if H.basis_labels:
         labels = [f"{H.basis_labels[a]}*|{H.basis_labels[i]}" for a in range(dim) for i in range(dim)]
 
     algebra = AlgebraPresentation(field, D, mult, unit)
-
-    # antipode: S(p_a x e_i) = (eps x S e_i) * (s(p_a) x 1)
-    antipode = []
-    for a in range(dim):
-        s_pa = Hd.antipode[a]
-        for i in range(dim):
-            left = [field.zero] * D
-            for x in range(dim):
-                cx = H.counit[x]
-                if cx.is_zero():
-                    continue
-                for m, cm in enumerate(H.antipode[i]):
-                    if not cm.is_zero():
-                        left[didx(x, m)] = left[didx(x, m)] + cx * cm
-            right = [field.zero] * D
-            for y in range(dim):
-                cy = s_pa[y]
-                if cy.is_zero():
-                    continue
-                for l, cl in enumerate(H.unit):
-                    if not cl.is_zero():
-                        right[didx(y, l)] = right[didx(y, l)] + cy * cl
-            antipode.append(algebra.multiply(left, right))
+    # S(p_a x e_i) = (eps x S e_i) * (s(p_a) x 1)
+    left = [pure(H.counit, s) for s in H.antipode]
+    antipode = [algebra.multiply(x, right) for right in (pure(s, H.unit) for s in Hd.antipode) for x in left]
 
     r = {}
     for i in range(dim):
-        for a in range(dim):
-            ca = H.counit[a]
-            if ca.is_zero():
-                continue
-            for l in range(dim):
-                cl = H.unit[l]
-                if not cl.is_zero():
-                    _tensor_add(r, (didx(a, i), didx(i, l)), ca * cl)
+        e_i = H.basis(i)
+        for x, cx in _to_sparse(pure(H.counit, e_i)).items():
+            for y, cy in _to_sparse(pure(e_i, H.unit)).items():
+                _tensor_add(r, (x, y), cx * cy)
 
     return HopfAlgebra(field, D, mult, unit, comult, counit, antipode,
                        r_matrix=r, basis_labels=labels,

@@ -1,6 +1,13 @@
 """Command-line interface: load Hopf data files, run named computations,
 emit deterministic JSON reports (optional plain-text rendering).
 
+A command that reads a data file is a body registered with
+`_file_command(name)`: the decorator adds the FILE argument, --workspace and
+--text, loads FILE (axioms checked, except for `verify`), calls
+`body(hopf, digest, **options)` and emits the `(result, exit_code, text)` the
+body returns, so a body only computes.  `dual` and `double` write a data
+file through `_transform_command`; `skryabin-demo` and `corpus` read none.
+
 Exit codes: 0 verified success, 1 verified mathematical failure (an axiom
 or series check that ran and said "no"), 2 operational error.  Reports
 embed the input content hash and the tool version; running the same
@@ -21,6 +28,7 @@ import sys
 import click
 
 from . import __version__
+from .builders import drinfeld_double
 from .coideal import coideal_closure, coideal_from_subspace
 from .errors import HopfLabError, SchemaError
 from .harmonic import coideal_characters, induce_character, reciprocity_table
@@ -55,8 +63,8 @@ def _conductor_override():
     return order
 
 
-def _load(path, skip_verify=False):
-    return load_hopf(path, verify=not skip_verify, conductor_override=_conductor_override())
+def _load(path, verify):
+    return load_hopf(path, verify=verify, conductor_override=_conductor_override())
 
 
 def _element_str(hopf, vec):
@@ -130,6 +138,7 @@ workspace_option = click.option(
 text_option = click.option(
     "--text", "as_text", is_flag=True, help="plain-text rendering instead of JSON"
 )
+file_argument = click.argument("file", type=click.Path(exists=True, dir_okay=False))
 
 
 class _Main(click.Group):
@@ -150,30 +159,43 @@ def main():
     """Exact computations with semisimple Hopf algebras."""
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@workspace_option
-@text_option
-def verify(file, workspace, as_text):
+def _file_command(name, verify_input=True):
+    """Register `body(hopf, digest, **options)` as the command `name`, with
+    FILE, then the body's own options, then --workspace and --text.  FILE is
+    loaded, with its axioms checked unless verify_input is false, and the
+    body's `(result, exit_code, text)` is emitted as the report."""
+    def register(body):
+        def command(file, workspace, as_text, **options):
+            hopf, digest = _load(file, verify=verify_input)
+            result, exit_code, text = body(hopf, digest, **options)
+            _emit(name, result, exit_code, input_file=file, input_hash=digest,
+                  workspace=workspace, text=text, as_text=as_text)
+        command.__doc__ = body.__doc__
+        command = workspace_option(text_option(command))
+        # click lists a function's parameters last-decorated first
+        command.__click_params__ += getattr(body, "__click_params__", [])
+        return main.command(name=name)(file_argument(command))
+    return register
+
+
+@_file_command("verify", verify_input=False)
+def verify(hopf, digest):
     """Check every Hopf axiom of a data file."""
-    hopf, digest = _load(file, skip_verify=True)
     report = hopf.verify()
     lines = [f"{'ok ' if c.ok else 'FAIL'} {c.name}" + (f" at {c.witness}" if c.witness is not None else "")
              for c in report.checks]
-    _emit("verify", report.to_dict(), 0 if report.ok else 1,
-          input_file=file, input_hash=digest, workspace=workspace,
-          text="\n".join(lines), as_text=as_text)
+    return report.to_dict(), 0 if report.ok else 1, "\n".join(lines)
 
 
 def _transform_command(name, transform):
     @main.command(name=name)
-    @click.argument("file", type=click.Path(exists=True, dir_okay=False))
+    @file_argument
     @click.option("--out", type=click.Path(dir_okay=False), required=True,
                   help="where to write the resulting Hopf data file")
     @click.option("--skip-verify", is_flag=True)
     @workspace_option
     def cmd(file, out, skip_verify, workspace):
-        hopf, digest = _load(file, skip_verify=skip_verify)
+        hopf, digest = _load(file, verify=not skip_verify)
         result_hopf = transform(hopf)
         out_hash = save_hopf(result_hopf, out)
         _emit(name, {"dim": result_hopf.dim, "output": os.path.basename(out),
@@ -183,23 +205,13 @@ def _transform_command(name, transform):
 
 
 _transform_command("dual", lambda hopf: hopf.dual())
+# drinfeld_double is looked up when the command runs, as a body's calls are
+_transform_command("double", lambda hopf: drinfeld_double(hopf))
 
 
-def _double(hopf):
-    from .builders import drinfeld_double
-    return drinfeld_double(hopf)
-
-
-_transform_command("double", _double)
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@workspace_option
-@text_option
-def integrals(file, workspace, as_text):
+@_file_command("integrals")
+def integrals(hopf, digest):
     """Idempotent integral and dual integral."""
-    hopf, digest = _load(file)
     pair = hopf.integrals()
     result = {
         "integral": [scalar_to_string(c) for c in pair.integral],
@@ -207,17 +219,12 @@ def integrals(file, workspace, as_text):
     }
     text = (f"integral       = {_element_str(hopf, pair.integral)}\n"
             f"dual integral  = {_element_str(hopf, pair.dual_integral)}")
-    _emit("integrals", result, 0, input_file=file, input_hash=digest,
-          workspace=workspace, text=text, as_text=as_text)
+    return result, 0, text
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@workspace_option
-@text_option
-def characters(file, workspace, as_text):
+@_file_command("characters")
+def characters(hopf, digest):
     """Character table: degrees and character values on the basis."""
-    hopf, digest = _load(file)
     table = hopf.character_table()
     result = {
         "degrees": table.degrees,
@@ -229,21 +236,16 @@ def characters(file, workspace, as_text):
     for idx, (chi, d) in enumerate(zip(table.characters, table.degrees)):
         row = " ".join(f"{scalar_to_string(c):>8}" for c in chi)
         lines.append(f"chi_{idx} (d={d}) | {row}")
-    _emit("characters", result, 0, input_file=file, input_hash=digest,
-          workspace=workspace, text="\n".join(lines), as_text=as_text)
+    return result, 0, "\n".join(lines)
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@_file_command("coideal")
 @click.option("--gens", required=True,
               help='comma-separated basis labels (a basis index where no label matches), or "H"')
 @click.option("--save", type=click.Path(dir_okay=False), default=None,
               help="also write the context as JSON")
-@workspace_option
-@text_option
-def coideal(file, gens, save, workspace, as_text):
+def coideal(hopf, digest, gens, save):
     """Close generators to a left coideal subalgebra and report it."""
-    hopf, digest = _load(file)
     ctx = _context_from_gens(hopf, gens)
     result = coideal_to_dict(ctx, parent_hash=digest,
                              generators=[g.strip() for g in gens.split(",") if g.strip()])
@@ -253,20 +255,14 @@ def coideal(file, gens, save, workspace, as_text):
     text = (f"dim N = {ctx.dim}, dim B = {ctx.invariants.dim}\n"
             f"normal: {ctx.normal}, hopf subalgebra: {ctx.hopf_subalgebra}\n"
             f"integral = {_element_str(hopf, ctx.integral)}")
-    _emit("coideal", result, 0, input_file=file, input_hash=digest,
-          workspace=workspace, text=text, as_text=as_text)
+    return result, 0, text
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@_file_command("reciprocity")
 @click.option("--gens", required=True)
-@workspace_option
-@text_option
-def reciprocity(file, gens, workspace, as_text):
+def reciprocity(hopf, digest, gens):
     """Frobenius reciprocity table for the coideal closure of the generators."""
-    hopf, digest = _load(file)
-    ctx = _context_from_gens(hopf, gens)
-    table = reciprocity_table(ctx)
+    table = reciprocity_table(_context_from_gens(hopf, gens))
     result = {
         "entries": table.entries,
         "h_degrees": table.h_degrees,
@@ -276,35 +272,26 @@ def reciprocity(file, gens, workspace, as_text):
     for i, row in enumerate(table.entries):
         cells = " ".join(f"{v:>8}" for v in row)
         lines.append(f"chi_{i} (d={table.h_degrees[i]}) | {cells}")
-    _emit("reciprocity", result, 0, input_file=file, input_hash=digest,
-          workspace=workspace, text="\n".join(lines), as_text=as_text)
+    return result, 0, "\n".join(lines)
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@_file_command("induce")
 @click.option("--gens", required=True)
 @click.option("--index", "char_index", type=int, default=0,
               help="which irreducible N-character to induce")
-@workspace_option
-@text_option
-def induce(file, gens, char_index, workspace, as_text):
+def induce(hopf, digest, gens, char_index):
     """Induce an irreducible character of the coideal closure up to H."""
-    hopf, digest = _load(file)
     ctx = _context_from_gens(hopf, gens)
     chars = coideal_characters(ctx)
     if not 0 <= char_index < len(chars):
         _fail(f"character index {char_index} out of range (N has {len(chars)})")
     induced = induce_character(ctx, chars.characters[char_index])
-    degree = hopf.pair(induced, hopf.unit)
     result = {
         "character_index": char_index,
         "induced": [scalar_to_string(c) for c in induced],
-        "induced_degree": scalar_to_string(degree),
+        "induced_degree": scalar_to_string(hopf.pair(induced, hopf.unit)),
     }
-    _emit("induce", result, 0, input_file=file, input_hash=digest,
-          workspace=workspace,
-          text=f"phi_{char_index}^up = {_element_str(hopf.dual(), induced)}",
-          as_text=as_text)
+    return result, 0, f"phi_{char_index}^up = {_element_str(hopf.dual(), induced)}"
 
 
 def _chain_from_file(hopf, path):
@@ -333,47 +320,32 @@ def _chain_from_file(hopf, path):
     return chain
 
 
-@main.command(name="solvable-check")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+def _series_text(report):
+    return f"verdict: {report.verdict}  dims: {[c.dim for c in report.chain]}"
+
+
+@_file_command("solvable-check")
 @click.option("--chain", "chain_file", required=True, type=click.Path(exists=True, dir_okay=False),
               help='JSON list of chain entries: "k", "H", or lists of generator labels')
-@workspace_option
-@text_option
-def solvable_check(file, chain_file, workspace, as_text):
+def solvable_check(hopf, digest, chain_file):
     """Verify the two solvable-series conditions along a chain."""
-    hopf, digest = _load(file)
-    chain = _chain_from_file(hopf, chain_file)
-    report = check_solvable_series(hopf, chain)
-    text = f"verdict: {report.verdict}  dims: {[c.dim for c in report.chain]}"
-    _emit("solvable-check", report.to_dict(), 0 if report.ok else 1,
-          input_file=file, input_hash=digest, workspace=workspace,
-          text=text, as_text=as_text)
+    report = check_solvable_series(hopf, _chain_from_file(hopf, chain_file))
+    return report.to_dict(), 0 if report.ok else 1, _series_text(report)
 
 
-@main.command(name="solvable-find")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@workspace_option
-@text_option
-def solvable_find(file, workspace, as_text):
+@_file_command("solvable-find")
+def solvable_find(hopf, digest):
     """Search for a solvable series through normal coideal subalgebras
     (may answer undecided)."""
-    hopf, digest = _load(file)
     report = find_solvable_series(hopf)
-    text = f"verdict: {report.verdict}  dims: {[c.dim for c in report.chain]}"
-    _emit("solvable-find", report.to_dict(), 0 if report.ok else 1,
-          input_file=file, input_hash=digest, workspace=workspace,
-          text=text, as_text=as_text)
+    return report.to_dict(), 0 if report.ok else 1, _series_text(report)
 
 
-@main.command(name="nilpotent-check")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@_file_command("nilpotent-check")
 @click.option("--chain", "chain_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="optionally also test this chain against the centrality criterion")
-@workspace_option
-@text_option
-def nilpotent_check(file, chain_file, workspace, as_text):
+def nilpotent_check(hopf, digest, chain_file):
     """Ascending central series and the nilpotency verdict."""
-    hopf, digest = _load(file)
     report = ascending_central_series(hopf)
     result = report.to_dict()
     if chain_file:
@@ -387,9 +359,7 @@ def nilpotent_check(file, chain_file, workspace, as_text):
         if ok != report.is_nilpotent:
             _fail("criterion chain disagrees with the ascending central series")
     text = f"nilpotent: {report.is_nilpotent}  chain dims: {result['dims']}"
-    _emit("nilpotent-check", result, 0 if report.is_nilpotent else 1,
-          input_file=file, input_hash=digest, workspace=workspace,
-          text=text, as_text=as_text)
+    return result, 0 if report.is_nilpotent else 1, text
 
 
 @main.command(name="skryabin-demo")

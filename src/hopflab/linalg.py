@@ -641,7 +641,8 @@ def _operator_on_subspace(algebra, x, space: Subspace):
 
 def _split_commutative_block(algebra, block: Subspace, refiners):
     """Refine a block of the center into joint eigenspaces of multiplication
-    by the given central elements.  Returns list of Subspaces."""
+    by the given central elements.  Returns list of Subspaces.  A semisimple
+    center is reduced, so a repeated root raises NotSemisimpleError."""
     blocks = [block]
     for z in refiners:
         nxt = []
@@ -650,22 +651,17 @@ def _split_commutative_block(algebra, block: Subspace, refiners):
                 nxt.append(blk)
                 continue
             op = _operator_on_subspace(algebra, z, blk)
-            p = minimal_polynomial(op, algebra.field)
-            roots = factor_into_linears(p, algebra.field)
+            roots = factor_into_linears(minimal_polynomial(op, algebra.field), algebra.field)
+            if any(mult > 1 for _, mult in roots):
+                raise NotSemisimpleError("a central element has a repeated eigenvalue")
             if len(roots) == 1:
                 nxt.append(blk)
                 continue
-            for root, mult in roots:
-                # generalized eigenspace inside blk
+            for root, _ in roots:
                 m = [list(r) for r in op]
                 for i in range(blk.dim):
                     m[i][i] = m[i][i] - root
-                power = m
-                for _ in range(mult - 1):
-                    power = [mat_vec(m, row) for row in power]
-                sub = blk.lift(_kernel_of_images(algebra.field, [_to_sparse(r) for r in power]))
-                if sub.dim:
-                    nxt.append(sub)
+                nxt.append(blk.lift(_kernel_of_images(algebra.field, [_to_sparse(r) for r in m])))
         blocks = nxt
     return blocks
 

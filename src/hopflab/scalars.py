@@ -49,6 +49,7 @@ reduction of a d-dimensional lattice and at most m decodings.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction as QQ
 from functools import lru_cache
 from math import gcd
@@ -57,12 +58,25 @@ from operator import add, sub
 from .errors import NotSplitError
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_POWER_TEXT = re.compile(r"(\^[0-9]+)?")
+
+
+def _rational_from_text(text: str) -> QQ:
+    """The rational that "p" or "p/q", after an optional sign, spells.  Any
+    other text, decimals, exponents and underscores included, raises
+    ValueError, so a short string cannot stand for a huge number."""
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"{text!r} is not a rational p or p/q")
+    return QQ(text)
+
+
 def as_rational(x) -> QQ:
     """Coerce an int, string like "3/4", or rational into QQ; a float is
     refused, since its binary value is seldom the rational meant."""
     if isinstance(x, float):
         raise TypeError(f"float {x!r} is not an exact rational; pass an int, a QQ or a string")
-    return QQ(x)
+    return _rational_from_text(x) if isinstance(x, str) else QQ(x)
 
 
 def _intpoly_exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -460,29 +474,24 @@ def parse_scalar(field: CyclotomicField, text: str) -> Scalar:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty scalar string")
-    cleaned = cleaned.replace("-", "+-").lstrip("+")
-    if cleaned.startswith("-+"):  # came from a leading "-"
-        cleaned = "-" + cleaned[2:]
     coeffs = [QQ(0)] * field.conductor  # by power of z, reduced once at the end
-    for term in cleaned.split("+"):
+    for term in cleaned.replace("-", "+-").split("+"):  # each term keeps its sign
         if not term:
             continue
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:]
-        if "z" in term:
-            coeff_part, _, z_part = term.partition("z")
-            coeff_part = coeff_part.rstrip("*")
-            coeff = QQ(coeff_part) if coeff_part else QQ(1)
-            power = int(z_part[1:]) if z_part.startswith("^") else (1 if not z_part else None)
-            if power is None:
+        coeff_part, z, z_part = term.partition("z")
+        if z:
+            coeff_part = coeff_part.removesuffix("*")
+            if coeff_part in ("", "-"):
+                coeff_part += "1"
+            if not _POWER_TEXT.fullmatch(z_part):
                 raise ValueError(f"bad scalar term {term!r} in {text!r}")
+            power = int(z_part[1:]) if z_part else 1
         else:
-            coeff = QQ(term)
             power = 0
+        coeff = _rational_from_text(coeff_part)
         if power >= field.conductor:
             raise ValueError(f"power z^{power} out of range for conductor {field.conductor}")
-        coeffs[power] += -coeff if neg else coeff
+        coeffs[power] += coeff
     return field.from_coeffs(coeffs)
 
 

@@ -145,9 +145,11 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
             and all(isinstance(label, str) for label in labels) and len(set(labels)) == dim
         ):
             raise SchemaError(f"basis_labels is not a list of {dim} distinct strings")
+        name = data.get("name")
+        if name is not None and not isinstance(name, str):
+            raise SchemaError(f"name {name!r} is not a string")
         return HopfAlgebra(field, dim, mult, unit, comult, counit, antipode,
-                           r_matrix=r_matrix, basis_labels=labels,
-                           name=data.get("name"))
+                           r_matrix=r_matrix, basis_labels=labels, name=name)
     except SchemaError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as err:

@@ -341,6 +341,11 @@ BAD_INPUTS = {
     "labels-string": ("verify", "file", _z2_data_with("basis_labels", "ab"), None),
     "labels-duplicate": ("verify", "file", _z2_data_with("basis_labels", ["e", "e"]), None),
     "labels-not-strings": ("verify", "file", _z2_data_with("basis_labels", [0, 1]), None),
+    "name-not-string": ("verify", "file", _z2_data_with("name", [1, 2]), None),
+    "scalar-decimal": ("verify", "file", _z2_data_with("unit", ["0.5", "0"]), None),
+    "scalar-underscore": ("verify", "file", _z2_data_with("unit", ["1_000", "0"]), None),
+    # a 10-byte string that Fraction would read as a 33-million-bit integer
+    "scalar-exponent": ("verify", "file", _z2_data_with("unit", ["1e10000000", "0"]), None),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from hopflab.corpus import corpus_names
 from hopflab.corpus import load as load_corpus
-from hopflab.errors import InconsistentSystemError, NotSplitError
+from hopflab.errors import InconsistentSystemError, NotSemisimpleError, NotSplitError
 from hopflab.linalg import (
     _kernel_of_images,
     _first_idempotent_from_element,
@@ -127,6 +127,15 @@ def _quaternion_presentation(field):
     for (i, j), (k, sign) in m.items():
         mult[i][j] = {k: field.scalar(sign)}
     return AlgebraPresentation(field, 4, mult, basis_vector(field, 4, 0))
+
+
+def test_wedderburn_refuses_a_center_with_a_repeated_eigenvalue():
+    # k[x]/(x^3 - x^2) on the basis 1, x, x^2: x^i x^j = x^min(i + j, 2)
+    mult = [[{min(i + j, 2): Q.one} for j in range(3)] for i in range(3)]
+    alg = AlgebraPresentation(Q, 3, mult, basis_vector(Q, 3, 0))
+    assert alg.validate() == (True, None)
+    with pytest.raises(NotSemisimpleError, match="repeated eigenvalue"):
+        wedderburn(alg)
 
 
 def test_wedderburn_trivial_algebra():

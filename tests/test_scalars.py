@@ -12,6 +12,7 @@ from hopflab.scalars import (
     CyclotomicField,
     cyclotomic_polynomial,
     _sympy_linear_factors,
+    as_rational,
     factor_into_linears,
     parse_scalar,
     poly_add,
@@ -210,6 +211,16 @@ def test_a_rational_factor_skips_the_reduction(monkeypatch):
     for x in irrationals:
         x * x
     assert calls == [Q3, Q12]
+
+
+def test_text_rationals_are_p_or_p_over_q():
+    assert [as_rational(t) for t in ("3", "-3/4", "+6/8")] == [QQ(3), QQ(-3, 4), QQ(3, 4)]
+    assert parse_scalar(Q3, "-3/4*z^2 - z + 2") == Q3.from_coeffs([2, -1, QQ(-3, 4)])
+    for text in ("0.5", "1_000", "1e10000000", "1/2e3", "--1", "٣", "inf", "nan"):
+        with pytest.raises(ValueError):
+            as_rational(text)
+        with pytest.raises(ValueError):
+            parse_scalar(Q3, text)
 
 
 def test_parse_rejects_out_of_range_power():

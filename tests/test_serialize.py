@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -93,11 +94,23 @@ def test_load_rejects_malformed(tmp_path):
         _s3_data_with("basis_labels", lambda _: "abcdef"),                   # a string, not a list
         _s3_data_with("basis_labels", lambda labels: labels[:5] + labels[:1]),  # duplicate label
         _s3_data_with("basis_labels", lambda _: list(range(6))),             # non-string labels
+        _s3_data_with("name", lambda _: [1, 2]),                             # non-string name
     ]
     for data in bad_inputs:
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError):
             load_hopf(path)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1_000", "1e10000000", "1E3", "0x10", "--1",
+                                  "1/2.5", "1/", "2**z", "z^1_0", "z^-1"])
+def test_load_accepts_only_p_or_p_over_q_coefficients(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_s3_data_with("unit", lambda u: [text] + u[1:])))
+    started = time.monotonic()
+    with pytest.raises(SchemaError):
+        load_hopf(path)
+    assert time.monotonic() - started < 1
 
 
 def test_conductor_override(tmp_path):
