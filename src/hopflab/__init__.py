@@ -38,7 +38,6 @@ from .linalg import (
     echelonize,
     minimal_polynomial,
     solve_linear,
-    subspace_op,
     wedderburn,
 )
 from .scalars import CyclotomicField, Scalar, factor_into_linears
@@ -91,6 +90,5 @@ __all__ = [
     "skryabin_counterexample",
     "solve_linear",
     "star_action",
-    "subspace_op",
     "wedderburn",
 ]

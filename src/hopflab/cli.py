@@ -105,15 +105,18 @@ def _fail(message):
     sys.exit(2)
 
 
-def _parse_gens(hopf, gens):
-    """Basis vectors for the comma-separated tokens of gens.  A token is a
-    basis label, or else, when no label matches, a basis index."""
+def _split_gens(_ctx, _param, gens):
+    """The callback of every --gens option: its text split once at the
+    commas, so a body receives the list of tokens."""
+    return [token.strip() for token in gens.split(",") if token.strip()]
+
+
+def _parse_gens(hopf, tokens):
+    """Basis vectors for a list of tokens.  A token is a basis label, or
+    else, when no label matches, a basis index."""
     labels = hopf.basis_labels or []
     out = []
-    for token in gens.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in tokens:
         if token in labels:
             out.append(hopf.basis(labels.index(token)))
         elif token.isdecimal() and int(token) < hopf.dim:
@@ -123,12 +126,12 @@ def _parse_gens(hopf, gens):
     return out
 
 
-def _context_from_gens(hopf, gens):
+def _context_from_gens(hopf, tokens):
     """The coideal subalgebra that --gens names: H itself for "H", which is
     closed already, else the closure of the listed basis elements."""
-    if gens.strip() == "H":
+    if tokens == ["H"]:
         return coideal_from_subspace(hopf, Subspace.full(hopf.field, hopf.dim))
-    return coideal_closure(hopf, _parse_gens(hopf, gens))
+    return coideal_closure(hopf, _parse_gens(hopf, tokens))
 
 
 workspace_option = click.option(
@@ -240,15 +243,14 @@ def characters(hopf, digest):
 
 
 @_file_command("coideal")
-@click.option("--gens", required=True,
+@click.option("--gens", required=True, callback=_split_gens,
               help='comma-separated basis labels (a basis index where no label matches), or "H"')
 @click.option("--save", type=click.Path(dir_okay=False), default=None,
               help="also write the context as JSON")
 def coideal(hopf, digest, gens, save):
     """Close generators to a left coideal subalgebra and report it."""
     ctx = _context_from_gens(hopf, gens)
-    result = coideal_to_dict(ctx, parent_hash=digest,
-                             generators=[g.strip() for g in gens.split(",") if g.strip()])
+    result = coideal_to_dict(ctx, parent_hash=digest, generators=gens)
     if save:
         with open(save, "w") as fh:
             fh.write(dumps_canonical(result))
@@ -259,7 +261,7 @@ def coideal(hopf, digest, gens, save):
 
 
 @_file_command("reciprocity")
-@click.option("--gens", required=True)
+@click.option("--gens", required=True, callback=_split_gens)
 def reciprocity(hopf, digest, gens):
     """Frobenius reciprocity table for the coideal closure of the generators."""
     table = reciprocity_table(_context_from_gens(hopf, gens))
@@ -276,7 +278,7 @@ def reciprocity(hopf, digest, gens):
 
 
 @_file_command("induce")
-@click.option("--gens", required=True)
+@click.option("--gens", required=True, callback=_split_gens)
 @click.option("--index", "char_index", type=int, default=0,
               help="which irreducible N-character to induce")
 def induce(hopf, digest, gens, char_index):
@@ -313,10 +315,10 @@ def _chain_from_file(hopf, path):
             raise SchemaError(f"chain entry {entry!r} is not a list of basis labels")
     chain = []
     for entry in data:
-        if entry == "k":
-            chain.append(coideal_closure(hopf, []))
-        else:
-            chain.append(_context_from_gens(hopf, entry if entry == "H" else ",".join(entry)))
+        if entry == "H":
+            chain.append(_context_from_gens(hopf, ["H"]))
+        else:  # a list of labels goes through as given; "k" lists none
+            chain.append(coideal_closure(hopf, _parse_gens(hopf, [] if entry == "k" else entry)))
     return chain
 
 

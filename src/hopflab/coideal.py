@@ -268,18 +268,6 @@ def _is_hopf_subspace(hopf, space):
             and _legs_inside(hopf, space, right=False))
 
 
-def normality_tests(ctx: CoidealSubalgebra):
-    """The two independent normality tests (adjoint stability, central
-    integral); they agree for every valid context."""
-    return _normality_pair(ctx.hopf, ctx.space, ctx.integral)
-
-
-def hopf_subalgebra_tests(ctx: CoidealSubalgebra):
-    """The two independent Hopf-subalgebra tests (cocommutative integral,
-    direct closure of the coalgebra structure)."""
-    return _hopf_subalgebra_pair(ctx.hopf, ctx.space, ctx.integral)
-
-
 def invariants_of(hopf: HopfAlgebra, functionals: Subspace) -> Subspace:
     """H^T = {h : b -> h = <b, 1> h for all b in T} for a subalgebra T of H*.
 

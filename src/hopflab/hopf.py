@@ -12,11 +12,13 @@ integrals of H and H* are their regular characters, certified as
 two-sided integrals (integrals()).
 
 verify() compares the two sides of each tensor identity exactly on integer
-structure constants: every constant is read once as integer numerators of
-powers of zeta over one common denominator D of the whole algebra, both
-sides are summed as Python ints per output index and power of zeta, and
-only a sum that does not vanish as it stands is reduced modulo the
-cyclotomic polynomial Phi_n before it counts as a failure.
+structure constants: it converts each tensor once, into integer slices of
+numerators of powers of zeta over one common denominator D of the whole
+algebra (_IntegerTensors), and every check, associativity included, reads
+those slices.  Both sides are summed as Python ints per output index and
+power of zeta, and only a sum that does not vanish as it stands is reduced
+modulo the cyclotomic polynomial Phi_n before it counts as a failure.  This
+module is the only one that knows that format.
 
 Conventions (pinned; the verification report is the safety net):
 
@@ -36,17 +38,13 @@ s(p) = p o S is H.dual().antipode_of(p).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import AxiomError, IntegralError, MissingRMatrixError, NotSemisimpleError
 from .linalg import (
     AlgebraPresentation,
     Subspace,
     _central_blocks,
-    _common_denominator,
-    _first_nonzero,
-    _int_cell,
-    _int_mult,
-    _int_terms,
     _is_two_sided_integral,
     _regular_trace,
     _tensor_add,
@@ -326,12 +324,11 @@ class HopfAlgebra(AlgebraPresentation):
         index (or pair, or triple) in loop order."""
         checks = []
         dim = self.dim
+        tensors = _IntegerTensors(self)
 
-        # validate's two halves run separately, so a unit failure still
-        # reports whether associativity holds
         witness = self._unit_witness()
         checks.append(AxiomCheck("unit", witness is None, witness))
-        witness = self._associativity_witness()
+        witness = tensors.associativity_witness()
         checks.append(AxiomCheck("associativity", witness is None, witness))
 
         witness = None
@@ -347,7 +344,6 @@ class HopfAlgebra(AlgebraPresentation):
                 break
         checks.append(AxiomCheck("counit", witness is None, witness))
 
-        tensors = _IntegerTensors(self)
         for name, witness in (("coassociativity", tensors.coassociativity_witness()),
                               ("comult_is_algebra_map", tensors.comult_is_algebra_map_witness()),
                               ("counit_is_algebra_map", tensors.counit_is_algebra_map_witness()),
@@ -364,6 +360,14 @@ class HopfAlgebra(AlgebraPresentation):
         if self.r_matrix is not None:
             checks.extend(tensors.quasitriangular_checks())
         return AxiomReport(checks)
+
+    def _unit_witness(self):
+        """First i with 1 e_i != e_i or e_i 1 != e_i, else None."""
+        for i in range(self.dim):
+            e = self.basis(i)
+            if not (vec_eq(self.multiply(self.unit, e), e) and vec_eq(self.multiply(e, self.unit), e)):
+                return i
+        return None
 
     def require_axioms(self):
         """Run verify(); raise AxiomError with its report unless every
@@ -517,21 +521,61 @@ class HopfAlgebra(AlgebraPresentation):
         return f"<{tag}: dim {self.dim} over {self.field!r}>"
 
 
+# -- integer structure constants ------------------------------------------------
+# The axiom checks contract structure tensors as Python ints.  With D a
+# common denominator of every constant read, a constant c is an integer
+# slice of terms (t, x) with c = sum x zeta^t / D over its terms; a product
+# of r constants has denominator D^r, so the side of an identity with fewer
+# factors is scaled by a power of D.  Both sides go into one dict
+# {(output..., zeta power): int}, the left added and the right subtracted,
+# and only where a sum is nonzero is it reduced modulo Phi_n.
+
+
+def _int_terms(c, D):
+    """[(t, x)] with c = sum x zeta^t / D, for D a multiple of c.den."""
+    s = D // c.den
+    return [(t, x * s) for t, x in enumerate(c.num) if x]
+
+
+def _int_cell(cell, D):
+    """{key: Scalar} as [(key, t, x)]."""
+    return [(key, t, x) for key, c in cell.items() for t, x in _int_terms(c, D)]
+
+
+def _first_nonzero(field, acc):
+    """Least output key (a key of acc less its zeta power) whose integer
+    polynomial sum_t acc[output + (t,)] zeta^t is nonzero, else None."""
+    if not any(acc.values()):
+        return None
+    polys = {}
+    for key, x in acc.items():
+        if x:
+            polys.setdefault(key[:-1], {})[key[-1]] = x
+    for out in sorted(polys):
+        terms = polys[out]
+        coeffs = [0] * (max(terms) + 1)
+        for t, x in terms.items():
+            coeffs[t] = x
+        if any(field._reduce(coeffs)):
+            return out
+    return None
+
+
 class _IntegerTensors:
     """The tensors of a Hopf algebra as integer slices over one common
-    denominator D (see linalg._int_terms), read once for one verify() call.
-    Each check sums both sides of its identity into one integer dict per
-    basis index (or pair) and returns the first index, in loop order, at
-    which they differ, or None."""
+    denominator D of every constant (see _int_terms), read once for one
+    verify() call.  Each check sums both sides of its identity into one
+    integer dict per basis index (or pair) and returns the first index, in
+    loop order, at which they differ, or None."""
 
     def __init__(self, hopf):
         r = hopf.r_matrix or {}
         self.field = hopf.field
-        self.D = D = _common_denominator(itertools.chain(
+        self.D = D = math.lcm(1, *{c.den for c in itertools.chain(
             (c for row in hopf.mult for cell in row for c in cell.values()),
             (c for cell in hopf.comult for c in cell.values()),
-            hopf.unit, hopf.counit, itertools.chain.from_iterable(hopf.antipode), r.values()))
-        self.mult = _int_mult(hopf.mult, D)                      # [i][j]: [(k, t, x)]
+            hopf.unit, hopf.counit, itertools.chain.from_iterable(hopf.antipode), r.values())})
+        self.mult = [[_int_cell(cell, D) for cell in row] for row in hopf.mult]  # [i][j]: [(k, t, x)]
         self.nonzero_cells = [[(j, cell) for j, cell in enumerate(row) if cell] for row in self.mult]
         self.comult = [[(j, k, t, x) for (j, k), t, x in _int_cell(cell, D)]
                        for cell in hopf.comult]                  # [i]: [(j, k, t, x)]
@@ -574,6 +618,28 @@ class _IntegerTensors:
                     for u, y in terms_b:
                         key = (a, b, t + u)
                         acc[key] = acc.get(key, 0) - scale * x * y
+
+    def associativity_witness(self):
+        """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k): for each pair
+        (i, j), sum_m c_ij^m c_mk^n - sum_m c_jk^m c_im^n for every k and n
+        in one accumulation, visiting only nonzero structure constants."""
+        mult = self.mult
+        rows = [[(j, k, t, c) for j, cell in enumerate(row) for k, t, c in cell] for row in mult]
+        for i, mult_i in enumerate(mult):
+            for j, cell in enumerate(mult_i):
+                acc = {}
+                for m, t, c in cell:  # (e_i e_j) e_k
+                    for k, n, u, d in rows[m]:
+                        key = (k, n, t + u)
+                        acc[key] = acc.get(key, 0) + c * d
+                for k, m, t, c in rows[j]:  # e_i (e_j e_k)
+                    for n, u, d in mult_i[m]:
+                        key = (k, n, t + u)
+                        acc[key] = acc.get(key, 0) - c * d
+                first = _first_nonzero(self.field, acc)
+                if first is not None:
+                    return i, j, first[0]
+        return None
 
     def coassociativity_witness(self):
         """First i with (Delta x id) Delta(e_i) != (id x Delta) Delta(e_i)."""

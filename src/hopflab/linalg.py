@@ -108,55 +108,6 @@ def _to_dense(row, n, field):
     return out
 
 
-# -- integer structure constants ----------------------------------------------
-# The axiom checks contract structure tensors as Python ints.  With D a
-# common denominator of every constant read, a constant c is an integer
-# slice of terms (t, x) with c = sum x zeta^t / D over its terms; a product
-# of r constants has denominator D^r, so the side of an identity with fewer
-# factors is scaled by a power of D.  Both sides go into one dict
-# {(output..., zeta power): int}, the left added and the right subtracted,
-# and only where a sum is nonzero is it reduced modulo Phi_n.
-
-
-def _common_denominator(scalars):
-    return math.lcm(1, *{c.den for c in scalars})
-
-
-def _int_terms(c, D):
-    """[(t, x)] with c = sum x zeta^t / D, for D a multiple of c.den."""
-    s = D // c.den
-    return [(t, x * s) for t, x in enumerate(c.num) if x]
-
-
-def _int_cell(cell, D):
-    """{key: Scalar} as [(key, t, x)]."""
-    return [(key, t, x) for key, c in cell.items() for t, x in _int_terms(c, D)]
-
-
-def _int_mult(mult, D):
-    """mult[i][j] as [(k, t, x)]."""
-    return [[_int_cell(cell, D) for cell in row] for row in mult]
-
-
-def _first_nonzero(field, acc):
-    """Least output key (a key of acc less its zeta power) whose integer
-    polynomial sum_t acc[output + (t,)] zeta^t is nonzero, else None."""
-    if not any(acc.values()):
-        return None
-    polys = {}
-    for key, x in acc.items():
-        if x:
-            polys.setdefault(key[:-1], {})[key[-1]] = x
-    for out in sorted(polys):
-        terms = polys[out]
-        coeffs = [0] * (max(terms) + 1)
-        for t, x in terms.items():
-            coeffs[t] = x
-        if any(field._reduce(coeffs)):
-            return out
-    return None
-
-
 # -- sparse reduced row echelon -----------------------------------------------
 
 
@@ -313,21 +264,6 @@ class Subspace:
         return [residual[j] for j in range(self.ambient) if j not in pivots]
 
 
-def subspace_op(u: Subspace, v: Subspace, op: str):
-    """Lattice operations by name: intersect, sum, contains, equal."""
-    if op == "intersect":
-        return u.intersect(v)
-    if op == "sum":
-        return u.add(v)
-    if op == "contains":
-        u._check_ambient(v)
-        return u.contains(v)
-    if op == "equal":
-        u._check_ambient(v)
-        return u == v
-    raise ValueError(f"unknown subspace op {op!r}")
-
-
 def _kernel_from_rows(rows, field, ncols) -> Subspace:
     """Kernel of a system given by sparse equation rows."""
     reduced = _sparse_rref(rows, field)
@@ -477,49 +413,6 @@ class AlgebraPresentation:
                 for k, c in cell.items():
                     out[k] = out[k] + f * c
         return out
-
-    def validate(self):
-        """Associativity on basis triples and two-sided unit."""
-        i = self._unit_witness()
-        if i is not None:
-            return False, ("unit", i)
-        ijk = self._associativity_witness()
-        if ijk is not None:
-            return False, ("associativity", ijk)
-        return True, None
-
-    def _unit_witness(self):
-        """First i with 1 e_i != e_i or e_i 1 != e_i, else None."""
-        for i in range(self.dim):
-            e = basis_vector(self.field, self.dim, i)
-            if not (vec_eq(self.multiply(self.unit, e), e) and vec_eq(self.multiply(e, self.unit), e)):
-                return i
-        return None
-
-    def _associativity_witness(self):
-        """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), else None.
-
-        For each pair (i, j), sums sum_m c_ij^m c_mk^n - sum_m c_jk^m c_im^n
-        for every k and n in one integer accumulation (see _int_terms and
-        _first_nonzero), visiting only nonzero structure constants."""
-        D = _common_denominator(c for row in self.mult for cell in row for c in cell.values())
-        mult = _int_mult(self.mult, D)
-        rows = [[(j, k, t, c) for j, cell in enumerate(row) for k, t, c in cell] for row in mult]
-        for i, mult_i in enumerate(mult):
-            for j, cell in enumerate(mult_i):
-                acc = {}
-                for m, t, c in cell:  # (e_i e_j) e_k
-                    for k, n, u, d in rows[m]:
-                        key = (k, n, t + u)
-                        acc[key] = acc.get(key, 0) + c * d
-                for k, m, t, c in rows[j]:  # e_i (e_j e_k)
-                    for n, u, d in mult_i[m]:
-                        key = (k, n, t + u)
-                        acc[key] = acc.get(key, 0) - c * d
-                first = _first_nonzero(self.field, acc)
-                if first is not None:
-                    return i, j, first[0]
-        return None
 
     def center(self) -> Subspace:
         """Solutions of e_i x = x e_i for all i."""

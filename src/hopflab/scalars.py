@@ -60,6 +60,7 @@ from .errors import NotSplitError
 
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _POWER_TEXT = re.compile(r"(\^[0-9]+)?")
+_SIGN_TEXT = re.compile(r" *([+-]) *")
 
 
 def _rational_from_text(text: str) -> QQ:
@@ -470,19 +471,20 @@ def scalar_to_string(s: Scalar) -> str:
 
 
 def parse_scalar(field: CyclotomicField, text: str) -> Scalar:
-    """Parse the format emitted by scalar_to_string (whitespace-tolerant)."""
-    cleaned = text.replace(" ", "")
-    if not cleaned:
-        raise ValueError("empty scalar string")
+    """Parse the format emitted by scalar_to_string: terms joined by + or -,
+    after an optional sign, with spaces only around those signs and at the
+    ends.  An empty term or a space inside a term raises ValueError."""
+    parts = _SIGN_TEXT.split(text.strip(" "))  # term, sign, term, sign, ...
+    signs, terms = ["+"] + parts[1::2], parts[0::2]
+    if len(terms) > 1 and not terms[0]:  # a leading sign
+        signs, terms = signs[1:], terms[1:]
     coeffs = [QQ(0)] * field.conductor  # by power of z, reduced once at the end
-    for term in cleaned.replace("-", "+-").split("+"):  # each term keeps its sign
-        if not term:
-            continue
+    for sign, term in zip(signs, terms):
+        if not term or " " in term:
+            raise ValueError(f"bad scalar term {term!r} in {text!r}")
         coeff_part, z, z_part = term.partition("z")
         if z:
-            coeff_part = coeff_part.removesuffix("*")
-            if coeff_part in ("", "-"):
-                coeff_part += "1"
+            coeff_part = coeff_part[:-1] if coeff_part.endswith("*") else coeff_part or "1"
             if not _POWER_TEXT.fullmatch(z_part):
                 raise ValueError(f"bad scalar term {term!r} in {text!r}")
             power = int(z_part[1:]) if z_part else 1
@@ -491,7 +493,7 @@ def parse_scalar(field: CyclotomicField, text: str) -> Scalar:
         coeff = _rational_from_text(coeff_part)
         if power >= field.conductor:
             raise ValueError(f"power z^{power} out of range for conductor {field.conductor}")
-        coeffs[power] += coeff
+        coeffs[power] += -coeff if sign == "-" else coeff
     return field.from_coeffs(coeffs)
 
 

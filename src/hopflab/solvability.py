@@ -218,15 +218,14 @@ class NilpotencyReport:
     """Ascending central series: Z_1 = Hopf center, then successive lifts
     of the Hopf centers of the quotients."""
 
-    def __init__(self, ascending_chain, stabilized, is_nilpotent):
+    def __init__(self, ascending_chain, is_nilpotent):
         self.ascending_chain = ascending_chain  # list of Subspaces
-        self.stabilized = stabilized
         self.is_nilpotent = is_nilpotent
 
     def to_dict(self):
         return {
             "dims": [s.dim for s in self.ascending_chain],
-            "stabilized": self.stabilized,
+            "stabilized": True,  # the series always runs until it stops growing
             "is_nilpotent": self.is_nilpotent,
         }
 
@@ -237,15 +236,15 @@ def ascending_central_series(hopf: HopfAlgebra) -> NilpotencyReport:
     while True:
         chain.append(current)
         if current.dim == hopf.dim:
-            return NilpotencyReport(chain, True, True)
+            return NilpotencyReport(chain, True)
         ctx = coideal_from_subspace(hopf, current)
         hq = quotient(hopf, ctx)
         center_bar = hopf_center(hq.quotient)
         if center_bar.dim <= 1:
-            return NilpotencyReport(chain, True, False)
+            return NilpotencyReport(chain, False)
         lifted = hq.lift_coideal(center_bar)
         if lifted.dim <= current.dim:
-            return NilpotencyReport(chain, True, False)
+            return NilpotencyReport(chain, False)
         current = lifted
 
 

@@ -346,6 +346,11 @@ BAD_INPUTS = {
     "scalar-underscore": ("verify", "file", _z2_data_with("unit", ["1_000", "0"]), None),
     # a 10-byte string that Fraction would read as a 33-million-bit integer
     "scalar-exponent": ("verify", "file", _z2_data_with("unit", ["1e10000000", "0"]), None),
+    # terms are split only at + and -, and none may be empty
+    "scalar-space-in-term": ("verify", "file", _z2_data_with("unit", ["1 2", "0"]), None),
+    "scalar-bare-sign": ("verify", "file", _z2_data_with("unit", ["+", "0"]), None),
+    "scalar-trailing-sign": ("verify", "file", _z2_data_with("unit", ["1+", "0"]), None),
+    "scalar-doubled-sign": ("verify", "file", _z2_data_with("unit", ["1++2", "0"]), None),
 }
 
 
@@ -408,6 +413,40 @@ def test_chain_file_dict_form(runner, tmp_path):
     result = runner.invoke(main, ["solvable-check", path_of("s3"), "--chain", str(chain)])
     assert result.exit_code == 0
     assert json.loads(result.output)["result"]["dims"] == [1, 3, 6]
+
+
+def _relabelled(tmp_path, name, old, new):
+    data = json.loads(corpus_file(name).read_text())
+    data["basis_labels"] = [new if label == old else label for label in data["basis_labels"]]
+    path = tmp_path / f"{name}.hopf.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, old, new, chain, dims", [
+    # a label is never split at its commas
+    ("z2", "g", "g,1", ["k", ["g,1"], "H"], [1, 2, 2]),
+    # only the entry "H" is the whole algebra; the list ["H"] names a label
+    ("s3", "(12)", "H", ["k", ["H"]], [1, 2]),
+])
+def test_chain_file_lists_resolve_labels_as_given(runner, tmp_path, name, old, new, chain, dims):
+    path = _relabelled(tmp_path, name, old, new)
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(json.dumps(chain))
+    result = runner.invoke(main, ["solvable-check", path, "--chain", str(chain_file)])
+    assert result.exit_code in (0, 1), result.output
+    assert json.loads(result.output)["result"]["dims"] == dims
+
+
+def test_gens_tokens_are_the_reported_generators(runner, tmp_path):
+    path = _relabelled(tmp_path, "s3", "(12)", "H")
+    result = runner.invoke(main, ["coideal", path, "--gens", " H , (123),"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)["result"]
+    assert payload["generators"] == ["H", "(123)"]
+    assert payload["dim"] == 6
+    result = runner.invoke(main, ["coideal", path, "--gens", " H "])
+    assert json.loads(result.output)["result"]["generators"] == ["H"]
 
 
 # Values a mutation may put anywhere in a JSON document.

@@ -290,12 +290,12 @@ def test_commutator_subalgebra(s3, s3_dual, a3):
 
 
 def test_two_sided_flag_diagnostics(s3, a3, skryabin_n):
-    from hopflab.coideal import hopf_subalgebra_tests, normality_tests
+    from hopflab.coideal import _hopf_subalgebra_pair, _normality_pair
 
     for ctx in (a3, skryabin_n, coideal_closure(s3, [s3.basis(s3.index_of_label("(12)"))])):
-        by_adjoint, by_center = normality_tests(ctx)
+        by_adjoint, by_center = _normality_pair(ctx.hopf, ctx.space, ctx.integral)
         assert by_adjoint == by_center == ctx.normal
-        by_integral, direct = hopf_subalgebra_tests(ctx)
+        by_integral, direct = _hopf_subalgebra_pair(ctx.hopf, ctx.space, ctx.integral)
         assert by_integral == direct == ctx.hopf_subalgebra
 
 

@@ -1,5 +1,5 @@
 """Every module of the package but __init__.py, which re-exports, uses each
-name it imports."""
+name it imports; __init__.py exports exactly the names it imports."""
 
 import ast
 from pathlib import Path
@@ -30,3 +30,13 @@ def test_module_uses_every_name_it_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert unused == {}
+
+
+def test_public_api_is_exactly_what_the_package_imports():
+    tree = ast.parse(Path(hopflab.__file__).read_text())
+    imported = {name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for name in _imported_names(node)}
+    assert imported == set(hopflab.__all__)
+    assert len(hopflab.__all__) == len(set(hopflab.__all__))
+    for name in hopflab.__all__:
+        assert getattr(hopflab, name) is not None

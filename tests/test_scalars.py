@@ -223,6 +223,14 @@ def test_text_rationals_are_p_or_p_over_q():
             parse_scalar(Q3, text)
 
 
+def test_parse_splits_terms_only_at_signs():
+    assert parse_scalar(Q3, " - 1 +z^2 ") == parse_scalar(Q3, "-1 + z^2") == Q3.from_coeffs([-1, 0, 1])
+    assert parse_scalar(Q3, "+z") == Q3.zeta
+    for text in ("1 2", "+", "1+", "1++2", "1 + -z", "1/ 2", "*z", " "):
+        with pytest.raises(ValueError):
+            parse_scalar(Q3, text)
+
+
 def test_parse_rejects_out_of_range_power():
     with pytest.raises(ValueError):
         parse_scalar(Q3, "z^5")
