@@ -9,6 +9,10 @@ with and without `--text` on every corpus file, `coideal` and `reciprocity` for
 every label but the first of s3, s3-dual, d-z2, d4, q8 and z6, and `coideal`,
 `reciprocity` and `induce --index 0` with `--gens H` on every corpus file.
 
+`solvable-find` is also pinned on D(kD4) (dim 64), built from the
+permutation group D4 with the library's builders, a size at which the
+search's step conditions, normality tests and quotient checks dominate.
+
 `verify` is also pinned, with and without `--text`, on tampered copies of
 corpus files (one entry of one tensor replaced, some by irrational or
 fractional values), so that every tensor check fails in some report and
@@ -29,8 +33,10 @@ import tempfile
 import pytest
 from click.testing import CliRunner
 
+from hopflab.builders import drinfeld_double, group_algebra, permutation_group_table
 from hopflab.cli import main
 from hopflab.corpus import corpus_file, corpus_names, load
+from hopflab.serialize import save_hopf
 
 COIDEAL_FILES = ("s3", "s3-dual", "d-z2", "d4", "q8", "z6")
 
@@ -108,7 +114,18 @@ def _tampered_digest(directory, case, text):
     return _digest(("verify", name, *text), path)
 
 
+def _double_d4_digest(directory):
+    """Digest of `solvable-find` on D(kD4), D4 generated by a rotation and a
+    reflection of the square, saved under a fixed file name."""
+    table, labels = permutation_group_table([(1, 2, 3, 0), (0, 3, 2, 1)], 4)
+    double = drinfeld_double(group_algebra(table, conductor=4, labels=labels, name="kD4"))
+    path = os.path.join(directory, "double-d4.hopf.json")
+    save_hopf(double, path)
+    return _digest(("solvable-find", "D(kD4)"), path)
+
+
 PINNED = {
+    'solvable-find D(kD4)': ('0227b28d58b4d51a04ebb9f359ab79e888ead450eebaa8cc51475d63281d3a09', 0),
     'solvable-find z2': ('cfa508e3d882e6a7502169017061884a367947d4b6cffa9cc4d24b6a0d247ff5', 0),
     'solvable-find z2 --text': ('954eaaa9f474510bf973122719c57e288de9fd42957a43283fb25b258b276c2e', 0),
     'nilpotent-check z2': ('6e6455e05d2cf3bea53faf1b770d8868d1b692447d3bf227622fdabcf280a7ee', 0),
@@ -319,6 +336,10 @@ def test_tampered_verify_report_matches_pinned_digest(case, text, key, tmp_path)
     assert _tampered_digest(tmp_path, case, text) == PINNED[key]
 
 
+def test_double_d4_search_report_matches_pinned_digest(tmp_path):
+    assert _double_d4_digest(tmp_path) == PINNED["solvable-find D(kD4)"]
+
+
 if __name__ == "__main__":
     for args in _commands():
         digest, code = _digest(args)
@@ -327,3 +348,5 @@ if __name__ == "__main__":
         for case, text, key in _tampered_cases():
             digest, code = _tampered_digest(directory, case, text)
             print(f"    {key!r}: ({digest!r}, {code}),")
+        digest, code = _double_d4_digest(directory)
+        print(f"    'solvable-find D(kD4)': ({digest!r}, {code}),")
