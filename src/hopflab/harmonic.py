@@ -44,7 +44,7 @@ from .linalg import (
     mat_vec,
     vec_eq,
 )
-from .linalg import _kernel_of_images, _left_ideal
+from .linalg import _kernel_of_images, _left_ideal, _to_sparse
 
 
 def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
@@ -261,13 +261,13 @@ def _antipode_hit_constraint(ctx) -> Subspace:
     """{x in H* : s(x) -> H <= N} as a kernel."""
     H = ctx.hopf
     field = H.field
-    # e_l* |-> the classes modulo N of s(e_l*) -> e_j, keyed by (j, class coordinate)
+    # e_l* |-> the residuals modulo N of s(e_l*) -> e_j, keyed by (j, column)
     images = []
     for sx in H.dual().antipode:
         images.append({
             (j, q): c
             for j in range(H.dim)
-            for q, c in enumerate(ctx.space.quotient_coords(H.act_left(sx, H.basis(j))))
+            for q, c in ctx.space.residual(_to_sparse(H.act_left(sx, H.basis(j)))).items()
         })
     return _kernel_of_images(field, images)
 
@@ -316,7 +316,7 @@ def hopf_subalgebra_data(ctx: CoidealSubalgebra) -> HopfAlgebra:
                 c = legs.get((pivots[x], pivots[y]))
                 if c is not None and not c.is_zero():
                     cell[(x, y)] = c
-        if _push_forward(cell, ctx.space.basis) != legs:
+        if _push_forward(cell, ctx.space.sparse_basis()) != legs:
             raise HopfLabError("comultiplication does not restrict to N (x) N")
         comult.append(cell)
     counit = ctx.counit_on_basis()

@@ -62,10 +62,6 @@ def vec_scale(a, s):
     return [x * s for x in a]
 
 
-def vec_is_zero(a):
-    return all(x.is_zero() for x in a)
-
-
 def vec_eq(a, b):
     return all(x == y for x, y in zip(a, b))
 
@@ -95,6 +91,17 @@ def _tensor_add(t, key, val):
         t.pop(key, None)
     else:
         t[key] = nv
+
+
+def _combination(vectors, coeffs):
+    """sum_m coeffs[m] vectors[m] for sparse coeffs {m: c} and sparse
+    vectors (a list or dict of {key: Scalar}), as a sparse dict."""
+    out = {}
+    for m, c in coeffs.items():
+        for key, v in vectors[m].items():
+            cur = out.get(key)
+            out[key] = c * v if cur is None else cur + c * v
+    return {key: v for key, v in out.items() if not v.is_zero()}
 
 
 def _to_sparse(vec):
@@ -161,29 +168,39 @@ def rref(vectors, field, ambient=None):
         if not vectors:
             raise ValueError("ambient dimension required for empty input")
         ambient = len(vectors[0])
-    reduced = _sparse_rref([_to_sparse(v) for v in vectors], field)
-    rows = [_to_dense(r, ambient, field) for _, r in reduced]
-    return rows, [p for p, _ in reduced]
+    space = Subspace.from_vectors(field, ambient, vectors)
+    return [list(row) for row in space.basis], list(space.pivots)
 
 
 class Subspace:
     """Subspace of k^n held as a reduced row-echelon basis.
 
     Two subspaces are equal iff their echelon matrices are identical.
+    Reduction reads a sparse view of the echelon rows, built on first use.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_sparse_rows")
 
     def __init__(self, field, ambient, basis, pivots):
         self.field = field
         self.ambient = ambient
         self.basis = tuple(tuple(row) for row in basis)
         self.pivots = tuple(pivots)
+        self._sparse_rows = None
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        rows, pivots = rref(vectors, field, ambient)
-        return cls(field, ambient, rows, pivots)
+        return cls.from_sparse(field, ambient, [_to_sparse(v) for v in vectors])
+
+    @classmethod
+    def from_sparse(cls, field, ambient, rows):
+        """The span of sparse rows {column: Scalar}; the reduced rows are
+        kept as the sparse view."""
+        reduced = _sparse_rref(rows, field)
+        space = cls(field, ambient, [_to_dense(r, ambient, field) for _, r in reduced],
+                    [p for p, _ in reduced])
+        space._sparse_rows = [r for _, r in reduced]
+        return space
 
     @classmethod
     def full(cls, field, ambient):
@@ -212,56 +229,58 @@ class Subspace:
         if self.ambient != other.ambient:
             raise AmbientMismatchError(f"ambient {self.ambient} vs {other.ambient}")
 
-    def _reduce(self, vec):
-        """(coordinates along the echelon basis, residual): row by row,
-        subtract residual[p] times the row of pivot p.  In RREF the other
-        rows are zero at p, so residual[p] is still vec[p] there."""
-        coords = []
-        residual = list(vec)
-        for p, row in zip(self.pivots, self.basis):
-            c = residual[p]
-            coords.append(c)
-            if c.is_zero():
+    def sparse_basis(self):
+        """The echelon rows as sparse dicts {column: Scalar}."""
+        if self._sparse_rows is None:
+            self._sparse_rows = [_to_sparse(row) for row in self.basis]
+        return self._sparse_rows
+
+    def residual(self, vec):
+        """vec - sum_p vec[p] row_p for a sparse vec {column: Scalar}, as a
+        sparse dict: empty exactly when vec lies in the span.  In RREF the
+        other rows are zero at pivot p, so vec[p] is the coordinate along
+        the row of p."""
+        residual = dict(vec)
+        for p, row in zip(self.pivots, self.sparse_basis()):
+            c = vec.get(p)
+            if c is None:
                 continue
-            for j, r in enumerate(row):
-                if not r.is_zero():
-                    residual[j] = residual[j] - c * r
-        return coords, residual
+            for j, r in row.items():
+                cur = residual.get(j)
+                residual[j] = -(c * r) if cur is None else cur - c * r
+        return {j: v for j, v in residual.items() if not v.is_zero()}
 
     def coords_of(self, vec):
-        """Coordinates of vec in the echelon basis, or None if not in span."""
-        coords, residual = self._reduce(vec)
-        return coords if vec_is_zero(residual) else None
+        """Coordinates of vec in the echelon basis (its entries at the
+        pivots), or None if not in span."""
+        if self.residual(_to_sparse(vec)):
+            return None
+        return [vec[p] for p in self.pivots]
 
     def contains_vector(self, vec):
         return self.coords_of(vec) is not None
 
     def contains(self, other):
         self._check_ambient(other)
-        return all(self.contains_vector(row) for row in other.basis)
+        return not any(self.residual(row) for row in other.sparse_basis())
 
     def add(self, other):
         self._check_ambient(other)
         return Subspace.from_vectors(self.field, self.ambient, list(self.basis) + list(other.basis))
 
     def intersect(self, other):
-        """Exact intersection: the combinations of self.basis whose class
+        """Exact intersection: the combinations of self.basis whose residual
         modulo other is zero."""
         self._check_ambient(other)
-        images = [_to_sparse(other.quotient_coords(b)) for b in self.basis]
+        images = [other.residual(row) for row in self.sparse_basis()]
         return self.lift(_kernel_of_images(self.field, images))
 
     def lift(self, coords):
         """The subspace whose coordinates in this echelon basis form the
         Subspace coords of k^dim."""
-        return Subspace.from_vectors(self.field, self.ambient, [mat_vec(self.basis, v) for v in coords.basis])
-
-    def quotient_coords(self, vec):
-        """Coordinates of vec + self in the canonical complement (the
-        non-pivot coordinates after reduction by the echelon basis)."""
-        residual = self._reduce(vec)[1]
-        pivots = set(self.pivots)
-        return [residual[j] for j in range(self.ambient) if j not in pivots]
+        rows = self.sparse_basis()
+        return Subspace.from_sparse(self.field, self.ambient,
+                                    [_combination(rows, v) for v in coords.sparse_basis()])
 
 
 def _kernel_from_rows(rows, field, ncols) -> Subspace:
@@ -272,14 +291,13 @@ def _kernel_from_rows(rows, field, ncols) -> Subspace:
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = zero_vector(field, ncols)
-        v[f] = field.one
+        v = {f: field.one}
         for p, row in reduced:
             c = row.get(f)
             if c is not None:
                 v[p] = -c
         vecs.append(v)
-    return Subspace.from_vectors(field, ncols, vecs)
+    return Subspace.from_sparse(field, ncols, vecs)
 
 
 def _kernel_of_images(field, images) -> Subspace:
@@ -399,6 +417,8 @@ class AlgebraPresentation:
         self.unit = list(unit)
 
     def multiply(self, x, y):
+        """x y for dense x and y; sparse_product is the same product on
+        sparse dicts."""
         out = zero_vector(self.field, self.dim)
         ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
         for i, xi in enumerate(x):
@@ -414,6 +434,23 @@ class AlgebraPresentation:
                     out[k] = out[k] + f * c
         return out
 
+    def sparse_product(self, x, y):
+        """x y for sparse x and y {index: Scalar}, as a sparse dict read
+        from the nonzero cells of mult."""
+        out = {}
+        mult = self.mult
+        for i, xi in x.items():
+            row = mult[i]
+            for j, yj in y.items():
+                cell = row[j]
+                if not cell:
+                    continue
+                f = xi * yj
+                for k, c in cell.items():
+                    cur = out.get(k)
+                    out[k] = f * c if cur is None else cur + f * c
+        return {k: c for k, c in out.items() if not c.is_zero()}
+
     def center(self) -> Subspace:
         """Solutions of e_i x = x e_i for all i."""
         images = []
@@ -428,6 +465,14 @@ class AlgebraPresentation:
         return _kernel_of_images(self.field, images)
 
 
+def _products_with_basis(algebra, x):
+    """([e_n x for each n], [x e_n for each n]) as sparse dicts."""
+    xs = _to_sparse(x)
+    basis = [{n: algebra.field.one} for n in range(algebra.dim)]
+    return ([algebra.sparse_product(e, xs) for e in basis],
+            [algebra.sparse_product(xs, e) for e in basis])
+
+
 def _subalgebra_presentation(algebra, space: Subspace, unit, products=None):
     """The subalgebra on a subspace's echelon basis, with the given unit,
     as an AlgebraPresentation in that basis's coordinates; None when the
@@ -438,14 +483,15 @@ def _subalgebra_presentation(algebra, space: Subspace, unit, products=None):
     if unit_coords is None:
         return None
     if products is None:
-        basis = [list(b) for b in space.basis]
-        products = (algebra.multiply(a, b) for a in basis for b in basis)
+        rows = space.sparse_basis()
+        products = (algebra.sparse_product(a, b) for a in rows for b in rows)
+    else:
+        products = map(_to_sparse, products)
     cells = []
     for product in products:
-        coords = space.coords_of(product)
-        if coords is None:
+        if space.residual(product):
             return None
-        cells.append({k: c for k, c in enumerate(coords) if not c.is_zero()})
+        cells.append({k: product[p] for k, p in enumerate(space.pivots) if p in product})
     n = space.dim
     return AlgebraPresentation(algebra.field, n, [cells[i * n:(i + 1) * n] for i in range(n)],
                                unit_coords)

@@ -86,7 +86,10 @@ def _scalar_reader(field):
             raise SchemaError(f"{key} scalar {text!r} is not a string")
         value = parsed.get(text)
         if value is None:
-            value = parsed[text] = parse_scalar(field, text)
+            try:
+                value = parsed[text] = parse_scalar(field, text)
+            except ZeroDivisionError:
+                raise SchemaError(f"{key} scalar {text!r} has a zero denominator") from None
         return value
 
     return read
@@ -106,9 +109,11 @@ def _indexed_entries(data, key, arity, dim, read):
         raise SchemaError(f"{key} is not a list of entries")
     out = {}
     for entry in data[key]:
-        *idx, c = entry
-        if len(idx) != arity:
+        if not isinstance(entry, list):
+            raise SchemaError(f"{key} entry {entry!r} is not a list")
+        if len(entry) != arity + 1:
             raise SchemaError(f"{key} entry {entry!r} does not have {arity} indices")
+        *idx, c = entry
         for i in idx:
             if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
                 raise SchemaError(f"{key} index {i!r} is not in range({dim})")

@@ -6,10 +6,20 @@ series when, for each step,
     (i)  the integral of N_i is central in N_{i+1}, and
     (ii) (a ad b) Lambda_i = eps(a) b Lambda_i  for all a, b in N_{i+1},
 
-and the chain runs from k to H.  Both conditions are bilinear, so checking
-them on basis pairs is exhaustive.  Normality of the chain members is not
+and the chain runs from k to H.  Both conditions are linear in b, and
+(ii) in a as well, so checking them on the echelon basis rows of N_{i+1},
+and on their pairs, is exhaustive.  Normality of the chain members is not
 required by the conditions themselves and is surfaced separately as a
 diagnostic.
+
+step_conditions evaluates both on sparse data that already exists.  (i)
+compares b Lambda_i with Lambda_i b, summed from the products e_m Lambda_i
+and Lambda_i e_m that the nonzero cells of mult give.  For (ii) it reads
+e_i ad e_m from the cached ad table of H and, for each row a, forms
+D_a[m] = (a ad e_m) Lambda_i - eps(a) e_m Lambda_i over the support of
+N_{i+1}; since b = sum_m b_m e_m, the pair (a, b) fails exactly when
+sum_m b_m D_a[m] != 0, the same identity as (a ad b) Lambda_i =
+eps(a) b Lambda_i by linearity in b.
 
 find_solvable_series searches the chains k < N < ... with N normal,
 recursing through H//N.  Its candidates N are the lattice of left kernels:
@@ -35,9 +45,12 @@ from .errors import ChainError, HopfLabError, NotNormalError
 from .hopf import HopfAlgebra
 from .linalg import (
     Subspace,
+    _combination,
     _is_two_sided_integral,
     _left_ideal,
+    _products_with_basis,
     _subalgebra_generated,
+    _tensor_add,
     vec_eq,
     vec_scale,
 )
@@ -84,32 +97,28 @@ class SeriesReport:
 
 
 def step_conditions(prev: CoidealSubalgebra, nxt: CoidealSubalgebra) -> StepResult:
-    """Check (i) and (ii) for one inclusion N_prev <= N_next on basis pairs."""
+    """Check (i) and (ii) for one inclusion N_prev <= N_next on the pairs of
+    echelon basis rows of N_next (see the module docstring); the witness is
+    the first failing row, or pair in row-major order."""
     H = prev.hopf
-    lam = prev.integral
-    central = True
-    witness = None
-    for r, b in enumerate(nxt.space.basis):
-        b = list(b)
-        if not vec_eq(H.multiply(b, lam), H.multiply(lam, b)):
-            central = False
-            witness = ("central", r)
-            break
-    adjoint = True
-    if central:
-        basis = [list(b) for b in nxt.space.basis]
-        right_lam = [H.multiply(b, lam) for b in basis]
-        for r, a in enumerate(basis):
-            eps_a = H.counit_of(a)
-            for s, b in enumerate(basis):
-                lhs = H.multiply(H.adjoint(a, b), lam)
-                if not vec_eq(lhs, vec_scale(right_lam[s], eps_a)):
-                    adjoint = False
-                    witness = ("adjoint", (r, s))
-                    break
-            if not adjoint:
-                break
-    return StepResult(central, adjoint, witness)
+    right, left = _products_with_basis(H, prev.integral)  # e_n Lambda, Lambda e_n
+    rows = nxt.space.sparse_basis()
+    for r, b in enumerate(rows):
+        if _combination(right, b) != _combination(left, b):
+            return StepResult(False, True, ("central", r))
+    ad = H._ad_operators()
+    support = sorted(set().union(*rows))
+    for r, a in enumerate(rows):
+        eps_a = H.counit_of(nxt.space.basis[r])
+        diffs = {}  # D_a[m] = (a ad e_m) Lambda - eps(a) e_m Lambda
+        for m in support:
+            shifted = _combination({i: ad[i][m] for i in a}, a)  # a ad e_m
+            _tensor_add(shifted, m, -eps_a)
+            diffs[m] = _combination(right, shifted)
+        for s, b in enumerate(rows):
+            if _combination(diffs, b):
+                return StepResult(True, False, ("adjoint", (r, s)))
+    return StepResult(True, True)
 
 
 def _verdict(steps):
@@ -313,8 +322,9 @@ def _normal_candidates(hopf: HopfAlgebra):
         if kernel not in lattice:
             lattice |= {kernel} | {kernel.intersect(member) for member in lattice}
     members = [space for space in lattice if 1 < space.dim < hopf.dim]
-    return sorted(members, key=lambda space: (
-        space.dim, tuple(tuple(c.sort_key() for c in row) for row in space.basis)))
+    zero = hopf.field.zero.sort_key()  # most entries are 0: read its key once
+    return sorted(members, key=lambda space: (space.dim, tuple(
+        tuple(zero if c.is_zero() else c.sort_key() for c in row) for row in space.basis)))
 
 
 def find_solvable_series(hopf: HopfAlgebra) -> SeriesReport:

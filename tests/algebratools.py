@@ -1,9 +1,13 @@
-"""Dense references for the algebra axioms, the independent oracle for the
-integer-slice checks of HopfAlgebra.verify(): every product is taken with
-the algebra's own multiply, one basis element (or pair, or triple) at a
-time."""
+"""Dense references, the independent oracles for the library's sparse
+checks: the algebra axioms of HopfAlgebra.verify(), the two conditions of
+a solvable-series step, the two normality tests of a coideal subalgebra
+and the check that a quotient's projection is a Hopf map.  Every product
+is taken with the algebra's own multiply (or adjoint) on dense vectors,
+one basis element (or pair, or triple) at a time."""
 
-from hopflab.linalg import basis_vector, vec_eq
+from hopflab.errors import HopfLabError
+from hopflab.linalg import basis_vector, vec_eq, vec_scale, zero_vector
+from hopflab.solvability import StepResult
 
 
 def dense_unit_witness(alg):
@@ -32,3 +36,65 @@ def dense_witnesses(alg):
     """(unit witness, associativity witness); (None, None) when the algebra
     is unital and associative."""
     return dense_unit_witness(alg), dense_associativity_witness(alg)
+
+
+def dense_step_conditions(prev, nxt):
+    """StepResult of (i) b Lambda = Lambda b and (ii) (a ad b) Lambda =
+    eps(a) b Lambda on the echelon basis of nxt, Lambda the integral of
+    prev; (ii) runs only when (i) holds, and the witness is the first
+    failing row, or pair in row-major order."""
+    H = prev.hopf
+    lam = prev.integral
+    basis = [list(b) for b in nxt.space.basis]
+    for r, b in enumerate(basis):
+        if not vec_eq(H.multiply(b, lam), H.multiply(lam, b)):
+            return StepResult(False, True, ("central", r))
+    right_lam = [H.multiply(b, lam) for b in basis]
+    for r, a in enumerate(basis):
+        eps_a = H.counit_of(a)
+        for s, b in enumerate(basis):
+            if not vec_eq(H.multiply(H.adjoint(a, b), lam), vec_scale(right_lam[s], eps_a)):
+                return StepResult(True, False, ("adjoint", (r, s)))
+    return StepResult(True, True)
+
+
+def dense_normality_pair(hopf, space, integral):
+    """(e_i ad b in the space for every i and basis vector b, e_i Lambda =
+    Lambda e_i for every i)."""
+    by_adjoint = all(
+        space.contains_vector(hopf.adjoint(hopf.basis(i), list(b)))
+        for i in range(hopf.dim)
+        for b in space.basis
+    )
+    by_center = all(
+        vec_eq(hopf.multiply(hopf.basis(i), integral), hopf.multiply(integral, hopf.basis(i)))
+        for i in range(hopf.dim)
+    )
+    return by_adjoint, by_center
+
+
+def dense_check_projection_is_hopf_map(hopf, hq):
+    """Raise HopfLabError unless pi: H -> H//N, given by hq's rows pi(e_i),
+    intertwines the coproduct, counit and antipode and is an algebra map;
+    pi(e_i e_j) is projected from a dense vector."""
+    q = hq.quotient
+    pi = hq._pi_rows
+    for i in range(hopf.dim):
+        pushed = {}
+        for (j, k), c in hopf.comult[i].items():
+            for x, cx in enumerate(pi[j]):
+                for y, cy in enumerate(pi[k]):
+                    pushed[(x, y)] = pushed.get((x, y), hopf.field.zero) + c * cx * cy
+        if q.comult_of(pi[i]) != {xy: c for xy, c in pushed.items() if not c.is_zero()}:
+            raise HopfLabError("projection does not intertwine comultiplication")
+        if q.counit_of(pi[i]) != hopf.counit[i]:
+            raise HopfLabError("projection does not preserve the counit")
+        if not vec_eq(q.antipode_of(pi[i]), hq.project(hopf.antipode[i])):
+            raise HopfLabError("projection does not intertwine the antipode")
+    for i in range(hopf.dim):
+        for j in range(hopf.dim):
+            prod = zero_vector(hopf.field, hopf.dim)
+            for k, c in hopf.mult[i][j].items():
+                prod[k] = c
+            if not vec_eq(hq.project(prod), q.multiply(pi[i], pi[j])):
+                raise HopfLabError("projection is not an algebra map")

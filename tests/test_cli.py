@@ -351,6 +351,14 @@ BAD_INPUTS = {
     "scalar-bare-sign": ("verify", "file", _z2_data_with("unit", ["+", "0"]), None),
     "scalar-trailing-sign": ("verify", "file", _z2_data_with("unit", ["1+", "0"]), None),
     "scalar-doubled-sign": ("verify", "file", _z2_data_with("unit", ["1++2", "0"]), None),
+    "mult-entry-number": ("verify", "file", _z2_data_with("mult", [5, [0, 0, 0, "1"]]), None),
+    "scalar-zero-denominator": ("verify", "file", _z2_data_with("mult", [[0, 0, 0, "1/0"]]), None),
+}
+
+# the whole message of the cases whose wording is pinned
+BAD_INPUT_MESSAGES = {
+    "mult-entry-number": "error: mult entry 5 is not a list\n",
+    "scalar-zero-denominator": "error: mult scalar '1/0' has a zero denominator\n",
 }
 
 
@@ -372,6 +380,8 @@ def test_bad_input_exits_2_with_a_message(runner, tmp_path, monkeypatch, case):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error: " in result.output
+    if case in BAD_INPUT_MESSAGES:
+        assert result.output == BAD_INPUT_MESSAGES[case]
 
 
 # argv for a command whose output path cannot be written: MISSING is no

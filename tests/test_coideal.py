@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from algebratools import dense_check_projection_is_hopf_map, dense_normality_pair
 from grouptools import center_of_group, subgroup_closure
 from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
@@ -453,3 +454,54 @@ def test_closure_of_basis_sums_on_s3_dual_is_the_smallest_catalogued_member():
             smallest = functools.reduce(Subspace.intersect, [s for s in lattice if s.contains_vector(v)])
             assert smallest in lattice
             assert coideal_closure(H, [v]).space == smallest, members
+
+
+# members of each catalogued lattice that are not normal
+LATTICE_NON_NORMAL = {"s3": 3, "s3-dual": 0, "d4": 4, "q8": 0, "z6": 0, "d-z2": 0}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_NON_NORMAL))
+def test_normality_pair_matches_the_dense_oracle(name):
+    H = load(name, verify=False)[0]
+    pairs = []
+    for _, ctx in coideal_lattice(name, H):
+        pair = _normality_pair(H, ctx.space, ctx.integral)
+        assert pair == dense_normality_pair(H, ctx.space, ctx.integral)
+        pairs.append(pair)
+    assert pairs.count((False, False)) == LATTICE_NON_NORMAL[name]
+
+
+def test_normality_tests_stay_independent(s3, a3):
+    # each test reads only its own data: an adjoint-stable space with a
+    # non-central element, and a non-normal space with a central one
+    t = coideal_closure(s3, [s3.basis(s3.index_of_label("(12)"))])
+    for space, x, expected in ((a3.space, t.integral, (True, False)), (t.space, s3.unit, (False, True))):
+        assert _normality_pair(s3, space, x) == dense_normality_pair(s3, space, x) == expected
+
+
+def _projection_verdict(check, hopf, hq):
+    try:
+        check(hopf, hq)
+    except HopfLabError as err:
+        return str(err)
+    return None
+
+
+def test_projection_check_matches_the_dense_oracle_under_tampering(s3, a3):
+    # pi(e_i) := pi(e_j) for every pair (i, j): the sparse check and the
+    # dense oracle reach the same verdict; (12) -> e keeps the coproduct,
+    # counit and antipode and breaks only the product
+    verdicts = set()
+    for i in range(s3.dim):
+        for j in range(s3.dim):
+            hq = quotient(s3, a3)
+            hq._pi_rows[i] = list(hq._pi_rows[j])
+            verdict = _projection_verdict(coideal._check_projection_is_hopf_map, s3, hq)
+            assert verdict == _projection_verdict(dense_check_projection_is_hopf_map, s3, hq)
+            verdicts.add(verdict)
+    assert None in verdicts and len(verdicts) > 2
+    hq = quotient(s3, a3)
+    hq._pi_rows[s3.index_of_label("(12)")] = list(hq._pi_rows[s3.index_of_label("e")])
+    for check in (coideal._check_projection_is_hopf_map, dense_check_projection_is_hopf_map):
+        with pytest.raises(HopfLabError, match="projection is not an algebra map"):
+            check(s3, hq)

@@ -1,5 +1,6 @@
 import pytest
 
+from algebratools import dense_step_conditions
 from grouptools import center_of_group, derived_series, is_solvable_group, normal_subgroups
 
 from hopflab.builders import (
@@ -12,6 +13,7 @@ from hopflab.builders import (
     symmetric3_table,
 )
 from hopflab.coideal import coideal_closure, coideal_from_subspace
+from hopflab.corpus import coideal_lattice, load
 from hopflab.errors import ChainError, HopfLabError, NotNormalError
 from hopflab.linalg import Subspace, vec_eq
 from hopflab import solvability
@@ -303,3 +305,24 @@ def test_search_rejects_a_non_normal_candidate(monkeypatch, s3):
     monkeypatch.setattr(solvability, "_normal_candidates", lambda hopf: [b_n])
     with pytest.raises(HopfLabError, match="not normal"):
         find_solvable_series(s3)
+
+
+# failing (N, M) pairs of each catalogued lattice, by the dense oracle
+LATTICE_FAILING_STEPS = {"s3": 4, "s3-dual": 0, "d4": 5, "q8": 1, "z6": 0, "d-z2": 0}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_FAILING_STEPS))
+def test_step_conditions_match_the_dense_oracle(name):
+    # every pair N <= M of the lattice, failing ones included: the same
+    # verdicts and the same first witness as dense products pair by pair
+    H = load(name, verify=False)[0]
+    contexts = [ctx for _, ctx in coideal_lattice(name, H)]
+    failing = 0
+    for prev in contexts:
+        for nxt in contexts:
+            if not nxt.space.contains(prev.space):
+                continue
+            got, want = solvability.step_conditions(prev, nxt), dense_step_conditions(prev, nxt)
+            assert (got.central, got.adjoint, got.witness) == (want.central, want.adjoint, want.witness)
+            failing += not want.ok
+    assert failing == LATTICE_FAILING_STEPS[name]
