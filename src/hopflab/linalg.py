@@ -11,7 +11,8 @@ Two conventions hold throughout the library:
   images of the basis vectors, each a sparse dict {output key: Scalar}, and
   solved by `_kernel_of_images`, which transposes the images into equation
   rows for `_kernel_from_rows`, the one kernel routine.
-- A linear combination sum_i c_i v_i is `mat_vec([v_0, v_1, ...], c)`.
+- A linear combination sum_i c_i v_i is `mat_vec([v_0, v_1, ...], c)` on
+  dense vectors and `_combination` on sparse dicts.
 
 Also here: Wedderburn data of a semisimple algebra given by structure
 constants.  The central part -- central primitive idempotents E_i and
@@ -230,7 +231,8 @@ class Subspace:
             raise AmbientMismatchError(f"ambient {self.ambient} vs {other.ambient}")
 
     def sparse_basis(self):
-        """The echelon rows as sparse dicts {column: Scalar}."""
+        """The echelon rows as sparse dicts {column: Scalar}, shared and
+        read-only."""
         if self._sparse_rows is None:
             self._sparse_rows = [_to_sparse(row) for row in self.basis]
         return self._sparse_rows
