@@ -244,7 +244,7 @@ def _normality_pair(hopf, space, integral):
     centrality of the integral, e_i Lambda = Lambda e_i read from the cells
     of mult."""
     by_adjoint = all(not space.residual(_combination(ad_i, b))
-                     for ad_i in hopf._ad_operators() for b in space.sparse_basis())
+                     for ad_i in hopf._ad_operators() for b in space.sparse_basis)
     right, left = _products_with_basis(hopf, integral)
     return by_adjoint, right == left
 

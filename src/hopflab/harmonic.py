@@ -316,7 +316,7 @@ def hopf_subalgebra_data(ctx: CoidealSubalgebra) -> HopfAlgebra:
                 c = legs.get((pivots[x], pivots[y]))
                 if c is not None and not c.is_zero():
                     cell[(x, y)] = c
-        if _push_forward(cell, ctx.space.sparse_basis()) != legs:
+        if _push_forward(cell, ctx.space.sparse_basis) != legs:
             raise HopfLabError("comultiplication does not restrict to N (x) N")
         comult.append(cell)
     counit = ctx.counit_on_basis()

@@ -177,17 +177,20 @@ class Subspace:
     """Subspace of k^n held as a reduced row-echelon basis.
 
     Two subspaces are equal iff their echelon matrices are identical.
-    Reduction reads a sparse view of the echelon rows, built on first use.
+    sparse_basis holds the same rows as dicts {column: Scalar}, shared and
+    read-only; reduction reads them.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_sparse_rows")
+    __slots__ = ("field", "ambient", "basis", "pivots", "sparse_basis")
 
-    def __init__(self, field, ambient, basis, pivots):
+    def __init__(self, field, ambient, reduced):
+        """reduced: the (pivot, sparse row) pairs of a reduced row-echelon
+        basis, by pivot, as _sparse_rref returns them."""
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(tuple(row) for row in basis)
-        self.pivots = tuple(pivots)
-        self._sparse_rows = None
+        self.pivots = tuple(p for p, _ in reduced)
+        self.sparse_basis = [row for _, row in reduced]
+        self.basis = tuple(tuple(_to_dense(row, ambient, field)) for row in self.sparse_basis)
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -195,13 +198,8 @@ class Subspace:
 
     @classmethod
     def from_sparse(cls, field, ambient, rows):
-        """The span of sparse rows {column: Scalar}; the reduced rows are
-        kept as the sparse view."""
-        reduced = _sparse_rref(rows, field)
-        space = cls(field, ambient, [_to_dense(r, ambient, field) for _, r in reduced],
-                    [p for p, _ in reduced])
-        space._sparse_rows = [r for _, r in reduced]
-        return space
+        """The span of sparse rows {column: Scalar}."""
+        return cls(field, ambient, _sparse_rref(rows, field))
 
     @classmethod
     def full(cls, field, ambient):
@@ -209,7 +207,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, [], [])
+        return cls(field, ambient, [])
 
     @property
     def dim(self):
@@ -230,20 +228,13 @@ class Subspace:
         if self.ambient != other.ambient:
             raise AmbientMismatchError(f"ambient {self.ambient} vs {other.ambient}")
 
-    def sparse_basis(self):
-        """The echelon rows as sparse dicts {column: Scalar}, shared and
-        read-only."""
-        if self._sparse_rows is None:
-            self._sparse_rows = [_to_sparse(row) for row in self.basis]
-        return self._sparse_rows
-
     def residual(self, vec):
         """vec - sum_p vec[p] row_p for a sparse vec {column: Scalar}, as a
         sparse dict: empty exactly when vec lies in the span.  In RREF the
         other rows are zero at pivot p, so vec[p] is the coordinate along
         the row of p."""
         residual = dict(vec)
-        for p, row in zip(self.pivots, self.sparse_basis()):
+        for p, row in zip(self.pivots, self.sparse_basis):
             c = vec.get(p)
             if c is None:
                 continue
@@ -264,7 +255,7 @@ class Subspace:
 
     def contains(self, other):
         self._check_ambient(other)
-        return not any(self.residual(row) for row in other.sparse_basis())
+        return not any(self.residual(row) for row in other.sparse_basis)
 
     def add(self, other):
         self._check_ambient(other)
@@ -274,15 +265,15 @@ class Subspace:
         """Exact intersection: the combinations of self.basis whose residual
         modulo other is zero."""
         self._check_ambient(other)
-        images = [other.residual(row) for row in self.sparse_basis()]
+        images = [other.residual(row) for row in self.sparse_basis]
         return self.lift(_kernel_of_images(self.field, images))
 
     def lift(self, coords):
         """The subspace whose coordinates in this echelon basis form the
         Subspace coords of k^dim."""
-        rows = self.sparse_basis()
+        rows = self.sparse_basis
         return Subspace.from_sparse(self.field, self.ambient,
-                                    [_combination(rows, v) for v in coords.sparse_basis()])
+                                    [_combination(rows, v) for v in coords.sparse_basis])
 
 
 def _kernel_from_rows(rows, field, ncols) -> Subspace:
@@ -485,7 +476,7 @@ def _subalgebra_presentation(algebra, space: Subspace, unit, products=None):
     if unit_coords is None:
         return None
     if products is None:
-        rows = space.sparse_basis()
+        rows = space.sparse_basis
         products = (algebra.sparse_product(a, b) for a in rows for b in rows)
     else:
         products = map(_to_sparse, products)

@@ -102,12 +102,12 @@ def step_conditions(prev: CoidealSubalgebra, nxt: CoidealSubalgebra) -> StepResu
     the first failing row, or pair in row-major order."""
     H = prev.hopf
     right, left = _products_with_basis(H, prev.integral)  # e_n Lambda, Lambda e_n
-    rows = nxt.space.sparse_basis()
+    rows = nxt.space.sparse_basis
     for r, b in enumerate(rows):
         if _combination(right, b) != _combination(left, b):
             return StepResult(False, True, ("central", r))
     ad = H._ad_operators()
-    support = sorted(set().union(*rows))
+    support = set().union(*rows)
     for r, a in enumerate(rows):
         eps_a = H.counit_of(nxt.space.basis[r])
         diffs = {}  # D_a[m] = (a ad e_m) Lambda - eps(a) e_m Lambda

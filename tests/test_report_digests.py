@@ -10,8 +10,9 @@ every label but the first of s3, s3-dual, d-z2, d4, q8 and z6, and `coideal`,
 `reciprocity` and `induce --index 0` with `--gens H` on every corpus file.
 
 `solvable-find` is also pinned on D(kD4) (dim 64), built from the
-permutation group D4 with the library's builders, a size at which the
-search's step conditions, normality tests and quotient checks dominate.
+permutation group D4 with the library's builders, so that the search's
+step conditions, normality tests and quotient checks are pinned on
+algebras larger than the corpus's.
 
 `verify` is also pinned, with and without `--text`, on tampered copies of
 corpus files (one entry of one tensor replaced, some by irrational or
