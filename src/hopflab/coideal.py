@@ -63,6 +63,7 @@ from .linalg import (
     _subalgebra_generated,
     _subalgebra_presentation,
     _tensor_add,
+    _to_dense,
     _to_sparse,
     _trace_form,
 )
@@ -309,19 +310,20 @@ def double_invariants_roundtrip(ctx: CoidealSubalgebra) -> bool:
 class HopfQuotient:
     """H//N for normal N, realized on the ideal H*Lambda_N.
 
-    projection(h) gives quotient coordinates of h; section rows embed the
-    quotient basis back into H.
+    The projection pi is held as the sparse rows pi(e_i), dicts {quotient
+    index: Scalar}; project(h) gives quotient coordinates of h; section
+    rows embed the quotient basis back into H.
     """
 
-    def __init__(self, hopf, context, quotient, section, pi_rows):
+    def __init__(self, hopf, context, quotient, section, pi):
         self.hopf = hopf
         self.context = context
         self.quotient = quotient
         self.section = section      # list of ambient vectors, quotient basis
-        self._pi_rows = pi_rows     # projection of each ambient basis vector
+        self._pi = pi               # projection of each ambient basis vector
 
     def project(self, h):
-        return mat_vec(self._pi_rows, h)
+        return _to_dense(_combination(self._pi, _to_sparse(h)), self.quotient.dim, self.hopf.field)
 
     def lift_coideal(self, subspace: Subspace) -> Subspace:
         """The unique coideal subalgebra of H containing N that projects
@@ -333,9 +335,9 @@ class HopfQuotient:
         contains the whole kernel of the projection) and is not a coideal.
         """
         bbar = _invariants(self.quotient.dual(), subspace)
-        pulled = []
-        for b in bbar.basis:
-            pulled.append([self.quotient.pair(list(b), self._pi_rows[i]) for i in range(self.hopf.dim)])
+        zero = self.hopf.field.zero
+        pulled = [[sum((c * b[k] for k, c in pi_i.items() if k in b), zero) for pi_i in self._pi]
+                  for b in bbar.sparse_basis]
         span = Subspace.from_vectors(self.hopf.field, self.hopf.dim, pulled)
         return invariants_of(self.hopf, span)
 
@@ -354,22 +356,22 @@ def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
         raise NotNormalError("quotient requires a normal coideal subalgebra")
     field = hopf.field
     lam = ctx.integral
-    images = [hopf.multiply(hopf.basis(i), lam) for i in range(hopf.dim)]
+    images = _products_with_basis(hopf, lam)[0]  # e_i Lambda
     ideal = Subspace.from_vectors(field, hopf.dim, images)
     section = [list(b) for b in ideal.basis]
     qdim = ideal.dim
-    pi_rows = [ideal.coords_of(v) for v in images]
+    pi = [ideal.sparse_coords(v) for v in images]
     algebra = _subalgebra_presentation(hopf, ideal, lam)
-    pi = [_to_sparse(row) for row in pi_rows]
     comult = [_push_forward(hopf.comult_of(v), pi) for v in section]
     counit = [hopf.counit_of(v) for v in section]
-    antipode = [mat_vec(pi_rows, hopf.antipode_of(v)) for v in section]
+    antipode = [_to_dense(_combination(pi, _to_sparse(hopf.antipode_of(v))), qdim, field)
+                for v in section]
     q = HopfAlgebra(field, qdim, algebra.mult, algebra.unit, comult, counit, antipode,
                     name=f"{hopf.name}//N" if hopf.name else "quotient")
     q.require_axioms()
     if qdim * ctx.dim != hopf.dim:
         raise HopfLabError("quotient dimension does not divide as expected")
-    hq = HopfQuotient(hopf, ctx, q, section, pi_rows)
+    hq = HopfQuotient(hopf, ctx, q, section, pi)
     _check_projection_is_hopf_map(hopf, hq)
     return hq
 
@@ -390,14 +392,14 @@ def _check_projection_is_hopf_map(hopf, hq: HopfQuotient):
     and is an algebra map: pi(e_i e_j), the cell mult[i][j] pushed through
     the sparse rows pi(e_k), equals pi(e_i) pi(e_j) in the quotient."""
     q = hq.quotient
-    pi = [_to_sparse(row) for row in hq._pi_rows]
-    for i in range(hopf.dim):
-        pi_i = hq._pi_rows[i]
-        if q.comult_of(pi_i) != _push_forward(hopf.comult[i], pi):
+    pi = hq._pi
+    q_antipode = [_to_sparse(row) for row in q.antipode]
+    for i, pi_i in enumerate(pi):
+        if _combination(q.comult, pi_i) != _push_forward(hopf.comult[i], pi):
             raise HopfLabError("projection does not intertwine comultiplication")
-        if q.counit_of(pi_i) != hopf.counit[i]:
+        if sum((q.counit[k] * c for k, c in pi_i.items()), hopf.field.zero) != hopf.counit[i]:
             raise HopfLabError("projection does not preserve the counit")
-        if not vec_eq(q.antipode_of(pi_i), hq.project(hopf.antipode[i])):
+        if _combination(q_antipode, pi_i) != _combination(pi, _to_sparse(hopf.antipode[i])):
             raise HopfLabError("projection does not intertwine the antipode")
     for i, pi_i in enumerate(pi):
         for j, pi_j in enumerate(pi):

@@ -169,19 +169,20 @@ def rref(vectors, field, ambient=None):
         if not vectors:
             raise ValueError("ambient dimension required for empty input")
         ambient = len(vectors[0])
-    space = Subspace.from_vectors(field, ambient, vectors)
-    return [list(row) for row in space.basis], list(space.pivots)
+    reduced = _sparse_rref([_to_sparse(v) for v in vectors], field)
+    return [_to_dense(row, ambient, field) for _, row in reduced], [p for p, _ in reduced]
 
 
 class Subspace:
     """Subspace of k^n held as a reduced row-echelon basis.
 
-    Two subspaces are equal iff their echelon matrices are identical.
-    sparse_basis holds the same rows as dicts {column: Scalar}, shared and
-    read-only; reduction reads them.
+    Two subspaces are equal iff their echelon matrices are identical.  The
+    rows are held as dicts {column: Scalar} (sparse_basis), shared and
+    read-only; reduction reads them.  The dense rows (basis) are built on
+    first read and kept, so concurrent readers at worst build them twice.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "sparse_basis")
+    __slots__ = ("field", "ambient", "pivots", "sparse_basis", "_basis")
 
     def __init__(self, field, ambient, reduced):
         """reduced: the (pivot, sparse row) pairs of a reduced row-echelon
@@ -190,36 +191,43 @@ class Subspace:
         self.ambient = ambient
         self.pivots = tuple(p for p, _ in reduced)
         self.sparse_basis = [row for _, row in reduced]
-        self.basis = tuple(tuple(_to_dense(row, ambient, field)) for row in self.sparse_basis)
+        self._basis = None
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        return cls.from_sparse(field, ambient, [_to_sparse(v) for v in vectors])
-
-    @classmethod
-    def from_sparse(cls, field, ambient, rows):
-        """The span of sparse rows {column: Scalar}."""
-        return cls(field, ambient, _sparse_rref(rows, field))
+        """The span of vectors, each a dense sequence or a sparse dict
+        {column: Scalar} without zero values."""
+        return cls(field, ambient, _sparse_rref(
+            [v if isinstance(v, dict) else _to_sparse(v) for v in vectors], field))
 
     @classmethod
     def full(cls, field, ambient):
-        return cls.from_vectors(field, ambient, [basis_vector(field, ambient, i) for i in range(ambient)])
+        return cls.from_vectors(field, ambient, [{i: field.one} for i in range(ambient)])
 
     @classmethod
     def zero(cls, field, ambient):
         return cls(field, ambient, [])
 
     @property
+    def basis(self):
+        """The echelon rows as dense tuples."""
+        if self._basis is None:
+            self._basis = tuple(tuple(_to_dense(row, self.ambient, self.field))
+                                for row in self.sparse_basis)
+        return self._basis
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self.sparse_basis == other.sparse_basis
 
     def __hash__(self):
-        return hash((self.ambient, tuple(tuple((c.num, c.den) for c in row) for row in self.basis)))
+        return hash((self.ambient, tuple(frozenset((j, c.num, c.den) for j, c in row.items())
+                                         for row in self.sparse_basis)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
@@ -250,6 +258,12 @@ class Subspace:
             return None
         return [vec[p] for p in self.pivots]
 
+    def sparse_coords(self, vec):
+        """coords_of for a sparse vec, as a sparse dict {row index: Scalar}."""
+        if self.residual(vec):
+            return None
+        return {k: vec[p] for k, p in enumerate(self.pivots) if p in vec}
+
     def contains_vector(self, vec):
         return self.coords_of(vec) is not None
 
@@ -259,7 +273,7 @@ class Subspace:
 
     def add(self, other):
         self._check_ambient(other)
-        return Subspace.from_vectors(self.field, self.ambient, list(self.basis) + list(other.basis))
+        return Subspace.from_vectors(self.field, self.ambient, self.sparse_basis + other.sparse_basis)
 
     def intersect(self, other):
         """Exact intersection: the combinations of self.basis whose residual
@@ -272,8 +286,8 @@ class Subspace:
         """The subspace whose coordinates in this echelon basis form the
         Subspace coords of k^dim."""
         rows = self.sparse_basis
-        return Subspace.from_sparse(self.field, self.ambient,
-                                    [_combination(rows, v) for v in coords.sparse_basis])
+        return Subspace.from_vectors(self.field, self.ambient,
+                                     [_combination(rows, v) for v in coords.sparse_basis])
 
 
 def _kernel_from_rows(rows, field, ncols) -> Subspace:
@@ -290,7 +304,7 @@ def _kernel_from_rows(rows, field, ncols) -> Subspace:
             if c is not None:
                 v[p] = -c
         vecs.append(v)
-    return Subspace.from_sparse(field, ncols, vecs)
+    return Subspace.from_vectors(field, ncols, vecs)
 
 
 def _kernel_of_images(field, images) -> Subspace:
@@ -410,22 +424,8 @@ class AlgebraPresentation:
         self.unit = list(unit)
 
     def multiply(self, x, y):
-        """x y for dense x and y; sparse_product is the same product on
-        sparse dicts."""
-        out = zero_vector(self.field, self.dim)
-        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            row = self.mult[i]
-            for j, yj in ys:
-                cell = row[j]
-                if not cell:
-                    continue
-                f = xi * yj
-                for k, c in cell.items():
-                    out[k] = out[k] + f * c
-        return out
+        """x y for dense x and y: sparse_product, densified."""
+        return _to_dense(self.sparse_product(_to_sparse(x), _to_sparse(y)), self.dim, self.field)
 
     def sparse_product(self, x, y):
         """x y for sparse x and y {index: Scalar}, as a sparse dict read
@@ -471,20 +471,19 @@ def _subalgebra_presentation(algebra, space: Subspace, unit, products=None):
     as an AlgebraPresentation in that basis's coordinates; None when the
     unit or a product of two basis vectors leaves the subspace.  products,
     when given, are those of the basis pairs in row-major order, already
-    computed."""
+    computed, as sparse dicts."""
     unit_coords = space.coords_of(unit)
     if unit_coords is None:
         return None
     if products is None:
         rows = space.sparse_basis
         products = (algebra.sparse_product(a, b) for a in rows for b in rows)
-    else:
-        products = map(_to_sparse, products)
     cells = []
     for product in products:
-        if space.residual(product):
+        cell = space.sparse_coords(product)
+        if cell is None:
             return None
-        cells.append({k: product[p] for k, p in enumerate(space.pivots) if p in product})
+        cells.append(cell)
     n = space.dim
     return AlgebraPresentation(algebra.field, n, [cells[i * n:(i + 1) * n] for i in range(n)],
                                unit_coords)
@@ -496,14 +495,14 @@ def _subalgebra_generated(algebra, vectors):
     until a pass adds nothing or the span is the whole algebra, which is
     closed already.  This is the library's one grow-until-closed loop;
     coideal_closure feeds it a left coideal.  products are those of the
-    confirming pass, S's basis pairs in row-major order, so presenting S
-    multiplies nothing again; None when no pass confirmed S.  Earlier
-    passes multiply the pairs of the previous span again."""
+    confirming pass, S's basis pairs in row-major order as sparse dicts, so
+    presenting S multiplies nothing again; None when no pass confirmed S.
+    Earlier passes multiply the pairs of the previous span again."""
     space = Subspace.from_vectors(algebra.field, algebra.dim, [algebra.unit] + [list(v) for v in vectors])
     while space.dim < algebra.dim:
-        basis = [list(b) for b in space.basis]
-        products = [algebra.multiply(a, b) for a in basis for b in basis]
-        grown = Subspace.from_vectors(algebra.field, algebra.dim, basis + products)
+        rows = space.sparse_basis
+        products = [algebra.sparse_product(a, b) for a in rows for b in rows]
+        grown = Subspace.from_vectors(algebra.field, algebra.dim, rows + products)
         if grown == space:
             return space, products
         space = grown

@@ -396,17 +396,17 @@ def test_closure_presents_n_from_its_confirming_pass(s3, monkeypatch):
     # the last pass of the closure multiplies each pair of N's basis once;
     # the presentation reads those products instead of multiplying again
     pairs = []
-    multiply = HopfAlgebra.multiply
+    sparse_product = HopfAlgebra.sparse_product
 
     def recorded(self, x, y):
-        pairs.append((tuple(x), tuple(y)))
-        return multiply(self, x, y)
+        pairs.append((x, y))
+        return sparse_product(self, x, y)
 
-    monkeypatch.setattr(HopfAlgebra, "multiply", recorded)
+    monkeypatch.setattr(HopfAlgebra, "sparse_product", recorded)
     ctx = coideal_closure(s3, [s3.basis(s3.index_of_label("(123)"))])
     assert ctx.dim == 3
-    basis = ctx.space.basis
-    basis_pairs = [(basis.index(a), basis.index(b)) for a, b in pairs if a in basis and b in basis]
+    rows = ctx.space.sparse_basis
+    basis_pairs = [(rows.index(a), rows.index(b)) for a, b in pairs if a in rows and b in rows]
     # span{1, (123)} grows to A3 in the first pass, which multiplies its
     # 2 x 2 pairs; the second confirms A3 with its 3 x 3, and no more follow
     assert len(basis_pairs) == 2 * 2 + 3 * 3
@@ -495,13 +495,13 @@ def test_projection_check_matches_the_dense_oracle_under_tampering(s3, a3):
     for i in range(s3.dim):
         for j in range(s3.dim):
             hq = quotient(s3, a3)
-            hq._pi_rows[i] = list(hq._pi_rows[j])
+            hq._pi[i] = dict(hq._pi[j])
             verdict = _projection_verdict(coideal._check_projection_is_hopf_map, s3, hq)
             assert verdict == _projection_verdict(dense_check_projection_is_hopf_map, s3, hq)
             verdicts.add(verdict)
     assert None in verdicts and len(verdicts) > 2
     hq = quotient(s3, a3)
-    hq._pi_rows[s3.index_of_label("(12)")] = list(hq._pi_rows[s3.index_of_label("e")])
+    hq._pi[s3.index_of_label("(12)")] = dict(hq._pi[s3.index_of_label("e")])
     for check in (coideal._check_projection_is_hopf_map, dense_check_projection_is_hopf_map):
         with pytest.raises(HopfLabError, match="projection is not an algebra map"):
             check(s3, hq)
