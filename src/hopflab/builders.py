@@ -198,29 +198,28 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
     q_cache = {}
 
     def sandwich(u, w, b):
-        # q[k] = <p_b, S(e_w) e_k e_u>, as e_u -> (p_b <- S(e_w)) in H*
+        # q[k] = <p_b, S(e_w) e_k e_u>, as e_u -> (p_b <- S(e_w)) in H*, sparse
         key = (u, w, b)
         if key not in q_cache:
-            q_cache[key] = Hd.act_left(H.basis(u), Hd.act_right(H.basis(b), H.antipode[w]))
+            q_cache[key] = _to_sparse(Hd.act_left(H.basis(u), Hd.act_right(H.basis(b), H.antipode[w])))
         return q_cache[key]
 
     mult = [[{} for _ in range(D)] for _ in range(D)]
     for a in range(dim):
+        p_a = {a: field.one}
         for i in range(dim):
             row = mult[didx(a, i)]
             for b in range(dim):
                 for j in range(dim):
                     out = {}
                     for (u, v, w), c in delta2[i].items():
-                        q = sandwich(u, w, b)
-                        pa_q = Hd.multiply(H.basis(a), q)
-                        if all(x.is_zero() for x in pa_q):
+                        pa_q = Hd.sparse_product(p_a, sandwich(u, w, b))
+                        if not pa_q:
                             continue
                         for mp, cm in H.mult[v][j].items():
                             f = c * cm
-                            for cd, cq in enumerate(pa_q):
-                                if not cq.is_zero():
-                                    _tensor_add(out, didx(cd, mp), f * cq)
+                            for cd, cq in pa_q.items():
+                                _tensor_add(out, didx(cd, mp), f * cq)
                     row[didx(b, j)] = out
 
     comult = [dict() for _ in range(D)]
