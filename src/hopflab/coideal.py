@@ -212,8 +212,7 @@ def _coideal_integral(hopf, space, presentation):
     0, so the solution is unique.  The two-sided certificate makes it the
     only left integral too: y = Lambda_N y = eps(y) Lambda_N.
     """
-    basis = [list(b) for b in space.basis]
-    eps = [hopf.counit_of(b) for b in basis]
+    eps = [hopf.counit_of(b) for b in space.basis]
     try:
         coords, kernel = solve_linear(_trace_form(presentation), eps, hopf.field)
     except InconsistentSystemError:
@@ -221,10 +220,11 @@ def _coideal_integral(hopf, space, presentation):
     if kernel is None or kernel.dim:
         raise IntegralError("trace form of the coideal subalgebra is degenerate; "
                             "input is not semisimple")
-    x = mat_vec(basis, coords)
-    if not vec_eq(hopf.multiply(x, x), x):
+    xs = _combination(space.sparse_basis, _to_sparse(coords))
+    if hopf.sparse_product(xs, xs) != xs:
         raise IntegralError("coideal integral is not idempotent")
-    if not _is_two_sided_integral(hopf, x, basis, eps):
+    x = _to_dense(xs, hopf.dim, hopf.field)
+    if not _is_two_sided_integral(hopf, x, space.sparse_basis, eps):
         raise IntegralError("coideal integral is not two-sided")
     return x
 
@@ -460,8 +460,7 @@ def hopf_center(hopf: HopfAlgebra) -> Subspace:
     zero = hopf.field.zero
     chi = [sum((op.get(m, zero) for m, op in enumerate(ad_i)), zero) for ad_i in hopf._ad_operators()]
     space = _invariants(hopf, Subspace.from_vectors(hopf.field, hopf.dim, [chi]))
-    central = all(vec_eq(hopf.multiply(hopf.basis(i), list(b)), hopf.multiply(list(b), hopf.basis(i)))
-                  for b in space.basis for i in range(hopf.dim))
+    central = all(right == left for right, left in (_products_with_basis(hopf, b) for b in space.basis))
     if not (central and _is_hopf_subspace(hopf, space)):
         raise HopfLabError("the left kernel of the adjoint module is not a central Hopf subalgebra")
     return space

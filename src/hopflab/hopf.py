@@ -363,9 +363,10 @@ class HopfAlgebra(AlgebraPresentation):
 
     def _unit_witness(self):
         """First i with 1 e_i != e_i or e_i 1 != e_i, else None."""
+        unit = _to_sparse(self.unit)
         for i in range(self.dim):
-            e = self.basis(i)
-            if not (vec_eq(self.multiply(self.unit, e), e) and vec_eq(self.multiply(e, self.unit), e)):
+            e = {i: self.field.one}
+            if self.sparse_product(unit, e) != e or self.sparse_product(e, unit) != e:
                 return i
         return None
 
@@ -405,7 +406,7 @@ class HopfAlgebra(AlgebraPresentation):
             raise IntegralError("dual integral pairs to zero with the integral; "
                                 "input is not semisimple")
         dual_int = vec_scale(dual_int, pairing.inverse())
-        basis = [self.basis(i) for i in range(self.dim)]
+        basis = [{i: self.field.one} for i in range(self.dim)]
         if not _is_two_sided_integral(self, lam, basis, self.counit):
             raise IntegralError("regular character of H* is not a two-sided integral; "
                                 "input is not semisimple")

@@ -13,6 +13,10 @@ Two conventions hold throughout the library:
   rows for `_kernel_from_rows`, the one kernel routine.
 - A linear combination sum_i c_i v_i is `mat_vec([v_0, v_1, ...], c)` on
   dense vectors and `_combination` on sparse dicts.
+- A product x y in an algebra is `AlgebraPresentation.sparse_product` on
+  sparse dicts, read from the nonzero cells of `mult`; `multiply` is its
+  dense wrapper, for callers off the hot paths.  The products e_n x and
+  x e_n with every basis element come together from `_products_with_basis`.
 
 Also here: Wedderburn data of a semisimple algebra given by structure
 constants.  The central part -- central primitive idempotents E_i and
@@ -527,11 +531,12 @@ def _trace_form(algebra):
 
 
 def _is_two_sided_integral(algebra, x, basis, counit):
-    """b x = x b = eps(b) x for every vector b of basis, whose counit
-    values are given in the same order."""
+    """b x = x b = eps(b) x for every b of basis, a list of sparse dicts
+    whose counit values are given in the same order; x is dense."""
+    xs = _to_sparse(x)
     for b, eps in zip(basis, counit):
-        target = vec_scale(x, eps)
-        if not (vec_eq(algebra.multiply(b, x), target) and vec_eq(algebra.multiply(x, b), target)):
+        target = {} if eps.is_zero() else {k: c * eps for k, c in xs.items()}
+        if algebra.sparse_product(b, xs) != target or algebra.sparse_product(xs, b) != target:
             return False
     return True
 
@@ -551,29 +556,34 @@ class WedderburnData:
 
 def _left_ideal(algebra, t) -> Subspace:
     """The left ideal A t, spanned by the products e_i t."""
-    return Subspace.from_vectors(
-        algebra.field, algebra.dim,
-        [algebra.multiply(basis_vector(algebra.field, algebra.dim, i), t) for i in range(algebra.dim)],
-    )
+    return Subspace.from_vectors(algebra.field, algebra.dim, _products_with_basis(algebra, t)[0])
 
 
 def _operator_on_subspace(algebra, x, space: Subspace):
-    """Matrix (rows = images) of left multiplication by x restricted to a
-    multiplication-invariant subspace, in that subspace's basis."""
+    """Matrix (dense rows = images) of left multiplication by x, a sparse
+    dict, restricted to a multiplication-invariant subspace, in that
+    subspace's basis."""
     rows = []
-    for b in space.basis:
-        img = algebra.multiply(x, list(b))
-        coords = space.coords_of(img)
+    for b in space.sparse_basis:
+        coords = space.sparse_coords(algebra.sparse_product(x, b))
         if coords is None:
             raise NotSemisimpleError("subspace not invariant under multiplication")
-        rows.append(coords)
+        rows.append(_to_dense(coords, space.dim, algebra.field))
     return rows
 
 
 def _split_commutative_block(algebra, block: Subspace, refiners):
     """Refine a block of the center into joint eigenspaces of multiplication
-    by the given central elements.  Returns list of Subspaces.  A semisimple
-    center is reduced, so a repeated root raises NotSemisimpleError."""
+    by the given central elements, sparse dicts.  Returns list of
+    Subspaces.  A semisimple center is reduced, so a repeated root raises
+    NotSemisimpleError.
+
+    Each distinct minimal polynomial is factored once per call: its roots
+    are kept in a dict that lives for this call only.  A refiner whose
+    minimal polynomial on a block has degree 1 acts there as a scalar, so
+    the block is kept and nothing is factored."""
+    field = algebra.field
+    roots_of = {}
     blocks = [block]
     for z in refiners:
         nxt = []
@@ -582,17 +592,23 @@ def _split_commutative_block(algebra, block: Subspace, refiners):
                 nxt.append(blk)
                 continue
             op = _operator_on_subspace(algebra, z, blk)
-            roots = factor_into_linears(minimal_polynomial(op, algebra.field), algebra.field)
+            p = tuple(minimal_polynomial(op, field))
+            if len(p) == 2:
+                nxt.append(blk)
+                continue
+            roots = roots_of.get(p)
+            if roots is None:
+                roots = roots_of[p] = factor_into_linears(p, field)
             if any(mult > 1 for _, mult in roots):
                 raise NotSemisimpleError("a central element has a repeated eigenvalue")
             if len(roots) == 1:
                 nxt.append(blk)
                 continue
             for root, _ in roots:
-                m = [list(r) for r in op]
-                for i in range(blk.dim):
-                    m[i][i] = m[i][i] - root
-                nxt.append(blk.lift(_kernel_of_images(algebra.field, [_to_sparse(r) for r in m])))
+                shifted = [_to_sparse(r) for r in op]
+                for i, row in enumerate(shifted):
+                    _tensor_add(row, i, -root)
+                nxt.append(blk.lift(_kernel_of_images(field, shifted)))
         blocks = nxt
     return blocks
 
@@ -608,7 +624,7 @@ def _central_blocks(algebra):
     d_i^2 = tr(L_{E_i}) = dim A E_i and chi_i(x) = tr(L_{x E_i}) / d_i.
     """
     center = algebra.center()
-    lines = _split_commutative_block(algebra, center, [list(b) for b in center.basis])
+    lines = _split_commutative_block(algebra, center, center.sparse_basis)
     if any(blk.dim != 1 for blk in lines):
         raise NotSemisimpleError("center did not split into lines")
 
@@ -617,14 +633,14 @@ def _central_blocks(algebra):
     form = _trace_form(algebra)
     idempotents, degrees, characters = [], [], []
     for blk in lines:
-        u = list(blk.basis[0])
-        u2 = algebra.multiply(u, u)
-        theta = u2[blk.pivots[0]]  # u is 1 at its pivot
-        if theta.is_zero():
+        u = blk.sparse_basis[0]
+        u2 = algebra.sparse_product(u, u)
+        theta = u2.get(blk.pivots[0])  # u is 1 at its pivot
+        if theta is None:
             raise NotSemisimpleError("nilpotent central element found")
-        if not vec_eq(u2, vec_scale(u, theta)):
+        if u2 != {k: c * theta for k, c in u.items()}:
             raise NotSemisimpleError("central line is not closed under squaring")
-        e = vec_scale(u, theta.inverse())
+        e = vec_scale(blk.basis[0], theta.inverse())
         # L_E is a projection, so its trace is its rank, a positive integer
         d2 = sum((c * t for c, t in zip(e, traces)), field.zero).integer_value()
         d = math.isqrt(d2)
@@ -688,7 +704,7 @@ def primitive_idempotent_in_block(algebra: AlgebraPresentation, central_idempote
             return e
         not_split_error = None
         for x in _corner_candidates(algebra, corner.basis):
-            p = minimal_polynomial(_operator_on_subspace(algebra, x, corner), field)
+            p = minimal_polynomial(_operator_on_subspace(algebra, _to_sparse(x), corner), field)
             try:
                 roots = factor_into_linears(p, field)
             except NotSplitError as err:

@@ -194,8 +194,8 @@ def _is_dual_integral_for(hopf, subalgebra: Subspace, x):
     """x b = <b, 1> x = b x for all b in the subalgebra of H*."""
     if all(c.is_zero() for c in x):
         return False
-    basis = [list(b) for b in subalgebra.basis]
-    return _is_two_sided_integral(hopf.dual(), x, basis, [hopf.pair(b, hopf.unit) for b in basis])
+    return _is_two_sided_integral(hopf.dual(), x, subalgebra.sparse_basis,
+                                  [hopf.pair(b, hopf.unit) for b in subalgebra.basis])
 
 
 class InjectivityResult:

@@ -1,12 +1,26 @@
 """Dense references, the independent oracles for the library's sparse
-checks: the algebra axioms of HopfAlgebra.verify(), the two conditions of
-a solvable-series step, the two normality tests of a coideal subalgebra
-and the check that a quotient's projection is a Hopf map.  Every product
-is taken with the algebra's own multiply (or adjoint) on dense vectors,
-one basis element (or pair, or triple) at a time."""
+checks: the algebra axioms of HopfAlgebra.verify(), the two-sided integral
+certificate, the split of the center into central primitive idempotents,
+the two conditions of a solvable-series step, the two normality tests of a
+coideal subalgebra and the check that a quotient's projection is a Hopf
+map.  Every product is taken with the algebra's own multiply (or adjoint)
+on dense vectors, one basis element (or pair, or triple) at a time.  Also
+here: Sweedler's algebra, the non-semisimple input of the refusal tests."""
+
+import math
 
 from hopflab.errors import HopfLabError
-from hopflab.linalg import basis_vector, mat_vec, vec_eq, vec_scale, zero_vector
+from hopflab.hopf import HopfAlgebra
+from hopflab.linalg import (
+    basis_vector,
+    kernel,
+    mat_vec,
+    minimal_polynomial,
+    vec_eq,
+    vec_scale,
+    zero_vector,
+)
+from hopflab.scalars import CyclotomicField, factor_into_linears
 from hopflab.solvability import StepResult
 
 
@@ -36,6 +50,83 @@ def dense_witnesses(alg):
     """(unit witness, associativity witness); (None, None) when the algebra
     is unital and associative."""
     return dense_unit_witness(alg), dense_associativity_witness(alg)
+
+
+def sweedler_h4():
+    """Sweedler's 4-dimensional Hopf algebra over Q on 1, g, x, gx: g^2 = 1,
+    x^2 = 0, xg = -gx, g grouplike, Delta(x) = x (x) 1 + g (x) x.  It is
+    not semisimple, and its antipode has order 4."""
+    field = CyclotomicField(1)
+    one, minus = field.one, -field.one
+    products = {(0, 0): (0, one), (0, 1): (1, one), (0, 2): (2, one), (0, 3): (3, one),
+                (1, 0): (1, one), (1, 1): (0, one), (1, 2): (3, one), (1, 3): (2, one),
+                (2, 0): (2, one), (2, 1): (3, minus), (3, 0): (3, one), (3, 1): (2, minus)}
+    mult = [[{} for _ in range(4)] for _ in range(4)]
+    for (i, j), (k, c) in products.items():
+        mult[i][j][k] = c
+    comult = [{(0, 0): one}, {(1, 1): one}, {(2, 0): one, (1, 2): one}, {(3, 1): one, (0, 3): one}]
+    zero = field.zero
+    antipode = [[one, zero, zero, zero], [zero, one, zero, zero],
+                [zero, zero, zero, minus], [zero, zero, one, zero]]
+    return HopfAlgebra(field, 4, mult, [one, zero, zero, zero], comult,
+                       [one, one, zero, zero], antipode, name="H4")
+
+
+def dense_is_two_sided_integral(alg, x, basis, counit):
+    """b x = x b = eps(b) x for every dense vector b of basis, whose counit
+    values are given in the same order."""
+    return all(vec_eq(alg.multiply(b, x), vec_scale(x, eps)) and vec_eq(alg.multiply(x, b), vec_scale(x, eps))
+               for b, eps in zip(basis, counit))
+
+
+def dense_central_blocks(alg):
+    """(central primitive idempotents E_i, degrees d_i, characters chi_i)
+    by refining the center along every one of its echelon rows, a dense
+    refiner, factoring every minimal polynomial met on the way, each block
+    cut by the kernels of (L_z - r) for the roots r; then each line scaled
+    to its idempotent E, d^2 = tr(L_E) and chi(e_j) = tr(L_{e_j E}) / d,
+    every trace summed from dense products.  AssertionError when the
+    algebra is not split semisimple."""
+    field, dim = alg.field, alg.dim
+    center = alg.center()
+    blocks = [center]
+    for z in center.basis:
+        refined = []
+        for blk in blocks:
+            if blk.dim == 1:
+                refined.append(blk)
+                continue
+            op = [blk.coords_of(alg.multiply(list(z), list(b))) for b in blk.basis]
+            roots = factor_into_linears(minimal_polynomial(op, field), field)
+            assert all(mult == 1 for _, mult in roots)
+            if len(roots) == 1:
+                refined.append(blk)
+                continue
+            for root, _ in roots:
+                shifted = [[c - root if i == j else c for j, c in enumerate(row)] for i, row in enumerate(op)]
+                refined.append(blk.lift(kernel([list(col) for col in zip(*shifted)], field, blk.dim)))
+        blocks = refined
+    assert all(blk.dim == 1 for blk in blocks)
+    e = [basis_vector(field, dim, k) for k in range(dim)]
+
+    def trace(x):
+        return sum((alg.multiply(x, e[k])[k] for k in range(dim)), field.zero)
+
+    idempotents, degrees, characters = [], [], []
+    for blk in blocks:
+        u = list(blk.basis[0])
+        u2 = alg.multiply(u, u)
+        theta = u2[blk.pivots[0]]
+        assert not theta.is_zero() and vec_eq(u2, vec_scale(u, theta))
+        idem = vec_scale(u, theta.inverse())
+        d2 = trace(idem).integer_value()
+        d = math.isqrt(d2)
+        assert d * d == d2
+        inv_d = field.from_rational(d).inverse()
+        idempotents.append(idem)
+        degrees.append(d)
+        characters.append([trace(alg.multiply(e[j], idem)) * inv_d for j in range(dim)])
+    return idempotents, degrees, characters
 
 
 def dense_step_conditions(prev, nxt):

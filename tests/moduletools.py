@@ -9,7 +9,7 @@ def module_action_from_idempotent(hopf, t):
     """Left-module matrices of the module H t (rows = images of the module
     basis), plus the module basis itself."""
     space = _left_ideal(hopf, t)
-    return [_operator_on_subspace(hopf, hopf.basis(i), space) for i in range(hopf.dim)], space
+    return [_operator_on_subspace(hopf, {i: hopf.field.one}, space) for i in range(hopf.dim)], space
 
 
 def table_primitive_idempotents(algebra, table):

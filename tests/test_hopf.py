@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from algebratools import dense_associativity_witness
+from algebratools import dense_associativity_witness, sweedler_h4
 from integraltools import solve_integral
 from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
@@ -32,7 +32,7 @@ from hopflab.linalg import (
     vec_eq,
     vec_scale,
 )
-from hopflab.scalars import QQ, CyclotomicField
+from hopflab.scalars import QQ
 
 
 def build_s3():
@@ -204,30 +204,10 @@ def test_integrals_match_the_kernel_solve(name):
         assert ctx.to_ambient(solve_integral(ctx.presentation(), ctx.counit_on_basis())) == ctx.integral
 
 
-def _sweedler_h4():
-    """Sweedler's 4-dimensional Hopf algebra over Q on 1, g, x, gx: g^2 = 1,
-    x^2 = 0, xg = -gx, g grouplike, Delta(x) = x (x) 1 + g (x) x.  It is
-    not semisimple, and its antipode has order 4."""
-    field = CyclotomicField(1)
-    one, minus = field.one, -field.one
-    products = {(0, 0): (0, one), (0, 1): (1, one), (0, 2): (2, one), (0, 3): (3, one),
-                (1, 0): (1, one), (1, 1): (0, one), (1, 2): (3, one), (1, 3): (2, one),
-                (2, 0): (2, one), (2, 1): (3, minus), (3, 0): (3, one), (3, 1): (2, minus)}
-    mult = [[{} for _ in range(4)] for _ in range(4)]
-    for (i, j), (k, c) in products.items():
-        mult[i][j][k] = c
-    comult = [{(0, 0): one}, {(1, 1): one}, {(2, 0): one, (1, 2): one}, {(3, 1): one, (0, 3): one}]
-    zero = field.zero
-    antipode = [[one, zero, zero, zero], [zero, one, zero, zero],
-                [zero, zero, zero, minus], [zero, zero, one, zero]]
-    return HopfAlgebra(field, 4, mult, [one, zero, zero, zero], comult,
-                       [one, one, zero, zero], antipode, name="H4")
-
-
 def test_integrals_of_a_non_semisimple_algebra_raise():
     # the regular character of H4* is (1 + g) / 2 after scaling, which x
     # does not multiply to eps(x) (1 + g) / 2 = 0
-    H4 = _sweedler_h4()
+    H4 = sweedler_h4()
     assert not H4.verify().ok
     with pytest.raises(IntegralError, match="not semisimple"):
         H4.integrals()
@@ -235,7 +215,7 @@ def test_integrals_of_a_non_semisimple_algebra_raise():
 
 def test_the_integral_of_a_non_semisimple_coideal_raises():
     # N = H4 reads H4's own integral, whose certificate fails
-    H4 = _sweedler_h4()
+    H4 = sweedler_h4()
     with pytest.raises(IntegralError, match="not semisimple"):
         coideal_from_subspace(H4, Subspace.full(H4.field, H4.dim))
 
@@ -244,7 +224,7 @@ def test_the_trace_form_of_a_non_semisimple_proper_coideal_raises():
     # N = span{1, x} is a left coideal subalgebra of H4 (x^2 = 0 and
     # Delta(x) = x (x) 1 + g (x) x), but its trace form vanishes on the
     # radical span{x}, so no integral with eps = 1 is found
-    H4 = _sweedler_h4()
+    H4 = sweedler_h4()
     space = Subspace.from_vectors(H4.field, H4.dim, [H4.basis(0), H4.basis(2)])
     with pytest.raises(IntegralError, match="trace form of the coideal subalgebra is degenerate"):
         coideal_from_subspace(H4, space)

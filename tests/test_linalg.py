@@ -2,12 +2,16 @@ import random
 
 import pytest
 
-from algebratools import dense_witnesses
+from algebratools import dense_central_blocks, dense_is_two_sided_integral, dense_witnesses, sweedler_h4
 
-from hopflab.corpus import corpus_names
+from hopflab import linalg
+from hopflab.builders import group_algebra, permutation_group_table
+from hopflab.corpus import coideal_lattice, corpus_names
 from hopflab.corpus import load as load_corpus
 from hopflab.errors import InconsistentSystemError, NotSemisimpleError, NotSplitError
 from hopflab.linalg import (
+    _central_blocks,
+    _is_two_sided_integral,
     _kernel_of_images,
     _first_idempotent_from_element,
     _trace_form,
@@ -407,3 +411,115 @@ def test_center_and_integral_match_dense_oracles(name):
         solution, rest = solve_linear(_trace_form(alg), counit, alg.field)
         assert rest.dim == 0
         assert solution == [xi * eps_x.inverse() for xi in x]
+
+
+# -- the center split and the integral certificate against dense oracles ------
+
+PERMUTATION_ALGEBRAS = {"kS4": ([(1, 0, 2, 3), (1, 2, 3, 0)], 1, False),
+                        "kA4": ([(1, 2, 0, 3), (1, 0, 3, 2)], 3, False),
+                        "k^A4": ([(1, 2, 0, 3), (1, 0, 3, 2)], 3, True),
+                        "k^D6": ([(1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0)], 3, True)}
+
+
+def _permutation_algebra(name):
+    generators, conductor, dual = PERMUTATION_ALGEBRAS[name]
+    table, labels = permutation_group_table(generators, len(generators[0]))
+    H = group_algebra(table, conductor=conductor, labels=labels, name=name)
+    return H.dual() if dual else H
+
+
+def _central_block_cases():
+    """(id, algebra): every corpus algebra, four permutation-group
+    algebras and duals, and the presentations of every proper coideal
+    subalgebra of kD4 and kQ8."""
+    for name in corpus_names():
+        yield name, load_corpus(name, verify=False)[0]
+    for name in PERMUTATION_ALGEBRAS:
+        yield name, _permutation_algebra(name)
+    for name in ("d4", "q8"):
+        H = load_corpus(name, verify=False)[0]
+        for label, ctx in coideal_lattice(name, H):
+            if ctx.space.dim < H.dim:
+                yield f"{name} {label}", ctx.presentation()
+
+
+@pytest.mark.parametrize("case", list(_central_block_cases()), ids=lambda case: case[0])
+def test_central_blocks_match_the_dense_refinement(case):
+    _, alg = case
+    assert _central_blocks(alg) == dense_central_blocks(alg)
+
+
+@pytest.mark.parametrize("name", ["d-s3", "kS4", "k^D6"])
+def test_central_blocks_factor_each_polynomial_once(monkeypatch, name):
+    calls = []
+    factor = linalg.factor_into_linears
+
+    def recorded(p, field=None):
+        calls.append(tuple(p))
+        return factor(p, field)
+    monkeypatch.setattr(linalg, "factor_into_linears", recorded)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        fresh = _permutation_algebra(name) if name in PERMUTATION_ALGEBRAS else load_corpus(name)[0]
+        _central_blocks(fresh)
+        assert calls
+        assert len(set(calls)) == len(calls)
+        assert all(len(p) > 2 for p in calls)
+        counts.append(len(calls))
+    # two fresh loads factor equally often: no root dict outlives a call
+    assert counts[0] == counts[1]
+
+
+def _dense(alg, row):
+    return [row.get(k, alg.field.zero) for k in range(alg.dim)]
+
+
+def _certificates(alg, x, rows, counit):
+    """(library verdict on sparse rows, dense oracle's verdict)."""
+    dense = [_dense(alg, row) for row in rows]
+    return _is_two_sided_integral(alg, x, rows, counit), dense_is_two_sided_integral(alg, x, dense, counit)
+
+
+def test_two_sided_integral_refuses_a_left_integral_of_sweedlers_algebra():
+    # x + gx is a left integral of Sweedler's algebra but not a right one:
+    # (x + gx) g = -(x + gx)
+    alg = sweedler_h4()
+    counit = alg.counit
+    zero, one = alg.field.zero, alg.field.one
+    left = [zero, zero, one, one]
+    ambient = Subspace.full(alg.field, 4).sparse_basis
+    # span{1, g} is a left coideal subalgebra: Delta(g) = g (x) g
+    group_rows = Subspace.from_vectors(alg.field, 4, [alg.unit, [zero, one, zero, zero]]).sparse_basis
+    assert _certificates(alg, left, ambient, counit) == (False, False)
+    assert _certificates(alg, left, group_rows, counit[:2]) == (False, False)
+    # it does pass the left half of the check
+    assert all(vec_eq(alg.multiply(_dense(alg, b), left), [c * eps for c in left])
+               for b, eps in zip(ambient, counit))
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_two_sided_integral_refuses_a_tampered_integral(name):
+    # Lambda + e_k, checked on the ambient basis and on the echelon rows of
+    # each catalogued coideal subalgebra N of dim > 1 (on k1 every x is an
+    # integral).  The library agrees with the dense oracle on every k; on
+    # the ambient basis the integrals form the line of Lambda, so every k
+    # with Lambda_k = 0 must be refused.
+    H, _ = load_corpus(name, verify=False)
+    contexts = [(Subspace.full(H.field, H.dim), H.integrals().integral)]
+    contexts += [(ctx.space, ctx.integral) for _, ctx in coideal_lattice(name, H) if ctx.space.dim > 1]
+    for space, integral in contexts:
+        rows = space.sparse_basis
+        counit = [H.counit_of(_dense(H, row)) for row in rows]
+        assert _certificates(H, integral, rows, counit) == (True, True)
+        refused = set()
+        for k in range(H.dim):
+            tampered = list(integral)
+            tampered[k] = tampered[k] + H.field.one
+            verdict, oracle = _certificates(H, tampered, rows, counit)
+            assert verdict == oracle
+            if not verdict:
+                refused.add(k)
+        assert refused
+        if space.dim == H.dim:
+            assert refused >= {k for k, c in enumerate(integral) if c.is_zero()}
