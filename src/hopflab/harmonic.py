@@ -103,16 +103,12 @@ def frobenius_matrices(ctx: CoidealSubalgebra):
         return ctx._cache["frobenius"]
     H = ctx.hopf
     field = H.field
-    lam = H.integrals().dual_integral
+    lam = ctx.restrict_functional(H.integrals().dual_integral)
     scale = field.from_rational(ctx.invariants.dim).inverse()
-    fwd = []
-    for a in range(ctx.dim):
-        na = list(ctx.space.basis[a])
-        row = []
-        for b in range(ctx.dim):
-            nb = list(ctx.space.basis[b])
-            row.append(H.pair(lam, H.multiply(nb, na)) * scale)
-        fwd.append(row)
+    mult = ctx.presentation().mult
+    # <lambda, n_b n_a> = sum_k c_ba^k <lambda, n_k>, c the constants of N
+    fwd = [[sum((c * lam[k] for k, c in mult[b][a].items()), field.zero) * scale
+            for b in range(ctx.dim)] for a in range(ctx.dim)]
     inv = []
     lam_n = ctx.integral
     for a in range(ctx.dim):

@@ -24,7 +24,8 @@ degrees d_i, with d_i^2 = tr(L_{E_i}) -- and the characters
 chi_i(x) = tr(L_{x E_i}) / d_i come from the center and the regular trace
 alone.  A primitive idempotent per block is a separate, costlier step that
 needs each block split over the field; only `wedderburn` takes it, after
-the central part.
+the central part, by shrinking the block's corner at zero divisors
+(`primitive_idempotent_in_block`).
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ from .errors import (
     NotSemisimpleError,
     NotSplitError,
 )
-from .scalars import (
-    factor_into_linears,
-    poly_divmod,
-    poly_extgcd,
-    poly_from_roots,
-    poly_mul,
-    poly_trim,
-)
+from .scalars import factor_into_linears, poly_trim
 
 # -- vector helpers -----------------------------------------------------------
 
@@ -207,10 +201,6 @@ class Subspace:
     @classmethod
     def full(cls, field, ambient):
         return cls.from_vectors(field, ambient, [{i: field.one} for i in range(ambient)])
-
-    @classmethod
-    def zero(cls, field, ambient):
-        return cls(field, ambient, [])
 
     @property
     def basis(self):
@@ -542,8 +532,9 @@ def _is_two_sided_integral(algebra, x, basis, counit):
 
 
 class WedderburnData:
-    """Central primitive idempotents, block degrees, and one primitive
-    idempotent per block (T_i t_j = delta_ij t_j)."""
+    """Central primitive idempotents T_i, block degrees d_i, and one
+    primitive idempotent t_j per block: T_i t_j = delta_ij t_j, and the
+    left ideal A t_j has dimension d_j."""
 
     def __init__(self, central_idempotents, degrees, block_primitive_idempotents):
         self.central_idempotents = central_idempotents
@@ -672,68 +663,77 @@ def wedderburn(algebra: AlgebraPresentation) -> WedderburnData:
 
 
 def _corner_candidates(algebra, corner_basis):
-    """Deterministic candidate elements of e*A*e used to split a block:
-    basis elements, then pairwise sums, then pairwise products."""
-    vecs = [list(b) for b in corner_basis]
-    for v in vecs:
-        yield v
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            yield vec_add(vecs[i], vecs[j])
-    for i in range(len(vecs)):
-        for j in range(len(vecs)):
+    """Deterministic candidate elements of the corner e*A*e, sparse dicts,
+    used to split it: basis elements, then pairwise sums, then pairwise
+    products."""
+    yield from corner_basis
+    one = algebra.field.one
+    n = len(corner_basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield _combination(corner_basis, {i: one, j: one})
+    for i in range(n):
+        for j in range(n):
             if i != j:
-                yield algebra.multiply(vecs[i], vecs[j])
+                yield algebra.sparse_product(corner_basis[i], corner_basis[j])
 
 
 def primitive_idempotent_in_block(algebra: AlgebraPresentation, central_idempotent):
     """A primitive idempotent t with t*T = t inside the block of the given
     central primitive idempotent T.
 
-    Iteratively splits the corner e*A*e along deterministic candidates whose
-    minimal polynomial factors, until the corner collapses to one dimension.
+    Shrinks the corner e*A*e (unit e, T at first) by linear algebra alone,
+    the zero-divisor method of Ronyai (J. Symb. Comput. 1990).  Take the
+    first corner candidate x that is not a multiple of e and whose minimal
+    polynomial splits, and a root r of it.  Then z = x - r*e is a zero
+    divisor, so the left ideal (eAe) z is (eAe) f for an idempotent f with
+    0 != f != e (`_idempotent_generator`), and fAf is a smaller corner.
+    Repeats until the corner is one-dimensional, where e is primitive.
+    NotSplitError when no candidate's minimal polynomial splits.
     """
     field = algebra.field
-    e = list(central_idempotent)
-    while True:
-        corner = Subspace.from_vectors(field, algebra.dim, [
-            algebra.multiply(algebra.multiply(e, basis_vector(field, algebra.dim, i)), e)
-            for i in range(algebra.dim)
-        ])
-        if corner.dim == 1:
-            return e
+    e = _to_sparse(central_idempotent)
+    # T A T = A T for a central T, and fAf = f (eAe) f for an f in eAe
+    corner = Subspace.from_vectors(field, algebra.dim, [
+        algebra.sparse_product({i: field.one}, e) for i in range(algebra.dim)])
+    while corner.dim > 1:
+        line = Subspace.from_vectors(field, algebra.dim, [e])
         not_split_error = None
-        for x in _corner_candidates(algebra, corner.basis):
-            p = minimal_polynomial(_operator_on_subspace(algebra, _to_sparse(x), corner), field)
+        for x in _corner_candidates(algebra, corner.sparse_basis):
+            if not line.residual(x):
+                continue
             try:
-                roots = factor_into_linears(p, field)
+                roots = factor_into_linears(
+                    minimal_polynomial(_operator_on_subspace(algebra, x, corner), field), field)
             except NotSplitError as err:
                 not_split_error = err
                 continue
-            if len(roots) > 1:
-                e = _first_idempotent_from_element(algebra, x, e, roots)
-                break
+            z = _combination([x, e], {0: field.one, 1: -roots[0][0]})
+            e = _idempotent_generator(algebra, Subspace.from_vectors(
+                field, algebra.dim, [algebra.sparse_product(c, z) for c in corner.sparse_basis]))
+            break
         else:
-            if not_split_error is not None:
-                raise not_split_error
-            raise NotSemisimpleError("block admits no splitting element")
+            raise not_split_error
+        corner = Subspace.from_vectors(field, algebra.dim, [
+            algebra.sparse_product(algebra.sparse_product(e, c), e) for c in corner.sparse_basis])
+    return _to_dense(e, algebra.dim, field)
 
 
-def _first_idempotent_from_element(algebra, x, e, roots):
-    """The Chinese-remainder idempotent of k[x] for the first root, inside
-    the corner algebra with unit e: (s h)(x) mod p, where p is the minimal
-    polynomial of x, h = p / (X - r)^m and s h = 1 mod (X - r)^m."""
+def _idempotent_generator(algebra, ideal: Subspace):
+    """An idempotent f with ideal = B f, for a left ideal of a semisimple
+    subalgebra B: any solution f in the ideal of l f = l for every basis
+    row l, since then f^2 = f and ideal = ideal f <= B f <= ideal."""
     field = algebra.field
-    full = poly_from_roots(field, roots)
-    g = poly_from_roots(field, roots[:1])
-    h, _ = poly_divmod(full, g)
-    gcd, s, _ = poly_extgcd(h, g)
-    if len(gcd) != 1:
-        raise NotSemisimpleError("idempotent construction failed")
-    _, sh = poly_divmod(poly_mul(s, h), full)
-    f = vec_scale(e, sh[-1])  # Horner's rule, e being the unit of the corner
-    for c in reversed(sh[:-1]):
-        f = vec_add(algebra.multiply(f, x), vec_scale(e, c))
-    if not vec_eq(algebra.multiply(f, f), f):
-        raise NotSemisimpleError("Chinese-remainder element is not idempotent")
-    return f
+    rows = ideal.sparse_basis
+    equations = {}  # (l_m f)_j = (l_m)_j for f = sum_k a_k l_k: (m, j) -> {k: (l_m l_k)_j}
+    for m, l in enumerate(rows):
+        for k, lk in enumerate(rows):
+            for j, c in algebra.sparse_product(l, lk).items():
+                equations.setdefault((m, j), {})[k] = c
+    keys = sorted(equations.keys() | {(m, j) for m, l in enumerate(rows) for j in l})
+    try:
+        coeffs, _ = solve_linear([_to_dense(equations.get(key, {}), len(rows), field) for key in keys],
+                                 [rows[m].get(j, field.zero) for m, j in keys], field)
+    except InconsistentSystemError:
+        raise NotSemisimpleError("a left ideal has no idempotent generator") from None
+    return _combination(rows, _to_sparse(coeffs))

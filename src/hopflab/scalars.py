@@ -14,8 +14,9 @@ An irrational scalar a is inverted through its Galois norm: with P the
 product of its conjugates sigma_k(a), zeta -> zeta^k for the units k != 1
 modulo n, the norm N(a) = a * P is a nonzero rational, so 1/a = P / N(a).
 
-Also here: polynomial helpers over scalars and the roots of a polynomial
-in the field, which the Wedderburn splitting downstream depends on.  The
+Also here: polynomial helpers over scalars (product, division, gcd,
+evaluation) and the roots of a polynomial in the field, which the splitting
+of a center into blocks and of a block's corner downstream read.  The
 roots of a monic squarefree q of degree m come from one modular search:
 
 1. Scale q to f(y) = D^m q(y/D), D the lcm of the denominators.  f is monic
@@ -507,29 +508,6 @@ def poly_trim(p: list) -> list:
     return p
 
 
-def poly_add(a, b):
-    if not (a or b):
-        return []
-    n = max(len(a), len(b))
-    field = (a or b)[0].field
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(x + y)
-    return poly_trim(out)
-
-
-def poly_sub(a, b):
-    return poly_add(a, [-c for c in b])
-
-
-def poly_scale(a, s: Scalar):
-    if s.is_zero():
-        return []
-    return [c * s for c in a]
-
-
 def poly_mul(a, b):
     if not a or not b:
         return []
@@ -571,29 +549,13 @@ def poly_monic(p):
 
 
 def poly_gcd(a, b):
-    """The monic gcd of a and b.  Unlike poly_extgcd it keeps no cofactors
-    and makes each remainder monic, which holds coefficient growth down."""
+    """The monic gcd of a and b, by Euclid's algorithm without Bezout
+    cofactors; each remainder is made monic, which holds coefficient
+    growth down."""
     a, b = poly_trim(list(a)), poly_trim(list(b))
     while b:
         a, b = b, poly_monic(poly_divmod(a, b)[1])
     return poly_monic(a)
-
-
-def poly_extgcd(a, b):
-    """Monic g with s*a + t*b = g."""
-    field = (a or b)[0].field
-    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
-    s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-    if not r0:
-        return [], [], []
-    lead_inv = r0[-1].inverse()
-    return poly_scale(r0, lead_inv), poly_scale(s0, lead_inv), poly_scale(t0, lead_inv)
 
 
 def poly_eval(p, x: Scalar) -> Scalar:

@@ -51,6 +51,7 @@ from .linalg import (
     _products_with_basis,
     _subalgebra_generated,
     _tensor_add,
+    _to_sparse,
     vec_eq,
     vec_scale,
 )
@@ -275,12 +276,12 @@ def check_nilpotent_criterion(hopf: HopfAlgebra, chain):
     if chain[0].dim != 1 or chain[-1].dim != hopf.dim:
         return False, ("endpoints", None)
     for i, (prev, nxt) in enumerate(zip(chain, chain[1:])):
-        lam = prev.integral
-        n_lam = [hopf.multiply(list(b), lam) for b in nxt.space.basis]
-        h_lam = [hopf.multiply(hopf.basis(m), lam) for m in range(hopf.dim)]
+        lam = _to_sparse(prev.integral)
+        n_lam = [hopf.sparse_product(b, lam) for b in nxt.space.sparse_basis]
+        h_lam = _products_with_basis(hopf, prev.integral)[0]
         for r, nv in enumerate(n_lam):
             for m, hv in enumerate(h_lam):
-                if not vec_eq(hopf.multiply(nv, hv), hopf.multiply(hv, nv)):
+                if hopf.sparse_product(nv, hv) != hopf.sparse_product(hv, nv):
                     return False, (i, (r, m))
     return True, None
 

@@ -13,7 +13,6 @@ from hopflab.linalg import (
     _central_blocks,
     _is_two_sided_integral,
     _kernel_of_images,
-    _first_idempotent_from_element,
     _trace_form,
     AlgebraPresentation,
     Subspace,
@@ -27,7 +26,7 @@ from hopflab.linalg import (
     wedderburn,
     zero_vector,
 )
-from hopflab.scalars import CyclotomicField
+from hopflab.scalars import CyclotomicField, poly_from_roots
 
 Q = CyclotomicField(1)
 Q3 = CyclotomicField(3)
@@ -140,6 +139,8 @@ def test_wedderburn_refuses_a_center_with_a_repeated_eigenvalue():
     alg = AlgebraPresentation(Q, 3, mult, basis_vector(Q, 3, 0))
     assert dense_witnesses(alg) == (None, None)
     with pytest.raises(NotSemisimpleError, match="repeated eigenvalue"):
+        _central_blocks(alg)
+    with pytest.raises(NotSemisimpleError, match="repeated eigenvalue"):
         wedderburn(alg)
 
 
@@ -190,22 +191,72 @@ def test_wedderburn_matrix_algebra():
     assert left_ideal.dim == 2
 
 
-def test_split_by_element_with_repeated_root():
-    # x = diag(1, 1, 2) + E_12 in M_3(Q) has minimal polynomial (x-1)^2 (x-2),
-    # so the root 1 has a higher multiplicity than the degree of x - 2
-    alg = _matrix_algebra_presentation(Q, 3)
-    x = zero_vector(Q, 9)
-    x[0], x[1], x[4], x[8] = Q.one, Q.one, Q.one, Q.scalar(2)
-    assert minimal_polynomial(_dense_images(alg, lambda v: alg.multiply(x, v))) == [
-        Q.scalar(-2), Q.scalar(5), Q.scalar(-4), Q.one]
-    roots = [(Q.one, 2), (Q.scalar(2), 1)]
-    e1 = _first_idempotent_from_element(alg, x, alg.unit, roots)
-    e2 = _first_idempotent_from_element(alg, x, alg.unit, roots[::-1])
-    for e in (e1, e2):
-        assert vec_eq(alg.multiply(e, e), e)
-    assert vec_eq(alg.multiply(e1, e2), zero_vector(Q, 9))
-    assert vec_eq(alg.multiply(e2, e1), zero_vector(Q, 9))
-    assert vec_eq([a + b for a, b in zip(e1, e2)], alg.unit)
+def _m3_with_first_basis_element(field, x):
+    """M_3 on the basis x, then every matrix unit E_ab but E_00; x is a
+    3 x 3 integer matrix with x[0][0] = 1, so these nine form a basis."""
+    units = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    basis = [x] + [[[int((i, j) == ab) for j in range(3)] for i in range(3)] for ab in units]
+
+    def coords(m):
+        c = m[0][0]  # only x has an E_00 entry, and it is 1
+        cell = {0: field.scalar(c)} if c else {}
+        for n, (a, b) in enumerate(units, 1):
+            if m[a][b] != c * x[a][b]:
+                cell[n] = field.scalar(m[a][b] - c * x[a][b])
+        return cell
+
+    def matmul(p, q):
+        return [[sum(p[i][k] * q[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    mult = [[coords(matmul(p, q)) for q in basis] for p in basis]
+    unit = coords([[int(i == j) for j in range(3)] for i in range(3)])
+    return AlgebraPresentation(field, 9, mult, [unit.get(n, field.zero) for n in range(9)])
+
+
+@pytest.mark.parametrize("x, roots", [
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [(1, 2), (2, 1)]),  # diag(1, 1, 2) + E_12: (X-1)^2 (X-2)
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [(1, 2)]),  # 1 + E_12: (X-1)^2, a single root
+], ids=["two-roots", "one-root"])
+def test_primitive_idempotent_splits_at_a_repeated_root(monkeypatch, x, roots):
+    # x is the first corner candidate of M_3 on this basis; z = x - r for a
+    # root r is a zero divisor whatever the multiplicities, so the first
+    # split is at the left ideal M_3 z, and one root is enough
+    alg = _m3_with_first_basis_element(Q, x)
+    x0 = basis_vector(Q, 9, 0)
+    assert minimal_polynomial(_dense_images(alg, lambda v: alg.multiply(x0, v))) == poly_from_roots(
+        Q, [(Q.scalar(r), m) for r, m in roots])
+    ideals = []
+    original = linalg._idempotent_generator
+
+    def spy(algebra, ideal):
+        ideals.append(ideal)
+        return original(algebra, ideal)
+
+    monkeypatch.setattr(linalg, "_idempotent_generator", spy)
+    t = primitive_idempotent_in_block(alg, alg.unit)
+    zero_divisor_ideals = []
+    for r, _ in roots:
+        z = [a - Q.scalar(r) * u for a, u in zip(x0, alg.unit)]
+        zero_divisor_ideals.append(echelonize([alg.multiply(basis_vector(Q, 9, i), z) for i in range(9)], Q, 9))
+    assert ideals[0] in zero_divisor_ideals
+    assert vec_eq(alg.multiply(t, t), t)
+    assert echelonize([alg.multiply(basis_vector(Q, 9, i), t) for i in range(9)], Q, 9).dim == 3
+
+
+def test_wedderburn_splits_kf20_at_conductor_4():
+    # F20 = Z5 : Z4 has four linear characters over Q(i) and one of degree 4
+    table, labels = permutation_group_table([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)], 5)
+    alg = group_algebra(table, conductor=4, labels=labels)
+    field = alg.field
+    data = wedderburn(alg)
+    assert data.degrees == [1, 1, 4, 1, 1]
+    for i, (e, d) in enumerate(zip(data.central_idempotents, data.degrees)):
+        t = data.block_primitive_idempotents[i]
+        assert vec_eq(alg.multiply(t, t), t)
+        for j, f in enumerate(data.central_idempotents):
+            assert vec_eq(alg.multiply(f, t), t if i == j else zero_vector(field, 20))
+        assert echelonize([alg.multiply(basis_vector(field, 20, k), t) for k in range(20)],
+                          field, 20).dim == d
 
 
 def test_wedderburn_quaternions_not_split_over_q():
