@@ -22,10 +22,15 @@ Also here: Wedderburn data of a semisimple algebra given by structure
 constants.  The central part -- central primitive idempotents E_i and
 degrees d_i, with d_i^2 = tr(L_{E_i}) -- and the characters
 chi_i(x) = tr(L_{x E_i}) / d_i come from the center and the regular trace
-alone.  A primitive idempotent per block is a separate, costlier step that
-needs each block split over the field; only `wedderburn` takes it, after
-the central part, by shrinking the block's corner at zero divisors
-(`primitive_idempotent_in_block`).
+alone.  The E_i are spectral idempotents: the center is split along its
+echelon rows z, one after another, and an idempotent e splits into the
+polynomials in z times e that project onto the eigenvalues of z, read off
+the Krylov sequence e, z e, z^2 e, ... (`_spectral_idempotents`, after
+Dixon, Numer. Math. 1967).  A primitive idempotent per block is a
+separate, costlier step that needs each block split over the field; only
+`wedderburn` takes it, after the central part, by shrinking the block's
+corner at zero divisors (`primitive_idempotent_in_block`), whose minimal
+polynomials come from the same Krylov routine (`_krylov`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import (
     NotSemisimpleError,
     NotSplitError,
 )
-from .scalars import factor_into_linears, poly_trim
+from .scalars import factor_into_linears, poly_eval, poly_trim
 
 # -- vector helpers -----------------------------------------------------------
 
@@ -355,7 +360,8 @@ def echelonize(vectors, field, ambient):
 
 def minimal_polynomial(matrix, field=None):
     """Least-degree monic p with p(M) = 0, by exact linear dependence of
-    powers of M."""
+    powers of M.  The library's own splits need only p(M) v = 0 for one
+    vector v and take `_krylov` instead."""
     n = len(matrix)
     if field is None:
         field = matrix[0][0].field
@@ -400,6 +406,41 @@ def minimal_polynomial(matrix, field=None):
         k += 1
         if k > n * n + 1:  # cannot happen; dependence by dimension count
             raise RuntimeError("minimal polynomial search did not terminate")
+
+
+def _krylov(apply, v, field):
+    """(p, powers): the least-degree monic p with p(M) v = 0 for the linear
+    map M = apply on sparse dicts and a nonzero sparse v, and the powers
+    [v, M v, ..., M^(deg p - 1) v].  Each power is reduced against the
+    earlier ones at their leading keys, without scaling them, until one
+    reduces to zero; the polynomial that made it is p."""
+    zero, one = field.zero, field.one
+    powers, reduced = [], []  # reduced: (lead key, 1 / lead value, vector, polynomial)
+    w = v
+    while True:
+        vec, poly = dict(w), [zero] * len(powers) + [one]
+        for lead, inv, rvec, rpoly in reduced:
+            c = vec.pop(lead, None)
+            if c is None:
+                continue
+            f = c * inv
+            for key, r in rvec.items():
+                if key == lead:
+                    continue
+                cur = vec.get(key)
+                nv = -(f * r) if cur is None else cur - f * r
+                if nv.is_zero():
+                    vec.pop(key, None)
+                else:
+                    vec[key] = nv
+            for k, r in enumerate(rpoly):
+                poly[k] = poly[k] - f * r
+        if not vec:
+            return poly, powers
+        lead = min(vec)
+        reduced.append((lead, vec[lead].inverse(), vec, poly))
+        powers.append(w)
+        w = apply(w)
 
 
 # -- algebra presentations ----------------------------------------------------
@@ -550,57 +591,66 @@ def _left_ideal(algebra, t) -> Subspace:
     return Subspace.from_vectors(algebra.field, algebra.dim, _products_with_basis(algebra, t)[0])
 
 
-def _operator_on_subspace(algebra, x, space: Subspace):
-    """Matrix (dense rows = images) of left multiplication by x, a sparse
-    dict, restricted to a multiplication-invariant subspace, in that
-    subspace's basis."""
-    rows = []
-    for b in space.sparse_basis:
-        coords = space.sparse_coords(algebra.sparse_product(x, b))
-        if coords is None:
-            raise NotSemisimpleError("subspace not invariant under multiplication")
-        rows.append(_to_dense(coords, space.dim, algebra.field))
-    return rows
+def _spectral_idempotents(algebra, center: Subspace):
+    """The central primitive idempotents of an algebra whose center Z
+    splits into lines, as sparse dicts of coordinates in Z's echelon
+    basis, from spectral idempotents alone.
 
+    A block is an idempotent e of Z, held in Z's echelon coordinates; the
+    first is the unit.  Each echelon row z in turn refines every block,
+    until there are dim Z blocks.  As Z is commutative, p(L_z) vanishes on
+    Z e exactly when p(z) e = 0, so the minimal polynomial p of z on the
+    block is that of e under multiplication by z (`_krylov`).  With roots
+    r, all distinct, the block splits into the spectral idempotents
+    e_r = (p / (x - r))(z) e / p'(r), in root order, and Z e_r is the
+    eigenspace of z on Z e for r.  A semisimple center is reduced, so a
+    repeated root raises NotSemisimpleError.  A z whose p has degree 1 acts
+    on the block as a scalar, and the block is kept.
 
-def _split_commutative_block(algebra, block: Subspace, refiners):
-    """Refine a block of the center into joint eigenspaces of multiplication
-    by the given central elements, sparse dicts.  Returns list of
-    Subspaces.  A semisimple center is reduced, so a repeated root raises
-    NotSemisimpleError.
-
+    The products z_i z_j are formed on first need and kept for this call.
     Each distinct minimal polynomial is factored once per call: its roots
-    are kept in a dict that lives for this call only.  A refiner whose
-    minimal polynomial on a block has degree 1 acts there as a scalar, so
-    the block is kept and nothing is factored."""
+    are kept in a dict that lives for this call only."""
     field = algebra.field
+    rows = center.sparse_basis
+    products = {}  # (i, j), i <= j -> coordinates of z_i z_j = z_j z_i
+
+    def times(i, v):
+        images = {}
+        for j in v:
+            key = (i, j) if i <= j else (j, i)
+            if key not in products:
+                products[key] = center.sparse_coords(algebra.sparse_product(rows[i], rows[j]))
+            images[j] = products[key]
+        return _combination(images, v)
+
     roots_of = {}
-    blocks = [block]
-    for z in refiners:
-        nxt = []
-        for blk in blocks:
-            if blk.dim == 1:
-                nxt.append(blk)
-                continue
-            op = _operator_on_subspace(algebra, z, blk)
-            p = tuple(minimal_polynomial(op, field))
+    blocks = [center.sparse_coords(_to_sparse(algebra.unit))]
+    for i in range(center.dim):
+        if len(blocks) == center.dim:
+            break
+        refined = []
+        for e in blocks:
+            p, powers = _krylov(lambda v: times(i, v), e, field)
             if len(p) == 2:
-                nxt.append(blk)
+                refined.append(e)
                 continue
+            p = tuple(p)
             roots = roots_of.get(p)
             if roots is None:
                 roots = roots_of[p] = factor_into_linears(p, field)
             if any(mult > 1 for _, mult in roots):
                 raise NotSemisimpleError("a central element has a repeated eigenvalue")
-            if len(roots) == 1:
-                nxt.append(blk)
-                continue
             for root, _ in roots:
-                shifted = [_to_sparse(r) for r in op]
-                for i, row in enumerate(shifted):
-                    _tensor_add(row, i, -root)
-                nxt.append(blk.lift(_kernel_of_images(field, shifted)))
-        blocks = nxt
+                # q = p / (x - r) by synthetic division, and p'(r) = q(r)
+                q = [field.one]
+                for c in reversed(p[1:-1]):
+                    q.append(c + root * q[-1])
+                q.reverse()
+                scale = poly_eval(q, root).inverse()
+                refined.append(_combination(powers, {k: c * scale for k, c in enumerate(q)}))
+        blocks = refined
+    if len(blocks) != center.dim:
+        raise NotSemisimpleError("center did not split into lines")
     return blocks
 
 
@@ -608,30 +658,34 @@ def _central_blocks(algebra):
     """(central primitive idempotents E_i, block degrees d_i, characters
     chi_i) of a semisimple algebra whose center splits over its field.
 
-    The center is cut into one-dimensional joint eigenspaces by iterated
-    refinement along its echelon basis (deterministic) and each line is
-    scaled to its idempotent.  With the regular trace t_k = tr(L_{e_k}) =
-    sum_l c_kl^l and the trace form tr(L_{e_m e_j}) (`_trace_form`),
-    d_i^2 = tr(L_{E_i}) = dim A E_i and chi_i(x) = tr(L_{x E_i}) / d_i.
+    The E_i are the spectral idempotents of the center along its echelon
+    rows (`_spectral_idempotents`, deterministic).  Each is certified on
+    its line: u, scaled to 1 at its pivot, satisfies u^2 = theta u with
+    theta != 0, and E = u / theta.  With the regular trace t_k =
+    tr(L_{e_k}) = sum_l c_kl^l and the trace form tr(L_{e_m e_j})
+    (`_trace_form`), d_i^2 = tr(L_{E_i}) = dim A E_i and
+    chi_i(x) = tr(L_{x E_i}) / d_i.
     """
     center = algebra.center()
-    lines = _split_commutative_block(algebra, center, center.sparse_basis)
-    if any(blk.dim != 1 for blk in lines):
-        raise NotSemisimpleError("center did not split into lines")
-
+    lines = _spectral_idempotents(algebra, center)
     field = algebra.field
     traces = _regular_trace(algebra)
     form = _trace_form(algebra)
     idempotents, degrees, characters = [], [], []
-    for blk in lines:
-        u = blk.sparse_basis[0]
+    for line in lines:
+        # the first row in the line's support sets its pivot, and its
+        # coordinate is the line's entry there (echelon rows)
+        first = min(line)
+        pivot, scale = center.pivots[first], line[first].inverse()
+        u = _combination(center.sparse_basis, {j: c * scale for j, c in line.items()})
         u2 = algebra.sparse_product(u, u)
-        theta = u2.get(blk.pivots[0])  # u is 1 at its pivot
+        theta = u2.get(pivot)
         if theta is None:
             raise NotSemisimpleError("nilpotent central element found")
         if u2 != {k: c * theta for k, c in u.items()}:
             raise NotSemisimpleError("central line is not closed under squaring")
-        e = vec_scale(blk.basis[0], theta.inverse())
+        inv_theta = theta.inverse()
+        e = _to_dense({k: c * inv_theta for k, c in u.items()}, algebra.dim, field)
         # L_E is a projection, so its trace is its rank, a positive integer
         d2 = sum((c * t for c, t in zip(e, traces)), field.zero).integer_value()
         d = math.isqrt(d2)
@@ -685,7 +739,9 @@ def primitive_idempotent_in_block(algebra: AlgebraPresentation, central_idempote
     Shrinks the corner e*A*e (unit e, T at first) by linear algebra alone,
     the zero-divisor method of Ronyai (J. Symb. Comput. 1990).  Take the
     first corner candidate x that is not a multiple of e and whose minimal
-    polynomial splits, and a root r of it.  Then z = x - r*e is a zero
+    polynomial p on eAe splits, and a root r of it; p(L_x) = 0 on eAe
+    exactly when p(x) e = 0, as e is the corner's unit, so p is read off
+    the Krylov sequence of e (`_krylov`).  Then z = x - r*e is a zero
     divisor, so the left ideal (eAe) z is (eAe) f for an idempotent f with
     0 != f != e (`_idempotent_generator`), and fAf is a smaller corner.
     Repeats until the corner is one-dimensional, where e is primitive.
@@ -703,8 +759,8 @@ def primitive_idempotent_in_block(algebra: AlgebraPresentation, central_idempote
             if not line.residual(x):
                 continue
             try:
-                roots = factor_into_linears(
-                    minimal_polynomial(_operator_on_subspace(algebra, x, corner), field), field)
+                p, _ = _krylov(lambda v: algebra.sparse_product(x, v), e, field)
+                roots = factor_into_linears(p, field)
             except NotSplitError as err:
                 not_split_error = err
                 continue

@@ -2,14 +2,28 @@
 characters and left kernels that the library reads off the central
 idempotents and the regular trace."""
 
-from hopflab.linalg import _left_ideal, _operator_on_subspace, wedderburn
+from hopflab.errors import NotSemisimpleError
+from hopflab.linalg import Subspace, _left_ideal, _to_dense, wedderburn
+
+
+def operator_on_subspace(algebra, x, space: Subspace):
+    """Matrix (dense rows = images) of left multiplication by x, a sparse
+    dict, restricted to a multiplication-invariant subspace, in that
+    subspace's basis."""
+    rows = []
+    for b in space.sparse_basis:
+        coords = space.sparse_coords(algebra.sparse_product(x, b))
+        if coords is None:
+            raise NotSemisimpleError("subspace not invariant under multiplication")
+        rows.append(_to_dense(coords, space.dim, algebra.field))
+    return rows
 
 
 def module_action_from_idempotent(hopf, t):
     """Left-module matrices of the module H t (rows = images of the module
     basis), plus the module basis itself."""
     space = _left_ideal(hopf, t)
-    return [_operator_on_subspace(hopf, {i: hopf.field.one}, space) for i in range(hopf.dim)], space
+    return [operator_on_subspace(hopf, {i: hopf.field.one}, space) for i in range(hopf.dim)], space
 
 
 def table_primitive_idempotents(algebra, table):

@@ -3,14 +3,17 @@ import random
 import pytest
 
 from algebratools import dense_central_blocks, dense_is_two_sided_integral, dense_witnesses, sweedler_h4
+from moduletools import operator_on_subspace
 
 from hopflab import linalg
-from hopflab.builders import group_algebra, permutation_group_table
-from hopflab.corpus import coideal_lattice, corpus_names
+from hopflab.builders import cyclic_group_table, group_algebra, permutation_group_table, quaternion_table
+from hopflab.coideal import coideal_closure
+from hopflab.corpus import coideal_lattice, corpus_names, subgroups_of_table
 from hopflab.corpus import load as load_corpus
 from hopflab.errors import InconsistentSystemError, NotSemisimpleError, NotSplitError
 from hopflab.linalg import (
     _central_blocks,
+    _corner_candidates,
     _is_two_sided_integral,
     _kernel_of_images,
     _trace_form,
@@ -520,6 +523,112 @@ def test_central_blocks_factor_each_polynomial_once(monkeypatch, name):
         counts.append(len(calls))
     # two fresh loads factor equally often: no root dict outlives a call
     assert counts[0] == counts[1]
+
+
+def _central_block_algebra(name):
+    return _permutation_algebra(name) if name in PERMUTATION_ALGEBRAS else load_corpus(name, verify=False)[0]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_central_blocks_solve_only_for_the_center(monkeypatch, name):
+    # the split reads spectral idempotents off Krylov sequences: no kernel
+    # per root and no minimal polynomial of a block matrix
+    calls = {"kernel": 0, "minimal polynomial": 0}
+    kernel_of_images, minimal = linalg._kernel_of_images, linalg.minimal_polynomial
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel_of_images(*args)
+
+    def counted_minimal(*args):
+        calls["minimal polynomial"] += 1
+        return minimal(*args)
+    monkeypatch.setattr(linalg, "_kernel_of_images", counted_kernel)
+    monkeypatch.setattr(linalg, "minimal_polynomial", counted_minimal)
+    _central_blocks(_central_block_algebra(name))
+    assert calls == {"kernel": 1, "minimal polynomial": 0}
+
+
+def _krylov_polynomial(alg, x, e):
+    """The least monic p with p(x) e = 0, by the library's Krylov routine."""
+    return linalg._krylov(lambda v: alg.sparse_product(x, v), e, alg.field)[0]
+
+
+def _sparse_unit(alg):
+    return {k: c for k, c in enumerate(alg.unit) if not c.is_zero()}
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(PERMUTATION_ALGEBRAS))
+def test_krylov_polynomial_of_the_unit_is_the_minimal_polynomial_on_the_center(name):
+    # p(L_z) = 0 on the commutative center Z exactly when p(z) 1 = 0
+    alg = _central_block_algebra(name)
+    center = alg.center()
+    for z in center.sparse_basis:
+        assert _krylov_polynomial(alg, z, _sparse_unit(alg)) == minimal_polynomial(
+            operator_on_subspace(alg, z, center), alg.field)
+
+
+def _corner_cases():
+    """(id, algebra, corner unit e, corner eAe): the whole of M_3 on the
+    two bases of the repeated-root tests and of the quaternions (e = 1),
+    and the degree-2 block of kS3 (e its central idempotent)."""
+    for label, x in (("M3 two-roots", [[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
+                     ("M3 one-root", [[1, 1, 0], [0, 1, 0], [0, 0, 1]])):
+        alg = _m3_with_first_basis_element(Q, x)
+        yield label, alg, _sparse_unit(alg), Subspace.full(Q, 9)
+    alg = _quaternion_presentation(Q)
+    yield "quaternions", alg, _sparse_unit(alg), Subspace.full(Q, 4)
+    H = load_corpus("s3", verify=False)[0]
+    idempotents, degrees, _ = _central_blocks(H)
+    e = {k: c for k, c in enumerate(idempotents[degrees.index(2)]) if not c.is_zero()}
+    yield "kS3 degree 2", H, e, Subspace.from_vectors(
+        H.field, H.dim, [H.sparse_product({i: H.field.one}, e) for i in range(H.dim)])
+
+
+@pytest.mark.parametrize("case", list(_corner_cases()), ids=lambda case: case[0])
+def test_krylov_polynomial_of_the_corner_unit_is_the_minimal_polynomial_on_the_corner(case):
+    # p(L_x) = 0 on eAe exactly when p(x) e = 0, for every candidate x
+    _, alg, e, corner = case
+    count = 0
+    for x in _corner_candidates(alg, corner.sparse_basis):
+        assert _krylov_polynomial(alg, x, e) == minimal_polynomial(
+            operator_on_subspace(alg, x, corner), alg.field)
+        count += 1
+    assert count == corner.dim ** 2 + corner.dim * (corner.dim - 1) // 2
+
+
+def test_krylov_sequence_of_a_repeated_root():
+    # k[x]/(x^3 - x^2) on the basis 1, x, x^2: the powers of x on the unit
+    # are 1, x, x^2, and x^3 = x^2 gives x^2 (x - 1)
+    mult = [[{min(i + j, 2): Q.one} for j in range(3)] for i in range(3)]
+    alg = AlgebraPresentation(Q, 3, mult, basis_vector(Q, 3, 0))
+    p, powers = linalg._krylov(lambda v: alg.sparse_product({1: Q.one}, v), {0: Q.one}, Q)
+    assert p == poly_from_roots(Q, [(Q.zero, 2), (Q.one, 1)]) == [Q.zero, Q.zero, -Q.one, Q.one]
+    assert powers == [{0: Q.one}, {1: Q.one}, {2: Q.one}]
+
+
+def _unsplit_cases():
+    """(id, algebra) over Q, whose centers do not split over Q: kZ3, kZ5,
+    kF20, and the coideal subalgebra kZ4 of kQ8."""
+    for name, (table, labels) in (("kZ3", cyclic_group_table(3)), ("kZ5", cyclic_group_table(5)),
+                                  ("kF20", permutation_group_table([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)], 5))):
+        yield name, group_algebra(table, conductor=1, labels=labels)
+    table, labels = quaternion_table()
+    H = group_algebra(table, conductor=1, labels=labels)
+    z4 = next(members for members in subgroups_of_table(table) if len(members) == 4)
+    yield "q8 kZ4", coideal_closure(H, [H.basis(i) for i in z4]).presentation()
+
+
+@pytest.mark.parametrize("case", list(_unsplit_cases()), ids=lambda case: case[0])
+def test_central_blocks_name_the_unsplit_factor_of_the_dense_refinement(case):
+    # the same polynomials, on the same blocks and in the same order, as
+    # the parent's refinement: the first that does not split is the same
+    _, alg = case
+    with pytest.raises(NotSplitError) as ours:
+        _central_blocks(alg)
+    with pytest.raises(NotSplitError) as dense:
+        dense_central_blocks(alg)
+    assert ours.value.factor == dense.value.factor
 
 
 def _dense(alg, row):
