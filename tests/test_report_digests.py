@@ -9,10 +9,10 @@ with and without `--text` on every corpus file, `coideal` and `reciprocity` for
 every label but the first of s3, s3-dual, d-z2, d4, q8 and z6, and `coideal`,
 `reciprocity` and `induce --index 0` with `--gens H` on every corpus file.
 
-`solvable-find` is also pinned on D(kD4) (dim 64), built from the
-permutation group D4 with the library's builders, so that the search's
-step conditions, normality tests and quotient checks are pinned on
-algebras larger than the corpus's.
+`solvable-find` is also pinned on D(kD4) (dim 64) and D(kD6) (dim 144),
+built from the permutation groups D4 and D6 with the library's builders,
+so that the search's step conditions, normality tests, closures, quotient
+checks and lifts are pinned on algebras larger than the corpus's.
 
 `verify` is also pinned, with and without `--text`, on tampered copies of
 corpus files (one entry of one tensor replaced, some by irrational or
@@ -115,18 +115,26 @@ def _tampered_digest(directory, case, text):
     return _digest(("verify", name, *text), path)
 
 
-def _double_d4_digest(directory):
-    """Digest of `solvable-find` on D(kD4), D4 generated by a rotation and a
-    reflection of the square, saved under a fixed file name."""
-    table, labels = permutation_group_table([(1, 2, 3, 0), (0, 3, 2, 1)], 4)
-    double = drinfeld_double(group_algebra(table, conductor=4, labels=labels, name="kD4"))
-    path = os.path.join(directory, "double-d4.hopf.json")
-    save_hopf(double, path)
-    return _digest(("solvable-find", "D(kD4)"), path)
+# (name, generators of the permutation group, degree, conductor): D4 by a
+# rotation and a reflection of the square, D6 of the hexagon
+DOUBLES = (("kD4", [(1, 2, 3, 0), (0, 3, 2, 1)], 4, 4),
+           ("kD6", [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)], 6, 3))
+
+
+def _double_digest(directory, double):
+    """Digest of `solvable-find` on the Drinfeld double of the group algebra
+    DOUBLES names, saved under a fixed file name."""
+    name, generators, degree, conductor = next(d for d in DOUBLES if d[0] == double)
+    table, labels = permutation_group_table(generators, degree)
+    hopf = drinfeld_double(group_algebra(table, conductor=conductor, labels=labels, name=name))
+    path = os.path.join(directory, f"double-{name[1:].lower()}.hopf.json")
+    save_hopf(hopf, path)
+    return _digest(("solvable-find", f"D({name})"), path)
 
 
 PINNED = {
     'solvable-find D(kD4)': ('0227b28d58b4d51a04ebb9f359ab79e888ead450eebaa8cc51475d63281d3a09', 0),
+    'solvable-find D(kD6)': ('d379d257d8a6b8cd2abd2cbb3ab42010b381985918fc5ef89e2df0406d0b8b8a', 0),
     'solvable-find z2': ('cfa508e3d882e6a7502169017061884a367947d4b6cffa9cc4d24b6a0d247ff5', 0),
     'solvable-find z2 --text': ('954eaaa9f474510bf973122719c57e288de9fd42957a43283fb25b258b276c2e', 0),
     'nilpotent-check z2': ('6e6455e05d2cf3bea53faf1b770d8868d1b692447d3bf227622fdabcf280a7ee', 0),
@@ -338,7 +346,11 @@ def test_tampered_verify_report_matches_pinned_digest(case, text, key, tmp_path)
 
 
 def test_double_d4_search_report_matches_pinned_digest(tmp_path):
-    assert _double_d4_digest(tmp_path) == PINNED["solvable-find D(kD4)"]
+    assert _double_digest(tmp_path, "kD4") == PINNED["solvable-find D(kD4)"]
+
+
+def test_double_d6_search_report_matches_pinned_digest(tmp_path):
+    assert _double_digest(tmp_path, "kD6") == PINNED["solvable-find D(kD6)"]
 
 
 if __name__ == "__main__":
@@ -349,5 +361,6 @@ if __name__ == "__main__":
         for case, text, key in _tampered_cases():
             digest, code = _tampered_digest(directory, case, text)
             print(f"    {key!r}: ({digest!r}, {code}),")
-        digest, code = _double_d4_digest(directory)
-        print(f"    'solvable-find D(kD4)': ({digest!r}, {code}),")
+        for name, *_ in DOUBLES:
+            digest, code = _double_digest(directory, name)
+            print(f"    'solvable-find D({name})': ({digest!r}, {code}),")
