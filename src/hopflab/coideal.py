@@ -29,7 +29,8 @@ subalgebra T of H*, and B = (H*)^N as the invariants of N acting on
 H.dual() by the hit action, since <n, 1_{H*}> = eps(n).
 
 Quotients H//N for normal N are realized on the ideal H*Lambda_N, which the
-projection h |-> h*Lambda_N identifies with H/HN+.
+projection h |-> h*Lambda_N identifies with H/HN+; a left coideal subalgebra
+of H//N lifts to H as one kernel read off the coproduct of H.
 """
 
 from __future__ import annotations
@@ -126,14 +127,13 @@ class CoidealSubalgebra:
         return [self.hopf.counit_of(list(b)) for b in self.space.basis]
 
 
-def _checked_presentation(hopf: HopfAlgebra, space: Subspace, products=None) -> AlgebraPresentation:
+def _checked_presentation(hopf: HopfAlgebra, space: Subspace) -> AlgebraPresentation:
     """N as an algebra on its echelon basis, after checking 1 in N,
     N*N <= N and Delta(N) <= H (x) N; NotCoidealError names the first
-    failure.  products, when given, are those of the basis pairs in
-    row-major order."""
+    failure."""
     if not space.contains_vector(hopf.unit):
         raise NotCoidealError("unit not contained")
-    presentation = _subalgebra_presentation(hopf, space, hopf.unit, products)
+    presentation = _subalgebra_presentation(hopf, space, hopf.unit)
     if presentation is None:
         raise NotCoidealError("not closed under multiplication")
     if not _legs_inside(hopf, space, right=True):
@@ -143,20 +143,20 @@ def _checked_presentation(hopf: HopfAlgebra, space: Subspace, products=None) -> 
 
 def _legs(hopf, v, right):
     """The right legs w_j of Delta(v) = sum_j e_j (x) w_j, or with right
-    false the left legs w_k of Delta(v) = sum_k w_k (x) e_k."""
+    false the left legs w_k of Delta(v) = sum_k w_k (x) e_k, for a sparse v,
+    as sparse dicts."""
     legs = {}
-    for (j, k), c in hopf.comult_of(v).items():
+    for (j, k), c in _combination(hopf.comult, v).items():
         leg, i = (j, k) if right else (k, j)
-        row = legs.setdefault(leg, zero_vector(hopf.field, hopf.dim))
-        row[i] = row[i] + c
+        legs.setdefault(leg, {})[i] = c
     return list(legs.values())
 
 
 def _legs_inside(hopf, space, right):
     """Every right (or left) leg of every basis vector of space lies in it:
     Delta(V) <= H (x) V (or V (x) H)."""
-    return all(space.contains_vector(leg)
-               for b in space.basis for leg in _legs(hopf, list(b), right))
+    return not any(space.residual(leg)
+                   for b in space.sparse_basis for leg in _legs(hopf, b, right))
 
 
 def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
@@ -168,19 +168,16 @@ def coideal_closure(hopf: HopfAlgebra, generators) -> CoidealSubalgebra:
     g = sum_j eps(e_j) w_j, and by coassociativity sum_j Delta(e_j) (x) w_j
     = sum_j e_j (x) Delta(w_j), so every Delta(w_j) lies in H (x) C.  A
     product of left coideals is one, since Delta(ab) = a1 b1 (x) a2 b2, so
-    the subalgebra C generates is a left coideal subalgebra.  The
-    presentation reads the products of the pass that confirmed closure.
+    the subalgebra C generates is a left coideal subalgebra; it is
+    span(1, C) closed under left multiplication by the legs.
     """
-    legs = [leg for g in generators for leg in _legs(hopf, list(g), right=True)]
-    space, products = _subalgebra_generated(hopf, legs)
-    return coideal_from_subspace(hopf, space, products=products)
+    legs = [leg for g in generators for leg in _legs(hopf, _to_sparse(g), right=True)]
+    return coideal_from_subspace(hopf, _subalgebra_generated(hopf, legs))
 
 
-def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace, *, products=None) -> CoidealSubalgebra:
+def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace) -> CoidealSubalgebra:
     """Wrap an already-closed subspace as a verified CoidealSubalgebra.
 
-    products, when given, are those of the echelon basis pairs in row-major
-    order, which the presentation then reads instead of multiplying again.
     N = H reads its context from H (see the module docstring).
     """
     if space.dim == hopf.dim:
@@ -190,7 +187,7 @@ def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace, *, products=None) 
         normal = True
         hopf_pair = (_is_cocommutative(hopf, integral), True)
     else:
-        presentation = _checked_presentation(hopf, space, products)
+        presentation = _checked_presentation(hopf, space)
         integral = _coideal_integral(hopf, space, presentation)
         invariants = _invariants(hopf.dual(), space)
         normal = _agreed(_normality_pair(hopf, space, integral),
@@ -311,35 +308,38 @@ class HopfQuotient:
     """H//N for normal N, realized on the ideal H*Lambda_N.
 
     The projection pi is held as the sparse rows pi(e_i), dicts {quotient
-    index: Scalar}; project(h) gives quotient coordinates of h; section
-    rows embed the quotient basis back into H.
+    index: Scalar}; project(h) gives quotient coordinates of h.
     """
 
-    def __init__(self, hopf, context, quotient, section, pi):
+    def __init__(self, hopf, context, quotient, pi):
         self.hopf = hopf
         self.context = context
         self.quotient = quotient
-        self.section = section      # list of ambient vectors, quotient basis
         self._pi = pi               # projection of each ambient basis vector
 
     def project(self, h):
         return _to_dense(_combination(self._pi, _to_sparse(h)), self.quotient.dim, self.hopf.field)
 
     def lift_coideal(self, subspace: Subspace) -> Subspace:
-        """The unique coideal subalgebra of H containing N that projects
-        onto the given coideal subalgebra of the quotient.
-
-        Computed through the invariants correspondence: pull the quotient's
-        invariant functionals back along the projection and take their
-        invariants in H.  The plain linear preimage would be larger (it
-        contains the whole kernel of the projection) and is not a coideal.
+        """The unique left coideal subalgebra L of H holding N with
+        pi(L) = Lbar, for Lbar = subspace a left coideal subalgebra of H//N:
+        L = {h : h1 (x) pi(h2) in H (x) Lbar}, the kernel of e_i ->
+        sum c e_j (x) r(pi(e_k)) over Delta(e_i) = sum c e_j (x) e_k, with r
+        the residual modulo Lbar.  By coassociativity L is a left coideal;
+        pi is an algebra map, so L is a subalgebra holding N; eps (x) id
+        gives pi(L) <= Lbar.  Lbar's lift under Takeuchi's correspondence
+        (one to one, as H is free over its coideal subalgebras: Skryabin)
+        lies in L, so pi(L) = Lbar and L is that lift.
         """
-        bbar = _invariants(self.quotient.dual(), subspace)
-        zero = self.hopf.field.zero
-        pulled = [[sum((c * b[k] for k, c in pi_i.items() if k in b), zero) for pi_i in self._pi]
-                  for b in bbar.sparse_basis]
-        span = Subspace.from_vectors(self.hopf.field, self.hopf.dim, pulled)
-        return invariants_of(self.hopf, span)
+        residuals = [subspace.residual(pi_k) for pi_k in self._pi]
+        images = []
+        for delta in self.hopf.comult:
+            image = {}
+            for (j, k), c in delta.items():
+                for q, r in residuals[k].items():
+                    _tensor_add(image, (j, q), c * r)
+            images.append(image)
+        return _kernel_of_images(self.hopf.field, images)
 
     def lift_chain(self, quotient_chain):
         """N followed by the lifts of the members of dim > 1 of a chain of
@@ -358,20 +358,19 @@ def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
     lam = ctx.integral
     images = _products_with_basis(hopf, lam)[0]  # e_i Lambda
     ideal = Subspace.from_vectors(field, hopf.dim, images)
-    section = [list(b) for b in ideal.basis]
     qdim = ideal.dim
     pi = [ideal.sparse_coords(v) for v in images]
     algebra = _subalgebra_presentation(hopf, ideal, lam)
-    comult = [_push_forward(hopf.comult_of(v), pi) for v in section]
-    counit = [hopf.counit_of(v) for v in section]
+    comult = [_push_forward(hopf.comult_of(v), pi) for v in ideal.basis]
+    counit = [hopf.counit_of(v) for v in ideal.basis]
     antipode = [_to_dense(_combination(pi, _to_sparse(hopf.antipode_of(v))), qdim, field)
-                for v in section]
+                for v in ideal.basis]
     q = HopfAlgebra(field, qdim, algebra.mult, algebra.unit, comult, counit, antipode,
                     name=f"{hopf.name}//N" if hopf.name else "quotient")
     q.require_axioms()
     if qdim * ctx.dim != hopf.dim:
         raise HopfLabError("quotient dimension does not divide as expected")
-    hq = HopfQuotient(hopf, ctx, q, section, pi)
+    hq = HopfQuotient(hopf, ctx, q, pi)
     _check_projection_is_hopf_map(hopf, hq)
     return hq
 

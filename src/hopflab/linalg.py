@@ -5,7 +5,7 @@ row-echelon bases so that equality of subspaces is equality of matrices.
 The structure-constant systems this library produces are very sparse, so
 the elimination core works on dict-rows keyed by column.
 
-Two conventions hold throughout the library:
+Three conventions hold throughout the library:
 
 - A solution space is written as the kernel of a linear map given by the
   images of the basis vectors, each a sparse dict {output key: Scalar}, and
@@ -501,47 +501,43 @@ def _products_with_basis(algebra, x):
             [algebra.sparse_product(xs, e) for e in basis])
 
 
-def _subalgebra_presentation(algebra, space: Subspace, unit, products=None):
+def _subalgebra_presentation(algebra, space: Subspace, unit):
     """The subalgebra on a subspace's echelon basis, with the given unit,
     as an AlgebraPresentation in that basis's coordinates; None when the
-    unit or a product of two basis vectors leaves the subspace.  products,
-    when given, are those of the basis pairs in row-major order, already
-    computed, as sparse dicts."""
+    unit or a product of two basis vectors leaves the subspace."""
     unit_coords = space.coords_of(unit)
     if unit_coords is None:
         return None
-    if products is None:
-        rows = space.sparse_basis
-        products = (algebra.sparse_product(a, b) for a in rows for b in rows)
-    cells = []
-    for product in products:
-        cell = space.sparse_coords(product)
-        if cell is None:
+    rows = space.sparse_basis
+    mult = []
+    for a in rows:
+        cells = [space.sparse_coords(algebra.sparse_product(a, b)) for b in rows]
+        if None in cells:
             return None
-        cells.append(cell)
-    n = space.dim
-    return AlgebraPresentation(algebra.field, n, [cells[i * n:(i + 1) * n] for i in range(n)],
-                               unit_coords)
+        mult.append(cells)
+    return AlgebraPresentation(algebra.field, space.dim, mult, unit_coords)
 
 
-def _subalgebra_generated(algebra, vectors):
-    """(S, products): S is the smallest subalgebra holding the unit and the
-    vectors, the span grown by the products of its echelon basis pairs
-    until a pass adds nothing or the span is the whole algebra, which is
-    closed already.  This is the library's one grow-until-closed loop;
-    coideal_closure feeds it a left coideal.  products are those of the
-    confirming pass, S's basis pairs in row-major order as sparse dicts, so
-    presenting S multiplies nothing again; None when no pass confirmed S.
-    Earlier passes multiply the pairs of the previous span again."""
-    space = Subspace.from_vectors(algebra.field, algebra.dim, [algebra.unit] + [list(v) for v in vectors])
-    while space.dim < algebra.dim:
-        rows = space.sparse_basis
-        products = [algebra.sparse_product(a, b) for a in rows for b in rows]
-        grown = Subspace.from_vectors(algebra.field, algebra.dim, rows + products)
-        if grown == space:
-            return space, products
-        space = grown
-    return space, None
+def _subalgebra_generated(algebra, generators) -> Subspace:
+    """The smallest subalgebra S holding the unit and the generators, given
+    as sparse dicts.  W starts as span(1, G) for the echelon rows G of the
+    generators' span; each round multiplies every g in G by the echelon rows
+    that entered W in the round before, and the residuals of the products
+    modulo W enter W.  When a round adds nothing, or W is the whole algebra,
+    W holds 1 and g W <= W for each g, so it holds every word
+    g_1 (g_2 (... g_k)) and is S.  Each row is multiplied once by each g:
+    at most |G| dim S products."""
+    field, dim = algebra.field, algebra.dim
+    gens = Subspace.from_vectors(field, dim, generators).sparse_basis
+    space = Subspace.from_vectors(field, dim, [_to_sparse(algebra.unit)] + gens)
+    fresh = space.sparse_basis
+    while space.dim < dim:
+        residuals = [space.residual(algebra.sparse_product(g, w)) for g in gens for w in fresh]
+        fresh = Subspace.from_vectors(field, dim, residuals).sparse_basis
+        if not fresh:
+            break
+        space = Subspace.from_vectors(field, dim, space.sparse_basis + fresh)
+    return space
 
 
 def _regular_trace(algebra):

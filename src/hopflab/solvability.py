@@ -180,10 +180,8 @@ def check_integral_commutation(hopf: HopfAlgebra, l_ctx, n_ctx) -> CommutationRe
     ln = dual.multiply(l_ctx.dual_integral, n_ctx.dual_integral)
     nl = dual.multiply(n_ctx.dual_integral, l_ctx.dual_integral)
     commute = vec_eq(ln, nl)
-    generated, _ = _subalgebra_generated(
-        dual,
-        [list(b) for b in l_ctx.invariants.basis] + [list(b) for b in n_ctx.invariants.basis],
-    )
+    generated = _subalgebra_generated(
+        dual, l_ctx.invariants.sparse_basis + n_ctx.invariants.sparse_basis)
     nl_int = _is_dual_integral_for(hopf, generated, nl)
     ln_int = _is_dual_integral_for(hopf, generated, ln)
     if commute and not (nl_int and ln_int):

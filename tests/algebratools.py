@@ -4,14 +4,18 @@ certificate, the split of the center into central primitive idempotents,
 the two conditions of a solvable-series step, the two normality tests of a
 coideal subalgebra and the check that a quotient's projection is a Hopf
 map.  Every product is taken with the algebra's own multiply (or adjoint)
-on dense vectors, one basis element (or pair, or triple) at a time.  Also
-here: Sweedler's algebra, the non-semisimple input of the refusal tests."""
+on dense vectors, one basis element (or pair, or triple) at a time.  The
+lift of a coideal subalgebra from a quotient has its own oracle, through
+the invariants correspondence.  Also here: Sweedler's algebra, the
+non-semisimple input of the refusal tests."""
 
 import math
 
+from hopflab.coideal import _invariants, invariants_of
 from hopflab.errors import HopfLabError
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import (
+    Subspace,
     basis_vector,
     kernel,
     mat_vec,
@@ -190,3 +194,16 @@ def dense_check_projection_is_hopf_map(hopf, hq):
                 prod[k] = c
             if not vec_eq(mat_vec(pi, prod), q.multiply(pi[i], pi[j])):
                 raise HopfLabError("projection is not an algebra map")
+
+
+def invariants_lift(hq, subspace):
+    """The left coideal subalgebra of H holding N that projects onto the
+    coideal subalgebra `subspace` of H//N, through the invariants
+    correspondence: the invariants of the quotient's dual are pulled back
+    along the projection, and their invariants in H are taken, after
+    invariants_of checks that the pull-back is a subalgebra of H*."""
+    hopf = hq.hopf
+    bbar = _invariants(hq.quotient.dual(), subspace)
+    pulled = [[sum((c * b[k] for k, c in pi_i.items() if k in b), hopf.field.zero) for pi_i in hq._pi]
+              for b in bbar.sparse_basis]
+    return invariants_of(hopf, Subspace.from_vectors(hopf.field, hopf.dim, pulled))

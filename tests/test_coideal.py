@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from algebratools import dense_check_projection_is_hopf_map, dense_normality_pair
+from algebratools import dense_check_projection_is_hopf_map, dense_normality_pair, invariants_lift
 from grouptools import center_of_group, subgroup_closure
 from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
@@ -19,6 +19,7 @@ from hopflab.builders import (
     symmetric3_table,
 )
 from hopflab.coideal import (
+    HopfQuotient,
     _checked_presentation,
     _coideal_integral,
     _hopf_subalgebra_pair,
@@ -36,8 +37,9 @@ from hopflab.coideal import (
 from hopflab.corpus import coideal_lattice, corpus_names, load
 from hopflab.errors import HopfLabError, NotAnAlgebraError, NotCoidealError, NotNormalError
 from hopflab.hopf import HopfAlgebra
-from hopflab.linalg import Subspace, _subalgebra_generated, vec_add, vec_eq
+from hopflab.linalg import Subspace, _subalgebra_generated, _to_sparse, vec_add, vec_eq
 from hopflab.scalars import QQ
+from hopflab.solvability import ascending_central_series
 
 
 @pytest.fixture(scope="module")
@@ -106,11 +108,24 @@ def test_skryabin_coideal(skryabin_n):
     # x = (123) + (132) satisfies x^2 = 2 + x, but the right legs of x
     # are (123) and (132) themselves
     ([["e"], ["(123)", "(132)"]], "not a left coideal"),
+    # in the non-cocommutative k^S3 (labels g*, delta functions), the
+    # functions constant on the cosets of <(12)> form a subalgebra holding
+    # 1 on either side; Delta(f)(x, y) = f(xy), so only f(gk) = f(g), on
+    # the cosets gK, is a left coideal
+    pytest.param([["e*", "(12)*"], ["(13)*", "(123)*"], ["(23)*", "(132)*"]], None, id="k^S3-gK"),
+    pytest.param([["e*", "(12)*"], ["(13)*", "(132)*"], ["(23)*", "(123)*"]], "not a left coideal",
+                 id="k^S3-Kg-not a left coideal"),
 ])
 def test_coideal_from_subspace_names_the_first_failure(s3, terms, message):
-    vectors = [s3.element({label: 1 for label in labels}) for labels in terms]
+    H = s3.dual() if terms[0][0].endswith("*") else s3
+    vectors = [H.element({label: 1 for label in labels}) for labels in terms]
+    space = Subspace.from_vectors(H.field, H.dim, vectors)
+    if message is None:
+        ctx = coideal_from_subspace(H, space)
+        assert (ctx.dim, ctx.hopf_subalgebra) == (3, False)
+        return
     with pytest.raises(NotCoidealError, match=message):
-        coideal_from_subspace(s3, Subspace.from_vectors(s3.field, s3.dim, vectors))
+        coideal_from_subspace(H, space)
 
 
 def test_invariants_edge_cases(s3):
@@ -216,9 +231,7 @@ def test_intersection_invariants_identity(s3):
     n_ctx = coideal_closure(s3, [s3.basis(s3.index_of_label("(123)"))])
     cap = l_ctx.space.intersect(n_ctx.space)
     cap_ctx = coideal_from_subspace(s3, cap)
-    generated, _ = _subalgebra_generated(
-        s3.dual(), [list(b) for b in l_ctx.invariants.basis] + [list(b) for b in n_ctx.invariants.basis]
-    )
+    generated = _subalgebra_generated(s3.dual(), l_ctx.invariants.sparse_basis + n_ctx.invariants.sparse_basis)
     assert cap_ctx.invariants == generated
 
 
@@ -392,24 +405,43 @@ def test_whole_algebra_context_builds_nothing_again(monkeypatch):
     assert calls == []
 
 
-def test_closure_presents_n_from_its_confirming_pass(s3, monkeypatch):
-    # the last pass of the closure multiplies each pair of N's basis once;
-    # the presentation reads those products instead of multiplying again
-    pairs = []
+def _counted_closure(hopf, generators, monkeypatch):
+    """(S, products): the subalgebra _subalgebra_generated finds, and the
+    number of products it takes."""
+    products = []
     sparse_product = HopfAlgebra.sparse_product
 
-    def recorded(self, x, y):
-        pairs.append((x, y))
+    def counted(self, x, y):
+        products.append((x, y))
         return sparse_product(self, x, y)
 
-    monkeypatch.setattr(HopfAlgebra, "sparse_product", recorded)
-    ctx = coideal_closure(s3, [s3.basis(s3.index_of_label("(123)"))])
-    assert ctx.dim == 3
-    rows = ctx.space.sparse_basis
-    basis_pairs = [(rows.index(a), rows.index(b)) for a, b in pairs if a in rows and b in rows]
-    # span{1, (123)} grows to A3 in the first pass, which multiplies its
-    # 2 x 2 pairs; the second confirms A3 with its 3 x 3, and no more follow
-    assert len(basis_pairs) == 2 * 2 + 3 * 3
+    with monkeypatch.context() as patch:
+        patch.setattr(HopfAlgebra, "sparse_product", counted)
+        space = _subalgebra_generated(hopf, generators)
+    return space, len(products)
+
+
+def test_closure_multiplies_each_row_once_by_each_generator(s3, a3, monkeypatch):
+    # span{1, g} for g = (123) takes g 1 and g g = (132), then g (132) = 1
+    # adds nothing: |G| dim N = 3 products, where squaring the span on
+    # each pass took 2 x 2 + 3 x 3 = 13
+    g = _to_sparse(s3.basis(s3.index_of_label("(123)")))
+    assert _counted_closure(s3, [g], monkeypatch) == (a3.space, 3)
+    # on the non-cocommutative D(S3) the count stays within |G| dim S, and
+    # the closure is the span grown by all pairwise products until stable
+    H = load("d-s3", verify=False)[0]
+    for labels in (["e*|(12)"], ["(12)*|e"], ["e*|(123)", "(12)*|(12)"], ["(123)*|(12)", "(12)*|(123)"]):
+        vectors = [H.basis(H.index_of_label(label)) for label in labels]
+        space, count = _counted_closure(H, [_to_sparse(v) for v in vectors], monkeypatch)
+        assert count <= len(vectors) * space.dim
+        pairwise = Subspace.from_vectors(H.field, H.dim, [H.unit] + vectors)
+        while True:
+            rows = [list(b) for b in pairwise.basis]
+            grown = Subspace.from_vectors(H.field, H.dim, rows + [H.multiply(a, b) for a in rows for b in rows])
+            if grown == pairwise:
+                break
+            pairwise = grown
+        assert space == pairwise, labels
 
 
 @pytest.mark.parametrize("name", ["kS3", "kD4", "kQ8", "kA4", "kS4"])
@@ -516,3 +548,51 @@ def test_projection_check_matches_the_dense_oracle_under_tampering(s3, a3):
     for check in (coideal._check_projection_is_hopf_map, dense_check_projection_is_hopf_map):
         with pytest.raises(HopfLabError, match="projection is not an algebra map"):
             check(s3, hq)
+
+
+def _lift_is_the_invariants_lift(monkeypatch):
+    """Make every HopfQuotient.lift_coideal assert that it agrees with the
+    invariants route of algebratools; returns the list of lifts compared."""
+    compared = []
+    lift = HopfQuotient.lift_coideal
+
+    def checked(self, subspace):
+        lifted = lift(self, subspace)
+        assert lifted == invariants_lift(self, subspace)
+        compared.append(lifted)
+        return lifted
+
+    monkeypatch.setattr(HopfQuotient, "lift_coideal", checked)
+    return compared
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_NON_NORMAL))
+def test_lift_by_one_kernel_matches_the_invariants_lift(name, monkeypatch):
+    # for each normal member N of a catalogued lattice and each member L
+    # holding N, L is the lift of pi(L), by either route, and so are k 1
+    # and the whole quotient
+    compared = _lift_is_the_invariants_lift(monkeypatch)
+    H = load(name, verify=False)[0]
+    members = [ctx for _, ctx in coideal_lattice(name, H)]
+    for n_ctx in members:
+        if not n_ctx.normal:
+            continue
+        hq = quotient(H, n_ctx)
+        q = hq.quotient
+        assert hq.lift_coideal(Subspace.from_vectors(q.field, q.dim, [q.unit])) == n_ctx.space
+        assert hq.lift_coideal(Subspace.full(q.field, q.dim)) == Subspace.full(H.field, H.dim)
+        for ctx in members:
+            if ctx.space.contains(n_ctx.space):
+                projected = Subspace.from_vectors(q.field, q.dim, [hq.project(list(b)) for b in ctx.space.basis])
+                assert hq.lift_coideal(projected) == ctx.space
+    assert compared
+
+
+def test_lifts_of_the_ascending_central_series_match_the_invariants_lift(monkeypatch):
+    compared = _lift_is_the_invariants_lift(monkeypatch)
+    table, labels = dihedral8_table()
+    double = drinfeld_double(group_algebra(table, conductor=4, labels=labels))
+    for H in [load(name, verify=False)[0] for name in corpus_names()] + [double]:
+        ascending_central_series(H)
+    # d4, q8 and D(kD4) each lift the center of one quotient
+    assert len(compared) == 3
