@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import NotAGroupError
 from .hopf import HopfAlgebra
-from .linalg import AlgebraPresentation, _tensor_add, _to_sparse
+from .linalg import AlgebraPresentation, _tensor_add, _to_dense, _to_sparse
 from .scalars import CyclotomicField
 
 # -- permutation utilities ----------------------------------------------------
@@ -150,22 +150,12 @@ def group_algebra(cayley_table, conductor=1, labels=None, name=None) -> HopfAlge
     field = CyclotomicField(conductor)
     n = len(cayley_table)
     one = field.one
-    mult = [[{cayley_table[i][j]: one} for j in range(n)] for i in range(n)]
+    mult = [{j: {k: one} for j, k in enumerate(row)} for row in cayley_table]
     comult = [{(i, i): one} for i in range(n)]
     counit = [one] * n
     unit = [field.zero] * n
     unit[identity] = one
-    inverse = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if cayley_table[x][y] == identity:
-                inverse[x] = y
-                break
-    antipode = []
-    for i in range(n):
-        row = [field.zero] * n
-        row[inverse[i]] = one
-        antipode.append(row)
+    antipode = [{row.index(identity): one} for row in cayley_table]
     return HopfAlgebra(field, n, mult, unit, comult, counit, antipode,
                        r_matrix={(identity, identity): one}, basis_labels=labels, name=name)
 
@@ -201,10 +191,11 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
         # q[k] = <p_b, S(e_w) e_k e_u>, as e_u -> (p_b <- S(e_w)) in H*, sparse
         key = (u, w, b)
         if key not in q_cache:
-            q_cache[key] = _to_sparse(Hd.act_left(H.basis(u), Hd.act_right(H.basis(b), H.antipode[w])))
+            s_w = _to_dense(H.antipode[w], dim, field)
+            q_cache[key] = _to_sparse(Hd.act_left(H.basis(u), Hd.act_right(H.basis(b), s_w)))
         return q_cache[key]
 
-    mult = [[{} for _ in range(D)] for _ in range(D)]
+    mult = [{} for _ in range(D)]
     for a in range(dim):
         p_a = {a: field.one}
         for i in range(dim):
@@ -216,11 +207,12 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
                         pa_q = Hd.sparse_product(p_a, sandwich(u, w, b))
                         if not pa_q:
                             continue
-                        for mp, cm in H.mult[v][j].items():
+                        for mp, cm in H.mult[v].get(j, {}).items():
                             f = c * cm
                             for cd, cq in pa_q.items():
                                 _tensor_add(out, didx(cd, mp), f * cq)
-                    row[didx(b, j)] = out
+                    if out:
+                        row[didx(b, j)] = out
 
     comult = [dict() for _ in range(D)]
     for a in range(dim):
@@ -232,25 +224,26 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
                     _tensor_add(cell, (didx(k, u), didx(j, v)), c * d)
 
     def pure(p, h):
-        # p (x) h for p in H* and h in H; index a * dim + i is p_a (x) e_i
-        return [c * d for c in p for d in h]
+        # p (x) h for sparse p in H* and h in H; index a * dim + i is p_a (x) e_i
+        return {didx(a, i): c * d for a, c in p.items() for i, d in h.items()}
 
-    unit = pure(H.counit, H.unit)
-    counit = pure(H.unit, H.counit)
+    eps, one = _to_sparse(H.counit), _to_sparse(H.unit)
+    unit = _to_dense(pure(eps, one), D, field)
+    counit = _to_dense(pure(one, eps), D, field)
     labels = None
     if H.basis_labels:
         labels = [f"{H.basis_labels[a]}*|{H.basis_labels[i]}" for a in range(dim) for i in range(dim)]
 
     algebra = AlgebraPresentation(field, D, mult, unit)
     # S(p_a x e_i) = (eps x S e_i) * (s(p_a) x 1)
-    left = [pure(H.counit, s) for s in H.antipode]
-    antipode = [algebra.multiply(x, right) for right in (pure(s, H.unit) for s in Hd.antipode) for x in left]
+    left = [pure(eps, s) for s in H.antipode]
+    antipode = [algebra.sparse_product(x, right) for right in (pure(s, one) for s in Hd.antipode) for x in left]
 
     r = {}
     for i in range(dim):
-        e_i = H.basis(i)
-        for x, cx in _to_sparse(pure(H.counit, e_i)).items():
-            for y, cy in _to_sparse(pure(e_i, H.unit)).items():
+        e_i = {i: field.one}
+        for x, cx in pure(eps, e_i).items():
+            for y, cy in pure(e_i, one).items():
                 _tensor_add(r, (x, y), cx * cy)
 
     return HopfAlgebra(field, D, mult, unit, comult, counit, antipode,

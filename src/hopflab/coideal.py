@@ -210,8 +210,9 @@ def _coideal_integral(hopf, space, presentation):
     only left integral too: y = Lambda_N y = eps(y) Lambda_N.
     """
     eps = [hopf.counit_of(b) for b in space.basis]
+    form = [_to_dense(row, space.dim, hopf.field) for row in _trace_form(presentation)]
     try:
-        coords, kernel = solve_linear(_trace_form(presentation), eps, hopf.field)
+        coords, kernel = solve_linear(form, eps, hopf.field)
     except InconsistentSystemError:
         kernel = None
     if kernel is None or kernel.dim:
@@ -363,8 +364,7 @@ def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
     algebra = _subalgebra_presentation(hopf, ideal, lam)
     comult = [_push_forward(hopf.comult_of(v), pi) for v in ideal.basis]
     counit = [hopf.counit_of(v) for v in ideal.basis]
-    antipode = [_to_dense(_combination(pi, _to_sparse(hopf.antipode_of(v))), qdim, field)
-                for v in ideal.basis]
+    antipode = [_combination(pi, _combination(hopf.antipode, v)) for v in ideal.sparse_basis]
     q = HopfAlgebra(field, qdim, algebra.mult, algebra.unit, comult, counit, antipode,
                     name=f"{hopf.name}//N" if hopf.name else "quotient")
     q.require_axioms()
@@ -388,21 +388,21 @@ def _push_forward(tensor, pi):
 
 def _check_projection_is_hopf_map(hopf, hq: HopfQuotient):
     """pi: H -> H//N intertwines the coproduct, the counit and the antipode
-    and is an algebra map: pi(e_i e_j), the cell mult[i][j] pushed through
-    the sparse rows pi(e_k), equals pi(e_i) pi(e_j) in the quotient."""
+    and is an algebra map: pi(e_i e_j), the cell of j in mult[i] (none when
+    e_i e_j = 0) pushed through the sparse rows pi(e_k), equals
+    pi(e_i) pi(e_j) in the quotient, for every pair."""
     q = hq.quotient
     pi = hq._pi
-    q_antipode = [_to_sparse(row) for row in q.antipode]
     for i, pi_i in enumerate(pi):
         if _combination(q.comult, pi_i) != _push_forward(hopf.comult[i], pi):
             raise HopfLabError("projection does not intertwine comultiplication")
         if sum((q.counit[k] * c for k, c in pi_i.items()), hopf.field.zero) != hopf.counit[i]:
             raise HopfLabError("projection does not preserve the counit")
-        if _combination(q_antipode, pi_i) != _combination(pi, _to_sparse(hopf.antipode[i])):
+        if _combination(q.antipode, pi_i) != _combination(pi, hopf.antipode[i]):
             raise HopfLabError("projection does not intertwine the antipode")
     for i, pi_i in enumerate(pi):
         for j, pi_j in enumerate(pi):
-            if _combination(pi, hopf.mult[i][j]) != q.sparse_product(pi_i, pi_j):
+            if _combination(pi, hopf.mult[i].get(j, {})) != q.sparse_product(pi_i, pi_j):
                 raise HopfLabError("projection is not an algebra map")
 
 
@@ -424,7 +424,7 @@ def left_kernel(hopf: HopfAlgebra, module_matrices) -> Subspace:
         for j in range(dim):
             composed = [mat_vec(module_matrices[i], module_matrices[j][r]) for r in range(d)]
             expected = [zero_vector(field, d) for _ in range(d)]
-            for k, c in hopf.mult[i][j].items():
+            for k, c in hopf.mult[i].get(j, {}).items():
                 for r in range(d):
                     expected[r] = vec_add(expected[r], vec_scale(module_matrices[k][r], c))
             if any(not vec_eq(composed[r], expected[r]) for r in range(d)):
@@ -478,6 +478,6 @@ def commutator_subalgebra(hopf: HopfAlgebra) -> CoidealSubalgebra:
     q = hq.quotient
     for i in range(q.dim):
         for j in range(q.dim):
-            if q.mult[i][j] != q.mult[j][i]:
+            if q.mult[i].get(j) != q.mult[j].get(i):
                 raise HopfLabError("quotient by the commutator subalgebra is not commutative")
     return ctx

@@ -44,7 +44,7 @@ from .linalg import (
     mat_vec,
     vec_eq,
 )
-from .linalg import _kernel_of_images, _left_ideal, _to_sparse
+from .linalg import _kernel_of_images, _left_ideal, _to_dense, _to_sparse
 
 
 def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
@@ -107,7 +107,7 @@ def frobenius_matrices(ctx: CoidealSubalgebra):
     scale = field.from_rational(ctx.invariants.dim).inverse()
     mult = ctx.presentation().mult
     # <lambda, n_b n_a> = sum_k c_ba^k <lambda, n_k>, c the constants of N
-    fwd = [[sum((c * lam[k] for k, c in mult[b][a].items()), field.zero) * scale
+    fwd = [[sum((c * lam[k] for k, c in mult[b].get(a, {}).items()), field.zero) * scale
             for b in range(ctx.dim)] for a in range(ctx.dim)]
     inv = []
     lam_n = ctx.integral
@@ -259,7 +259,8 @@ def _antipode_hit_constraint(ctx) -> Subspace:
     field = H.field
     # e_l* |-> the residuals modulo N of s(e_l*) -> e_j, keyed by (j, column)
     images = []
-    for sx in H.dual().antipode:
+    for row in H.dual().antipode:
+        sx = _to_dense(row, H.dim, field)
         images.append({
             (j, q): c
             for j in range(H.dim)
@@ -316,7 +317,7 @@ def hopf_subalgebra_data(ctx: CoidealSubalgebra) -> HopfAlgebra:
             raise HopfLabError("comultiplication does not restrict to N (x) N")
         comult.append(cell)
     counit = ctx.counit_on_basis()
-    antipode = [ctx.coords_of(H.antipode_of(list(b))) for b in ctx.space.basis]
+    antipode = [_to_sparse(ctx.coords_of(H.antipode_of(list(b)))) for b in ctx.space.basis]
     sub = HopfAlgebra(field, n, pres.mult, pres.unit, comult, counit, antipode,
                       name="subalgebra")
     sub.require_axioms()

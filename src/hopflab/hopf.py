@@ -1,7 +1,10 @@
 """Hopf algebras by exact structure constants.
 
 A HopfAlgebra holds the multiplication and comultiplication 3-tensors, the
-unit, counit and antipode over a fixed cyclotomic field.  Elements of H are
+unit, counit and antipode over a fixed cyclotomic field.  Every structure
+tensor holds only its nonzero entries: mult[i] = {j: {k: c}} for the j with
+e_i e_j != 0, comult[i] = {(j, k): c}, antipode[i] = {j: c} and the R-matrix
+{(i, j): c}; unit and counit are dense vectors.  Elements of H are
 coefficient vectors over the canonical basis; functionals (elements of H*)
 are vectors of values on that basis.  Everything downstream -- integrals,
 character tables, grouplikes, coideal subalgebras -- is computed from these
@@ -48,6 +51,8 @@ from .linalg import (
     _is_two_sided_integral,
     _regular_trace,
     _tensor_add,
+    _combination,
+    _to_dense,
     _to_sparse,
     basis_vector,
     mat_vec,
@@ -133,10 +138,11 @@ class HopfAlgebra(AlgebraPresentation):
 
     def __init__(self, field, dim, mult, unit, comult, counit, antipode,
                  r_matrix=None, basis_labels=None, name=None):
-        super().__init__(field, dim, mult, unit)  # mult[i][j]: {k: c}
+        """Sparse tensors of nonzero entries only; unit and counit dense."""
+        super().__init__(field, dim, mult, unit)  # mult[i]: {j: {k: c}}, e_i e_j != 0
         self.comult = comult          # comult[i]: {(j, k): c}
         self.counit = list(counit)
-        self.antipode = [list(row) for row in antipode]  # antipode[i] = S(e_i)
+        self.antipode = [dict(row) for row in antipode]  # antipode[i] = S(e_i): {j: c}
         self.r_matrix = r_matrix      # {(i, j): c} or None
         self.basis_labels = list(basis_labels) if basis_labels else None
         self.name = name
@@ -167,17 +173,10 @@ class HopfAlgebra(AlgebraPresentation):
         return v
 
     def same_structure(self, other):
-        if self.dim != other.dim or self.field is not other.field:
-            return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.mult[i][j] != other.mult[i][j]:
-                    return False
-            if self.comult[i] != other.comult[i]:
-                return False
-            if not vec_eq(self.antipode[i], other.antipode[i]):
-                return False
-        return vec_eq(self.unit, other.unit) and vec_eq(self.counit, other.counit)
+        return (self.dim == other.dim and self.field is other.field
+                and self.mult == other.mult and self.comult == other.comult
+                and self.antipode == other.antipode
+                and vec_eq(self.unit, other.unit) and vec_eq(self.counit, other.counit))
 
     # -- algebra and coalgebra operations -------------------------------------
 
@@ -199,7 +198,7 @@ class HopfAlgebra(AlgebraPresentation):
         return self.pair(self.counit, x)
 
     def antipode_of(self, x):
-        return mat_vec(self.antipode, x)
+        return _to_dense(_combination(self.antipode, _to_sparse(x)), self.dim, self.field)
 
     def pair(self, p, x):
         """<p, x> for a functional p and element x."""
@@ -216,16 +215,19 @@ class HopfAlgebra(AlgebraPresentation):
         if "dual" in self._cache:
             return self._cache["dual"]
         dim, field = self.dim, self.field
-        mult = [[{} for _ in range(dim)] for _ in range(dim)]
-        for m in range(dim):
-            for (i, j), c in self.comult[m].items():
-                mult[i][j][m] = c
-        comult = [dict() for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                for k, c in self.mult[i][j].items():
+        mult = [{} for _ in range(dim)]
+        for m, cell in enumerate(self.comult):
+            for (i, j), c in cell.items():
+                mult[i].setdefault(j, {})[m] = c
+        comult = [{} for _ in range(dim)]
+        for i, row in enumerate(self.mult):
+            for j, cell in row.items():
+                for k, c in cell.items():
                     comult[k][(i, j)] = c
-        antipode = [[self.antipode[j][i] for j in range(dim)] for i in range(dim)]
+        antipode = [{} for _ in range(dim)]
+        for i, row in enumerate(self.antipode):
+            for j, c in row.items():
+                antipode[j][i] = c
         labels = [f"{l}*" for l in self.basis_labels] if self.basis_labels else None
         dual = HopfAlgebra(
             field, dim, mult, list(self.counit), comult, list(self.unit), antipode,
@@ -265,19 +267,18 @@ class HopfAlgebra(AlgebraPresentation):
         ops = self._cache.get("ad")
         if ops is not None:
             return ops
-        mult = self.mult
-        s_rows = [[(q, s) for q, s in enumerate(row) if not s.is_zero()] for row in self.antipode]
+        mult, antipode = self.mult, self.antipode
         ops = []
         for i in range(self.dim):
             row = []
             for m in range(self.dim):
                 out = {}
                 for (j, k), c in self.comult[i].items():
-                    for p, d in mult[j][m].items():
+                    for p, d in mult[j].get(m, {}).items():
                         cd = c * d
-                        for q, s in s_rows[k]:
+                        for q, s in antipode[k].items():
                             f = cd * s
-                            for n, e in mult[p][q].items():
+                            for n, e in mult[p].get(q, {}).items():
                                 _tensor_add(out, n, f * e)
                 row.append(out)
             ops.append(row)
@@ -350,11 +351,8 @@ class HopfAlgebra(AlgebraPresentation):
                               ("antipode", tensors.antipode_witness())):
             checks.append(AxiomCheck(name, witness is None, witness))
 
-        witness = None
-        for i in range(dim):
-            if not vec_eq(self.antipode_of(self.antipode[i]), self.basis(i)):
-                witness = i
-                break
+        witness = next((i for i, row in enumerate(self.antipode)
+                        if _combination(self.antipode, row) != {i: self.field.one}), None)
         checks.append(AxiomCheck("antipode_involutive", witness is None, witness))
 
         if self.r_matrix is not None:
@@ -455,9 +453,8 @@ class HopfAlgebra(AlgebraPresentation):
         if gram is None:
             gram = [{} for _ in range(self.dim)]
             for (j, k), c in self.comult_of(self.integrals().integral).items():
-                for a, s in enumerate(self.antipode[j]):
-                    if not s.is_zero():
-                        _tensor_add(gram[a], k, c * s)
+                for a, s in self.antipode[j].items():
+                    _tensor_add(gram[a], k, c * s)
             self._cache["gram"] = gram
         out = self.field.zero
         for qa, row in zip(q, gram):
@@ -507,13 +504,13 @@ class HopfAlgebra(AlgebraPresentation):
         if target is self.field:
             return self
         emb = lambda s: s.embed(target)
-        mult = [[{k: emb(c) for k, c in cell.items()} for cell in row] for row in self.mult]
+        mult = [{j: {k: emb(c) for k, c in cell.items()} for j, cell in row.items()} for row in self.mult]
         comult = [{jk: emb(c) for jk, c in cell.items()} for cell in self.comult]
         r = {ij: emb(c) for ij, c in self.r_matrix.items()} if self.r_matrix else None
         return HopfAlgebra(
             target, self.dim, mult,
             [emb(c) for c in self.unit], comult, [emb(c) for c in self.counit],
-            [[emb(c) for c in row] for row in self.antipode],
+            [{j: emb(c) for j, c in row.items()} for row in self.antipode],
             r_matrix=r, basis_labels=self.basis_labels, name=self.name,
         )
 
@@ -571,18 +568,19 @@ class _IntegerTensors:
 
     def __init__(self, hopf):
         r = hopf.r_matrix or {}
-        self.field = hopf.field
+        self.field, self.dim = hopf.field, hopf.dim
         self.D = D = math.lcm(1, *{c.den for c in itertools.chain(
-            (c for row in hopf.mult for cell in row for c in cell.values()),
+            (c for row in hopf.mult for cell in row.values() for c in cell.values()),
             (c for cell in hopf.comult for c in cell.values()),
-            hopf.unit, hopf.counit, itertools.chain.from_iterable(hopf.antipode), r.values())})
-        self.mult = [[_int_cell(cell, D) for cell in row] for row in hopf.mult]  # [i][j]: [(k, t, x)]
-        self.nonzero_cells = [[(j, cell) for j, cell in enumerate(row) if cell] for row in self.mult]
+            (c for row in hopf.antipode for c in row.values()),
+            hopf.unit, hopf.counit, r.values())})
+        self.mult = [{j: _int_cell(cell, D) for j, cell in row.items()}
+                     for row in hopf.mult]                       # [i]: {j: [(k, t, x)]}
         self.comult = [[(j, k, t, x) for (j, k), t, x in _int_cell(cell, D)]
                        for cell in hopf.comult]                  # [i]: [(j, k, t, x)]
         self.unit = [_int_terms(c, D) for c in hopf.unit]        # [i]: [(t, x)]
         self.counit = [_int_terms(c, D) for c in hopf.counit]
-        self.antipode = [_int_cell(_to_sparse(row), D) for row in hopf.antipode]  # [i]: [(j, t, x)]
+        self.antipode = [_int_cell(row, D) for row in hopf.antipode]  # [i]: [(j, t, x)]
         self.r = [(i, j, t, x) for (i, j), t, x in _int_cell(r, D)]
 
     def _left_index(self, t1):
@@ -590,7 +588,7 @@ class _IntegerTensors:
         {c: [(b, t, x, mult[a][c])]}."""
         index = {}
         for a, b, t, x in t1:
-            for c, ac in self.nonzero_cells[a]:
+            for c, ac in self.mult[a].items():
                 index.setdefault(c, []).append((b, t, x, ac))
         return index
 
@@ -601,8 +599,8 @@ class _IntegerTensors:
         mult = self.mult
         for c, d, u, y in t2:
             for b, t, x, ac in left.get(c, ()):
-                bd = mult[b][d]
-                if not bd:
+                bd = mult[b].get(d)
+                if bd is None:
                     continue
                 xy, tu = sign * x * y, t + u
                 for m, v, z in ac:
@@ -625,16 +623,16 @@ class _IntegerTensors:
         (i, j), sum_m c_ij^m c_mk^n - sum_m c_jk^m c_im^n for every k and n
         in one accumulation, visiting only nonzero structure constants."""
         mult = self.mult
-        rows = [[(j, k, t, c) for j, cell in enumerate(row) for k, t, c in cell] for row in mult]
+        rows = [[(j, k, t, c) for j, cell in row.items() for k, t, c in cell] for row in mult]
         for i, mult_i in enumerate(mult):
-            for j, cell in enumerate(mult_i):
+            for j in range(self.dim):  # every j: at an empty cell the other side may not vanish
                 acc = {}
-                for m, t, c in cell:  # (e_i e_j) e_k
+                for m, t, c in mult_i.get(j, ()):  # (e_i e_j) e_k
                     for k, n, u, d in rows[m]:
                         key = (k, n, t + u)
                         acc[key] = acc.get(key, 0) + c * d
                 for k, m, t, c in rows[j]:  # e_i (e_j e_k)
-                    for n, u, d in mult_i[m]:
+                    for n, u, d in mult_i.get(m, ()):
                         key = (k, n, t + u)
                         acc[key] = acc.get(key, 0) - c * d
                 first = _first_nonzero(self.field, acc)
@@ -673,9 +671,9 @@ class _IntegerTensors:
             return "unit"
         for i, mult_i in enumerate(self.mult):
             left = self._left_index(comult[i])
-            for j, cell in enumerate(mult_i):
+            for j in range(self.dim):  # every j: at an empty cell the other side may not vanish
                 acc = {}
-                for k, t, x in cell:  # two factors against four
+                for k, t, x in mult_i.get(j, ()):  # two factors against four
                     x *= D2
                     for a, b, u, y in comult[k]:
                         key = (a, b, t + u)
@@ -699,8 +697,8 @@ class _IntegerTensors:
             return "unit"
         for i, mult_i in enumerate(self.mult):
             acc = {}
-            for j, cell in enumerate(mult_i):
-                for k, t, x in cell:
+            for j in range(self.dim):  # every j: at an empty cell the other side may not vanish
+                for k, t, x in mult_i.get(j, ()):
                     for u, y in counit[k]:
                         key = (j, t + u)
                         acc[key] = acc.get(key, 0) + x * y
@@ -722,12 +720,12 @@ class _IntegerTensors:
             for j, k, t, x in cell:
                 for q, u, y in antipode[j]:
                     xy, tu = x * y, t + u
-                    for n, v, z in mult[q][k]:
+                    for n, v, z in mult[q].get(k, ()):
                         key = (0, n, tu + v)
                         acc[key] = acc.get(key, 0) + xy * z
                 for q, u, y in antipode[k]:
                     xy, tu = x * y, t + u
-                    for n, v, z in mult[j][q]:
+                    for n, v, z in mult[j].get(q, ()):
                         key = (1, n, tu + v)
                         acc[key] = acc.get(key, 0) + xy * z
             for t, x in self.counit[i]:  # two factors against three
@@ -768,10 +766,10 @@ class _IntegerTensors:
         for a, b, t, x in R:
             for c, d, u, y in R:
                 xy, tu = x * y, t + u
-                for m, v, z in mult[b][d]:
+                for m, v, z in mult[b].get(d, ()):
                     key = (a, c, m, tu + v)
                     left[key] = left.get(key, 0) - xy * z
-                for m, v, z in mult[a][c]:
+                for m, v, z in mult[a].get(c, ()):
                     key = (m, d, b, tu + v)
                     right[key] = right.get(key, 0) - xy * z
         checks.append(AxiomCheck("r_left_coproduct", _first_nonzero(field, left) is None))

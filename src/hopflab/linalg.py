@@ -14,7 +14,7 @@ Three conventions hold throughout the library:
 - A linear combination sum_i c_i v_i is `mat_vec([v_0, v_1, ...], c)` on
   dense vectors and `_combination` on sparse dicts.
 - A product x y in an algebra is `AlgebraPresentation.sparse_product` on
-  sparse dicts, read from the nonzero cells of `mult`; `multiply` is its
+  sparse dicts, read from the sparse rows of `mult`; `multiply` is its
   dense wrapper, for callers off the hot paths.  The products e_n x and
   x e_n with every basis element come together from `_products_with_basis`.
 
@@ -449,7 +449,8 @@ def _krylov(apply, v, field):
 class AlgebraPresentation:
     """Associative unital algebra by structure constants.
 
-    mult[i][j] is a sparse dict {k: c} meaning e_i * e_j = sum_k c e_k.
+    mult[i] is a sparse row {j: {k: c}} meaning e_i * e_j = sum_k c e_k; it
+    holds only the j with e_i e_j != 0, and each cell only nonzero c.
     """
 
     def __init__(self, field, dim, mult, unit):
@@ -464,14 +465,14 @@ class AlgebraPresentation:
 
     def sparse_product(self, x, y):
         """x y for sparse x and y {index: Scalar}, as a sparse dict read
-        from the nonzero cells of mult."""
+        from the rows of mult."""
         out = {}
         mult = self.mult
         for i, xi in x.items():
             row = mult[i]
             for j, yj in y.items():
-                cell = row[j]
-                if not cell:
+                cell = row.get(j)
+                if cell is None:
                     continue
                 f = xi * yj
                 for k, c in cell.items():
@@ -481,15 +482,12 @@ class AlgebraPresentation:
 
     def center(self) -> Subspace:
         """Solutions of e_i x = x e_i for all i."""
-        images = []
-        for j in range(self.dim):
-            image = {}  # e_j |-> sum_i e_i (x) (e_i e_j - e_j e_i)
-            for i in range(self.dim):
-                for k, c in self.mult[i][j].items():
-                    _tensor_add(image, (i, k), c)
-                for k, c in self.mult[j][i].items():
-                    _tensor_add(image, (i, k), -c)
-            images.append(image)
+        images = [{} for _ in range(self.dim)]  # e_j |-> sum_i e_i (x) (e_i e_j - e_j e_i)
+        for i, row in enumerate(self.mult):
+            for j, cell in row.items():
+                for k, c in cell.items():
+                    _tensor_add(images[j], (i, k), c)
+                    _tensor_add(images[i], (j, k), -c)
         return _kernel_of_images(self.field, images)
 
 
@@ -514,7 +512,7 @@ def _subalgebra_presentation(algebra, space: Subspace, unit):
         cells = [space.sparse_coords(algebra.sparse_product(a, b)) for b in rows]
         if None in cells:
             return None
-        mult.append(cells)
+        mult.append({j: cell for j, cell in enumerate(cells) if cell})
     return AlgebraPresentation(algebra.field, space.dim, mult, unit_coords)
 
 
@@ -544,17 +542,18 @@ def _regular_trace(algebra):
     """t_k = tr(L_{e_k}) = sum_l c_kl^l, the character of the left regular
     representation."""
     zero = algebra.field.zero
-    return [sum((cell[k] for k, cell in enumerate(row) if k in cell), zero) for row in algebra.mult]
+    return [sum((cell[k] for k, cell in row.items() if k in cell), zero) for row in algebra.mult]
 
 
 def _trace_form(algebra):
-    """Rows T[m][j] = tr(L_{e_m e_j}) = sum_k c_mj^k t_k, t the regular
-    trace; non-degenerate exactly when the algebra is semisimple, in
+    """Sparse rows T[m] = {j: tr(L_{e_m e_j})}, tr(L_{e_m e_j}) =
+    sum_k c_mj^k t_k for t the regular trace, zeros left out;
+    non-degenerate exactly when the algebra is semisimple, in
     characteristic 0."""
-    traces = _regular_trace(algebra)
-    zero = algebra.field.zero
-    return [[sum((c * traces[k] for k, c in cell.items()), zero) for cell in row]
+    traces, zero = _regular_trace(algebra), algebra.field.zero
+    sums = [{j: sum((c * traces[k] for k, c in cell.items()), zero) for j, cell in row.items()}
             for row in algebra.mult]
+    return [{j: v for j, v in row.items() if not v.is_zero()} for row in sums]
 
 
 def _is_two_sided_integral(algebra, x, basis, counit):
@@ -660,7 +659,8 @@ def _central_blocks(algebra):
     theta != 0, and E = u / theta.  With the regular trace t_k =
     tr(L_{e_k}) = sum_l c_kl^l and the trace form tr(L_{e_m e_j})
     (`_trace_form`), d_i^2 = tr(L_{E_i}) = dim A E_i and
-    chi_i(x) = tr(L_{x E_i}) / d_i.
+    chi_i(x) = tr(L_{x E_i}) / d_i = sum_m (E_i)_m T[m](x) / d_i, read over
+    the support of E_i.
     """
     center = algebra.center()
     lines = _spectral_idempotents(algebra, center)
@@ -681,15 +681,17 @@ def _central_blocks(algebra):
         if u2 != {k: c * theta for k, c in u.items()}:
             raise NotSemisimpleError("central line is not closed under squaring")
         inv_theta = theta.inverse()
-        e = _to_dense({k: c * inv_theta for k, c in u.items()}, algebra.dim, field)
+        e = {k: c * inv_theta for k, c in u.items()}
         # L_E is a projection, so its trace is its rank, a positive integer
-        d2 = sum((c * t for c, t in zip(e, traces)), field.zero).integer_value()
+        d2 = sum((c * traces[k] for k, c in e.items()), field.zero).integer_value()
         d = math.isqrt(d2)
         if d * d != d2:
             raise NotSemisimpleError(f"block dimension {d2} is not a perfect square")
-        idempotents.append(e)
+        idempotents.append(_to_dense(e, algebra.dim, field))
         degrees.append(d)
-        characters.append(vec_scale(mat_vec(form, e), field.from_rational(d).inverse()))
+        inv_d = field.from_rational(d).inverse()
+        characters.append(_to_dense(_combination(form, {k: c * inv_d for k, c in e.items()}),
+                                    algebra.dim, field))
     return idempotents, degrees, characters
 
 

@@ -32,10 +32,10 @@ from .scalars import CyclotomicField, parse_scalar, scalar_to_string
 
 def hopf_to_dict(hopf: HopfAlgebra) -> dict:
     mult = []
-    for i in range(hopf.dim):
-        for j in range(hopf.dim):
-            for k in sorted(hopf.mult[i][j]):
-                c = hopf.mult[i][j][k]
+    for i, row in enumerate(hopf.mult):
+        for j in sorted(row):
+            for k in sorted(row[j]):
+                c = row[j][k]
                 if not c.is_zero():
                     mult.append([i, j, k, scalar_to_string(c)])
     comult = []
@@ -45,8 +45,9 @@ def hopf_to_dict(hopf: HopfAlgebra) -> dict:
             if not c.is_zero():
                 comult.append([i, j, k, scalar_to_string(c)])
     antipode = []
-    for i in range(hopf.dim):
-        for j, c in enumerate(hopf.antipode[i]):
+    for i, row in enumerate(hopf.antipode):
+        for j in sorted(row):
+            c = row[j]
             if not c.is_zero():
                 antipode.append([i, j, scalar_to_string(c)])
     out = {
@@ -104,7 +105,8 @@ def _scalar_list(data, key, dim, read):
 
 def _indexed_entries(data, key, arity, dim, read):
     """{index tuple: scalar} from entries [i, ..., "c"] with `arity`
-    indices, each in range(dim), and no index tuple given twice."""
+    indices, each in range(dim), and no index tuple given twice; an entry
+    whose scalar is zero is checked like any other and then left out."""
     if not isinstance(data[key], list):
         raise SchemaError(f"{key} is not a list of entries")
     out = {}
@@ -121,7 +123,7 @@ def _indexed_entries(data, key, arity, dim, read):
         if idx in out:
             raise SchemaError(f"{key} entry {list(idx)} is given twice")
         out[idx] = read(c, key)
-    return out
+    return {idx: c for idx, c in out.items() if not c.is_zero()}
 
 
 def hopf_from_dict(data: dict) -> HopfAlgebra:
@@ -132,13 +134,13 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
         # unit and counit come first: their lengths bound dim by the file's size
         unit = _scalar_list(data, "unit", dim, read)
         counit = _scalar_list(data, "counit", dim, read)
-        mult = [[{} for _ in range(dim)] for _ in range(dim)]
+        mult = [{} for _ in range(dim)]
         for (i, j, k), c in _indexed_entries(data, "mult", 3, dim, read).items():
-            mult[i][j][k] = c
-        comult = [dict() for _ in range(dim)]
+            mult[i].setdefault(j, {})[k] = c
+        comult = [{} for _ in range(dim)]
         for (i, j, k), c in _indexed_entries(data, "comult", 3, dim, read).items():
             comult[i][(j, k)] = c
-        antipode = [[field.zero] * dim for _ in range(dim)]
+        antipode = [{} for _ in range(dim)]
         for (i, j), c in _indexed_entries(data, "antipode", 2, dim, read).items():
             antipode[i][j] = c
         r_matrix = None

@@ -15,7 +15,7 @@ def solve_integral(algebra, counit):
     for j in range(dim):
         image = {}  # e_j |-> sum_i e_i (x) (e_i e_j - eps(e_i) e_j)
         for i in range(dim):
-            for m, c in algebra.mult[i][j].items():
+            for m, c in algebra.mult[i].get(j, {}).items():
                 _tensor_add(image, (i, m), c)
             _tensor_add(image, (i, j), -counit[i])
         images.append(image)

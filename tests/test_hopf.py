@@ -21,10 +21,19 @@ from click.testing import CliRunner
 
 from hopflab import linalg
 from hopflab.cli import main
-from hopflab.coideal import _invariants, coideal_closure, coideal_from_subspace, left_kernel
+from hopflab.coideal import (
+    _invariants,
+    coideal_closure,
+    coideal_from_subspace,
+    commutator_subalgebra,
+    left_kernel,
+    quotient,
+)
+from hopflab.corpus import build as build_corpus
 from hopflab.corpus import coideal_lattice, corpus_file, corpus_names
 from hopflab.corpus import load as load_corpus
 from hopflab.errors import IntegralError, NotAGroupError
+from hopflab.harmonic import hopf_subalgebra_data
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import (
     Subspace,
@@ -81,7 +90,7 @@ def test_verify_detects_broken_antipode(s3):
 
     bad = copy.deepcopy(s3)
     bad._cache = {}
-    bad.antipode = [bad.basis(i) for i in range(bad.dim)]  # identity map
+    bad.antipode = [{i: bad.field.one} for i in range(bad.dim)]  # identity map
     report = bad.verify()
     failed = {c.name for c in report.failures()}
     assert "antipode" in failed
@@ -102,7 +111,7 @@ def test_dual_s3_is_commutative(s3):
     dual = s3.dual()
     for i in range(dual.dim):
         for j in range(dual.dim):
-            assert dual.mult[i][j] == dual.mult[j][i]
+            assert dual.mult[i].get(j) == dual.mult[j].get(i)
 
 
 def test_hit_actions_group_dual(s3):
@@ -345,7 +354,7 @@ def dense_adjoint(H, h, a):
     """Reference h ad a = sum c e_j a S(e_k) over Delta(h), by dense multiply."""
     out = H.zero()
     for (j, k), c in H.comult_of(h).items():
-        term = H.multiply(H.multiply(H.basis(j), a), H.antipode[k])
+        term = H.multiply(H.multiply(H.basis(j), a), H.antipode_of(H.basis(k)))
         out = vec_add(out, vec_scale(term, c))
     return out
 
@@ -364,10 +373,11 @@ def test_associativity_witness_matches_dense_reference(name):
     rng = random.Random(name)
     witnesses = []
     for _ in range(4):
-        mult = [[dict(cell) for cell in row] for row in H.mult]
+        mult = [{j: dict(cell) for j, cell in row.items()} for row in H.mult]
         i, j = rng.randrange(H.dim), rng.randrange(H.dim)
-        k = rng.choice(sorted(mult[i][j]) or [0])
-        mult[i][j][k] = mult[i][j].get(k, H.field.zero) + H.field.from_rational(QQ(rng.randint(1, 3)))
+        cell = mult[i].setdefault(j, {})
+        k = rng.choice(sorted(cell) or [0])
+        cell[k] = cell.get(k, H.field.zero) + H.field.from_rational(QQ(rng.randint(1, 3)))
         broken = HopfAlgebra(H.field, H.dim, mult, H.unit, H.comult, H.counit, H.antipode,
                              r_matrix=H.r_matrix)
         witness = _verify_witness(broken, "associativity")
@@ -386,7 +396,7 @@ def test_multiply_matches_dense_reference(name):
         dense = H.zero()
         for i in range(H.dim):
             for j in range(H.dim):
-                for k, c in H.mult[i][j].items():
+                for k, c in H.mult[i].get(j, {}).items():
                     dense[k] = dense[k] + x[i] * y[j] * c
         assert vec_eq(H.multiply(x, y), dense)
 
@@ -420,8 +430,8 @@ def test_dual_object_matches_dual_side_definitions(name):
         return [H.field.from_rational(QQ(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(H.dim)]
 
     assert vec_eq(Hd.unit, H.counit)
-    for l in range(H.dim):
-        assert vec_eq(Hd.antipode[l], Hd.antipode_of(H.basis(l)))
+    for l in range(H.dim):  # s(p_l) = p_l o S: its value at e_i is S(e_i)_l
+        assert Hd.antipode[l] == {i: row[l] for i, row in enumerate(H.antipode) if l in row}
     for _ in range(3):
         p, q, a = rand_vec(), rand_vec(), rand_vec()
         pq = Hd.multiply(p, q)
@@ -429,7 +439,7 @@ def test_dual_object_matches_dual_side_definitions(name):
             assert pq[m] == sum((c * p[j] * q[k] for (j, k), c in H.comult[m].items()), H.field.zero)
         assert vec_eq(Hd.act_left(a, p), [H.pair(p, H.multiply(H.basis(i), a)) for i in range(H.dim)])
         assert vec_eq(Hd.act_right(p, a), [H.pair(p, H.multiply(a, H.basis(i))) for i in range(H.dim)])
-        assert vec_eq(Hd.antipode_of(p), [H.pair(p, H.antipode[i]) for i in range(H.dim)])
+        assert vec_eq(Hd.antipode_of(p), [H.pair(p, H.antipode_of(H.basis(i))) for i in range(H.dim)])
 
 
 def test_coadjoint_cache_does_not_grow():
@@ -547,3 +557,22 @@ def test_dihedral_group_algebra_verifies():
     d4 = group_algebra(table, conductor=4, labels=labels, name="kD4")
     assert d4.verify().ok
     assert sorted(d4.character_table().degrees) == [1, 1, 1, 1, 2]
+
+
+def _nonzero_entries_only(H):
+    """No empty cell and no zero value in mult, none in the antipode."""
+    cells = [cell for row in H.mult for cell in row.values()]
+    values = [c for cell in cells for c in cell.values()]
+    values += [c for row in H.antipode for c in row.values()]
+    return all(cells) and not any(c.is_zero() for c in values)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_tensors_hold_only_nonzero_entries(name):
+    H, _ = load_corpus(name, verify=False)
+    objects = [H, build_corpus(name), H.dual(), H.with_field(4 * H.field.conductor)]
+    if name in ("s3", "d4", "d-s3"):
+        ctx = commutator_subalgebra(H)
+        objects += [quotient(H, ctx).quotient, hopf_subalgebra_data(ctx)]
+    for obj in objects:
+        assert _nonzero_entries_only(obj), obj

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from hopflab.builders import group_algebra, permutation_group_table, symmetric3_table
 from hopflab.corpus import build, corpus_file, corpus_names
 from hopflab.errors import AxiomError, SchemaError
 from hopflab.serialize import (
@@ -131,3 +132,42 @@ def test_conductor_override_not_a_positive_int(tmp_path, override):
     save_hopf(build("z3"), path)
     with pytest.raises(SchemaError, match="not a positive integer"):
         load_hopf(path, conductor_override=override)
+
+
+def test_zero_entries_are_left_out_on_load():
+    # each "0" lands where s3 has no entry; it is read and then dropped
+    s3 = build("s3")
+    data = hopf_to_dict(s3)
+    data["mult"].append([0, 1, 0, "0"])
+    data["comult"].append([0, 1, 1, "0"])
+    data["antipode"].append([0, 1, "0"])
+    data["r_matrix"].append([1, 1, "0"])
+    loaded = hopf_from_dict(data)
+    assert loaded.same_structure(s3)
+    assert loaded.r_matrix == s3.r_matrix
+    assert dumps_canonical(hopf_to_dict(loaded)) == dumps_canonical(hopf_to_dict(s3))
+
+
+@pytest.mark.parametrize("extra", [[[0, 1, 0, "0"], [0, 1, 0, "0"]], [[0, 1, 1, "0"]]])
+def test_a_zero_entry_given_twice_is_refused(extra):
+    # s3 lists e_0 e_1 = e_1 as [0, 1, 1, "1"]
+    data = hopf_to_dict(build("s3"))
+    data["mult"] += extra
+    with pytest.raises(SchemaError, match="given twice"):
+        hopf_from_dict(data)
+
+
+@pytest.mark.parametrize("table", [
+    symmetric3_table()[0],
+    permutation_group_table([(1, 2, 0, 3), (0, 2, 3, 1)], 4)[0],  # A4
+])
+def test_rows_of_a_dual_group_algebra_hold_one_cell_each(tmp_path, table):
+    # k^G has e_i e_j = delta_ij e_i: n nonzero cells of the n^2
+    path = tmp_path / "dual.hopf.json"
+    save_hopf(group_algebra(table).dual(), path)
+    hopf, _ = load_hopf(path)
+    n = len(table)
+    assert hopf.dim == n
+    assert sum(len(row) for row in hopf.mult) == n
+    assert all(list(row) == [i] for i, row in enumerate(hopf.mult))
+    assert sum(len(row) for row in hopf.antipode) == n

@@ -35,8 +35,8 @@ def _tensor2_product(H, t1, t2):
     for (a, b), c in t1.items():
         for (x, y), d in t2.items():
             f = c * d
-            for m, cm in H.mult[a][x].items():
-                for n, cn in H.mult[b][y].items():
+            for m, cm in H.mult[a].get(x, {}).items():
+                for n, cn in H.mult[b].get(y, {}).items():
                     _tensor_add(out, (m, n), f * cm * cn)
     return out
 
@@ -53,11 +53,11 @@ def reference_report(H):
     def assoc_fails(ijk):
         i, j, k = ijk
         lhs, rhs = {}, {}
-        for m, c in H.mult[i][j].items():
-            for n, d in H.mult[m][k].items():
+        for m, c in H.mult[i].get(j, {}).items():
+            for n, d in H.mult[m].get(k, {}).items():
                 _tensor_add(lhs, n, c * d)
-        for m, c in H.mult[j][k].items():
-            for n, d in H.mult[i][m].items():
+        for m, c in H.mult[j].get(k, {}).items():
+            for n, d in H.mult[i].get(m, {}).items():
                 _tensor_add(rhs, n, c * d)
         return lhs != rhs
     triples = [(i, j, k) for i, j in pairs for k in range(dim)]
@@ -84,7 +84,7 @@ def reference_report(H):
     def comult_fails(ij):
         i, j = ij
         lhs = {}
-        for k, c in H.mult[i][j].items():
+        for k, c in H.mult[i].get(j, {}).items():
             for jk, d in H.comult[k].items():
                 _tensor_add(lhs, jk, c * d)
         return lhs != _tensor2_product(H, H.comult[i], H.comult[j])
@@ -97,7 +97,7 @@ def reference_report(H):
     def counit_mult_fails(ij):
         i, j = ij
         lhs = field.zero
-        for k, c in H.mult[i][j].items():
+        for k, c in H.mult[i].get(j, {}).items():
             lhs = lhs + c * H.counit[k]
         return lhs != H.counit[i] * H.counit[j]
     witness = "unit" if not H.counit_of(H.unit).is_one() else _first(pairs, counit_mult_fails)
@@ -106,13 +106,13 @@ def reference_report(H):
     def antipode_fails(i):
         left, right = H.zero(), H.zero()
         for (j, k), c in H.comult[i].items():
-            left = vec_add(left, vec_scale(H.multiply(H.antipode[j], H.basis(k)), c))
-            right = vec_add(right, vec_scale(H.multiply(H.basis(j), H.antipode[k]), c))
+            left = vec_add(left, vec_scale(H.multiply(H.antipode_of(H.basis(j)), H.basis(k)), c))
+            right = vec_add(right, vec_scale(H.multiply(H.basis(j), H.antipode_of(H.basis(k))), c))
         target = vec_scale(H.unit, H.counit[i])
         return not (vec_eq(left, target) and vec_eq(right, target))
     checks.append(AxiomCheck("antipode", *_witness(_first(range(dim), antipode_fails))))
 
-    involutive = _first(range(dim), lambda i: not vec_eq(H.antipode_of(H.antipode[i]), H.basis(i)))
+    involutive = _first(range(dim), lambda i: not vec_eq(H.antipode_of(H.antipode_of(H.basis(i))), H.basis(i)))
     checks.append(AxiomCheck("antipode_involutive", *_witness(involutive)))
     if H.r_matrix is not None:
         checks.extend(_reference_quasitriangular(H))
@@ -127,7 +127,7 @@ def _reference_quasitriangular(H):
     R = H.r_matrix
     r_inv = {}  # (S x id)R
     for (i, j), c in R.items():
-        for m, cm in enumerate(H.antipode[i]):
+        for m, cm in H.antipode[i].items():
             _tensor_add(r_inv, (m, j), c * cm)
     invertible = _tensor2_product(H, R, r_inv) == _tensor2_of_pair(H.unit, H.unit)
     checks = [AxiomCheck("r_invertible", invertible)]
@@ -138,7 +138,7 @@ def _reference_quasitriangular(H):
             _tensor_add(lhs, (a, b, j), c * d)
     for (a, b), c in R.items():
         for (x, y), d in R.items():
-            for m, cm in H.mult[b][y].items():
+            for m, cm in H.mult[b].get(y, {}).items():
                 _tensor_add(rhs, (a, x, m), c * d * cm)
     checks.append(AxiomCheck("r_left_coproduct", lhs == rhs))
 
@@ -148,7 +148,7 @@ def _reference_quasitriangular(H):
             _tensor_add(lhs, (i, a, b), c * d)
     for (a, b), c in R.items():
         for (x, y), d in R.items():
-            for m, cm in H.mult[a][x].items():
+            for m, cm in H.mult[a].get(x, {}).items():
                 _tensor_add(rhs, (m, y, b), c * d * cm)
     checks.append(AxiomCheck("r_right_coproduct", lhs == rhs))
 
@@ -189,10 +189,11 @@ def rebased(H, P):
     def sparse(vec):
         return {k: c for k, c in enumerate(vec) if not c.is_zero()}
 
-    mult = [[sparse(f_coords(H.multiply(P[i], P[j]))) for j in range(dim)] for i in range(dim)]
+    mult = [{j: cell for j in range(dim) if (cell := sparse(f_coords(H.multiply(P[i], P[j]))))}
+            for i in range(dim)]
     comult = [f_tensor(H.comult_of(P[i])) for i in range(dim)]
     counit = [H.counit_of(P[i]) for i in range(dim)]
-    antipode = [f_coords(H.antipode_of(P[i])) for i in range(dim)]
+    antipode = [sparse(f_coords(H.antipode_of(P[i]))) for i in range(dim)]
     r_matrix = f_tensor(H.r_matrix) if H.r_matrix is not None else None
     return HopfAlgebra(field, dim, mult, f_coords(H.unit), comult, counit, antipode, r_matrix=r_matrix)
 
@@ -241,7 +242,7 @@ def _algebra(name):
 @pytest.mark.parametrize("name", sorted(REBASED))
 def test_rebased_algebras_verify_with_irrational_and_fractional_constants(name):
     H = _algebra(name)
-    constants = [c for row in H.mult for cell in row for c in cell.values()]
+    constants = [c for row in H.mult for cell in row.values() for c in cell.values()]
     constants += [c for cell in H.comult for c in cell.values()]
     assert any(not c.is_rational() for c in constants)
     assert any(c.is_rational() and not c.is_integer() for c in constants)
@@ -270,17 +271,18 @@ def test_verify_matches_reference_on_corpus(name):
 
 def _tampered(H, rng, values):
     """A copy of H with one entry of one tensor replaced."""
-    mult = [[dict(cell) for cell in row] for row in H.mult]
+    mult = [{j: dict(cell) for j, cell in row.items()} for row in H.mult]
     comult = [dict(cell) for cell in H.comult]
     unit, counit = list(H.unit), list(H.counit)
-    antipode = [list(row) for row in H.antipode]
+    antipode = [dict(row) for row in H.antipode]
     r_matrix = dict(H.r_matrix) if H.r_matrix is not None else None
     dim = H.dim
     value = rng.choice(values)
     tensor = rng.choice(["mult", "comult", "unit", "counit", "antipode"] + (["r_matrix"] if r_matrix else []))
     if tensor == "mult":
         i, j = rng.randrange(dim), rng.randrange(dim)
-        mult[i][j][rng.choice(sorted(mult[i][j]) or [0])] = value
+        cell = mult[i].setdefault(j, {})
+        cell[rng.choice(sorted(cell) or [0])] = value
     elif tensor == "comult":
         i = rng.randrange(dim)
         key = rng.choice(sorted(comult[i])) if comult[i] and rng.random() < 0.8 else (rng.randrange(dim), rng.randrange(dim))
@@ -311,3 +313,29 @@ def test_verify_witnesses_match_reference_under_random_tampering(name):
         assert report.to_dict() == reference_report(broken).to_dict()
         failed += not report.ok
     assert failed
+
+
+@pytest.mark.parametrize("cell, value, expected", [
+    ((1, 4), 0, {"associativity": (0, 1, 4), "comult_is_algebra_map": (0, 2)}),
+    ((0, 0), None, {"comult_is_algebra_map": (0, 0), "counit_is_algebra_map": (0, 0)}),
+])
+def test_witnesses_at_empty_cells_match_reference(cell, value, expected):
+    # s3-dual = k^S3 has e_i e_j = 0 for i != j.  Set an empty cell to e_value,
+    # or empty the cell e_0 e_0: the first failure of each check below then
+    # lies at a pair whose cell is empty, through the other side of its
+    # identity, so the loops over pairs must visit every j in order
+    H = _algebra("s3-dual")
+    mult = [{j: dict(c) for j, c in row.items()} for row in H.mult]
+    i, j = cell
+    if value is None:
+        del mult[i][j]
+    else:
+        assert j not in mult[i]
+        mult[i][j] = {value: H.field.one}
+    broken = HopfAlgebra(H.field, H.dim, mult, H.unit, H.comult, H.counit, H.antipode, r_matrix=H.r_matrix)
+    report = broken.verify().to_dict()
+    assert report == reference_report(broken).to_dict()
+    witnesses = {c["axiom"]: c.get("witness") for c in report["checks"]}
+    for axiom, witness in expected.items():
+        assert witnesses[axiom] == witness
+        assert witness[1] not in mult[witness[0]]
