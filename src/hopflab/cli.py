@@ -92,16 +92,20 @@ def _emit(command, result, exit_code, input_file=None, input_hash=None,
         out_path = os.path.join(workspace, name)
         with open(out_path, "w") as fh:
             fh.write(payload)
-        click.echo(out_path)
+        click.echo(out_path, file=sys.stdout)
     elif as_text and text is not None:
-        click.echo(text)
+        click.echo(text, file=sys.stdout)
     else:
-        click.echo(payload, nl=False)
+        click.echo(payload, nl=False, file=sys.stdout)
     sys.exit(exit_code)
 
 
 def _fail(message):
-    click.echo(f"error: {message}", err=True)
+    # the streams are passed explicitly: without them click keeps a wrapper
+    # for each stream object it has written to, whose value holds the
+    # stream, so a caller that gives every call its own stream keeps each
+    # one alive
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 

@@ -58,6 +58,7 @@ from .linalg import (
 )
 from .linalg import (
     _combination,
+    _is_central,
     _is_two_sided_integral,
     _kernel_of_images,
     _products_with_basis,
@@ -207,7 +208,9 @@ def _coideal_integral(hopf, space, presentation):
     N Lambda_N is the trivial block, of dimension 1, so tr(L_{n Lambda_N})
     = eps(n); the form is non-degenerate for semisimple N in characteristic
     0, so the solution is unique.  The two-sided certificate makes it the
-    only left integral too: y = Lambda_N y = eps(y) Lambda_N.
+    only left integral too: y = Lambda_N y = eps(y) Lambda_N.  It reads
+    the rows of N's generating set once H is proven, as H's own
+    certificate does (HopfAlgebra.integrals).
     """
     eps = [hopf.counit_of(b) for b in space.basis]
     form = [_to_dense(row, space.dim, hopf.field) for row in _trace_form(presentation)]
@@ -222,7 +225,8 @@ def _coideal_integral(hopf, space, presentation):
     if hopf.sparse_product(xs, xs) != xs:
         raise IntegralError("coideal integral is not idempotent")
     x = _to_dense(xs, hopf.dim, hopf.field)
-    if not _is_two_sided_integral(hopf, x, space.sparse_basis, eps):
+    gens = presentation._test_indices()
+    if not _is_two_sided_integral(hopf, x, [space.sparse_basis[s] for s in gens], [eps[s] for s in gens]):
         raise IntegralError("coideal integral is not two-sided")
     return x
 
@@ -240,12 +244,14 @@ def _normality_pair(hopf, space, integral):
     """Two independent normality tests (they agree for valid inputs):
     stability under the adjoint action, each e_i ad b = sum_m b_m ad[i][m]
     read from the cached ad table and reduced against the echelon rows, and
-    centrality of the integral, e_i Lambda = Lambda e_i read from the cells
-    of mult."""
-    by_adjoint = all(not space.residual(_combination(ad_i, b))
-                     for ad_i in hopf._ad_operators() for b in space.sparse_basis)
-    right, left = _products_with_basis(hopf, integral)
-    return by_adjoint, right == left
+    centrality of the integral (`_is_central`).  Both read only the e_i of
+    H's generating set once H is proven; for the first, (a a') ad b =
+    a ad (a' ad b) and 1 ad b = b, so the a with a ad N <= N form a
+    subalgebra."""
+    ad = hopf._ad_operators()
+    by_adjoint = all(not space.residual(_combination(ad[i], {m: c for m, c in b.items() if m in ad[i]}))
+                     for i in hopf._test_indices() for b in space.sparse_basis)
+    return by_adjoint, _is_central(hopf, _to_sparse(integral))
 
 
 def _is_cocommutative(hopf, x):
@@ -457,9 +463,9 @@ def hopf_center(hopf: HopfAlgebra) -> Subspace:
     failed check raises HopfLabError.
     """
     zero = hopf.field.zero
-    chi = [sum((op.get(m, zero) for m, op in enumerate(ad_i)), zero) for ad_i in hopf._ad_operators()]
+    chi = [sum((op.get(m, zero) for m, op in ad_i.items()), zero) for ad_i in hopf._ad_operators()]
     space = _invariants(hopf, Subspace.from_vectors(hopf.field, hopf.dim, [chi]))
-    central = all(right == left for right, left in (_products_with_basis(hopf, b) for b in space.basis))
+    central = all(_is_central(hopf, b) for b in space.sparse_basis)
     if not (central and _is_hopf_subspace(hopf, space)):
         raise HopfLabError("the left kernel of the adjoint module is not a central Hopf subalgebra")
     return space

@@ -5,7 +5,7 @@ row-echelon bases so that equality of subspaces is equality of matrices.
 The structure-constant systems this library produces are very sparse, so
 the elimination core works on dict-rows keyed by column.
 
-Three conventions hold throughout the library:
+Four conventions hold throughout the library:
 
 - A solution space is written as the kernel of a linear map given by the
   images of the basis vectors, each a sparse dict {output key: Scalar}, and
@@ -17,6 +17,11 @@ Three conventions hold throughout the library:
   sparse dicts, read from the sparse rows of `mult`; `multiply` is its
   dense wrapper, for callers off the hot paths.  The products e_n x and
   x e_n with every basis element come together from `_products_with_basis`.
+- A check whose passing set is a subalgebra reads the basis indices
+  `AlgebraPresentation._test_indices()`: once the algebra's axioms are
+  proven, only its cached generating set, chosen greedily by
+  `_greedy_generators`, the routine that also closes a subalgebra from
+  generators.
 
 Also here: Wedderburn data of a semisimple algebra given by structure
 constants.  The central part -- central primitive idempotents E_i and
@@ -451,6 +456,13 @@ class AlgebraPresentation:
 
     mult[i] is a sparse row {j: {k: c}} meaning e_i * e_j = sum_k c e_k; it
     holds only the j with e_i e_j != 0, and each cell only nonzero c.
+
+    Derived data is cached in `_cache`.  `_cache["proven"]` marks an
+    algebra whose own axioms are proven (associative, with its unit; a
+    HopfAlgebra sets it when verify() passes).  From then on every check
+    whose passing set is a subalgebra reads only the generating set
+    (`_test_indices`): it holds 1, and a subalgebra that holds a set
+    generating the algebra is the algebra.
     """
 
     def __init__(self, field, dim, mult, unit):
@@ -458,6 +470,7 @@ class AlgebraPresentation:
         self.dim = dim
         self.mult = mult
         self.unit = list(unit)
+        self._cache = {}
 
     def multiply(self, x, y):
         """x y for dense x and y: sparse_product, densified."""
@@ -480,14 +493,52 @@ class AlgebraPresentation:
                     out[k] = f * c if cur is None else cur + f * c
         return {k: c for k, c in out.items() if not c.is_zero()}
 
+    def generating_set(self):
+        """Basis indices S whose right-nested words s_1 (s_2 (... s_k))
+        span the algebra, chosen greedily in index order
+        (`_greedy_generators`), cached.  The search gives up, and S is every
+        index, once it would take more products than mult has nonzero
+        cells, which is as many as the full checks read: a commutative
+        algebra of orthogonal idempotents such as k^G needs dim - 1
+        generators, at dim products each.
+
+        The words lie in every subalgebra that holds S, whether or not the
+        algebra is associative, so S certifies Light's associativity test
+        (Clifford-Preston, The Algebraic Theory of Semigroups I, 1961):
+        A = {a : (x a) y = x (a y) for all x, y} is closed under products
+        and holds 1 once the unit axiom holds, so S <= A makes A the whole
+        algebra."""
+        gens = self._cache.get("generators")
+        if gens is None:
+            one = self.field.one
+            budget = sum(len(row) for row in self.mult)
+            found = _greedy_generators(self, [{i: one} for i in range(self.dim)], budget)
+            gens = tuple(found[0]) if found is not None else tuple(range(self.dim))
+            self._cache["generators"] = gens
+        return gens
+
+    def _test_indices(self):
+        """The basis indices that a check whose passing set is a subalgebra
+        reads: generating_set() once the axioms are proven, every index
+        before, since the passing set is a subalgebra only for an
+        associative algebra (for a HopfAlgebra, one whose counit and
+        coproduct are algebra maps)."""
+        return self.generating_set() if self._cache.get("proven") else range(self.dim)
+
     def center(self) -> Subspace:
-        """Solutions of e_i x = x e_i for all i."""
-        images = [{} for _ in range(self.dim)]  # e_j |-> sum_i e_i (x) (e_i e_j - e_j e_i)
+        """Solutions of e_s x = x e_s for each s of _test_indices(): an
+        element commuting with a generating set of an associative algebra
+        commutes with every word in it."""
+        gens = set(self._test_indices())
+        images = [{} for _ in range(self.dim)]  # e_j |-> sum_s e_s (x) (e_s e_j - e_j e_s)
         for i, row in enumerate(self.mult):
             for j, cell in row.items():
-                for k, c in cell.items():
-                    _tensor_add(images[j], (i, k), c)
-                    _tensor_add(images[i], (j, k), -c)
+                if i in gens:
+                    for k, c in cell.items():
+                        _tensor_add(images[j], (i, k), c)
+                if j in gens:
+                    for k, c in cell.items():
+                        _tensor_add(images[i], (j, k), -c)
         return _kernel_of_images(self.field, images)
 
 
@@ -499,10 +550,20 @@ def _products_with_basis(algebra, x):
             [algebra.sparse_product(xs, e) for e in basis])
 
 
+def _is_central(algebra, x):
+    """e_s x = x e_s, for a sparse x, for every s of
+    algebra._test_indices(): the elements commuting with x form a
+    subalgebra, so x is central once it commutes with a generating set."""
+    one = algebra.field.one
+    return all(algebra.sparse_product({s: one}, x) == algebra.sparse_product(x, {s: one})
+               for s in algebra._test_indices())
+
+
 def _subalgebra_presentation(algebra, space: Subspace, unit):
     """The subalgebra on a subspace's echelon basis, with the given unit,
     as an AlgebraPresentation in that basis's coordinates; None when the
-    unit or a product of two basis vectors leaves the subspace."""
+    unit or a product of two basis vectors leaves the subspace.  It is
+    proven when the algebra is and the unit is the algebra's own."""
     unit_coords = space.coords_of(unit)
     if unit_coords is None:
         return None
@@ -513,29 +574,92 @@ def _subalgebra_presentation(algebra, space: Subspace, unit):
         if None in cells:
             return None
         mult.append({j: cell for j, cell in enumerate(cells) if cell})
-    return AlgebraPresentation(algebra.field, space.dim, mult, unit_coords)
+    presentation = AlgebraPresentation(algebra.field, space.dim, mult, unit_coords)
+    if algebra._cache.get("proven") and vec_eq(unit, algebra.unit):
+        presentation._cache["proven"] = True
+    return presentation
+
+
+def _greedy_generators(algebra, candidates, budget=None):
+    """(kept, W): the indices of the candidates (sparse dicts) kept, and the
+    subalgebra W they generate, which holds every candidate; None when
+    more than budget products would be needed.
+
+    W starts as span(1).  A candidate g is kept only when it is not yet in
+    W; it enters W and multiplies every row W holds, each kept candidate
+    multiplies each row that enters W after it, and the products enter W,
+    until a round adds nothing or W is the whole algebra.  Then W holds 1
+    and s W <= W for each kept s, so it holds every word
+    s_1 (s_2 (... s_k)) and lies in every subalgebra holding the kept
+    candidates.  Each row is multiplied once by each kept candidate: at
+    most |kept| dim W products.
+
+    W is held as reduced echelon rows, each 1 at its pivot and 0 at the
+    others' pivots; a vector enters by its residual, which then clears its
+    pivot from the earlier rows.  A row so changed spans W with the row
+    that changed it, which is multiplied in its turn."""
+    field, dim = algebra.field, algebra.dim
+    rows = {}  # pivot -> echelon row
+
+    def subtract(vec, f, row, pivot):
+        """vec -= f row off the pivot, in place, dropping zeros."""
+        for key, r in row.items():
+            if key != pivot:
+                cur = vec.get(key)
+                nv = -(f * r) if cur is None else cur - f * r
+                if nv.is_zero():
+                    vec.pop(key)
+                else:
+                    vec[key] = nv
+
+    def enter(vec):
+        """vec's residual modulo W as a new echelon row, or None."""
+        vec = dict(vec)
+        for p in [p for p in vec if p in rows]:
+            subtract(vec, vec.pop(p), rows[p], p)
+        if not vec:
+            return None
+        lead = min(vec)
+        inv = vec[lead].inverse()
+        row = {key: c * inv for key, c in vec.items()}
+        for other in rows.values():
+            f = other.pop(lead, None)
+            if f is not None:
+                subtract(other, f, row, lead)
+        rows[lead] = row
+        return row
+
+    enter(_to_sparse(algebra.unit))
+    kept, count = [], 0
+    for index, g in enumerate(candidates):
+        if len(rows) == dim:
+            break
+        new = enter(g)
+        if new is None:
+            continue
+        kept.append(index)
+        pending = [(g, w) for w in rows.values() if w is not new]
+        fresh = [new]
+        while fresh and len(rows) < dim:
+            pending += [(candidates[k], w) for k in kept for w in fresh]
+            count += len(pending)
+            if budget is not None and count > budget:
+                return None
+            fresh = [row for row in (enter(algebra.sparse_product(s, w)) for s, w in pending)
+                     if row is not None]
+            pending = []
+    return kept, Subspace(field, dim, sorted(rows.items()))
 
 
 def _subalgebra_generated(algebra, generators) -> Subspace:
-    """The smallest subalgebra S holding the unit and the generators, given
-    as sparse dicts.  W starts as span(1, G) for the echelon rows G of the
-    generators' span; each round multiplies every g in G by the echelon rows
-    that entered W in the round before, and the residuals of the products
-    modulo W enter W.  When a round adds nothing, or W is the whole algebra,
-    W holds 1 and g W <= W for each g, so it holds every word
-    g_1 (g_2 (... g_k)) and is S.  Each row is multiplied once by each g:
-    at most |G| dim S products."""
-    field, dim = algebra.field, algebra.dim
-    gens = Subspace.from_vectors(field, dim, generators).sparse_basis
-    space = Subspace.from_vectors(field, dim, [_to_sparse(algebra.unit)] + gens)
-    fresh = space.sparse_basis
-    while space.dim < dim:
-        residuals = [space.residual(algebra.sparse_product(g, w)) for g in gens for w in fresh]
-        fresh = Subspace.from_vectors(field, dim, residuals).sparse_basis
-        if not fresh:
-            break
-        space = Subspace.from_vectors(field, dim, space.sparse_basis + fresh)
-    return space
+    """The smallest subalgebra holding the unit and the generators, given
+    as sparse dicts: the whole algebra, with no product, when they span it,
+    else the W of `_greedy_generators`, which multiplies by a generator
+    only when it is not yet in W."""
+    space = Subspace.from_vectors(algebra.field, algebra.dim, [_to_sparse(algebra.unit)] + list(generators))
+    if space.dim == algebra.dim:
+        return space
+    return _greedy_generators(algebra, generators)[1]
 
 
 def _regular_trace(algebra):

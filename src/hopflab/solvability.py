@@ -113,7 +113,7 @@ def step_conditions(prev: CoidealSubalgebra, nxt: CoidealSubalgebra) -> StepResu
         eps_a = H.counit_of(nxt.space.basis[r])
         diffs = {}  # D_a[m] = (a ad e_m) Lambda - eps(a) e_m Lambda
         for m in support:
-            shifted = _combination({i: ad[i][m] for i in a}, a)  # a ad e_m
+            shifted = _combination({i: ad[i].get(m, {}) for i in a}, a)  # a ad e_m
             _tensor_add(shifted, m, -eps_a)
             diffs[m] = _combination(right, shifted)
         for s, b in enumerate(rows):
