@@ -500,7 +500,7 @@ class AlgebraPresentation:
         index, once it would take more products than mult has nonzero
         cells, which is as many as the full checks read: a commutative
         algebra of orthogonal idempotents such as k^G needs dim - 1
-        generators, at dim products each.
+        generators, each multiplying every row of W.
 
         The words lie in every subalgebra that holds S, whether or not the
         algebra is associative, so S certifies Light's associativity test
