@@ -12,7 +12,9 @@ every label but the first of s3, s3-dual, d-z2, d4, q8 and z6, and `coideal`,
 `solvable-find` is also pinned on D(kD4) (dim 64) and D(kD6) (dim 144),
 built from the permutation groups D4 and D6 with the library's builders,
 so that the search's step conditions, normality tests, closures, quotient
-checks and lifts are pinned on algebras larger than the corpus's.
+checks and lifts are pinned on algebras larger than the corpus's;
+`nilpotent-check` is pinned on D(kD4), whose ascending central series
+[8, 64] goes through a quotient and a lift.
 
 `verify` is also pinned, with and without `--text`, on tampered copies of
 corpus files (one entry of one tensor replaced, some by irrational or
@@ -65,8 +67,7 @@ def _commands():
     for name in corpus_names():
         commands.append(("solvable-find", name))
         commands.append(("solvable-find", name, "--text"))
-        if name != "d-s3":
-            commands.append(("nilpotent-check", name))
+        commands.append(("nilpotent-check", name))
         for command in ("verify", "characters", "integrals"):
             commands.append((command, name))
             commands.append((command, name, "--text"))
@@ -121,20 +122,21 @@ DOUBLES = (("kD4", [(1, 2, 3, 0), (0, 3, 2, 1)], 4, 4),
            ("kD6", [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)], 6, 3))
 
 
-def _double_digest(directory, double):
-    """Digest of `solvable-find` on the Drinfeld double of the group algebra
+def _double_digest(directory, double, command="solvable-find"):
+    """Digest of `command` on the Drinfeld double of the group algebra
     DOUBLES names, saved under a fixed file name."""
     name, generators, degree, conductor = next(d for d in DOUBLES if d[0] == double)
     table, labels = permutation_group_table(generators, degree)
     hopf = drinfeld_double(group_algebra(table, conductor=conductor, labels=labels, name=name))
     path = os.path.join(directory, f"double-{name[1:].lower()}.hopf.json")
     save_hopf(hopf, path)
-    return _digest(("solvable-find", f"D({name})"), path)
+    return _digest((command, f"D({name})"), path)
 
 
 PINNED = {
     'solvable-find D(kD4)': ('0227b28d58b4d51a04ebb9f359ab79e888ead450eebaa8cc51475d63281d3a09', 0),
     'solvable-find D(kD6)': ('d379d257d8a6b8cd2abd2cbb3ab42010b381985918fc5ef89e2df0406d0b8b8a', 0),
+    'nilpotent-check D(kD4)': ('9580d9cc46859dcb9ef126c82adb29a27fa1b71caa30f706794e61321fd6c3ec', 0),
     'solvable-find z2': ('cfa508e3d882e6a7502169017061884a367947d4b6cffa9cc4d24b6a0d247ff5', 0),
     'solvable-find z2 --text': ('954eaaa9f474510bf973122719c57e288de9fd42957a43283fb25b258b276c2e', 0),
     'nilpotent-check z2': ('6e6455e05d2cf3bea53faf1b770d8868d1b692447d3bf227622fdabcf280a7ee', 0),
@@ -193,6 +195,7 @@ PINNED = {
     'characters d-z2 --text': ('bede68a30fbf38ed25fd33a73ab08595bde25e30c79458d7d89811dd37b761a8', 0),
     'solvable-find d-s3': ('85c87a86e30abbe67b961237e1525b8c58e3919df356104199219ec660401f64', 0),
     'solvable-find d-s3 --text': ('a53de701b9723aac5b59c8e3ab03e041bd2e45bdb43eb09c9707047dc46e5067', 0),
+    'nilpotent-check d-s3': ('d14b6aad5e5713d70907e83229c81ad9ba7eeb648c09ef26bd73f1ba0db38ed7', 1),
     'verify d-s3': ('9417fabfcc582506bb52d87f681fba9f023ac10617f5a6110d58584f9301f840', 0),
     'verify d-s3 --text': ('86912e551769f87f037f6410c422523a33e59b34cf401799e267b0dd00bebb22', 0),
     'characters d-s3': ('9037dd43a9941509b79d5c9bfd08945be50324f72bf2335460576c18c8cf7b51', 0),
@@ -353,6 +356,10 @@ def test_double_d6_search_report_matches_pinned_digest(tmp_path):
     assert _double_digest(tmp_path, "kD6") == PINNED["solvable-find D(kD6)"]
 
 
+def test_double_d4_nilpotent_report_matches_pinned_digest(tmp_path):
+    assert _double_digest(tmp_path, "kD4", "nilpotent-check") == PINNED["nilpotent-check D(kD4)"]
+
+
 if __name__ == "__main__":
     for args in _commands():
         digest, code = _digest(args)
@@ -364,3 +371,5 @@ if __name__ == "__main__":
         for name, *_ in DOUBLES:
             digest, code = _double_digest(directory, name)
             print(f"    'solvable-find D({name})': ({digest!r}, {code}),")
+        digest, code = _double_digest(directory, "kD4", "nilpotent-check")
+        print(f"    'nilpotent-check D(kD4)': ({digest!r}, {code}),")
