@@ -7,7 +7,7 @@ Permutation composition is (f g)(x) = f(g(x)) throughout.
 from __future__ import annotations
 
 from .errors import NotAGroupError
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, _first_witness
 from .linalg import AlgebraPresentation, _tensor_add, _to_dense, _to_sparse
 from .scalars import CyclotomicField
 
@@ -112,7 +112,10 @@ def quaternion_table():
 
 def validate_group_table(table):
     """Returns the identity index; raises NotAGroupError naming the failed
-    axiom (closure, identity, inverses, associativity)."""
+    axiom (closure, identity, inverses, associativity).  Associativity is
+    Light's test over a generating set, as in
+    AlgebraPresentation.generating_set, rerun over every element on
+    failure to name the first triple in loop order."""
     n = len(table)
     for row in table:
         if len(row) != n or any(not (0 <= x < n) for x in row):
@@ -127,12 +130,39 @@ def validate_group_table(table):
     for x in range(n):
         if not any(table[x][y] == identity and table[y][x] == identity for y in range(n)):
             raise NotAGroupError("inverses", f"element {x} has no inverse")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise NotAGroupError("associativity", f"at ({a}, {b}, {c})")
+    witness = _first_witness(lambda middles: _associativity_witness(table, middles),
+                             _table_generators(table, identity), n)
+    if witness is not None:
+        raise NotAGroupError("associativity", f"at {witness}")
     return identity
+
+
+def _associativity_witness(table, middles):
+    """The first (a, b, c) in loop order, b among middles, with
+    (a b) c != a (b c); None when there is none."""
+    for a, row in enumerate(table):
+        for b in middles:
+            for c, bc in enumerate(table[b]):
+                if table[row[b]][c] != row[bc]:
+                    return a, b, c
+    return None
+
+
+def _table_generators(table, identity):
+    """Elements kept greedily, each when not yet reached, whose
+    right-nested words s_1 (s_2 (... s_k)) reach every element."""
+    kept, reached = [], {identity}
+    for g in range(len(table)):
+        if g not in reached:
+            kept.append(g)
+            pending = [(g, w) for w in reached]
+            while pending:
+                s, w = pending.pop()
+                x = table[s][w]
+                if x not in reached:
+                    reached.add(x)
+                    pending += [(k, x) for k in kept]
+    return kept
 
 
 # -- Hopf algebra builders --------------------------------------------------------

@@ -24,13 +24,15 @@ own certified data and builds none of it again:
   - of the two Hopf-subalgebra tests only the cocommutativity of
     Delta(Lambda) is not a tautology, and it still runs.
 
-One kernel serves both sides of the correspondence N <-> B: H^T for a
-subalgebra T of H*, and B = (H*)^N as the invariants of N acting on
-H.dual() by the hit action, since <n, 1_{H*}> = eps(n).
+One kernel, _coproduct_kernel: {h : h1 (x) f(h2) = h (x) f(1)} for a
+linear map f on H.  Its callers are _invariants, the invariants H^T of a
+subalgebra T of H* (f the pairings with T; B = (H*)^N is the invariants
+of N acting on H.dual() by the hit action, since <n, 1_{H*}> = eps(n)),
+left_kernel (f the module matrices) and HopfQuotient.lift_coideal (f the
+projection to H//N modulo the coideal subalgebra lifted).
 
 Quotients H//N for normal N are realized on the ideal H*Lambda_N, which the
-projection h |-> h*Lambda_N identifies with H/HN+; a left coideal subalgebra
-of H//N lifts to H as one kernel read off the coproduct of H.
+projection h |-> h*Lambda_N identifies with H/HN+.
 """
 
 from __future__ import annotations
@@ -287,22 +289,30 @@ def invariants_of(hopf: HopfAlgebra, functionals: Subspace) -> Subspace:
 
 
 def _invariants(hopf, functionals):
-    """H^T for the span T of functionals.basis, read off the coproduct:
-    b -> e_i = sum c <b, e_k> e_j over Delta(e_i) = sum c e_j (x) e_k."""
-    basis = functionals.basis
-    columns = [[(a, b[k]) for a, b in enumerate(basis) if not b[k].is_zero()]
-               for k in range(hopf.dim)]
-    units = [hopf.pair(b, hopf.unit) for b in basis]
-    images = []
-    for i in range(hopf.dim):
+    """H^T for the span T of functionals.basis: the coproduct kernel of
+    f(h) = (<b, h>)_b over the rows b of T, since b -> h = h1 <b, h2>."""
+    images = [{} for _ in range(hopf.dim)]
+    for a, b in enumerate(functionals.sparse_basis):
+        for k, c in b.items():
+            images[k][a] = c
+    return _coproduct_kernel(hopf, images)
+
+
+def _coproduct_kernel(hopf, images):
+    """{h : h1 (x) f(h2) = h (x) f(1)} for the linear map f on H with
+    f(e_k) = images[k], a sparse dict: the kernel of e_i -> sum c e_j (x)
+    f(e_k) - e_i (x) f(1) over Delta(e_i) = sum c e_j (x) e_k."""
+    f_unit = _combination(images, _to_sparse(hopf.unit))
+    kernel_images = []
+    for i, delta in enumerate(hopf.comult):
         image = {}
-        for (j, k), c in hopf.comult[i].items():
-            for a, bk in columns[k]:
-                _tensor_add(image, (a, j), c * bk)
-        for a, u in enumerate(units):
-            _tensor_add(image, (a, i), -u)
-        images.append(image)
-    return _kernel_of_images(hopf.field, images)
+        for (j, k), c in delta.items():
+            for q, v in images[k].items():
+                _tensor_add(image, (j, q), c * v)
+        for q, v in f_unit.items():
+            _tensor_add(image, (i, q), -v)
+        kernel_images.append(image)
+    return _kernel_of_images(hopf.field, kernel_images)
 
 
 def double_invariants_roundtrip(ctx: CoidealSubalgebra) -> bool:
@@ -330,23 +340,15 @@ class HopfQuotient:
     def lift_coideal(self, subspace: Subspace) -> Subspace:
         """The unique left coideal subalgebra L of H holding N with
         pi(L) = Lbar, for Lbar = subspace a left coideal subalgebra of H//N:
-        L = {h : h1 (x) pi(h2) in H (x) Lbar}, the kernel of e_i ->
-        sum c e_j (x) r(pi(e_k)) over Delta(e_i) = sum c e_j (x) e_k, with r
-        the residual modulo Lbar.  By coassociativity L is a left coideal;
+        L = {h : h1 (x) pi(h2) in H (x) Lbar}, the coproduct kernel of
+        f = r pi, with r the residual modulo Lbar; f(1) = 0 as 1 lies in
+        Lbar.  By coassociativity L is a left coideal;
         pi is an algebra map, so L is a subalgebra holding N; eps (x) id
         gives pi(L) <= Lbar.  Lbar's lift under Takeuchi's correspondence
         (one to one, as H is free over its coideal subalgebras: Skryabin)
         lies in L, so pi(L) = Lbar and L is that lift.
         """
-        residuals = [subspace.residual(pi_k) for pi_k in self._pi]
-        images = []
-        for delta in self.hopf.comult:
-            image = {}
-            for (j, k), c in delta.items():
-                for q, r in residuals[k].items():
-                    _tensor_add(image, (j, q), c * r)
-            images.append(image)
-        return _kernel_of_images(self.hopf.field, images)
+        return _coproduct_kernel(self.hopf, [subspace.residual(pi_k) for pi_k in self._pi])
 
     def lift_chain(self, quotient_chain):
         """N followed by the lifts of the members of dim > 1 of a chain of
@@ -396,7 +398,11 @@ def _check_projection_is_hopf_map(hopf, hq: HopfQuotient):
     """pi: H -> H//N intertwines the coproduct, the counit and the antipode
     and is an algebra map: pi(e_i e_j), the cell of j in mult[i] (none when
     e_i e_j = 0) pushed through the sparse rows pi(e_k), equals
-    pi(e_i) pi(e_j) in the quotient, for every pair."""
+    pi(e_i) pi(e_j) in the quotient, for i in H's _test_indices() and
+    every j.  The a with pi(a b) = pi(a) pi(b) for all b form a
+    subalgebra once H and H//N are proven, and hold 1 since pi(1) =
+    Lambda_N is the quotient's unit by construction; so generators of H
+    suffice."""
     q = hq.quotient
     pi = hq._pi
     for i, pi_i in enumerate(pi):
@@ -406,15 +412,16 @@ def _check_projection_is_hopf_map(hopf, hq: HopfQuotient):
             raise HopfLabError("projection does not preserve the counit")
         if _combination(q.antipode, pi_i) != _combination(pi, hopf.antipode[i]):
             raise HopfLabError("projection does not intertwine the antipode")
-    for i, pi_i in enumerate(pi):
+    for i in hopf._test_indices():
         for j, pi_j in enumerate(pi):
-            if _combination(pi, hopf.mult[i].get(j, {})) != q.sparse_product(pi_i, pi_j):
+            if _combination(pi, hopf.mult[i].get(j, {})) != q.sparse_product(pi[i], pi_j):
                 raise HopfLabError("projection is not an algebra map")
 
 
 def left_kernel(hopf: HopfAlgebra, module_matrices) -> Subspace:
-    """LKer of a module given by matrices per basis index (rows = images of
-    the module basis): all h with sum h1 (x) h2 v = h (x) v."""
+    """LKer of a module given by matrices M_k per basis index (rows =
+    images of the module basis): all h with sum h1 (x) h2 v = h (x) v, the
+    coproduct kernel of f(e_k) = M_k."""
     field = hopf.field
     dim = hopf.dim
     if not module_matrices or len(module_matrices) != dim:
@@ -436,18 +443,9 @@ def left_kernel(hopf: HopfAlgebra, module_matrices) -> Subspace:
             if any(not vec_eq(composed[r], expected[r]) for r in range(d)):
                 raise NotARepresentationError(f"matrices violate structure constants at ({i}, {j})")
 
-    images = []
-    for i in range(dim):
-        image = {}  # e_i |-> sum c e_j (x) M_k - e_i (x) id over Delta(e_i) = sum c e_j (x) e_k
-        for (j, k), c in hopf.comult[i].items():
-            for r_in, row in enumerate(module_matrices[k]):
-                for r_out, m in enumerate(row):
-                    if not m.is_zero():
-                        _tensor_add(image, (j, r_in, r_out), c * m)
-        for r in range(d):
-            _tensor_add(image, (i, r, r), -field.one)
-        images.append(image)
-    return _kernel_of_images(field, images)
+    return _coproduct_kernel(hopf, [{(r_in, r_out): m for r_in, row in enumerate(matrix)
+                                     for r_out, m in enumerate(row) if not m.is_zero()}
+                                    for matrix in module_matrices])
 
 
 def hopf_center(hopf: HopfAlgebra) -> Subspace:

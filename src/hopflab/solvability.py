@@ -256,17 +256,6 @@ def ascending_central_series(hopf: HopfAlgebra) -> NilpotencyReport:
         current = lifted
 
 
-def ascending_chain_contexts(hopf: HopfAlgebra, report: NilpotencyReport):
-    """The ascending chain as verified contexts, prefixed with k and (when
-    nilpotent) ending at H."""
-    chain = [coideal_closure(hopf, [])]
-    for space in report.ascending_chain:
-        if space.dim == 1:
-            continue
-        chain.append(coideal_from_subspace(hopf, space))
-    return chain
-
-
 def check_nilpotent_criterion(hopf: HopfAlgebra, chain):
     """N_{i+1} Lambda_i central in H Lambda_i for every step of a chain of
     normal coideal subalgebras from k to H."""
@@ -282,26 +271,6 @@ def check_nilpotent_criterion(hopf: HopfAlgebra, chain):
                 if hopf.sparse_product(nv, hv) != hopf.sparse_product(hv, nv):
                     return False, (i, (r, m))
     return True, None
-
-
-def nilpotent_implies_solvable_check(hopf: HopfAlgebra, chain) -> SeriesReport:
-    """A chain passing the nilpotency criterion must pass the solvable
-    checker as well."""
-    ok, witness = check_nilpotent_criterion(hopf, chain)
-    if not ok:
-        raise ChainError(f"chain does not satisfy the nilpotency criterion: {witness}")
-    report = check_solvable_series(hopf, chain)
-    if not report.ok:
-        raise HopfLabError("nilpotent chain failed the solvability conditions")
-    return report
-
-
-def check_quotient_lifting(hopf: HopfAlgebra, n_ctx, quotient_report: SeriesReport) -> SeriesReport:
-    """Constructive test: a solvable series of H//N lifts to a chain of H
-    starting at N whose steps satisfy the two conditions."""
-    lifted = quotient(hopf, n_ctx).lift_chain(quotient_report.chain)
-    steps = [step_conditions(prev, nxt) for prev, nxt in zip(lifted, lifted[1:])]
-    return SeriesReport(lifted, steps, _verdict(steps))
 
 
 # -- search -----------------------------------------------------------------

@@ -460,6 +460,19 @@ def test_hopf_center_dims_of_doubles():
         assert hopf_center(double).dim == 8
 
 
+@pytest.mark.parametrize("name", ["d-s3", "s3-dual", "D(kD4)"])
+def test_hopf_center_is_the_left_kernel_of_the_adjoint_module(name):
+    # the invariants of chi_ad and the left kernel of the matrices of ad:
+    # two maps f through the one coproduct kernel
+    if name == "D(kD4)":
+        table, labels = dihedral8_table()
+        H = drinfeld_double(group_algebra(table, conductor=4, labels=labels))
+    else:
+        H = load(name, verify=False)[0]
+    ad = [[H.adjoint(H.basis(i), H.basis(r)) for r in range(H.dim)] for i in range(H.dim)]
+    assert hopf_center(H) == left_kernel(H, ad)
+
+
 def test_hopf_center_refuses_a_kernel_that_is_not_central(s3, monkeypatch):
     monkeypatch.setattr(coideal, "_invariants", lambda hopf, functionals: Subspace.full(hopf.field, hopf.dim))
     with pytest.raises(HopfLabError, match="not a central Hopf subalgebra"):

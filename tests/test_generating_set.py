@@ -18,9 +18,9 @@ from test_verify import reference_report
 
 from hopflab.builders import drinfeld_double, group_algebra, permutation_group_table, symmetric3_table
 from hopflab.cli import main
-from hopflab.coideal import _normality_pair, coideal_closure
-from hopflab.corpus import corpus_file, corpus_names, load, subgroups_of_table
-from hopflab.errors import IntegralError
+from hopflab.coideal import _check_projection_is_hopf_map, _normality_pair, coideal_closure, quotient
+from hopflab.corpus import coideal_lattice, corpus_file, corpus_names, load, subgroups_of_table
+from hopflab.errors import HopfLabError, IntegralError
 from hopflab.hopf import HopfAlgebra, _IntegerTensors
 from hopflab.linalg import AlgebraPresentation, Subspace, _subalgebra_generated
 
@@ -113,6 +113,43 @@ def test_coideal_checks_over_generators_match_full_checks(name, labels, monkeypa
     with monkeypatch.context() as patch:
         _full_checks(patch)
         assert _context_results(name, labels) == over_s
+
+
+def _projection_verdict(H, hq):
+    try:
+        _check_projection_is_hopf_map(H, hq)
+    except HopfLabError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["s3", "s3-dual", "d4", "q8", "z6", "d-z2"])
+def test_projection_check_over_generators_matches_full_check(name, monkeypatch):
+    # pi(e_i) := pi(e_j) for every pair (i, j), on the quotient by every
+    # normal member of the catalogued lattice: the check reading the
+    # products e_s e_j for s in S reaches the verdict of the check reading
+    # every e_i e_j, and where S is a proper subset some tampering breaks
+    # only the product
+    H = load(name)[0]
+    assert H._cache["proven"]
+    verdicts = []
+    for _, ctx in coideal_lattice(name, H):
+        if not ctx.normal:
+            continue
+        hq = quotient(H, ctx)
+        rows = list(hq._pi)
+        for i in range(H.dim):
+            for j in range(H.dim):
+                hq._pi = list(rows)
+                hq._pi[i] = dict(rows[j])
+                over_s = _projection_verdict(H, hq)
+                with monkeypatch.context() as patch:
+                    _full_checks(patch)
+                    assert _projection_verdict(H, hq) == over_s
+                verdicts.append(over_s)
+    assert None in verdicts
+    if len(H.generating_set()) < H.dim:
+        assert "projection is not an algebra map" in verdicts
 
 
 def _ks3():

@@ -71,6 +71,27 @@ def test_group_table_validation():
         validate_group_table(broken)
 
 
+def _first_non_associative_triple(table):
+    n = len(table)
+    return next((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                if table[table[a][b]][c] != table[a][table[b][c]])
+
+
+def test_group_table_associativity_fails_with_the_first_triple():
+    # a non-associative loop of order 5: identity 0, each element its own
+    # inverse, so only associativity fails; and Z6 with 3 + 1 := 0, whose
+    # test over its generator 1 first fails at (2, 1, 1), so the rerun over
+    # every element names (1, 2, 1)
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    z6 = [list(row) for row in cyclic_group_table(6)[0]]
+    z6[3][1] = 0
+    for table, witness in ((loop, (1, 1, 2)), (z6, (1, 2, 1))):
+        assert _first_non_associative_triple(table) == witness
+        with pytest.raises(NotAGroupError, match="associativity") as failure:
+            validate_group_table(table)
+        assert str(failure.value).endswith(f"at {witness}")
+
+
 def test_symmetric3_composition_convention():
     table, labels = symmetric3_table()
     i12 = labels.index("(12)")
