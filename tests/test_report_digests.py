@@ -14,7 +14,10 @@ built from the permutation groups D4 and D6 with the library's builders,
 so that the search's step conditions, normality tests, closures, quotient
 checks and lifts are pinned on algebras larger than the corpus's;
 `nilpotent-check` is pinned on D(kD4), whose ascending central series
-[8, 64] goes through a quotient and a lift.
+[8, 64] goes through a quotient and a lift.  `characters`, with and
+without `--text`, is pinned on D(kD4) and on kS4 at conductor 1 (dim 24),
+built as the benchmark builds it, so that the center split, its line
+certificates and the orthonormality check are pinned beyond the corpus.
 
 `verify` is also pinned, with and without `--text`, on tampered copies of
 corpus files (one entry of one tensor replaced, some by irrational or
@@ -122,7 +125,7 @@ DOUBLES = (("kD4", [(1, 2, 3, 0), (0, 3, 2, 1)], 4, 4),
            ("kD6", [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)], 6, 3))
 
 
-def _double_digest(directory, double, command="solvable-find"):
+def _double_digest(directory, double, command="solvable-find", *rest):
     """Digest of `command` on the Drinfeld double of the group algebra
     DOUBLES names, saved under a fixed file name."""
     name, generators, degree, conductor = next(d for d in DOUBLES if d[0] == double)
@@ -130,13 +133,26 @@ def _double_digest(directory, double, command="solvable-find"):
     hopf = drinfeld_double(group_algebra(table, conductor=conductor, labels=labels, name=name))
     path = os.path.join(directory, f"double-{name[1:].lower()}.hopf.json")
     save_hopf(hopf, path)
-    return _digest((command, f"D({name})"), path)
+    return _digest((command, f"D({name})", *rest), path)
+
+
+def _ks4_digest(directory, *rest):
+    """Digest of `characters` on kS4 at conductor 1, S4 generated by a
+    transposition and a 4-cycle, saved under a fixed file name."""
+    table, labels = permutation_group_table([(1, 0, 2, 3), (1, 2, 3, 0)], 4)
+    path = os.path.join(directory, "s4.hopf.json")
+    save_hopf(group_algebra(table, conductor=1, labels=labels, name="kS4"), path)
+    return _digest(("characters", "kS4", *rest), path)
 
 
 PINNED = {
     'solvable-find D(kD4)': ('0227b28d58b4d51a04ebb9f359ab79e888ead450eebaa8cc51475d63281d3a09', 0),
     'solvable-find D(kD6)': ('d379d257d8a6b8cd2abd2cbb3ab42010b381985918fc5ef89e2df0406d0b8b8a', 0),
     'nilpotent-check D(kD4)': ('9580d9cc46859dcb9ef126c82adb29a27fa1b71caa30f706794e61321fd6c3ec', 0),
+    'characters D(kD4)': ('6da54b9d25a82817856d5b679d599aeb1cf96b65dcb786d08aaff53fa12dda84', 0),
+    'characters D(kD4) --text': ('75f15e4fffd284415332db3558ad88101250f137ed302a01113ba7a82b9e1b95', 0),
+    'characters kS4': ('5641149b9a666a543b5ec9d50472044c3e4687cff49c20add154ee5e843dfaa1', 0),
+    'characters kS4 --text': ('8441bbc71a98f42d85249dcff542c29233fd47bc8e47f128bd6bbac9b480663d', 0),
     'solvable-find z2': ('cfa508e3d882e6a7502169017061884a367947d4b6cffa9cc4d24b6a0d247ff5', 0),
     'solvable-find z2 --text': ('954eaaa9f474510bf973122719c57e288de9fd42957a43283fb25b258b276c2e', 0),
     'nilpotent-check z2': ('6e6455e05d2cf3bea53faf1b770d8868d1b692447d3bf227622fdabcf280a7ee', 0),
@@ -360,6 +376,17 @@ def test_double_d4_nilpotent_report_matches_pinned_digest(tmp_path):
     assert _double_digest(tmp_path, "kD4", "nilpotent-check") == PINNED["nilpotent-check D(kD4)"]
 
 
+@pytest.mark.parametrize("text", [(), ("--text",)], ids=["json", "text"])
+def test_double_d4_characters_report_matches_pinned_digest(tmp_path, text):
+    key = " ".join(("characters", "D(kD4)", *text))
+    assert _double_digest(tmp_path, "kD4", "characters", *text) == PINNED[key]
+
+
+@pytest.mark.parametrize("text", [(), ("--text",)], ids=["json", "text"])
+def test_ks4_characters_report_matches_pinned_digest(tmp_path, text):
+    assert _ks4_digest(tmp_path, *text) == PINNED[" ".join(("characters", "kS4", *text))]
+
+
 if __name__ == "__main__":
     for args in _commands():
         digest, code = _digest(args)
@@ -373,3 +400,8 @@ if __name__ == "__main__":
             print(f"    'solvable-find D({name})': ({digest!r}, {code}),")
         digest, code = _double_digest(directory, "kD4", "nilpotent-check")
         print(f"    'nilpotent-check D(kD4)': ({digest!r}, {code}),")
+        for text in ((), ("--text",)):
+            digest, code = _double_digest(directory, "kD4", "characters", *text)
+            print(f"    {' '.join(('characters', 'D(kD4)', *text))!r}: ({digest!r}, {code}),")
+            digest, code = _ks4_digest(directory, *text)
+            print(f"    {' '.join(('characters', 'kS4', *text))!r}: ({digest!r}, {code}),")
