@@ -18,11 +18,11 @@ from test_verify import reference_report
 
 from hopflab.builders import drinfeld_double, group_algebra, permutation_group_table, symmetric3_table
 from hopflab.cli import main
-from hopflab.coideal import _check_projection_is_hopf_map, _normality_pair, coideal_closure, quotient
+from hopflab.coideal import _check_projection_is_hopf_map, _normality_pair, coideal_closure, left_kernel, quotient
 from hopflab.corpus import coideal_lattice, corpus_file, corpus_names, load, subgroups_of_table
-from hopflab.errors import HopfLabError, IntegralError
+from hopflab.errors import HopfLabError, IntegralError, NotARepresentationError
 from hopflab.hopf import HopfAlgebra, _IntegerTensors
-from hopflab.linalg import AlgebraPresentation, Subspace, _subalgebra_generated
+from hopflab.linalg import AlgebraPresentation, Subspace, _subalgebra_generated, vec_scale
 
 # the algebras perfbench builds: (permutation generators, conductor, name)
 BUILT = {
@@ -291,3 +291,21 @@ def test_ka6_verifies_and_has_its_character_degrees():
     assert H.verify().ok
     assert len(H.generating_set()) == 4
     assert sorted(H.character_table().degrees) == [1, 5, 5, 8, 8, 9, 10]
+
+
+def test_left_kernel_names_the_first_failing_pair_outside_the_generating_set(monkeypatch):
+    # the regular module of kS3 with e_5 = (132) acting twice over; over the
+    # generating set {(13), (123)} the representation check first fails at
+    # i = 3, but the full loop first fails at i = 1, and that pair is named
+    H = _factory("s3", False)()
+    mats = [[H.multiply(H.basis(i), H.basis(r)) for r in range(H.dim)] for i in range(H.dim)]
+    mats[5] = [vec_scale(row, H.field.from_rational(2)) for row in mats[5]]
+    with monkeypatch.context() as patch:
+        _full_checks(patch)
+        with pytest.raises(NotARepresentationError) as full:
+            left_kernel(H, mats)
+    monkeypatch.setattr(AlgebraPresentation, "generating_set", lambda self: (3, 4))
+    with pytest.raises(NotARepresentationError) as over_s:
+        left_kernel(H, mats)
+    assert str(full.value).endswith("at (1, 2)")
+    assert str(over_s.value) == str(full.value)

@@ -19,6 +19,7 @@ from hopflab.builders import (
 )
 from click.testing import CliRunner
 
+from hopflab import hopf as hopf_module
 from hopflab import linalg
 from hopflab.cli import main
 from hopflab.coideal import (
@@ -32,7 +33,7 @@ from hopflab.coideal import (
 from hopflab.corpus import build as build_corpus
 from hopflab.corpus import coideal_lattice, corpus_file, corpus_names
 from hopflab.corpus import load as load_corpus
-from hopflab.errors import IntegralError, NotAGroupError
+from hopflab.errors import IntegralError, NotAGroupError, NotSemisimpleError
 from hopflab.harmonic import hopf_subalgebra_data
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import (
@@ -347,6 +348,47 @@ def test_bilinear_form_matches_its_definition(name):
     for p in functionals:
         for q in functionals:
             assert H.bilinear_form(p, q) == H.pair(dual.multiply(dual.antipode_of(q), p), lam)
+
+
+def test_character_table_refuses_characters_that_are_not_orthonormal(monkeypatch):
+    # chi_1 + 2v and chi_2 - v keep chi_0 = eps and sum d_i chi_i = lambda
+    # (degrees 1, 1, 2), so only the orthonormality check can refuse them
+    H = build_s3()
+    table = hopf_module._character_table(H, H.integrals().integral)
+    assert table.degrees == [1, 1, 2]
+    chi0, chi1, chi2 = table.characters
+    v, one = H.basis(1), H.field.one
+    characters = [chi0, vec_add(chi1, vec_scale(v, one + one)), vec_add(chi2, vec_scale(v, -one))]
+    bad = hopf_module.CharacterTable(table.idempotents, table.degrees, characters)
+    monkeypatch.setattr(hopf_module, "_character_table", lambda algebra, integral: bad)
+    with pytest.raises(NotSemisimpleError, match="irreducible characters are not orthonormal"):
+        H.character_table()
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "d-s3"])
+def test_bilinear_form_matches_the_pairwise_gram_sum(name):
+    # (p|q) = sum_(j, k) Delta(Lambda)_(j, k) sum_a S(e_j)_a q_a p_k, one
+    # term per pair, on seeded random functionals
+    H, _ = load_corpus(name, verify=False)
+    field, rng = H.field, random.Random(name)
+    coproduct = H.comult_of(H.integrals().integral)
+
+    def pairwise(p, q):
+        out = field.zero
+        for (j, k), c in coproduct.items():
+            for a, s in H.antipode[j].items():
+                out = out + q[a] * c * s * p[k]
+        return out
+
+    def rand_scalar():
+        a, b = (QQ(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2))
+        return field.from_rational(a) + field.from_rational(b) * field.zeta
+
+    functionals = [[rand_scalar() if rng.random() < 0.7 else field.zero for _ in range(H.dim)]
+                   for _ in range(4)]
+    for p in functionals:
+        for q in functionals:
+            assert H.bilinear_form(p, q) == pairwise(p, q)
 
 
 def test_coadjoint_lands_in_characters(s3):

@@ -530,6 +530,21 @@ def _central_block_algebra(name):
     return _permutation_algebra(name) if name in PERMUTATION_ALGEBRAS else load_corpus(name, verify=False)[0]
 
 
+@pytest.mark.parametrize("name", ["s3", "d-s3", "kS4"])
+def test_central_blocks_refuse_a_wrong_root(monkeypatch, name):
+    # a root off by one gives a spectral idempotent that is no idempotent:
+    # the line certificate u^2 = theta u must refuse it
+    factor = linalg.factor_into_linears
+
+    def wrong(p, field=None):
+        (root, mult), *rest = factor(p, field)
+        return [(root + field.one, mult), *rest]
+    monkeypatch.setattr(linalg, "factor_into_linears", wrong)
+    with pytest.raises(NotSemisimpleError,
+                       match="central line is not closed under squaring|nilpotent central element found"):
+        _central_blocks(_central_block_algebra(name))
+
+
 @pytest.mark.parametrize("name", corpus_names())
 def test_central_blocks_solve_only_for_the_center(monkeypatch, name):
     # the split reads spectral idempotents off Krylov sequences: no kernel
