@@ -220,10 +220,11 @@ def reciprocity_table(ctx: CoidealSubalgebra) -> ReciprocityTable:
     entries = []
     for i, chi in enumerate(table.characters):
         restriction = ctx.restrict_functional(chi)
+        image = H._gram_image(chi)  # (chi | q) = <q, image>
         row = []
         for j, direct in enumerate(_irr_coefficients(ctx, chars, restriction)):
             by_form = character_form(ctx, restriction, chars.characters[j])
-            by_induction = H.bilinear_form(chi, induced[j])
+            by_induction = H.pair(induced[j], image)
             if by_form != by_induction or by_form != direct:
                 raise HopfLabError(
                     f"reciprocity pairings disagree at (chi_{i}, phi_{j})"

@@ -462,8 +462,9 @@ class HopfAlgebra(AlgebraPresentation):
         if not vec_eq(reg, self.integrals().dual_integral):
             raise NotSemisimpleError("sum of d_i chi_i is not the dual integral")
         for i, chi_i in enumerate(characters):
+            image = self._gram_image(chi_i)
             for j, chi_j in enumerate(characters):
-                val = self.bilinear_form(chi_i, chi_j)
+                val = self.pair(chi_j, image)
                 if val != (1 if i == j else 0):
                     raise NotSemisimpleError("irreducible characters are not orthonormal")
         self._cache["characters"] = table
@@ -478,9 +479,13 @@ class HopfAlgebra(AlgebraPresentation):
 
     def bilinear_form(self, p, q):
         """(p|q) = <s(q) p, integral> -- the symmetric form making Irr(H)
-        orthonormal -- as sum q_a G[a][k] p_k over the sparse Gram matrix
-        G[a][k] = sum_j Delta(integral)_(j, k) S(e_j)_a, built whole on
-        first use and cached."""
+        orthonormal -- as sum_a q_a (G p)_a (`_gram_image`)."""
+        return self.pair(q, self._gram_image(p))
+
+    def _gram_image(self, p):
+        """G p, dense, for the sparse Gram matrix G[a][k] =
+        sum_j Delta(integral)_(j, k) S(e_j)_a, built whole on first use and
+        cached.  A caller pairing p with many q forms G p once."""
         gram = self._cache.get("gram")
         if gram is None:
             gram = [{} for _ in range(self.dim)]
@@ -488,15 +493,8 @@ class HopfAlgebra(AlgebraPresentation):
                 for a, s in self.antipode[j].items():
                     _tensor_add(gram[a], k, c * s)
             self._cache["gram"] = gram
-        out = self.field.zero
-        for qa, row in zip(q, gram):
-            if qa.is_zero():
-                continue
-            for k, g in row.items():
-                pk = p[k]
-                if not pk.is_zero():
-                    out = out + qa * g * pk
-        return out
+        zero = self.field.zero
+        return [sum((g * p[k] for k, g in row.items() if not p[k].is_zero()), zero) for row in gram]
 
     def grouplikes(self):
         """All g with Delta(g) = g x g and eps(g) = 1: the characters of the

@@ -31,7 +31,8 @@ alone.  The E_i are spectral idempotents: the center is split along its
 echelon rows z, one after another, and an idempotent e splits into the
 polynomials in z times e that project onto the eigenvalues of z, read off
 the Krylov sequence e, z e, z^2 e, ... (`_spectral_idempotents`, after
-Dixon, Numer. Math. 1967).  A primitive idempotent per block is a
+Dixon, Numer. Math. 1967); each is certified idempotent in the center's
+own coordinates.  A primitive idempotent per block is a
 separate, costlier step that needs each block split over the field; only
 `wedderburn` takes it, after the central part, by shrinking the block's
 corner at zero divisors (`primitive_idempotent_in_block`), whose minimal
@@ -671,11 +672,13 @@ def _regular_trace(algebra):
 
 def _trace_form(algebra):
     """Sparse rows T[m] = {j: tr(L_{e_m e_j})}, tr(L_{e_m e_j}) =
-    sum_k c_mj^k t_k for t the regular trace, zeros left out;
-    non-degenerate exactly when the algebra is semisimple, in
-    characteristic 0."""
-    traces, zero = _regular_trace(algebra), algebra.field.zero
-    sums = [{j: sum((c * traces[k] for k, c in cell.items()), zero) for j, cell in row.items()}
+    sum_k c_mj^k t_k for t the regular trace, read over the k with
+    t_k != 0 (for kG, the unit alone), zeros left out; non-degenerate
+    exactly when the algebra is semisimple, in characteristic 0."""
+    zero = algebra.field.zero
+    traces = {k: t for k, t in enumerate(_regular_trace(algebra)) if not t.is_zero()}
+    sums = [{j: sum((c * traces[k] for k, c in cell.items() if k in traces), zero)
+             for j, cell in row.items()}
             for row in algebra.mult]
     return [{j: v for j, v in row.items() if not v.is_zero()} for row in sums]
 
@@ -711,9 +714,10 @@ def _left_ideal(algebra, t) -> Subspace:
 
 
 def _spectral_idempotents(algebra, center: Subspace):
-    """The central primitive idempotents of an algebra whose center Z
-    splits into lines, as sparse dicts of coordinates in Z's echelon
-    basis, from spectral idempotents alone.
+    """(lines, product): the central primitive idempotents of an algebra
+    whose center Z splits into lines, as sparse dicts of coordinates in
+    Z's echelon basis, from spectral idempotents alone, and the product of
+    Z in those coordinates.
 
     A block is an idempotent e of Z, held in Z's echelon coordinates; the
     first is the unit.  Each echelon row z in turn refines every block,
@@ -726,9 +730,10 @@ def _spectral_idempotents(algebra, center: Subspace):
     repeated root raises NotSemisimpleError.  A z whose p has degree 1 acts
     on the block as a scalar, and the block is kept.
 
-    The products z_i z_j are formed on first need and kept for this call.
-    Each distinct minimal polynomial is factored once per call: its roots
-    are kept in a dict that lives for this call only."""
+    The products z_i z_j are formed on first need and kept while the
+    returned product lives, which reads them too.  Each distinct minimal
+    polynomial is factored once per call: its roots are kept in a dict
+    that lives for this call only."""
     field = algebra.field
     rows = center.sparse_basis
     products = {}  # (i, j), i <= j -> coordinates of z_i z_j = z_j z_i
@@ -741,6 +746,9 @@ def _spectral_idempotents(algebra, center: Subspace):
                 products[key] = center.sparse_coords(algebra.sparse_product(rows[i], rows[j]))
             images[j] = products[key]
         return _combination(images, v)
+
+    def product(u, v):
+        return _combination({i: times(i, v) for i in u}, u)
 
     roots_of = {}
     blocks = [center.sparse_coords(_to_sparse(algebra.unit))]
@@ -770,7 +778,7 @@ def _spectral_idempotents(algebra, center: Subspace):
         blocks = refined
     if len(blocks) != center.dim:
         raise NotSemisimpleError("center did not split into lines")
-    return blocks
+    return blocks, product
 
 
 def _central_blocks(algebra):
@@ -779,33 +787,35 @@ def _central_blocks(algebra):
 
     The E_i are the spectral idempotents of the center along its echelon
     rows (`_spectral_idempotents`, deterministic).  Each is certified on
-    its line: u, scaled to 1 at its pivot, satisfies u^2 = theta u with
-    theta != 0, and E = u / theta.  With the regular trace t_k =
+    its line in Z's echelon coordinates, with Z's own product: u, scaled
+    to 1 at its first coordinate, satisfies u^2 = theta u with theta != 0,
+    and E = u / theta.  The coordinates are injective, and each row is 1
+    at its own pivot and 0 at the others', so this is the same identity in
+    the algebra, with theta its entry at the first row's pivot; no line
+    is squared in the algebra.  With the regular trace t_k =
     tr(L_{e_k}) = sum_l c_kl^l and the trace form tr(L_{e_m e_j})
     (`_trace_form`), d_i^2 = tr(L_{E_i}) = dim A E_i and
     chi_i(x) = tr(L_{x E_i}) / d_i = sum_m (E_i)_m T[m](x) / d_i, read over
     the support of E_i.
     """
     center = algebra.center()
-    lines = _spectral_idempotents(algebra, center)
+    lines, product = _spectral_idempotents(algebra, center)
     field = algebra.field
     traces = _regular_trace(algebra)
     form = _trace_form(algebra)
     idempotents, degrees, characters = [], [], []
     for line in lines:
-        # the first row in the line's support sets its pivot, and its
-        # coordinate is the line's entry there (echelon rows)
         first = min(line)
-        pivot, scale = center.pivots[first], line[first].inverse()
-        u = _combination(center.sparse_basis, {j: c * scale for j, c in line.items()})
-        u2 = algebra.sparse_product(u, u)
-        theta = u2.get(pivot)
+        scale = line[first].inverse()
+        u = {j: c * scale for j, c in line.items()}
+        u2 = product(u, u)
+        theta = u2.get(first)
         if theta is None:
             raise NotSemisimpleError("nilpotent central element found")
-        if u2 != {k: c * theta for k, c in u.items()}:
+        if u2 != {j: c * theta for j, c in u.items()}:
             raise NotSemisimpleError("central line is not closed under squaring")
         inv_theta = theta.inverse()
-        e = {k: c * inv_theta for k, c in u.items()}
+        e = _combination(center.sparse_basis, {j: c * inv_theta for j, c in u.items()})
         # L_E is a projection, so its trace is its rank, a positive integer
         d2 = sum((c * traces[k] for k, c in e.items()), field.zero).integer_value()
         d = math.isqrt(d2)

@@ -530,6 +530,25 @@ def _central_block_algebra(name):
     return _permutation_algebra(name) if name in PERMUTATION_ALGEBRAS else load_corpus(name, verify=False)[0]
 
 
+@pytest.mark.parametrize("name", ["kS4", "d-s3"])
+def test_central_blocks_square_no_line_in_the_algebra(monkeypatch, name):
+    # the split and the line certificates share the products z_i z_j of
+    # the center's echelon rows, each formed once: no ambient line is squared
+    alg = _central_block_algebra(name)
+    calls = []
+    product = AlgebraPresentation.sparse_product
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return product(self, x, y)
+    monkeypatch.setattr(AlgebraPresentation, "sparse_product", counted)
+    dim_z = alg.center().dim
+    _central_blocks(alg)
+    assert 0 < len(calls) <= dim_z * (dim_z + 1) // 2
+    rows = [dict(row) for row in alg.center().sparse_basis]
+    assert all(x in rows and y in rows for x, y in calls)
+
+
 @pytest.mark.parametrize("name", ["s3", "d-s3", "kS4"])
 def test_central_blocks_refuse_a_wrong_root(monkeypatch, name):
     # a root off by one gives a spectral idempotent that is no idempotent:
