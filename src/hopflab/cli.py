@@ -307,7 +307,7 @@ def _chain_from_file(hopf, path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise SchemaError(f"cannot read chain file: {err}") from err
     if isinstance(data, dict):
         data = data.get("chain")

@@ -5,7 +5,7 @@ row-echelon bases so that equality of subspaces is equality of matrices.
 The structure-constant systems this library produces are very sparse, so
 the elimination core works on dict-rows keyed by column.
 
-Four conventions hold throughout the library:
+Five conventions hold throughout the library:
 
 - A solution space is written as the kernel of a linear map given by the
   images of the basis vectors, each a sparse dict {output key: Scalar}, and
@@ -17,6 +17,11 @@ Four conventions hold throughout the library:
   sparse dicts, read from the sparse rows of `mult`; `multiply` is its
   dense wrapper, for callers off the hot paths.  The products e_n x and
   x e_n with every basis element come together from `_products_with_basis`.
+- An elimination step is `_subtract`, the one fill-in loop.  Reduced
+  echelon rows are held as {pivot: row}, each 1 at its pivot and 0 at the
+  others' pivots; `_reduce` takes a residual modulo them and `_enter` adds
+  one as a new row, for `_sparse_rref`, `Subspace.residual` and
+  `_greedy_generators` alike.
 - A check whose passing set is a subalgebra reads the basis indices
   `AlgebraPresentation._test_indices()`: once the algebra's axioms are
   proven, only its cached generating set, chosen greedily by
@@ -128,46 +133,59 @@ def _to_dense(row, n, field):
 # -- sparse reduced row echelon -----------------------------------------------
 
 
+def _subtract(vec, f, row, pivot):
+    """vec -= f row off the pivot, in place, dropping zeros: the one fill-in
+    loop of every elimination here.  The caller has popped vec's entry at
+    the pivot; f and the entries of vec and row are nonzero."""
+    for key, r in row.items():
+        if key != pivot:
+            cur = vec.get(key)
+            if cur is None:
+                vec[key] = -(f * r)
+            else:
+                nv = cur - f * r
+                if nv.is_zero():
+                    del vec[key]
+                else:
+                    vec[key] = nv
+
+
+def _reduce(vec, rows):
+    """vec's residual modulo reduced echelon rows {pivot: row}, in place,
+    and returned: empty exactly when vec lies in their span.  Each row is 1
+    at its pivot and 0 at the others' pivots, so one pass over vec's own
+    pivot keys clears them all, each by its entry there."""
+    for p in [p for p in vec if p in rows]:
+        _subtract(vec, vec.pop(p), rows[p], p)
+    return vec
+
+
+def _enter(rows, vec):
+    """Enter a sparse vec into reduced echelon rows {pivot: row}, in place:
+    its residual (`_reduce`, on a copy), scaled to 1 at its least key,
+    becomes the row of that pivot, which is cleared from the earlier rows.
+    Returns the new row, or None when vec lies in their span.  The rows
+    dicts themselves change, so they must be the caller's own."""
+    vec = _reduce(dict(vec), rows)
+    if not vec:
+        return None
+    lead = min(vec)
+    inv = vec[lead].inverse()
+    row = vec if inv.is_one() else {key: c * inv for key, c in vec.items()}
+    for other in rows.values():
+        f = other.pop(lead, None)
+        if f is not None:
+            _subtract(other, f, row, lead)
+    rows[lead] = row
+    return row
+
+
 def _sparse_rref(rows, field):
-    """Full RREF of dict-rows.  Returns list of (pivot_col, row_dict) sorted
-    by pivot column."""
-    pivots: dict[int, dict] = {}
+    """Full RREF of dict-rows, each entered in turn (`_enter`).  Returns
+    list of (pivot_col, row_dict) sorted by pivot column."""
+    pivots = {}
     for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                inv = row[lead].inverse()
-                if not inv.is_one():
-                    row = {c: v * inv for c, v in row.items()}
-                pivots[lead] = row
-                break
-            f = row.pop(lead)
-            for c, v in pivots[lead].items():
-                if c == lead:
-                    continue
-                cur = row.get(c)
-                nv = v * (-f) if cur is None else cur - f * v
-                if nv.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-    # back-substitution for full reduction
-    for p in sorted(pivots, reverse=True):
-        prow = pivots[p]
-        for q, qrow in pivots.items():
-            if q >= p or p not in qrow:
-                continue
-            f = qrow.pop(p)
-            for c, v in prow.items():
-                if c == p:
-                    continue
-                cur = qrow.get(c)
-                nv = v * (-f) if cur is None else cur - f * v
-                if nv.is_zero():
-                    qrow.pop(c, None)
-                else:
-                    qrow[c] = nv
+        _enter(pivots, row)
     return sorted(pivots.items())
 
 
@@ -186,12 +204,12 @@ class Subspace:
     """Subspace of k^n held as a reduced row-echelon basis.
 
     Two subspaces are equal iff their echelon matrices are identical.  The
-    rows are held as dicts {column: Scalar} (sparse_basis), shared and
-    read-only; reduction reads them.  The dense rows (basis) are built on
-    first read and kept, so concurrent readers at worst build them twice.
+    rows, dicts {column: Scalar} listed (sparse_basis) and keyed (_rows)
+    by pivot, are shared and read-only.  The dense rows (basis) are built
+    on first read and kept, so concurrent readers at worst build them twice.
     """
 
-    __slots__ = ("field", "ambient", "pivots", "sparse_basis", "_basis")
+    __slots__ = ("field", "ambient", "pivots", "sparse_basis", "_rows", "_basis")
 
     def __init__(self, field, ambient, reduced):
         """reduced: the (pivot, sparse row) pairs of a reduced row-echelon
@@ -200,6 +218,7 @@ class Subspace:
         self.ambient = ambient
         self.pivots = tuple(p for p, _ in reduced)
         self.sparse_basis = [row for _, row in reduced]
+        self._rows = dict(reduced)
         self._basis = None
 
     @classmethod
@@ -242,19 +261,10 @@ class Subspace:
             raise AmbientMismatchError(f"ambient {self.ambient} vs {other.ambient}")
 
     def residual(self, vec):
-        """vec - sum_p vec[p] row_p for a sparse vec {column: Scalar}, as a
-        sparse dict: empty exactly when vec lies in the span.  In RREF the
-        other rows are zero at pivot p, so vec[p] is the coordinate along
-        the row of p."""
-        residual = dict(vec)
-        for p, row in zip(self.pivots, self.sparse_basis):
-            c = vec.get(p)
-            if c is None:
-                continue
-            for j, r in row.items():
-                cur = residual.get(j)
-                residual[j] = -(c * r) if cur is None else cur - c * r
-        return {j: v for j, v in residual.items() if not v.is_zero()}
+        """vec - sum_p vec[p] row_p for a sparse vec {column: Scalar} without
+        zero values, as a new sparse dict (`_reduce`): empty exactly when
+        vec lies in the span."""
+        return _reduce(dict(vec), self._rows)
 
     def coords_of(self, vec):
         """Coordinates of vec in the echelon basis (its entries at the
@@ -373,30 +383,18 @@ def minimal_polynomial(matrix, field=None):
         field = matrix[0][0].field
     if n == 0:
         return [field.one]
-    # reduced vectors together with the combination that produced them
-    reduced = []  # list of (dict vector, coeff list over powers)
+    reduced = []  # (lead key, reduced vector, its combination of the powers)
     power = [basis_vector(field, n, i) for i in range(n)]  # identity
-
-    def flat(m):
-        return {i * n + j: m[i][j] for i in range(n) for j in range(n) if not m[i][j].is_zero()}
-
     k = 0
     while True:
-        vec = flat(power)
+        vec = {i * n + j: c for i, row in enumerate(power) for j, c in enumerate(row) if not c.is_zero()}
         combo = [field.zero] * (k + 1)
         combo[k] = field.one
-        for rvec, rcombo in reduced:
-            lead = min(rvec)
-            c = vec.get(lead)
+        for lead, rvec, rcombo in reduced:
+            c = vec.pop(lead, None)
             if c is None:
                 continue
-            for col, v in rvec.items():
-                cur = vec.get(col)
-                nv = v * (-c) if cur is None else cur - c * v
-                if nv.is_zero():
-                    vec.pop(col, None)
-                else:
-                    vec[col] = nv
+            _subtract(vec, c, rvec, lead)
             for i, v in enumerate(rcombo):
                 combo[i] = combo[i] - c * v
         if not vec:
@@ -406,12 +404,9 @@ def minimal_polynomial(matrix, field=None):
         if not inv.is_one():
             vec = {c: v * inv for c, v in vec.items()}
             combo = [v * inv for v in combo]
-        reduced.append((vec, combo))
-        # next power
+        reduced.append((lead, vec, combo))
         power = [mat_vec(matrix, row) for row in power]
         k += 1
-        if k > n * n + 1:  # cannot happen; dependence by dimension count
-            raise RuntimeError("minimal polynomial search did not terminate")
 
 
 def _krylov(apply, v, field):
@@ -430,15 +425,7 @@ def _krylov(apply, v, field):
             if c is None:
                 continue
             f = c * inv
-            for key, r in rvec.items():
-                if key == lead:
-                    continue
-                cur = vec.get(key)
-                nv = -(f * r) if cur is None else cur - f * r
-                if nv.is_zero():
-                    vec.pop(key, None)
-                else:
-                    vec[key] = nv
+            _subtract(vec, f, rvec, lead)
             for k, r in enumerate(rpoly):
                 poly[k] = poly[k] - f * r
         if not vec:
@@ -595,47 +582,17 @@ def _greedy_generators(algebra, candidates, budget=None):
     candidates.  Each row is multiplied once by each kept candidate: at
     most |kept| dim W products.
 
-    W is held as reduced echelon rows, each 1 at its pivot and 0 at the
-    others' pivots; a vector enters by its residual, which then clears its
-    pivot from the earlier rows.  A row so changed spans W with the row
-    that changed it, which is multiplied in its turn."""
+    W is held as reduced echelon rows {pivot: row}, and a vector enters
+    them by `_enter`.  A row changed by clearing a new pivot spans W with
+    the new row, which is multiplied in its turn."""
     field, dim = algebra.field, algebra.dim
-    rows = {}  # pivot -> echelon row
-
-    def subtract(vec, f, row, pivot):
-        """vec -= f row off the pivot, in place, dropping zeros."""
-        for key, r in row.items():
-            if key != pivot:
-                cur = vec.get(key)
-                nv = -(f * r) if cur is None else cur - f * r
-                if nv.is_zero():
-                    vec.pop(key)
-                else:
-                    vec[key] = nv
-
-    def enter(vec):
-        """vec's residual modulo W as a new echelon row, or None."""
-        vec = dict(vec)
-        for p in [p for p in vec if p in rows]:
-            subtract(vec, vec.pop(p), rows[p], p)
-        if not vec:
-            return None
-        lead = min(vec)
-        inv = vec[lead].inverse()
-        row = {key: c * inv for key, c in vec.items()}
-        for other in rows.values():
-            f = other.pop(lead, None)
-            if f is not None:
-                subtract(other, f, row, lead)
-        rows[lead] = row
-        return row
-
-    enter(_to_sparse(algebra.unit))
+    rows = {}
+    _enter(rows, _to_sparse(algebra.unit))
     kept, count = [], 0
     for index, g in enumerate(candidates):
         if len(rows) == dim:
             break
-        new = enter(g)
+        new = _enter(rows, g)
         if new is None:
             continue
         kept.append(index)
@@ -646,7 +603,7 @@ def _greedy_generators(algebra, candidates, budget=None):
             count += len(pending)
             if budget is not None and count > budget:
                 return None
-            fresh = [row for row in (enter(algebra.sparse_product(s, w)) for s, w in pending)
+            fresh = [row for row in (_enter(rows, algebra.sparse_product(s, w)) for s, w in pending)
                      if row is not None]
             pending = []
     return kept, Subspace(field, dim, sorted(rows.items()))
@@ -727,8 +684,9 @@ def _spectral_idempotents(algebra, center: Subspace):
     r, all distinct, the block splits into the spectral idempotents
     e_r = (p / (x - r))(z) e / p'(r), in root order, and Z e_r is the
     eigenspace of z on Z e for r.  A semisimple center is reduced, so a
-    repeated root raises NotSemisimpleError.  A z whose p has degree 1 acts
-    on the block as a scalar, and the block is kept.
+    repeated root raises NotSemisimpleError, as do roots that are not deg p
+    distinct values with p(r) = 0, which keeps p'(r) != 0.  A z whose p has
+    degree 1 acts on the block as a scalar, and the block is kept.
 
     The products z_i z_j are formed on first need and kept while the
     returned product lives, which reads them too.  Each distinct minimal
@@ -767,11 +725,15 @@ def _spectral_idempotents(algebra, center: Subspace):
                 roots = roots_of[p] = factor_into_linears(p, field)
             if any(mult > 1 for _, mult in roots):
                 raise NotSemisimpleError("a central element has a repeated eigenvalue")
+            if len({root for root, _ in roots}) != len(p) - 1:
+                raise NotSemisimpleError("a minimal polynomial's roots are not distinct")
             for root, _ in roots:
-                # q = p / (x - r) by synthetic division, and p'(r) = q(r)
+                # q = p / (x - r) by synthetic division, remainder p(r); p'(r) = q(r)
                 q = [field.one]
                 for c in reversed(p[1:-1]):
                     q.append(c + root * q[-1])
+                if not (p[0] + root * q[-1]).is_zero():
+                    raise NotSemisimpleError("a minimal polynomial does not vanish at its root")
                 q.reverse()
                 scale = poly_eval(q, root).inverse()
                 refined.append(_combination(powers, {k: c * scale for k, c in enumerate(q)}))

@@ -191,7 +191,7 @@ def load_hopf(path, verify=True, conductor_override=None):
         with open(path) as fh:
             text = fh.read()
         data = json.loads(text)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:  # ValueError: bad bytes or JSON
         raise SchemaError(f"cannot read Hopf data: {err}") from err
     hopf = hopf_from_dict(data)
     if conductor_override is not None:

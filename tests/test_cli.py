@@ -384,6 +384,38 @@ def test_bad_input_exits_2_with_a_message(runner, tmp_path, monkeypatch, case):
         assert result.output == BAD_INPUT_MESSAGES[case]
 
 
+# bytes that are not UTF-8, and JSON nested past Python's recursion limit
+UNREADABLE_BYTES = b"\xff\xfe{}"
+TOO_DEEP = b"[" * 200000
+
+# (command, data file contents or None for s3, chain file contents or None)
+UNREADABLE_INPUTS = {
+    "data-not-utf8": ("verify", UNREADABLE_BYTES, None),
+    "data-too-deep": ("verify", TOO_DEEP, None),
+    "data-not-utf8-with-chain": ("solvable-check", UNREADABLE_BYTES, json.dumps(["k", "H"]).encode()),
+    "chain-too-deep": ("solvable-check", None, TOO_DEEP),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_exits_2_without_a_traceback(tmp_path, case):
+    # a fresh process, so that stderr is exactly what a user sees
+    command, data, chain = UNREADABLE_INPUTS[case]
+    argv = [command, path_of("s3")]
+    if data is not None:
+        (tmp_path / "data.json").write_bytes(data)
+        argv[1] = str(tmp_path / "data.json")
+    if chain is not None:
+        (tmp_path / "chain.json").write_bytes(chain)
+        argv += ["--chain", str(tmp_path / "chain.json")]
+    src = os.path.dirname(os.path.dirname(hopflab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "hopflab.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "error: " in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # argv for a command whose output path cannot be written: MISSING is no
 # directory, FILE is a regular file
 BAD_OUTPUT_PATHS = {

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from hopflab.linalg import (
     wedderburn,
     zero_vector,
 )
-from hopflab.scalars import CyclotomicField, poly_from_roots
+from hopflab.scalars import QQ, CyclotomicField, poly_from_roots
 
 Q = CyclotomicField(1)
 Q3 = CyclotomicField(3)
@@ -397,6 +398,77 @@ def _image_of(dense, v, field):
     return out
 
 
+def _random_sparse_rows(rng, field, nrows, ncols):
+    """Sparse rows without zero values, among them zero rows and
+    combinations of two earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append({})
+        elif kind < 0.4 and rows:
+            rows.append(linalg._combination([rng.choice(rows), rng.choice(rows)],
+                                            {0: _random_scalar(rng, field), 1: _random_scalar(rng, field)}))
+        else:
+            row = {j: _random_scalar(rng, field) for j in range(ncols) if rng.random() < 0.5}
+            rows.append({j: c for j, c in row.items() if not c.is_zero()})
+    return rows
+
+
+def test_subspace_matches_sympy_rref():
+    import sympy
+    rng = random.Random(41)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _random_sparse_rows(rng, Q, nrows, ncols)
+        space = Subspace.from_vectors(Q, ncols, rows)
+        matrix = sympy.Matrix([[sympy.Rational(row[j].num[0], row[j].den) if j in row else 0
+                                for j in range(ncols)] for row in rows])
+        reduced, pivots = matrix.rref()
+        assert space.pivots == tuple(pivots)
+        assert [list(row) for row in space.basis] == [
+            [QQ(int(c.p), int(c.q)) for c in reduced.row(i)] for i in range(len(pivots))]
+
+
+def test_echelon_rows_over_zeta3_are_reduced_and_canonical():
+    rng = random.Random(43)
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        rows = _random_sparse_rows(rng, Q3, rng.randint(1, 7), ncols)
+        space = Subspace.from_vectors(Q3, ncols, rows)
+        for p, row in zip(space.pivots, space.sparse_basis):
+            assert row[p].is_one()
+            assert not any(q in row for q in space.pivots if q != p)
+        assert not any(space.residual(row) for row in rows)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert Subspace.from_vectors(Q3, ncols, shuffled) == space
+
+
+def test_operations_leave_their_operands_unchanged():
+    # reduction enters fresh copies only: the rows of every Subspace it
+    # reads, shared by design, stay as they were
+    rng = random.Random(47)
+    u = Subspace.from_vectors(Q3, 6, _random_sparse_rows(rng, Q3, 8, 6))
+    v = Subspace.from_vectors(Q3, 6, _random_sparse_rows(rng, Q3, 8, 6))
+    coords = Subspace.from_vectors(Q3, u.dim, _random_sparse_rows(rng, Q3, 4, u.dim))
+    table, _ = permutation_group_table([(1, 0, 2), (1, 2, 0)], 3)
+    alg = _group_algebra_presentation(Q3, table)
+    gens = Subspace.from_vectors(Q3, alg.dim, [{1: Q3.one, 2: -Q3.one}])
+    operands = [u, v, coords, gens]
+    before = copy.deepcopy([(op.sparse_basis, op._rows) for op in operands])
+    assert 0 < coords.dim < u.dim < 6 and 0 < v.dim < 6
+    Subspace.from_vectors(Q3, 6, u.sparse_basis)
+    u.add(v)
+    u.intersect(v)
+    u.lift(coords)
+    for row in v.sparse_basis + u.sparse_basis:
+        u.residual(row)
+        u.sparse_coords(row)
+    assert linalg._subalgebra_generated(alg, gens.sparse_basis).dim < alg.dim
+    assert [(op.sparse_basis, op._rows) for op in operands] == before
+
+
 @pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta3)"])
 def test_kernel_of_images_matches_dense_kernel(field):
     rng = random.Random(37)
@@ -549,10 +621,10 @@ def test_central_blocks_square_no_line_in_the_algebra(monkeypatch, name):
     assert all(x in rows and y in rows for x, y in calls)
 
 
-@pytest.mark.parametrize("name", ["s3", "d-s3", "kS4"])
+@pytest.mark.parametrize("name", corpus_names() + ["kS4"])
 def test_central_blocks_refuse_a_wrong_root(monkeypatch, name):
-    # a root off by one gives a spectral idempotent that is no idempotent:
-    # the line certificate u^2 = theta u must refuse it
+    # a root off by one is no root of p, or lands on another root: the split
+    # certifies its roots before any line certificate or division by p'(r)
     factor = linalg.factor_into_linears
 
     def wrong(p, field=None):
@@ -560,7 +632,8 @@ def test_central_blocks_refuse_a_wrong_root(monkeypatch, name):
         return [(root + field.one, mult), *rest]
     monkeypatch.setattr(linalg, "factor_into_linears", wrong)
     with pytest.raises(NotSemisimpleError,
-                       match="central line is not closed under squaring|nilpotent central element found"):
+                       match="a minimal polynomial does not vanish at its root|"
+                             "a minimal polynomial's roots are not distinct"):
         _central_blocks(_central_block_algebra(name))
 
 
