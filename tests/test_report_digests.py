@@ -19,6 +19,10 @@ without `--text`, is pinned on D(kD4) and on kS4 at conductor 1 (dim 24),
 built as the benchmark builds it, so that the center split, its line
 certificates and the orthonormality check are pinned beyond the corpus.
 
+`double` is pinned on every corpus file, its output written under a fixed
+file name.  Its report carries the sha256 of the double's data file, so
+these pins hold the Drinfeld double's tensors byte for byte.
+
 `verify` is also pinned, with and without `--text`, on tampered copies of
 corpus files (one entry of one tensor replaced, some by irrational or
 fractional values), so that every tensor check fails in some report and
@@ -136,6 +140,13 @@ def _double_digest(directory, double, command="solvable-find", *rest):
     return _digest((command, f"D({name})", *rest), path)
 
 
+def _double_report_digest(directory, name):
+    """Digest of `double` on the corpus file `name`, its output written
+    under a fixed file name."""
+    out = os.path.join(directory, f"{name}-double.hopf.json")
+    return _digest(("double", name, "--out", out))
+
+
 def _ks4_digest(directory, *rest):
     """Digest of `characters` on kS4 at conductor 1, S4 generated by a
     transposition and a 4-cycle, saved under a fixed file name."""
@@ -153,6 +164,15 @@ PINNED = {
     'characters D(kD4) --text': ('75f15e4fffd284415332db3558ad88101250f137ed302a01113ba7a82b9e1b95', 0),
     'characters kS4': ('5641149b9a666a543b5ec9d50472044c3e4687cff49c20add154ee5e843dfaa1', 0),
     'characters kS4 --text': ('8441bbc71a98f42d85249dcff542c29233fd47bc8e47f128bd6bbac9b480663d', 0),
+    'double z2': ('0dd7d269c8ee51ba6bf79bf51d3b2f282f3a6d4953e30e5a60c6fa9e364d7839', 0),
+    'double z3': ('51898c076f1e2e9d547ec80a3ec04a9481a501554384cb21f747669ebd684ad0', 0),
+    'double z6': ('84cc2861f7d823794eca013ced9d970a961515744cf0041112eeec50c8c4d43e', 0),
+    'double s3': ('de787bfe30ba9475ca399cdcef547b2b3a43247afa664ad401071331326a38fd', 0),
+    'double s3-dual': ('c7f17c300b78d2d7495a27e4806691b9e247959a65083b145498e51e36e4b536', 0),
+    'double d4': ('ccaa217329c686bab2950d40c0ec88706a05259740a4d6b741073c82bdc1431e', 0),
+    'double q8': ('6c383d2b26127a55d14770b6829cccf2f08550c8f59b3ff49df3173b0a4894d9', 0),
+    'double d-z2': ('4505245336cd704c3c0d6edad362b94370217e573d9be7fa364b700a013bb70c', 0),
+    'double d-s3': ('bfec21b98b0208ffc430ddafcf752721b0d0226be7e169ceec1f783302dd1147', 0),
     'solvable-find z2': ('cfa508e3d882e6a7502169017061884a367947d4b6cffa9cc4d24b6a0d247ff5', 0),
     'solvable-find z2 --text': ('954eaaa9f474510bf973122719c57e288de9fd42957a43283fb25b258b276c2e', 0),
     'nilpotent-check z2': ('6e6455e05d2cf3bea53faf1b770d8868d1b692447d3bf227622fdabcf280a7ee', 0),
@@ -382,6 +402,11 @@ def test_double_d4_characters_report_matches_pinned_digest(tmp_path, text):
     assert _double_digest(tmp_path, "kD4", "characters", *text) == PINNED[key]
 
 
+@pytest.mark.parametrize("name", corpus_names())
+def test_double_report_matches_pinned_digest(name, tmp_path):
+    assert _double_report_digest(tmp_path, name) == PINNED[f"double {name}"]
+
+
 @pytest.mark.parametrize("text", [(), ("--text",)], ids=["json", "text"])
 def test_ks4_characters_report_matches_pinned_digest(tmp_path, text):
     assert _ks4_digest(tmp_path, *text) == PINNED[" ".join(("characters", "kS4", *text))]
@@ -405,3 +430,6 @@ if __name__ == "__main__":
             print(f"    {' '.join(('characters', 'D(kD4)', *text))!r}: ({digest!r}, {code}),")
             digest, code = _ks4_digest(directory, *text)
             print(f"    {' '.join(('characters', 'kS4', *text))!r}: ({digest!r}, {code}),")
+        for name in corpus_names():
+            digest, code = _double_report_digest(directory, name)
+            print(f"    'double {name}': ({digest!r}, {code}),")
