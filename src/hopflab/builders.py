@@ -6,7 +6,7 @@ Permutation composition is (f g)(x) = f(g(x)) throughout.
 
 from __future__ import annotations
 
-from .errors import NotAGroupError
+from .errors import NotAGroupError, NotSemisimpleError
 from .hopf import HopfAlgebra, _first_witness
 from .linalg import AlgebraPresentation, _tensor_add, _to_dense, _to_sparse
 from .scalars import CyclotomicField
@@ -191,14 +191,23 @@ def group_algebra(cayley_table, conductor=1, labels=None, name=None) -> HopfAlge
 
 
 def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
-    """D(H) on the basis p_a x e_i (dual index major), with the usual
-    straightening multiplication, coalgebra H*cop x H, and the canonical
-    R-matrix sum_i (eps x e_i) tensor (p_i x 1).
+    """D(H) on the basis p_a x e_i (dual index major), with coalgebra
+    H*cop x H and the canonical R-matrix sum_i (eps x e_i) tensor (p_i x 1).
+    The product straightens e_i p_b over Delta^2(e_i) = sum e_u x e_v x e_w
+    (Kassel, Quantum Groups, IX.4):
 
+        (p_a x e_i)(p_b x e_j) = sum p_a (e_u -> p_b <- S(e_w)) x e_v e_j,
+
+    <e_u -> p_b <- S(e_w), e_k> = <p_b, S(e_w) e_k e_u>.  The textbook has
+    S^-1 for S here, so S^2 = id is required (it holds for semisimple H in
+    characteristic 0); NotSemisimpleError names the first e_i it fails on.
     The output is meant to be run through verify(), which also checks the
     quasitriangular identities for the attached R.
     """
     H = hopf
+    witness = H._involution_witness()
+    if witness is not None:
+        raise NotSemisimpleError(f"the double needs an involutive antipode, but S^2 e_{witness} != e_{witness}")
     Hd = H.dual()
     dim, field = H.dim, H.field
     D = dim * dim
@@ -206,43 +215,30 @@ def drinfeld_double(hopf: HopfAlgebra) -> HopfAlgebra:
     def didx(a, i):
         return a * dim + i
 
-    # Delta^2 of each basis element of H
-    delta2 = []
-    for i in range(dim):
-        t3 = {}
-        for (u, x), c in H.comult[i].items():
-            for (v, w), d in H.comult[x].items():
-                _tensor_add(t3, (u, v, w), c * d)
-        delta2.append(t3)
-
-    q_cache = {}
-
-    def sandwich(u, w, b):
-        # q[k] = <p_b, S(e_w) e_k e_u>, as e_u -> (p_b <- S(e_w)) in H*, sparse
-        key = (u, w, b)
-        if key not in q_cache:
-            s_w = _to_dense(H.antipode[w], dim, field)
-            q_cache[key] = _to_sparse(Hd.act_left(H.basis(u), Hd.act_right(H.basis(b), s_w)))
-        return q_cache[key]
+    # p_a p_k = sum_m Delta(e_m)_(a, k) p_m in H*, listed by k
+    dual_terms = [[] for _ in range(dim)]
+    for m, cell in enumerate(H.comult):
+        for (a, k), d in cell.items():
+            dual_terms[k].append((a, m, d))
 
     mult = [{} for _ in range(D)]
-    for a in range(dim):
-        p_a = {a: field.one}
-        for i in range(dim):
-            row = mult[didx(a, i)]
-            for b in range(dim):
-                for j in range(dim):
-                    out = {}
-                    for (u, v, w), c in delta2[i].items():
-                        pa_q = Hd.sparse_product(p_a, sandwich(u, w, b))
-                        if not pa_q:
-                            continue
-                        for mp, cm in H.mult[v].get(j, {}).items():
-                            f = c * cm
-                            for cd, cq in pa_q.items():
-                                _tensor_add(out, didx(cd, mp), f * cq)
-                    if out:
-                        row[didx(b, j)] = out
+    for i in range(dim):
+        delta2 = {}
+        for (u, x), c in H.comult[i].items():
+            for (v, w), d in H.comult[x].items():
+                _tensor_add(delta2, (u, v, w), c * d)
+        for (u, v, w), c in delta2.items():
+            for k, terms in enumerate(dual_terms):
+                # s at e_b is <p_b, S(e_w) e_k e_u>
+                sandwich = H.sparse_product(H.sparse_product(H.antipode[w], {k: field.one}), {u: field.one})
+                for b, s in sandwich.items():
+                    for a, m, d in terms:
+                        row, f = mult[didx(a, i)], c * s * d
+                        for j, cell in H.mult[v].items():
+                            out = row.setdefault(didx(b, j), {})
+                            for n, cn in cell.items():
+                                _tensor_add(out, didx(m, n), f * cn)
+    mult = [{bj: out for bj, out in sorted(row.items()) if out} for row in mult]
 
     comult = [dict() for _ in range(D)]
     for a in range(dim):

@@ -373,8 +373,7 @@ class HopfAlgebra(AlgebraPresentation):
                 ("antipode", tensors.antipode_witness())):
             checks.append(AxiomCheck(name, witness is None, witness))
 
-        witness = next((i for i, row in enumerate(self.antipode)
-                        if _combination(self.antipode, row) != {i: self.field.one}), None)
+        witness = self._involution_witness()
         checks.append(AxiomCheck("antipode_involutive", witness is None, witness))
 
         if self.r_matrix is not None:
@@ -394,6 +393,11 @@ class HopfAlgebra(AlgebraPresentation):
             if self.sparse_product(unit, e) != e or self.sparse_product(e, unit) != e:
                 return i
         return None
+
+    def _involution_witness(self):
+        """First i with S(S(e_i)) != e_i, else None."""
+        return next((i for i, row in enumerate(self.antipode)
+                     if _combination(self.antipode, row) != {i: self.field.one}), None)
 
     def require_axioms(self):
         """Run verify(); raise AxiomError with its report unless every

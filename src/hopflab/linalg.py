@@ -180,7 +180,7 @@ def _enter(rows, vec):
     return row
 
 
-def _sparse_rref(rows, field):
+def _sparse_rref(rows):
     """Full RREF of dict-rows, each entered in turn (`_enter`).  Returns
     list of (pivot_col, row_dict) sorted by pivot column."""
     pivots = {}
@@ -196,7 +196,7 @@ def rref(vectors, field, ambient=None):
         if not vectors:
             raise ValueError("ambient dimension required for empty input")
         ambient = len(vectors[0])
-    reduced = _sparse_rref([_to_sparse(v) for v in vectors], field)
+    reduced = _sparse_rref([_to_sparse(v) for v in vectors])
     return [_to_dense(row, ambient, field) for _, row in reduced], [p for p, _ in reduced]
 
 
@@ -226,7 +226,7 @@ class Subspace:
         """The span of vectors, each a dense sequence or a sparse dict
         {column: Scalar} without zero values."""
         return cls(field, ambient, _sparse_rref(
-            [v if isinstance(v, dict) else _to_sparse(v) for v in vectors], field))
+            [v if isinstance(v, dict) else _to_sparse(v) for v in vectors]))
 
     @classmethod
     def full(cls, field, ambient):
@@ -307,7 +307,7 @@ class Subspace:
 
 def _kernel_from_rows(rows, field, ncols) -> Subspace:
     """Kernel of a system given by sparse equation rows."""
-    reduced = _sparse_rref(rows, field)
+    reduced = _sparse_rref(rows)
     pivot_set = {p for p, _ in reduced}
     vecs = []
     for f in range(ncols):
@@ -354,7 +354,7 @@ def solve_linear(matrix_rows, rhs, field):
         if not b.is_zero():
             r[ncols] = b
         aug.append(r)
-    reduced = _sparse_rref(aug, field)
+    reduced = _sparse_rref(aug)
     particular = zero_vector(field, ncols)
     for p, row in reduced:
         if p == ncols:

@@ -6,7 +6,8 @@ coideal subalgebra and the check that a quotient's projection is a Hopf
 map.  Every product is taken with the algebra's own multiply (or adjoint)
 on dense vectors, one basis element (or pair, or triple) at a time.  The
 lift of a coideal subalgebra from a quotient has its own oracle, through
-the invariants correspondence.  Also here: Sweedler's algebra, the
+the invariants correspondence, and the Drinfeld double's product has one
+through dense hit actions.  Also here: Sweedler's algebra, the
 non-semisimple input of the refusal tests."""
 
 import math
@@ -16,6 +17,9 @@ from hopflab.errors import HopfLabError
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import (
     Subspace,
+    _tensor_add,
+    _to_dense,
+    _to_sparse,
     basis_vector,
     kernel,
     mat_vec,
@@ -206,3 +210,53 @@ def invariants_lift(hq, subspace):
     pulled = [[sum((c * b[k] for k, c in pi_i.items() if k in b), hopf.field.zero) for pi_i in hq._pi]
               for b in bbar.sparse_basis]
     return invariants_of(hopf, Subspace.from_vectors(hopf.field, hopf.dim, pulled))
+
+
+def hit_action_double_mult(H):
+    """mult of the Drinfeld double D(H) on the basis p_a x e_i, index
+    a dim + i, one quadruple (a, i, b, j) at a time: the product of p_a x e_i
+    and p_b x e_j is the sum over Delta^2(e_i) = sum c e_u x e_v x e_w of
+    c p_a q x e_v e_j, where q = e_u -> (p_b <- S(e_w)) is taken by two
+    dense hit actions on H*, so q at e_k is <p_b, S(e_w) e_k e_u>."""
+    Hd = H.dual()
+    dim, field = H.dim, H.field
+
+    def didx(a, i):
+        return a * dim + i
+
+    delta2 = []
+    for i in range(dim):
+        t3 = {}
+        for (u, x), c in H.comult[i].items():
+            for (v, w), d in H.comult[x].items():
+                _tensor_add(t3, (u, v, w), c * d)
+        delta2.append(t3)
+
+    q_cache = {}
+
+    def sandwich(u, w, b):
+        key = (u, w, b)
+        if key not in q_cache:
+            s_w = _to_dense(H.antipode[w], dim, field)
+            q_cache[key] = _to_sparse(Hd.act_left(H.basis(u), Hd.act_right(H.basis(b), s_w)))
+        return q_cache[key]
+
+    mult = [{} for _ in range(dim * dim)]
+    for a in range(dim):
+        p_a = {a: field.one}
+        for i in range(dim):
+            row = mult[didx(a, i)]
+            for b in range(dim):
+                for j in range(dim):
+                    out = {}
+                    for (u, v, w), c in delta2[i].items():
+                        pa_q = Hd.sparse_product(p_a, sandwich(u, w, b))
+                        if not pa_q:
+                            continue
+                        for mp, cm in H.mult[v].get(j, {}).items():
+                            f = c * cm
+                            for cd, cq in pa_q.items():
+                                _tensor_add(out, didx(cd, mp), f * cq)
+                    if out:
+                        row[didx(b, j)] = out
+    return mult

@@ -9,6 +9,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from algebratools import sweedler_h4
+
 import hopflab
 from hopflab.builders import group_algebra, permutation_group_table
 from hopflab.cli import main
@@ -101,6 +103,17 @@ def test_dual_and_double_roundtrip(runner, tmp_path):
     result = runner.invoke(main, ["double", path_of("z2"), "--out", str(out2)])
     assert result.exit_code == 0
     assert json.loads(result.output)["result"]["dim"] == 4
+
+
+def test_double_refuses_a_non_involutive_antipode(runner, tmp_path):
+    # the double's product needs S^2 = id, which --skip-verify does not check
+    path = tmp_path / "h4.hopf.json"
+    save_hopf(sweedler_h4(), str(path))
+    out = tmp_path / "d-h4.hopf.json"
+    result = runner.invoke(main, ["double", str(path), "--skip-verify", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "involutive antipode" in result.output
+    assert not out.exists()
 
 
 def test_integrals_text(runner):

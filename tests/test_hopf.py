@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from algebratools import dense_associativity_witness, sweedler_h4
+from algebratools import dense_associativity_witness, hit_action_double_mult, sweedler_h4
 from integraltools import solve_integral
 from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
@@ -270,9 +270,9 @@ def test_integrals_and_characters_solve_no_linear_system(monkeypatch):
     calls = []
     sparse_rref = linalg._sparse_rref
 
-    def spy(rows, field):
+    def spy(rows):
         calls.append(len(rows))
-        return sparse_rref(rows, field)
+        return sparse_rref(rows)
 
     monkeypatch.setattr(linalg, "_sparse_rref", spy)
     for name in corpus_names():
@@ -605,6 +605,54 @@ def test_drinfeld_double_s3(s3):
     assert d.dim == 36
     report = d.verify()
     assert report.ok, [c.name for c in report.failures()]
+
+
+def _delta2_terms(H, i):
+    """Number of nonzero terms of Delta^2(e_i) = (Delta x id) Delta(e_i)."""
+    t3 = {}
+    for (x, w), c in H.comult[i].items():
+        for (u, v), d in H.comult[x].items():
+            t3[(u, v, w)] = t3.get((u, v, w), H.field.zero) + c * d
+    return sum(1 for c in t3.values() if not c.is_zero())
+
+
+@pytest.mark.parametrize("name", ["d-z2", "s3-dual"])
+def test_drinfeld_double_is_one_sparse_contraction(name, monkeypatch):
+    # no hit action on H or H*, and two products in H per term of
+    # Delta^2(e_i) and basis element e_k
+    H, _ = load_corpus(name, verify=False)
+    hits, products = [], []
+    sparse_product = HopfAlgebra.sparse_product
+
+    def spy_product(self, x, y):
+        if self is H:
+            products.append((x, y))
+        return sparse_product(self, x, y)
+
+    for action in ("act_left", "act_right"):
+        monkeypatch.setattr(HopfAlgebra, action, lambda *args, action=action: hits.append(action))
+    monkeypatch.setattr(HopfAlgebra, "sparse_product", spy_product)
+    drinfeld_double(H)
+    assert hits == []
+    assert 0 < len(products) <= 2 * H.dim * sum(_delta2_terms(H, i) for i in range(H.dim))
+
+
+@pytest.mark.parametrize("name, dual", [("kA4", False), ("kA4", True), ("kD6", True)])
+def test_drinfeld_double_product_matches_hit_actions(name, dual):
+    # kA4, k^A4 and k^D6 at conductor 3, as perfbench builds them
+    generators = {"kA4": [(1, 2, 0, 3), (1, 0, 3, 2)], "kD6": [(1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0)]}[name]
+    table, labels = permutation_group_table(generators, len(generators[0]))
+    H = group_algebra(table, conductor=3, labels=labels, name=name)
+    H = H.dual() if dual else H
+    assert drinfeld_double(H).mult == hit_action_double_mult(H)
+
+
+def test_drinfeld_double_refuses_a_non_involutive_antipode():
+    # Sweedler's H4 has S^2 != id: S^2(x) = -x
+    with pytest.raises(NotSemisimpleError, match="involutive antipode, but S\\^2 e_2 != e_2"):
+        drinfeld_double(sweedler_h4())
+    report = sweedler_h4().verify()
+    assert next(c.witness for c in report.checks if c.name == "antipode_involutive") == 2
 
 
 def test_quaternion_group_algebra_verifies():
