@@ -329,15 +329,21 @@ class HopfAlgebra(AlgebraPresentation):
         index (or pair, or triple) in loop order.  A passing report marks
         the object (and its dual) proven, see AlgebraPresentation.
 
-        Three checks hold on a subalgebra, so they read only the generating
-        set S (`generating_set`), each once the checks it rests on have
-        passed:
+        Six checks hold on a subalgebra that holds 1, so they read only the
+        generating set S (`generating_set`), each once the checks it rests
+        on have passed:
           - associativity, with S in the middle, once the unit check has
             passed (Light's test, see `generating_set`);
           - Delta and eps as algebra maps, with S on the left, once
             associativity has passed: {a : Delta(a b) = Delta(a) Delta(b)
             for all b} is then closed under products, and holds 1 once
-            Delta(1) = 1 (x) 1, which is checked first; likewise for eps.
+            Delta(1) = 1 (x) 1, which is checked first; likewise for eps;
+          - the counit axiom, coassociativity and, with an R-matrix,
+            Delta^op(h) R = R Delta(h), once both algebra-map checks have
+            passed: (eps x id) Delta, (id x eps) Delta, (Delta x id) Delta
+            and (id x Delta) Delta are then algebra maps, and
+            Delta^op(h k) R = Delta^op(h) R Delta(k) = R Delta(h k).
+        The two algebra-map checks run first; the report keeps its order.
         A failure over S proves the axiom false but need not be the first
         failure in loop order, so the full loop then runs to name it: only
         input that fails pays for it."""
@@ -352,24 +358,16 @@ class HopfAlgebra(AlgebraPresentation):
         checks.append(AxiomCheck("associativity", witness is None, witness))
         if witness is not None:
             gens = range(dim)
-
-        witness = None
-        for i in range(dim):
-            left = self.zero()
-            right = self.zero()
-            for (j, k), c in self.comult[i].items():
-                left[k] = left[k] + c * self.counit[j]
-                right[j] = right[j] + c * self.counit[k]
-            e = self.basis(i)
-            if not (vec_eq(left, e) and vec_eq(right, e)):
-                witness = i
-                break
-        checks.append(AxiomCheck("counit", witness is None, witness))
+        comult_map = _first_witness(tensors.comult_is_algebra_map_witness, gens, dim)
+        counit_map = _first_witness(tensors.counit_is_algebra_map_witness, gens, dim)
+        if comult_map is not None or counit_map is not None:
+            gens = range(dim)
 
         for name, witness in (
-                ("coassociativity", tensors.coassociativity_witness()),
-                ("comult_is_algebra_map", _first_witness(tensors.comult_is_algebra_map_witness, gens, dim)),
-                ("counit_is_algebra_map", _first_witness(tensors.counit_is_algebra_map_witness, gens, dim)),
+                ("counit", _first_witness(tensors.counit_witness, gens, dim)),
+                ("coassociativity", _first_witness(tensors.coassociativity_witness, gens, dim)),
+                ("comult_is_algebra_map", comult_map),
+                ("counit_is_algebra_map", counit_map),
                 ("antipode", tensors.antipode_witness())):
             checks.append(AxiomCheck(name, witness is None, witness))
 
@@ -377,7 +375,7 @@ class HopfAlgebra(AlgebraPresentation):
         checks.append(AxiomCheck("antipode_involutive", witness is None, witness))
 
         if self.r_matrix is not None:
-            checks.extend(tensors.quasitriangular_checks())
+            checks.extend(tensors.quasitriangular_checks(gens))
         report = AxiomReport(checks)
         if report.ok:
             self._cache["proven"] = True
@@ -675,12 +673,30 @@ class _IntegerTensors:
                     return i, j, first[0]
         return None
 
-    def coassociativity_witness(self):
-        """First i with (Delta x id) Delta(e_i) != (id x Delta) Delta(e_i)."""
+    def counit_witness(self, indices):
+        """First i, for i in indices, with (eps x id) Delta(e_i) != e_i or
+        (id x eps) Delta(e_i) != e_i; keys (side, n, zeta power)."""
+        counit, D2 = self.counit, self.D ** 2
+        for i in indices:
+            acc = {(0, i, 0): -D2, (1, i, 0): -D2}  # e_i against two factors
+            for j, k, t, x in self.comult[i]:
+                for u, y in counit[j]:
+                    key = (0, k, t + u)
+                    acc[key] = acc.get(key, 0) + x * y
+                for u, y in counit[k]:
+                    key = (1, j, t + u)
+                    acc[key] = acc.get(key, 0) + x * y
+            if _first_nonzero(self.field, acc) is not None:
+                return i
+        return None
+
+    def coassociativity_witness(self, indices):
+        """First i, for i in indices, with (Delta x id) Delta(e_i) !=
+        (id x Delta) Delta(e_i)."""
         comult = self.comult
-        for i, cell in enumerate(comult):
+        for i in indices:
             acc = {}
-            for j, k, t, x in cell:
+            for j, k, t, x in comult[i]:
                 for a, b, u, y in comult[j]:
                     key = (a, b, k, t + u)
                     acc[key] = acc.get(key, 0) + x * y
@@ -773,9 +789,9 @@ class _IntegerTensors:
                 return i
         return None
 
-    def quasitriangular_checks(self):
+    def quasitriangular_checks(self, indices):
         """The four identities of the attached R-matrix; only the last
-        names a witness."""
+        names a witness, read over indices as `_first_witness` reads."""
         field, D, R, comult, mult = self.field, self.D, self.r, self.comult, self.mult
         checks = []
         # invertibility via the standard inverse (S x id)R: five factors
@@ -810,17 +826,21 @@ class _IntegerTensors:
         checks.append(AxiomCheck("r_left_coproduct", _first_nonzero(field, left) is None))
         checks.append(AxiomCheck("r_right_coproduct", _first_nonzero(field, right) is None))
 
-        # Delta^op(h) R = R Delta(h)
-        witness = None
-        for h, cell in enumerate(comult):
-            acc = {}
-            self._add_product(acc, self._left_index([(k, j, t, x) for j, k, t, x in cell]), R, 1)
-            self._add_product(acc, r_left, cell, -1)
-            if _first_nonzero(field, acc) is not None:
-                witness = h
-                break
+        witness = _first_witness(self.r_intertwines_coproduct_witness, indices, self.dim)
         checks.append(AxiomCheck("r_intertwines_coproduct", witness is None, witness))
         return checks
+
+    def r_intertwines_coproduct_witness(self, indices):
+        """First h, for h in indices, with Delta^op(e_h) R != R Delta(e_h)."""
+        r_left = self._left_index(self.r)
+        for h in indices:
+            cell = self.comult[h]
+            acc = {}
+            self._add_product(acc, self._left_index([(k, j, t, x) for j, k, t, x in cell]), self.r, 1)
+            self._add_product(acc, r_left, cell, -1)
+            if _first_nonzero(self.field, acc) is not None:
+                return h
+        return None
 
 
 def _first_witness(check, gens, dim):

@@ -205,11 +205,12 @@ class Subspace:
 
     Two subspaces are equal iff their echelon matrices are identical.  The
     rows, dicts {column: Scalar} listed (sparse_basis) and keyed (_rows)
-    by pivot, are shared and read-only.  The dense rows (basis) are built
-    on first read and kept, so concurrent readers at worst build them twice.
+    by pivot, are shared and read-only; _index maps each pivot to its
+    row's position.  The dense rows (basis) are built on first read and
+    kept, so concurrent readers at worst build them twice.
     """
 
-    __slots__ = ("field", "ambient", "pivots", "sparse_basis", "_rows", "_basis")
+    __slots__ = ("field", "ambient", "pivots", "sparse_basis", "_rows", "_index", "_basis")
 
     def __init__(self, field, ambient, reduced):
         """reduced: the (pivot, sparse row) pairs of a reduced row-echelon
@@ -219,6 +220,7 @@ class Subspace:
         self.pivots = tuple(p for p, _ in reduced)
         self.sparse_basis = [row for _, row in reduced]
         self._rows = dict(reduced)
+        self._index = {p: k for k, p in enumerate(self.pivots)}
         self._basis = None
 
     @classmethod
@@ -274,10 +276,12 @@ class Subspace:
         return [vec[p] for p in self.pivots]
 
     def sparse_coords(self, vec):
-        """coords_of for a sparse vec, as a sparse dict {row index: Scalar}."""
+        """coords_of for a sparse vec, as a sparse dict {row index: Scalar}
+        in row order, read at the pivots among vec's own keys."""
         if self.residual(vec):
             return None
-        return {k: vec[p] for k, p in enumerate(self.pivots) if p in vec}
+        index = self._index
+        return {index[p]: vec[p] for p in sorted(vec.keys() & index.keys())}
 
     def contains_vector(self, vec):
         return self.coords_of(vec) is not None
@@ -485,10 +489,14 @@ class AlgebraPresentation:
         """Basis indices S whose right-nested words s_1 (s_2 (... s_k))
         span the algebra, chosen greedily in index order
         (`_greedy_generators`), cached.  The search gives up, and S is every
-        index, once it would take more products than mult has nonzero
-        cells, which is as many as the full checks read: a commutative
-        algebra of orthogonal idempotents such as k^G needs dim - 1
-        generators, each multiplying every row of W.
+        index, once it would take more products than the full associativity
+        loop visits term pairs: sum over every nonzero c_ij^m of the number
+        of nonzero constants in row m.  Past that, reading every index costs
+        less than the search.  A commutative algebra of orthogonal
+        idempotents such as k^G, one constant per row, needs dim - 1
+        generators, each multiplying every row of W, and gives up within
+        one product per nonzero cell; a Drinfeld double, whose rows hold
+        many constants, gets an S of about half its basis or less.
 
         The words lie in every subalgebra that holds S, whether or not the
         algebra is associative, so S certifies Light's associativity test
@@ -499,7 +507,8 @@ class AlgebraPresentation:
         gens = self._cache.get("generators")
         if gens is None:
             one = self.field.one
-            budget = sum(len(row) for row in self.mult)
+            row_terms = [sum(len(cell) for cell in row.values()) for row in self.mult]
+            budget = sum(row_terms[m] for row in self.mult for cell in row.values() for m in cell)
             found = _greedy_generators(self, [{i: one} for i in range(self.dim)], budget)
             gens = tuple(found[0]) if found is not None else tuple(range(self.dim))
             self._cache["generators"] = gens

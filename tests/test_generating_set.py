@@ -158,28 +158,44 @@ def _ks3():
 
 
 def _broken_ks3(i, j, tensor):
-    """kS3 with e_i e_j, or with Delta(e_j), sent to a wrong basis element,
-    and its generating set."""
+    """kS3 with e_i e_j, or with Delta(e_j), sent to a wrong basis element;
+    or, with i ignored, kS3 with R = 1 (x) 1 and Delta twisted to
+    Delta(g) = j g j^-1 (x) g ("twist"), or with R = e_j (x) 1
+    ("r_matrix").  The twisted Delta and eps stay algebra maps, so the
+    counit, coassociativity and R-intertwining checks read S.  Returns
+    the changed algebra and its generating set."""
     H = _ks3()
-    unit = H.unit.index(H.field.one)
-    (k,) = H.mult[i][j]
-    wrong = next(n for n in range(H.dim) if n not in (k, j, unit))
+    one = H.field.one
+    unit = H.unit.index(one)
+    table = [[next(iter(row[b])) for b in range(H.dim)] for row in H.mult]
+    wrong = next(n for n in range(H.dim) if n not in (table[i][j], j, unit))
     mult = [{b: dict(cell) for b, cell in row.items()} for row in H.mult]
     comult = [dict(cell) for cell in H.comult]
+    r_matrix = None
     if tensor == "mult":
-        mult[i][j] = {wrong: H.field.one}
+        mult[i][j] = {wrong: one}
+    elif tensor == "comult":
+        comult[j] = {(j, wrong): one}
+    elif tensor == "twist":
+        inverse = table[j].index(unit)
+        comult = [{(table[table[j][g]][inverse], g): one} for g in range(H.dim)]
+        r_matrix = {(unit, unit): one}
     else:
-        comult[j] = {(j, wrong): H.field.one}
-    broken = HopfAlgebra(H.field, H.dim, mult, H.unit, comult, H.counit, H.antipode)
+        r_matrix = {(j, unit): one}
+    broken = HopfAlgebra(H.field, H.dim, mult, H.unit, comult, H.counit, H.antipode, r_matrix=r_matrix)
     return broken, broken.generating_set()
 
 
-@pytest.mark.parametrize("tensor, axiom", [("mult", "associativity"), ("comult", "comult_is_algebra_map")])
+@pytest.mark.parametrize("tensor, axiom", [
+    ("mult", "associativity"), ("comult", "comult_is_algebra_map"), ("twist", "counit"),
+    ("twist", "coassociativity"), ("twist", "r_intertwines_coproduct"), ("r_matrix", "r_intertwines_coproduct")])
 def test_defect_at_an_index_outside_s_is_caught_and_named_in_loop_order(tensor, axiom):
     # change a cell e_i e_j, or the coproduct of e_j, of kS3 for a j outside
-    # the generating set S of the changed algebra: the check over S fails
-    # (the passing set is a subalgebra that is not the whole algebra, so it
-    # misses some s in S), and the full rerun names the reference's witness
+    # the generating set S of the changed algebra, or twist its coproduct
+    # by conjugation with such an e_j, or set its R-matrix to e_j (x) 1:
+    # the check over S fails (the passing set is a subalgebra that is not
+    # the whole algebra, so it misses some s in S), and the full rerun
+    # names the reference's witness
     H = _ks3()
     unit = H.unit.index(H.field.one)
     pairs = [(i, j) for i in range(H.dim) for j in range(H.dim)
@@ -195,10 +211,60 @@ def test_defect_at_an_index_outside_s_is_caught_and_named_in_loop_order(tensor, 
         assert check(gens) is not None
         report = broken.verify().to_dict()
         assert report == reference_report(broken).to_dict()
-        witness = next(c.get("witness") for c in report["checks"] if c["axiom"] == axiom)
-        assert witness == check(range(H.dim)) is not None
+        witnesses = {c["axiom"]: c.get("witness") for c in report["checks"]}
+        assert witnesses[axiom] == check(range(H.dim)) is not None
+        if tensor in ("twist", "r_matrix"):  # the checks over S ran
+            assert witnesses["comult_is_algebra_map"] is witnesses["counit_is_algebra_map"] is None
         assert "proven" not in broken._cache
     assert cases
+
+
+def test_counit_coassociativity_and_intertwining_read_only_s_on_a_double(monkeypatch):
+    # once Delta and eps are proven algebra maps, the three loops are asked
+    # for the indices of S alone
+    names = ("counit_witness", "coassociativity_witness", "r_intertwines_coproduct_witness")
+    reads = {}
+    for name in names:
+        check = getattr(_IntegerTensors, name)
+        monkeypatch.setattr(_IntegerTensors, name, lambda self, indices, name=name, check=check:
+                            reads.setdefault(name, []).append(tuple(indices)) or check(self, indices))
+    H = load("d-s3", verify=False)[0]
+    assert H.verify().ok
+    gens = H.generating_set()
+    assert len(gens) == 19
+    assert reads == {name: [gens] for name in names}
+
+
+def _term_pairs(H):
+    """The term pairs the full associativity loop visits: for every nonzero
+    c_ij^m, the nonzero constants of row m."""
+    row_terms = [sum(len(cell) for cell in row.values()) for row in H.mult]
+    return sum(row_terms[m] for row in H.mult for cell in row.values() for m in cell)
+
+
+@pytest.mark.parametrize("build, size", [(_ks3, 2), (lambda: load("s3-dual", verify=False)[0], 6),
+                                         (lambda: load("d-s3", verify=False)[0], 19)],
+                         ids=["kS3", "k^S3", "d-s3"])
+def test_search_makes_no_more_products_than_associativity_visits_term_pairs(build, size, monkeypatch):
+    # the search gives up (k^S3, S is every index) once it would make more
+    # products than the full associativity loop visits term pairs
+    H = build()
+    products = []
+    sparse_product = AlgebraPresentation.sparse_product
+    monkeypatch.setattr(AlgebraPresentation, "sparse_product",
+                        lambda self, x, y: products.append(1) or sparse_product(self, x, y))
+    assert len(H.generating_set()) == size
+    assert len(products) <= _term_pairs(H)
+
+
+@pytest.mark.parametrize("build", [lambda: load("d-z2", verify=False)[0], lambda: load("d-s3", verify=False)[0],
+                                   _double_d4], ids=["d-z2", "d-s3", "D(kD4)"])
+def test_doubles_and_their_duals_get_a_generating_set(build):
+    H = build()
+    for A in (H, H.dual()):
+        gens = A.generating_set()
+        assert len(gens) < A.dim
+        assert _subalgebra_generated(A, [{s: A.field.one} for s in gens]) == Subspace.full(A.field, A.dim)
 
 
 @pytest.mark.parametrize("build", [lambda: load("s3-dual", verify=False)[0], lambda: _built("kA4").dual()],
@@ -206,7 +272,9 @@ def test_defect_at_an_index_outside_s_is_caught_and_named_in_loop_order(tensor, 
 def test_budget_falls_back_to_every_index(build, monkeypatch):
     # k^G has a basis of orthogonal idempotents: any S of basis elements
     # has dim - 1 members, at up to dim products each, more than mult has
-    # nonzero cells, so the search gives up within that budget
+    # nonzero cells, so the search gives up within that budget (each row
+    # holds one constant, so the term pairs of the associativity loop are
+    # as many as the nonzero cells)
     H = build()
     products = []
     sparse_product = AlgebraPresentation.sparse_product
