@@ -31,8 +31,9 @@ of N acting on H.dual() by the hit action, since <n, 1_{H*}> = eps(n)),
 left_kernel (f the module matrices) and HopfQuotient.lift_coideal (f the
 projection to H//N modulo the coideal subalgebra lifted).
 
-Quotients H//N for normal N are realized on the ideal H*Lambda_N, which the
-projection h |-> h*Lambda_N identifies with H/HN+.
+H//N and Hopf subalgebras come from one builder, _hopf_on_rows, and one
+certificate, _check_hopf_map: H//N on the ideal H*Lambda_N, which the
+projection h |-> h*Lambda_N identifies with H/HN+, N on its echelon rows.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _checked_presentation(hopf: HopfAlgebra, space: Subspace) -> AlgebraPresenta
     failure."""
     if not space.contains_vector(hopf.unit):
         raise NotCoidealError("unit not contained")
-    presentation = _subalgebra_presentation(hopf, space, hopf.unit)
+    presentation = _subalgebra_presentation(hopf, space)
     if presentation is None:
         raise NotCoidealError("not closed under multiplication")
     if not _legs_inside(hopf, space, right=True):
@@ -278,7 +279,7 @@ def invariants_of(hopf: HopfAlgebra, functionals: Subspace) -> Subspace:
     """
     if not functionals.contains_vector(hopf.counit):
         raise NotAnAlgebraError("T does not contain the unit of H*")
-    if _subalgebra_presentation(hopf.dual(), functionals, hopf.counit) is None:
+    if _subalgebra_presentation(hopf.dual(), functionals) is None:
         raise NotAnAlgebraError("T is not closed under multiplication")
     return _invariants(hopf, functionals)
 
@@ -355,27 +356,57 @@ class HopfQuotient:
 
 
 def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
-    """The Hopf quotient H//N on the echelon basis of H*Lambda_N."""
+    """The Hopf quotient H//N on the echelon basis of H*Lambda_N, read
+    through pi(h) = the coordinates of h Lambda_N (= h on H*Lambda_N)."""
+    _require_own(hopf, ctx)
     if not ctx.normal:
         raise NotNormalError("quotient requires a normal coideal subalgebra")
-    field = hopf.field
-    lam = ctx.integral
-    images = _products_with_basis(hopf, lam)[0]  # e_i Lambda
-    ideal = Subspace.from_vectors(field, hopf.dim, images)
-    qdim = ideal.dim
+    images = _products_with_basis(hopf, ctx.integral)[0]  # e_i Lambda
+    ideal = Subspace.from_vectors(hopf.field, hopf.dim, images)
     pi = [ideal.sparse_coords(v) for v in images]
-    algebra = _subalgebra_presentation(hopf, ideal, lam)
-    comult = [_push_forward(hopf.comult_of(v), pi) for v in ideal.basis]
-    counit = [hopf.counit_of(v) for v in ideal.basis]
-    antipode = [_combination(pi, _combination(hopf.antipode, v)) for v in ideal.sparse_basis]
-    q = HopfAlgebra(field, qdim, algebra.mult, algebra.unit, comult, counit, antipode,
-                    name=f"{hopf.name}//N" if hopf.name else "quotient")
-    q.require_axioms()
-    if qdim * ctx.dim != hopf.dim:
+    q = _hopf_on_rows(hopf, ideal.sparse_basis, pi, f"{hopf.name}//N" if hopf.name else "quotient")
+    if q.dim * ctx.dim != hopf.dim:
         raise HopfLabError("quotient dimension does not divide as expected")
-    hq = HopfQuotient(hopf, ctx, q, pi)
-    _check_projection_is_hopf_map(hopf, hq)
-    return hq
+    _check_hopf_map(hopf, q, pi, "projection")
+    return HopfQuotient(hopf, ctx, q, pi)
+
+
+def hopf_subalgebra_data(ctx: CoidealSubalgebra) -> HopfAlgebra:
+    """N as a Hopf algebra on its echelon basis (requires the flag), read
+    at the pivots: pi(e_p) = e_r at the pivot p of row r, 0 elsewhere.
+    The echelon rows are the inclusion N -> H."""
+    if not ctx.hopf_subalgebra:
+        raise HopfLabError("coideal subalgebra is not a Hopf subalgebra")
+    hopf = ctx.hopf
+    pi = [{} for _ in range(hopf.dim)]
+    for r, p in enumerate(ctx.space.pivots):
+        pi[p] = {r: hopf.field.one}
+    sub = _hopf_on_rows(hopf, ctx.space.sparse_basis, pi, "subalgebra")
+    _check_hopf_map(sub, hopf, ctx.space.sparse_basis, "inclusion")
+    return sub
+
+
+def _require_own(hopf, *contexts):
+    """NotCoidealError unless every context is one of hopf itself."""
+    if any(ctx.hopf is not hopf for ctx in contexts):
+        raise NotCoidealError("coideal subalgebra belongs to a different Hopf algebra")
+
+
+def _hopf_on_rows(hopf, rows, pi, name):
+    """H's product, unit, Delta, eps and S on the sparse rows v_r, each
+    read through the linear map pi (sparse rows pi(e_i)) giving every
+    element of span(v_r) its coordinates, with its axioms proven.  What
+    leaves span(v_r) is misread: the axioms or `_check_hopf_map` fail."""
+    field = hopf.field
+    products = ([_combination(pi, hopf.sparse_product(a, b)) for b in rows] for a in rows)
+    mult = [{j: cell for j, cell in enumerate(cells) if cell} for cells in products]
+    unit = _to_dense(_combination(pi, _to_sparse(hopf.unit)), len(rows), field)
+    comult = [_push_forward(_combination(hopf.comult, v), pi) for v in rows]
+    counit = [sum((hopf.counit[k] * c for k, c in v.items()), field.zero) for v in rows]
+    antipode = [_combination(pi, _combination(hopf.antipode, v)) for v in rows]
+    structure = HopfAlgebra(field, len(rows), mult, unit, comult, counit, antipode, name=name)
+    structure.require_axioms()
+    return structure
 
 
 def _push_forward(tensor, pi):
@@ -389,28 +420,25 @@ def _push_forward(tensor, pi):
     return out
 
 
-def _check_projection_is_hopf_map(hopf, hq: HopfQuotient):
-    """pi: H -> H//N intertwines the coproduct, the counit and the antipode
-    and is an algebra map: pi(e_i e_j), the cell of j in mult[i] (none when
-    e_i e_j = 0) pushed through the sparse rows pi(e_k), equals
-    pi(e_i) pi(e_j) in the quotient, for i in H's _test_indices() and
-    every j.  The a with pi(a b) = pi(a) pi(b) for all b form a
-    subalgebra once H and H//N are proven, and hold 1 since pi(1) =
-    Lambda_N is the quotient's unit by construction; so generators of H
-    suffice."""
-    q = hq.quotient
-    pi = hq._pi
-    for i, pi_i in enumerate(pi):
-        if _combination(q.comult, pi_i) != _push_forward(hopf.comult[i], pi):
-            raise HopfLabError("projection does not intertwine comultiplication")
-        if sum((q.counit[k] * c for k, c in pi_i.items()), hopf.field.zero) != hopf.counit[i]:
-            raise HopfLabError("projection does not preserve the counit")
-        if _combination(q.antipode, pi_i) != _combination(pi, hopf.antipode[i]):
-            raise HopfLabError("projection does not intertwine the antipode")
-    for i in hopf._test_indices():
-        for j, pi_j in enumerate(pi):
-            if _combination(pi, hopf.mult[i].get(j, {})) != q.sparse_product(pi[i], pi_j):
-                raise HopfLabError("projection is not an algebra map")
+def _check_hopf_map(source, target, f, what):
+    """f: source -> target, the sparse rows f(e_i), intertwines the
+    coproduct, counit and antipode and is an algebra map; HopfLabError names
+    the first failure, calling the map `what`.  f(e_i e_j) = f(e_i) f(e_j)
+    is read for i in the source's _test_indices(): the a with f(a b) =
+    f(a) f(b) for all b form a subalgebra once both algebras are proven,
+    and hold 1 as f(1) is the target's unit (pi(1) = Lambda_N for
+    H -> H//N, 1 in N for N -> H)."""
+    for i, f_i in enumerate(f):
+        if _combination(target.comult, f_i) != _push_forward(source.comult[i], f):
+            raise HopfLabError(f"{what} does not intertwine comultiplication")
+        if sum((target.counit[k] * c for k, c in f_i.items()), source.field.zero) != source.counit[i]:
+            raise HopfLabError(f"{what} does not preserve the counit")
+        if _combination(target.antipode, f_i) != _combination(f, source.antipode[i]):
+            raise HopfLabError(f"{what} does not intertwine the antipode")
+    for i in source._test_indices():
+        for j, f_j in enumerate(f):
+            if _combination(f, source.mult[i].get(j, {})) != target.sparse_product(f[i], f_j):
+                raise HopfLabError(f"{what} is not an algebra map")
 
 
 def left_kernel(hopf: HopfAlgebra, module_matrices) -> Subspace:

@@ -31,13 +31,15 @@ split.
 Any functional phi on N in the span of Irr(N) has coefficients
 <phi, E_j> / d_j there, since phi_i(E_j) = d_j delta_ij; restriction,
 reciprocity and the trace-formula induction read them so, solving nothing.
+A Hopf subalgebra N as a Hopf algebra is coideal.hopf_subalgebra_data, from
+the one builder and certificate that also give H//N.
 """
 
 from __future__ import annotations
 
-from .coideal import CoidealSubalgebra, _push_forward
+from .coideal import CoidealSubalgebra
 from .errors import HopfLabError, MultiplicityError, NotNormalError
-from .hopf import CharacterTable, HopfAlgebra, _character_table
+from .hopf import CharacterTable, _character_table
 from .linalg import (
     Subspace,
     basis_vector,
@@ -290,36 +292,3 @@ def induced_image(ctx: CoidealSubalgebra) -> Subspace:
     if not (by_induction == by_ideal == by_condition):
         raise HopfLabError("the three descriptions of the induced image differ")
     return by_induction
-
-
-def hopf_subalgebra_data(ctx: CoidealSubalgebra) -> HopfAlgebra:
-    """N as a Hopf algebra in its own right (requires the flag).
-
-    Tensor coordinates in N (x) N are read off the pivot pairs of the
-    echelon basis and verified by exact reconstruction.
-    """
-    if not ctx.hopf_subalgebra:
-        raise HopfLabError("coideal subalgebra is not a Hopf subalgebra")
-    H = ctx.hopf
-    field = H.field
-    n = ctx.dim
-    pres = ctx.presentation()
-    pivots = ctx.space.pivots
-    comult = []
-    for a in range(n):
-        legs = H.comult_of(list(ctx.space.basis[a]))
-        cell = {}
-        for x in range(n):
-            for y in range(n):
-                c = legs.get((pivots[x], pivots[y]))
-                if c is not None and not c.is_zero():
-                    cell[(x, y)] = c
-        if _push_forward(cell, ctx.space.sparse_basis) != legs:
-            raise HopfLabError("comultiplication does not restrict to N (x) N")
-        comult.append(cell)
-    counit = ctx.counit_on_basis()
-    antipode = [_to_sparse(ctx.coords_of(H.antipode_of(list(b)))) for b in ctx.space.basis]
-    sub = HopfAlgebra(field, n, pres.mult, pres.unit, comult, counit, antipode,
-                      name="subalgebra")
-    sub.require_axioms()
-    return sub

@@ -556,12 +556,12 @@ def _is_central(algebra, x):
                for s in algebra._test_indices())
 
 
-def _subalgebra_presentation(algebra, space: Subspace, unit):
-    """The subalgebra on a subspace's echelon basis, with the given unit,
-    as an AlgebraPresentation in that basis's coordinates; None when the
-    unit or a product of two basis vectors leaves the subspace.  It is
-    proven when the algebra is and the unit is the algebra's own."""
-    unit_coords = space.coords_of(unit)
+def _subalgebra_presentation(algebra, space: Subspace):
+    """The subalgebra on a subspace's echelon basis as an
+    AlgebraPresentation in that basis's coordinates; None when the unit or
+    a product of two basis vectors leaves the subspace.  It is proven when
+    the algebra is."""
+    unit_coords = space.coords_of(algebra.unit)
     if unit_coords is None:
         return None
     rows = space.sparse_basis
@@ -572,7 +572,7 @@ def _subalgebra_presentation(algebra, space: Subspace, unit):
             return None
         mult.append({j: cell for j, cell in enumerate(cells) if cell})
     presentation = AlgebraPresentation(algebra.field, space.dim, mult, unit_coords)
-    if algebra._cache.get("proven") and vec_eq(unit, algebra.unit):
+    if algebra._cache.get("proven"):
         presentation._cache["proven"] = True
     return presentation
 

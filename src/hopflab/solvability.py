@@ -40,7 +40,7 @@ from .coideal import (
     invariants_of,
     quotient,
 )
-from .coideal import _invariants
+from .coideal import _invariants, _require_own
 from .errors import ChainError, HopfLabError, NotNormalError
 from .hopf import HopfAlgebra
 from .linalg import (
@@ -176,6 +176,7 @@ class CommutationResult:
 def check_integral_commutation(hopf: HopfAlgebra, l_ctx, n_ctx) -> CommutationResult:
     """Do the dual integrals commute, and if so is their product the
     integral of the algebra they generate?"""
+    _require_own(hopf, l_ctx, n_ctx)
     dual = hopf.dual()
     ln = dual.multiply(l_ctx.dual_integral, n_ctx.dual_integral)
     nl = dual.multiply(n_ctx.dual_integral, l_ctx.dual_integral)
@@ -209,6 +210,7 @@ def check_projection_injectivity(hopf: HopfAlgebra, n_ctx, l_ctx) -> Injectivity
     """Is the quotient projection H -> H//N injective on L?  Computed
     directly as L cap HN+ = 0; when L cap N = k and the dual integrals
     commute, injectivity is forced and cross-checked."""
+    _require_own(hopf, n_ctx, l_ctx)
     if not n_ctx.normal:
         raise NotNormalError("projection requires a normal coideal subalgebra")
     one_minus = [a - b for a, b in zip(hopf.unit, n_ctx.integral)]

@@ -171,32 +171,31 @@ def dense_normality_pair(hopf, space, integral):
     return by_adjoint, by_center
 
 
-def dense_check_projection_is_hopf_map(hopf, hq):
-    """Raise HopfLabError unless pi: H -> H//N, given by hq's rows pi(e_i),
-    intertwines the coproduct, counit and antipode and is an algebra map;
-    the rows are read densely and pi(e_i e_j) is projected from a dense
-    vector."""
-    q = hq.quotient
-    pi = [[row.get(k, hopf.field.zero) for k in range(q.dim)] for row in hq._pi]
-    for i in range(hopf.dim):
+def dense_check_hopf_map(source, target, f, what):
+    """Raise HopfLabError unless f: source -> target, given by the sparse
+    rows f(e_i), intertwines the coproduct, counit and antipode and is an
+    algebra map, calling the map `what`; the rows are read densely, every
+    product e_i e_j is read, and f(e_i e_j) is taken of a dense vector."""
+    rows = [[row.get(k, target.field.zero) for k in range(target.dim)] for row in f]
+    for i in range(source.dim):
         pushed = {}
-        for (j, k), c in hopf.comult[i].items():
-            for x, cx in enumerate(pi[j]):
-                for y, cy in enumerate(pi[k]):
-                    pushed[(x, y)] = pushed.get((x, y), hopf.field.zero) + c * cx * cy
-        if q.comult_of(pi[i]) != {xy: c for xy, c in pushed.items() if not c.is_zero()}:
-            raise HopfLabError("projection does not intertwine comultiplication")
-        if q.counit_of(pi[i]) != hopf.counit[i]:
-            raise HopfLabError("projection does not preserve the counit")
-        if not vec_eq(q.antipode_of(pi[i]), mat_vec(pi, hopf.antipode_of(hopf.basis(i)))):
-            raise HopfLabError("projection does not intertwine the antipode")
-    for i in range(hopf.dim):
-        for j in range(hopf.dim):
-            prod = zero_vector(hopf.field, hopf.dim)
-            for k, c in hopf.mult[i].get(j, {}).items():
+        for (j, k), c in source.comult[i].items():
+            for x, cx in enumerate(rows[j]):
+                for y, cy in enumerate(rows[k]):
+                    pushed[(x, y)] = pushed.get((x, y), target.field.zero) + c * cx * cy
+        if target.comult_of(rows[i]) != {xy: c for xy, c in pushed.items() if not c.is_zero()}:
+            raise HopfLabError(f"{what} does not intertwine comultiplication")
+        if target.counit_of(rows[i]) != source.counit[i]:
+            raise HopfLabError(f"{what} does not preserve the counit")
+        if not vec_eq(target.antipode_of(rows[i]), mat_vec(rows, source.antipode_of(source.basis(i)))):
+            raise HopfLabError(f"{what} does not intertwine the antipode")
+    for i in range(source.dim):
+        for j in range(source.dim):
+            prod = zero_vector(source.field, source.dim)
+            for k, c in source.mult[i].get(j, {}).items():
                 prod[k] = c
-            if not vec_eq(mat_vec(pi, prod), q.multiply(pi[i], pi[j])):
-                raise HopfLabError("projection is not an algebra map")
+            if not vec_eq(mat_vec(rows, prod), target.multiply(rows[i], rows[j])):
+                raise HopfLabError(f"{what} is not an algebra map")
 
 
 def invariants_lift(hq, subspace):

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from algebratools import dense_check_projection_is_hopf_map, dense_normality_pair, invariants_lift
+from algebratools import dense_check_hopf_map, dense_normality_pair, invariants_lift
 from grouptools import center_of_group, subgroup_closure
 from moduletools import module_action_from_idempotent, table_primitive_idempotents
 
@@ -30,6 +30,7 @@ from hopflab.coideal import (
     commutator_subalgebra,
     double_invariants_roundtrip,
     hopf_center,
+    hopf_subalgebra_data,
     invariants_of,
     left_kernel,
     quotient,
@@ -39,7 +40,7 @@ from hopflab.errors import HopfLabError, NotAnAlgebraError, NotCoidealError, Not
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import Subspace, _subalgebra_generated, _to_sparse, vec_add, vec_eq
 from hopflab.scalars import QQ
-from hopflab.solvability import ascending_central_series
+from hopflab.solvability import ascending_central_series, skryabin_counterexample
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +258,20 @@ def test_quotient_requires_normal(s3):
     ctx = coideal_closure(s3, [s3.basis(s3.index_of_label("(12)"))])
     with pytest.raises(NotNormalError):
         quotient(s3, ctx)
+
+
+# pairs of corpus algebras of one dimension: a context of the second is
+# handed to a function of the first
+FOREIGN_PAIRS = (("s3", "z6"), ("z6", "s3"), ("d4", "q8"), ("q8", "d4"))
+
+
+@pytest.mark.parametrize("name, other", FOREIGN_PAIRS)
+def test_quotient_refuses_a_context_of_another_algebra(name, other):
+    H = load(name)[0]
+    for _, ctx in coideal_lattice(other, load(other)[0]):
+        if ctx.normal:
+            with pytest.raises(NotCoidealError, match="belongs to a different Hopf algebra"):
+                quotient(H, ctx)
 
 
 def test_quotient_projection_and_coideal_lift(s3, a3):
@@ -524,12 +539,16 @@ def test_normality_tests_stay_independent(s3, a3):
         assert _normality_pair(s3, space, x) == dense_normality_pair(s3, space, x) == expected
 
 
-def _projection_verdict(check, hopf, hq):
+def _map_verdict(check, source, target, f, what):
     try:
-        check(hopf, hq)
+        check(source, target, f, what)
     except HopfLabError as err:
         return str(err)
     return None
+
+
+def _projection_verdict(check, hopf, hq):
+    return _map_verdict(check, hopf, hq.quotient, hq._pi, "projection")
 
 
 def test_projection_check_matches_the_dense_oracle_under_tampering(s3, a3):
@@ -541,16 +560,16 @@ def test_projection_check_matches_the_dense_oracle_under_tampering(s3, a3):
         for j in range(s3.dim):
             hq = quotient(s3, a3)
             hq._pi[i] = dict(hq._pi[j])
-            verdict = _projection_verdict(coideal._check_projection_is_hopf_map, s3, hq)
-            assert verdict == _projection_verdict(dense_check_projection_is_hopf_map, s3, hq)
+            verdict = _projection_verdict(coideal._check_hopf_map, s3, hq)
+            assert verdict == _projection_verdict(dense_check_hopf_map, s3, hq)
             verdicts.add(verdict)
     # pi(e_i) := 2 pi(e_i) breaks the coproduct first, pi(e_i) := 0 the counit
     for i in range(s3.dim):
         for tampered in ({k: c + c for k, c in quotient(s3, a3)._pi[i].items()}, {}):
             hq = quotient(s3, a3)
             hq._pi[i] = tampered
-            verdict = _projection_verdict(coideal._check_projection_is_hopf_map, s3, hq)
-            assert verdict == _projection_verdict(dense_check_projection_is_hopf_map, s3, hq)
+            verdict = _projection_verdict(coideal._check_hopf_map, s3, hq)
+            assert verdict == _projection_verdict(dense_check_hopf_map, s3, hq)
             verdicts.add(verdict)
     assert verdicts == {None, "projection does not intertwine comultiplication",
                         "projection does not preserve the counit",
@@ -558,9 +577,64 @@ def test_projection_check_matches_the_dense_oracle_under_tampering(s3, a3):
                         "projection is not an algebra map"}
     hq = quotient(s3, a3)
     hq._pi[s3.index_of_label("(12)")] = dict(hq._pi[s3.index_of_label("e")])
-    for check in (coideal._check_projection_is_hopf_map, dense_check_projection_is_hopf_map):
+    for check in (coideal._check_hopf_map, dense_check_hopf_map):
         with pytest.raises(HopfLabError, match="projection is not an algebra map"):
-            check(s3, hq)
+            check(s3, hq.quotient, hq._pi, "projection")
+
+
+def _inclusion_verdicts(ctx):
+    """The verdicts of the inclusion certificate on every single-row
+    tampering of the inclusion rows of the Hopf subalgebra ctx: row r :=
+    row s, row r := 2 row r and row r := 0.  Each must be the dense
+    oracle's."""
+    sub = hopf_subalgebra_data(ctx)
+    rows = ctx.space.sparse_basis
+    tamperings = [(r, dict(rows[s])) for r in range(ctx.dim) for s in range(ctx.dim)]
+    tamperings += [(r, {k: c + c for k, c in rows[r].items()}) for r in range(ctx.dim)]
+    tamperings += [(r, {}) for r in range(ctx.dim)]
+    verdicts = set()
+    for r, row in tamperings:
+        f = list(rows)
+        f[r] = row
+        verdict = _map_verdict(coideal._check_hopf_map, sub, ctx.hopf, f, "inclusion")
+        assert verdict == _map_verdict(dense_check_hopf_map, sub, ctx.hopf, f, "inclusion")
+        verdicts.add(verdict)
+    return verdicts
+
+
+def test_inclusion_check_matches_the_dense_oracle_under_tampering():
+    # every Hopf member of the catalogued lattices; A3 in S3 has no
+    # single-row tampering that breaks only the product, Z4 in D4 has one
+    verdicts = {}
+    for name in ("z2", "z3", "z6", "s3", "s3-dual", "d4", "q8", "d-z2"):
+        for label, ctx in coideal_lattice(name, load(name)[0]):
+            if ctx.hopf_subalgebra:
+                verdicts[(name, label)] = _inclusion_verdicts(ctx)
+    messages = {"inclusion does not intertwine comultiplication",
+                "inclusion does not preserve the counit",
+                "inclusion does not intertwine the antipode",
+                "inclusion is not an algebra map"}
+    assert verdicts[("s3", "{e,(123),(132)}")] == {None} | messages - {"inclusion is not an algebra map"}
+    assert verdicts[("d4", "{e,(1234),(13)(24),(1432)}")] == {None} | messages
+    assert set().union(*verdicts.values()) == {None} | messages
+
+
+def test_hopf_subalgebra_data_refuses_a_forced_flag():
+    # the two 3-dim coideal subalgebras of k^S3 are not Hopf subalgebras
+    facts = skryabin_counterexample()
+    for ctx in (facts["n_ctx"], facts["l_ctx"]):
+        assert not ctx.hopf_subalgebra
+        ctx.hopf_subalgebra = True
+        with pytest.raises(HopfLabError):
+            hopf_subalgebra_data(ctx)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_hopf_subalgebra_data_of_the_whole_algebra_is_the_algebra(name):
+    base = load(name)[0]
+    for H in (base, base.dual()):
+        ctx = coideal_from_subspace(H, Subspace.full(H.field, H.dim))
+        assert hopf_subalgebra_data(ctx).same_structure(H)
 
 
 def _lift_is_the_invariants_lift(monkeypatch):

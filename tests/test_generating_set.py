@@ -18,7 +18,7 @@ from test_verify import reference_report
 
 from hopflab.builders import drinfeld_double, group_algebra, permutation_group_table, symmetric3_table
 from hopflab.cli import main
-from hopflab.coideal import _check_projection_is_hopf_map, _normality_pair, coideal_closure, left_kernel, quotient
+from hopflab.coideal import _check_hopf_map, _normality_pair, coideal_closure, left_kernel, quotient
 from hopflab.corpus import coideal_lattice, corpus_file, corpus_names, load, subgroups_of_table
 from hopflab.errors import HopfLabError, IntegralError, NotARepresentationError
 from hopflab.hopf import HopfAlgebra, _IntegerTensors
@@ -117,7 +117,7 @@ def test_coideal_checks_over_generators_match_full_checks(name, labels, monkeypa
 
 def _projection_verdict(H, hq):
     try:
-        _check_projection_is_hopf_map(H, hq)
+        _check_hopf_map(H, hq.quotient, hq._pi, "projection")
     except HopfLabError as exc:
         return str(exc)
     return None

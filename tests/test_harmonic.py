@@ -6,14 +6,13 @@ from moduletools import table_primitive_idempotents
 
 from hopflab import linalg
 from hopflab.builders import group_algebra, permutation_group_table, symmetric3_table
-from hopflab.coideal import coideal_closure, coideal_from_subspace, invariants_of
+from hopflab.coideal import coideal_closure, coideal_from_subspace, hopf_subalgebra_data, invariants_of
 from hopflab.harmonic import (
     character_form,
     coideal_characters,
     embed_functional,
     embedding_image,
     frobenius_apply,
-    hopf_subalgebra_data,
     induce_character,
     induce_character_by_trace,
     induced_degree_identity,

@@ -27,6 +27,7 @@ from hopflab.coideal import (
     coideal_closure,
     coideal_from_subspace,
     commutator_subalgebra,
+    hopf_subalgebra_data,
     left_kernel,
     quotient,
 )
@@ -34,7 +35,6 @@ from hopflab.corpus import build as build_corpus
 from hopflab.corpus import coideal_lattice, corpus_file, corpus_names
 from hopflab.corpus import load as load_corpus
 from hopflab.errors import IntegralError, NotAGroupError, NotSemisimpleError
-from hopflab.harmonic import hopf_subalgebra_data
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import (
     Subspace,

@@ -14,7 +14,7 @@ from hopflab.builders import (
 )
 from hopflab.coideal import coideal_closure, coideal_from_subspace
 from hopflab.corpus import coideal_lattice, load
-from hopflab.errors import ChainError, HopfLabError, NotNormalError
+from hopflab.errors import ChainError, HopfLabError, NotCoidealError, NotNormalError
 from hopflab.linalg import Subspace, vec_eq
 from hopflab import solvability
 from hopflab.solvability import (
@@ -150,6 +150,38 @@ def test_projection_injectivity_good_cases(s3, a3):
         check_projection_injectivity(
             s3, coideal_closure(s3, [s3.basis(s3.index_of_label("(12)"))]), k
         )
+
+
+# pairs of corpus algebras of one dimension: contexts of the second are
+# handed to a check on the first, alone and beside a context of the first
+FOREIGN_PAIRS = (("s3", "z6"), ("z6", "s3"), ("d4", "q8"), ("q8", "d4"))
+
+
+def _foreign_pairs(name, other):
+    """(H, pairs) for the corpus algebra H = `name`: each context of the
+    lattice of `other` paired with itself and, both ways, with k of H."""
+    H = load(name)[0]
+    own = coideal_closure(H, [])
+    pairs = []
+    for _, ctx in coideal_lattice(other, load(other)[0]):
+        pairs += [(ctx, ctx), (ctx, own), (own, ctx)]
+    return H, pairs
+
+
+@pytest.mark.parametrize("name, other", FOREIGN_PAIRS)
+def test_integral_commutation_refuses_a_context_of_another_algebra(name, other):
+    H, pairs = _foreign_pairs(name, other)
+    for l_ctx, n_ctx in pairs:
+        with pytest.raises(NotCoidealError, match="belongs to a different Hopf algebra"):
+            check_integral_commutation(H, l_ctx, n_ctx)
+
+
+@pytest.mark.parametrize("name, other", FOREIGN_PAIRS)
+def test_projection_injectivity_refuses_a_context_of_another_algebra(name, other):
+    H, pairs = _foreign_pairs(name, other)
+    for n_ctx, l_ctx in pairs:
+        with pytest.raises(NotCoidealError, match="belongs to a different Hopf algebra"):
+            check_projection_injectivity(H, n_ctx, l_ctx)
 
 
 def test_ascending_central_series(s3):

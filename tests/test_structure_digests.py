@@ -17,9 +17,8 @@ and says in its description which structures changed and why.
 
 import pytest
 
-from hopflab.coideal import commutator_subalgebra, quotient
+from hopflab.coideal import commutator_subalgebra, hopf_subalgebra_data, quotient
 from hopflab.corpus import coideal_lattice, corpus_names, load
-from hopflab.harmonic import hopf_subalgebra_data
 from hopflab.serialize import content_hash, dumps_canonical, hopf_to_dict
 
 
