@@ -13,7 +13,7 @@ adjoint module (Burciu), certified before it is returned.
 
 N = H, where every chain of the paper ends, reads its context from H's
 own certified data and builds none of it again:
-  - the presentation is H's own, since the echelon basis of H is the
+  - the presentation is H itself, since the echelon basis of H is the
     identity;
   - Lambda_N is H's integral: integrals() certifies it as two-sided, so it
     solves N's trace form, whose solution is unique;
@@ -31,9 +31,9 @@ of N acting on H.dual() by the hit action, since <n, 1_{H*}> = eps(n)),
 left_kernel (f the module matrices) and HopfQuotient.lift_coideal (f the
 projection to H//N modulo the coideal subalgebra lifted).
 
-H//N and Hopf subalgebras come from one builder, _hopf_on_rows, and one
-certificate, _check_hopf_map: H//N on the ideal H*Lambda_N, which the
-projection h |-> h*Lambda_N identifies with H/HN+, N on its echelon rows.
+H//N and Hopf subalgebras N take Delta, eps and S from one builder,
+_hopf_on_rows, and one certificate, _check_hopf_map, proves each map: H//N
+(on H*Lambda_N = H/HN+) is verified first, N is proven by its inclusion.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def coideal_from_subspace(hopf: HopfAlgebra, space: Subspace) -> CoidealSubalgeb
     N = H reads its context from H (see the module docstring).
     """
     if space.dim == hopf.dim:
-        presentation = AlgebraPresentation(hopf.field, hopf.dim, hopf.mult, hopf.unit)
+        presentation = hopf
         integral = hopf.integrals().integral
         invariants = Subspace.from_vectors(hopf.field, hopf.dim, [hopf.counit])
         normal = True
@@ -364,7 +364,12 @@ def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
     images = _products_with_basis(hopf, ctx.integral)[0]  # e_i Lambda
     ideal = Subspace.from_vectors(hopf.field, hopf.dim, images)
     pi = [ideal.sparse_coords(v) for v in images]
-    q = _hopf_on_rows(hopf, ideal.sparse_basis, pi, f"{hopf.name}//N" if hopf.name else "quotient")
+    rows = ideal.sparse_basis
+    products = ([_combination(pi, hopf.sparse_product(a, b)) for b in rows] for a in rows)
+    mult = [{j: cell for j, cell in enumerate(cells) if cell} for cells in products]
+    unit = _to_dense(_combination(pi, _to_sparse(hopf.unit)), len(rows), hopf.field)
+    q = _hopf_on_rows(hopf, rows, pi, mult, unit, f"{hopf.name}//N" if hopf.name else "quotient")
+    q.require_axioms()
     if q.dim * ctx.dim != hopf.dim:
         raise HopfLabError("quotient dimension does not divide as expected")
     _check_hopf_map(hopf, q, pi, "projection")
@@ -372,17 +377,22 @@ def quotient(hopf: HopfAlgebra, ctx: CoidealSubalgebra) -> HopfQuotient:
 
 
 def hopf_subalgebra_data(ctx: CoidealSubalgebra) -> HopfAlgebra:
-    """N as a Hopf algebra on its echelon basis (requires the flag), read
-    at the pivots: pi(e_p) = e_r at the pivot p of row r, 0 elsewhere.
-    The echelon rows are the inclusion N -> H."""
+    """N as a Hopf algebra on its echelon basis (requires the flag): N's
+    presentation, with Delta, eps and S read at the pivots (pi(e_p) = e_r at
+    the pivot p of row r), proven by the inclusion N -> H, its echelon rows."""
     if not ctx.hopf_subalgebra:
         raise HopfLabError("coideal subalgebra is not a Hopf subalgebra")
-    hopf = ctx.hopf
+    hopf, presentation = ctx.hopf, ctx.presentation()
     pi = [{} for _ in range(hopf.dim)]
     for r, p in enumerate(ctx.space.pivots):
         pi[p] = {r: hopf.field.one}
-    sub = _hopf_on_rows(hopf, ctx.space.sparse_basis, pi, "subalgebra")
+    sub = _hopf_on_rows(hopf, ctx.space.sparse_basis, pi, presentation.mult, presentation.unit, "subalgebra")
     _check_hopf_map(sub, hopf, ctx.space.sparse_basis, "inclusion")
+    # an injective map that sends 1 to 1, is an algebra and coalgebra map on
+    # every basis element and intertwines eps and S carries every Hopf axiom
+    # of H, S^2 = id included, over to N: N is proven once H is
+    if hopf._cache.get("proven"):
+        sub._cache["proven"] = True
     return sub
 
 
@@ -392,21 +402,16 @@ def _require_own(hopf, *contexts):
         raise NotCoidealError("coideal subalgebra belongs to a different Hopf algebra")
 
 
-def _hopf_on_rows(hopf, rows, pi, name):
-    """H's product, unit, Delta, eps and S on the sparse rows v_r, each
-    read through the linear map pi (sparse rows pi(e_i)) giving every
-    element of span(v_r) its coordinates, with its axioms proven.  What
-    leaves span(v_r) is misread: the axioms or `_check_hopf_map` fail."""
+def _hopf_on_rows(hopf, rows, pi, mult, unit, name):
+    """The algebra (mult, unit) on the sparse rows v_r, given by the caller,
+    with H's Delta, eps and S read through the linear map pi (sparse rows
+    pi(e_i)) that gives span(v_r) its coordinates.  It proves nothing: what
+    leaves span(v_r) is misread, and the caller's proof fails."""
     field = hopf.field
-    products = ([_combination(pi, hopf.sparse_product(a, b)) for b in rows] for a in rows)
-    mult = [{j: cell for j, cell in enumerate(cells) if cell} for cells in products]
-    unit = _to_dense(_combination(pi, _to_sparse(hopf.unit)), len(rows), field)
     comult = [_push_forward(_combination(hopf.comult, v), pi) for v in rows]
     counit = [sum((hopf.counit[k] * c for k, c in v.items()), field.zero) for v in rows]
     antipode = [_combination(pi, _combination(hopf.antipode, v)) for v in rows]
-    structure = HopfAlgebra(field, len(rows), mult, unit, comult, counit, antipode, name=name)
-    structure.require_axioms()
-    return structure
+    return HopfAlgebra(field, len(rows), mult, unit, comult, counit, antipode, name=name)
 
 
 def _push_forward(tensor, pi):
@@ -424,10 +429,10 @@ def _check_hopf_map(source, target, f, what):
     """f: source -> target, the sparse rows f(e_i), intertwines the
     coproduct, counit and antipode and is an algebra map; HopfLabError names
     the first failure, calling the map `what`.  f(e_i e_j) = f(e_i) f(e_j)
-    is read for i in the source's _test_indices(): the a with f(a b) =
-    f(a) f(b) for all b form a subalgebra once both algebras are proven,
-    and hold 1 as f(1) is the target's unit (pi(1) = Lambda_N for
-    H -> H//N, 1 in N for N -> H)."""
+    is read for i in the source's _test_indices(): S once the source is
+    proven (the a with f(a b) = f(a) f(b) for all b form a subalgebra once
+    both algebras are, holding 1 as f(1) is the target's unit), every index
+    otherwise, as for the inclusion N -> H before N is proven."""
     for i, f_i in enumerate(f):
         if _combination(target.comult, f_i) != _push_forward(source.comult[i], f):
             raise HopfLabError(f"{what} does not intertwine comultiplication")

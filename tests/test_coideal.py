@@ -40,6 +40,7 @@ from hopflab.errors import HopfLabError, NotAnAlgebraError, NotCoidealError, Not
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import Subspace, _subalgebra_generated, _to_sparse, vec_add, vec_eq
 from hopflab.scalars import QQ
+from hopflab.serialize import hopf_from_dict, hopf_to_dict
 from hopflab.solvability import ascending_central_series, skryabin_counterexample
 
 
@@ -625,7 +626,7 @@ def test_hopf_subalgebra_data_refuses_a_forced_flag():
     for ctx in (facts["n_ctx"], facts["l_ctx"]):
         assert not ctx.hopf_subalgebra
         ctx.hopf_subalgebra = True
-        with pytest.raises(HopfLabError):
+        with pytest.raises(HopfLabError, match="inclusion does not intertwine comultiplication"):
             hopf_subalgebra_data(ctx)
 
 
@@ -635,6 +636,57 @@ def test_hopf_subalgebra_data_of_the_whole_algebra_is_the_algebra(name):
     for H in (base, base.dual()):
         ctx = coideal_from_subspace(H, Subspace.full(H.field, H.dim))
         assert hopf_subalgebra_data(ctx).same_structure(H)
+
+
+def _hopf_subalgebra_cases():
+    """(label, H, N) for every Hopf member of the catalogued lattices, N = H
+    of each corpus algebra and of its dual, the commutator subalgebras of
+    s3, d4 and d-s3, and the function part of d-s3, all over proven H."""
+    for name in ("z2", "z3", "z6", "s3", "s3-dual", "d4", "q8", "d-z2"):
+        for label, ctx in coideal_lattice(name, load(name)[0]):
+            if ctx.hopf_subalgebra:
+                yield f"{name} {label}", ctx.hopf, ctx
+    for name in corpus_names():
+        base = load(name)[0]
+        for H in (base, base.dual()):
+            yield f"{H.name} itself", H, coideal_from_subspace(H, Subspace.full(H.field, H.dim))
+    for name in ("s3", "d4", "d-s3"):
+        H = load(name)[0]
+        yield f"{name} commutator", H, commutator_subalgebra(H)
+    H = load("d-s3")[0]
+    e_idx = load("s3")[0].index_of_label("e")
+    yield "d-s3 function part", H, coideal_closure(H, [H.basis(a * 6 + e_idx) for a in range(6)])
+
+
+def test_hopf_subalgebra_data_is_proven_by_its_inclusion_alone(monkeypatch):
+    # the inclusion certificate alone proves N: the result is marked proven
+    # with no verify() call, and an unproven copy of it passes verify();
+    # quotient still verifies H//N once
+    calls = []
+    verify = HopfAlgebra.verify
+    monkeypatch.setattr(HopfAlgebra, "verify", lambda self: calls.append(self) or verify(self))
+    seen = set()
+    for label, H, ctx in _hopf_subalgebra_cases():
+        assert H._cache["proven"] and ctx.hopf_subalgebra, label
+        calls.clear()
+        sub = hopf_subalgebra_data(ctx)
+        assert calls == [] and sub._cache["proven"], label
+        if ctx.normal:
+            hq = quotient(H, ctx)
+            assert calls == [hq.quotient], label
+        copy = hopf_from_dict(hopf_to_dict(sub))
+        assert "proven" not in copy._cache and copy.verify().ok, label
+        seen.add(label)
+    assert {"d-s3 commutator", "d-s3 function part", "D(kS3)* itself", "s3 {e,(123),(132)}"} <= seen
+
+
+def test_hopf_subalgebra_data_of_an_unproven_algebra_is_unproven():
+    # the transported proof needs H's own: over an unproven H the result
+    # stays unproven, and verify() is left to the caller
+    H = load("s3", verify=False)[0]
+    sub = hopf_subalgebra_data(coideal_closure(H, [H.basis(H.index_of_label("(123)"))]))
+    assert "proven" not in H._cache and "proven" not in sub._cache
+    assert sub.verify().ok
 
 
 def _lift_is_the_invariants_lift(monkeypatch):
