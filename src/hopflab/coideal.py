@@ -241,14 +241,15 @@ def _agreed(tests, message):
 def _normality_pair(hopf, space, integral):
     """Two independent normality tests (they agree for valid inputs):
     stability under the adjoint action, each e_i ad b = sum_m b_m ad[i][m]
-    read from the cached ad table and reduced against the echelon rows, and
-    centrality of the integral (`_is_central`).  Both read only the e_i of
-    H's generating set once H is proven; for the first, (a a') ad b =
-    a ad (a' ad b) and 1 ad b = b, so the a with a ad N <= N form a
-    subalgebra."""
+    read from the row ad[i] of H's ad table and reduced against the echelon
+    rows, and centrality of the integral (`_is_central`).  Both read only
+    the e_i of H's generating set once H is proven; for the first,
+    (a a') ad b = a ad (a' ad b) and 1 ad b = b, so the a with a ad N <= N
+    form a subalgebra.  Only the rows read are built, up to the first
+    failure."""
     ad = hopf._ad_operators()
-    by_adjoint = all(not space.residual(_combination(ad[i], {m: c for m, c in b.items() if m in ad[i]}))
-                     for i in hopf._test_indices() for b in space.sparse_basis)
+    by_adjoint = all(not space.residual(_combination(row, {m: c for m, c in b.items() if m in row}))
+                     for row in (ad[i] for i in hopf._test_indices()) for b in space.sparse_basis)
     return by_adjoint, _is_central(hopf, _to_sparse(integral))
 
 
@@ -487,7 +488,9 @@ def left_kernel(hopf: HopfAlgebra, module_matrices) -> Subspace:
 def hopf_center(hopf: HopfAlgebra) -> Subspace:
     """Largest Hopf subalgebra HZ(H) contained in the center of H, read as
     the left kernel K = {h : h1 chi(h2) = chi(1) h} of the adjoint module,
-    chi(e_i) = tr(e_i ad -), and certified.
+    chi(e_i) = tr(e_i ad -) = sum_m (e_i ad e_m)_m, and certified.  chi
+    reads only the diagonal of each row (`HopfAlgebra._ad_row`), so no
+    row of the ad table is built or kept.
 
     HZ(H) <= K, since z1 (x) z2 ad a = z1 (x) a z2 S(z3) = z (x) a when
     Delta(z) lies in a central Hopf subalgebra; and K is a left coideal,
@@ -497,7 +500,8 @@ def hopf_center(hopf: HopfAlgebra) -> Subspace:
     failed check raises HopfLabError.
     """
     zero = hopf.field.zero
-    chi = [sum((op.get(m, zero) for m, op in ad_i.items()), zero) for ad_i in hopf._ad_operators()]
+    chi = [sum((op.get(m, zero) for m, op in hopf._ad_row(i, diagonal=True).items()), zero)
+           for i in range(hopf.dim)]
     space = _invariants(hopf, Subspace.from_vectors(hopf.field, hopf.dim, [chi]))
     central = all(_is_central(hopf, b) for b in space.sparse_basis)
     if not (central and _is_hopf_subspace(hopf, space)):

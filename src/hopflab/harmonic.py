@@ -46,7 +46,7 @@ from .linalg import (
     mat_vec,
     vec_eq,
 )
-from .linalg import _kernel_of_images, _left_ideal, _to_dense, _to_sparse
+from .linalg import _cached, _kernel_of_images, _left_ideal, _to_dense, _to_sparse
 
 
 def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
@@ -54,27 +54,24 @@ def coideal_characters(ctx: CoidealSubalgebra) -> CharacterTable:
     of N's presentation, in N coordinates, with the integral's block first:
     T_0 = Lambda_N and phi_0 = counit restricted to N.  For N = H, whose
     echelon basis is the identity, that is H's own character table."""
-    if "characters" in ctx._cache:
-        return ctx._cache["characters"]
+    return _cached(ctx, "characters", lambda: _checked_coideal_characters(ctx))
+
+
+def _checked_coideal_characters(ctx):
     if ctx.dim == ctx.hopf.dim:
-        chars = ctx.hopf.character_table()
-    else:
-        chars = _character_table(ctx.presentation(), ctx.coords_of(ctx.integral))
-        if not vec_eq(chars.characters[0], ctx.counit_on_basis()):
-            raise HopfLabError("character of the integral block is not the restricted counit")
-    ctx._cache["characters"] = chars
+        return ctx.hopf.character_table()
+    chars = _character_table(ctx.presentation(), ctx.coords_of(ctx.integral))
+    if not vec_eq(chars.characters[0], ctx.counit_on_basis()):
+        raise HopfLabError("character of the integral block is not the restricted counit")
     return chars
 
 
 def _gamma_columns(ctx):
     """For each ambient basis index i, the N-coordinates of
     lambda_B -> e_i; gamma(p)[i] pairs p against these."""
-    if "gamma_cols" not in ctx._cache:
-        H = ctx.hopf
-        ctx._cache["gamma_cols"] = [
-            ctx.coords_of(project_to_coideal(ctx, H.basis(i))) for i in range(H.dim)
-        ]
-    return ctx._cache["gamma_cols"]
+    H = ctx.hopf
+    return _cached(ctx, "gamma_cols", lambda: [
+        ctx.coords_of(project_to_coideal(ctx, H.basis(i))) for i in range(H.dim)])
 
 
 def embed_functional(ctx: CoidealSubalgebra, p):
@@ -101,8 +98,10 @@ def star_action(ctx: CoidealSubalgebra, x, p):
 def frobenius_matrices(ctx: CoidealSubalgebra):
     """(F, F_inverse) with rows = images of the N basis (resp. its dual
     basis); mutual inversion is checked exactly."""
-    if "frobenius" in ctx._cache:
-        return ctx._cache["frobenius"]
+    return _cached(ctx, "frobenius", lambda: _checked_frobenius_matrices(ctx))
+
+
+def _checked_frobenius_matrices(ctx):
     H = ctx.hopf
     field = H.field
     lam = ctx.restrict_functional(H.integrals().dual_integral)
@@ -123,7 +122,6 @@ def frobenius_matrices(ctx: CoidealSubalgebra):
     for a in range(ctx.dim):
         if not vec_eq(mat_vec(inv, fwd[a]), basis_vector(field, ctx.dim, a)):
             raise HopfLabError("Frobenius map and its inverse do not compose to the identity")
-    ctx._cache["frobenius"] = (fwd, inv)
     return fwd, inv
 
 

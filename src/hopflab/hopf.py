@@ -48,6 +48,7 @@ from .errors import AxiomError, IntegralError, MissingRMatrixError, NotSemisimpl
 from .linalg import (
     AlgebraPresentation,
     Subspace,
+    _cached,
     _central_blocks,
     _is_two_sided_integral,
     _regular_trace,
@@ -132,9 +133,10 @@ class HopfAlgebra(AlgebraPresentation):
 
     Its algebra structure (field, dim, mult, unit) is the inherited
     AlgebraPresentation.  The tensors are not changed after construction;
-    derived data (dual, integrals, character table, grouplikes, the ad(e_i)
-    operators) is computed once on first use and stored whole in `_cache`,
-    so instances are safe for concurrent readers.
+    derived data (dual, integrals, character table, grouplikes, the rows of
+    the ad(e_i) table) is computed on first use and stored whole in
+    `_cache` through `_cached`, so instances are safe for concurrent
+    readers: every reader of an entry gets the one object stored first.
     """
 
     def __init__(self, field, dim, mult, unit, comult, counit, antipode,
@@ -211,9 +213,15 @@ class HopfAlgebra(AlgebraPresentation):
     # -- the dual Hopf algebra -------------------------------------------------
 
     def dual(self) -> "HopfAlgebra":
-        """H* with transposed tensors; dual(dual(H)) has identical tensors."""
-        if "dual" in self._cache:
-            return self._cache["dual"]
+        """H* with transposed tensors; dual(dual(H)) has identical tensors
+        and is this object.  The one dual stored is the one returned, so
+        the proven mark is put on it after the store."""
+        dual = _cached(self, "dual", self._transposed)
+        if self._cache.get("proven"):  # the Hopf axioms are self-dual
+            dual._cache["proven"] = True
+        return dual
+
+    def _transposed(self):
         dim, field = self.dim, self.field
         mult = [{} for _ in range(dim)]
         for m, cell in enumerate(self.comult):
@@ -234,9 +242,6 @@ class HopfAlgebra(AlgebraPresentation):
             basis_labels=labels, name=f"{self.name}*" if self.name else None,
         )
         dual._cache["dual"] = self  # dual of the dual is this object
-        if self._cache.get("proven"):  # the Hopf axioms are self-dual
-            dual._cache["proven"] = True
-        self._cache["dual"] = dual
         return dual
 
     # -- H* acting on H -------------------------------------------------------
@@ -264,32 +269,38 @@ class HopfAlgebra(AlgebraPresentation):
     # -- adjoint and coadjoint actions ------------------------------------------
 
     def _ad_operators(self):
-        """ad[i] = {m: e_i ad e_m} over the m with e_i ad e_m != 0, where
-        e_i ad e_m = sum c e_j e_m S(e_k) over Delta(e_i), as sparse dicts
-        {n: c}, like the rows of mult; built whole on first use and
-        cached."""
-        ops = self._cache.get("ad")
-        if ops is not None:
-            return ops
+        """The ad table: ad[i] = {m: e_i ad e_m} over the m with
+        e_i ad e_m != 0, as sparse dicts {n: c}, like the rows of mult.
+        The table is one cache entry; each row is built on first read
+        (`_ad_row`) and stored whole, so a caller builds only the rows it
+        reads.  A read costs a call: take ad[i] once per i, not once per
+        (i, m)."""
+        return _cached(self, "ad", lambda: _AdTable(self))
+
+    def _ad_row(self, i, diagonal=False):
+        """{m: e_i ad e_m} over the m with e_i ad e_m != 0, where
+        e_i ad e_m = sum c e_j e_m S(e_k) over Delta(e_i); with diagonal,
+        only the entry at n = m of each, for the trace of e_i ad -."""
         mult, antipode = self.mult, self.antipode
-        ops = []
-        for delta in self.comult:
-            row = {}
-            for (j, k), c in delta.items():
-                for m, cell in mult[j].items():
-                    out = row.setdefault(m, {})
-                    for p, d in cell.items():
-                        cd = c * d
-                        for q, s in antipode[k].items():
-                            f = cd * s
-                            for n, e in mult[p].get(q, {}).items():
-                                _tensor_add(out, n, f * e)
-            ops.append({m: out for m, out in row.items() if out})
-        self._cache["ad"] = ops
-        return ops
+        row = {}
+        for (j, k), c in self.comult[i].items():
+            for m, cell in mult[j].items():
+                out = row.setdefault(m, {})
+                for p, d in cell.items():
+                    cd = c * d
+                    for q, s in antipode[k].items():
+                        f = cd * s
+                        terms = mult[p].get(q, {})
+                        if diagonal:
+                            if m in terms:
+                                _tensor_add(out, m, f * terms[m])
+                            continue
+                        for n, e in terms.items():
+                            _tensor_add(out, n, f * e)
+        return {m: out for m, out in row.items() if out}
 
     def adjoint(self, h, a):
-        """h ad a = sum h1 a S(h2)."""
+        """h ad a = sum h1 a S(h2), from the ad rows of the i with h_i != 0."""
         ops = self._ad_operators()
         out = self.zero()
         a_nz = [(m, am) for m, am in enumerate(a) if not am.is_zero()]
@@ -305,7 +316,8 @@ class HopfAlgebra(AlgebraPresentation):
 
     def coadjoint(self, h, p):
         """h coad p, the transpose of h ad - applied to p:
-        (h coad p)[m] = sum_i h_i <p, e_i ad e_m>."""
+        (h coad p)[m] = sum_i h_i <p, e_i ad e_m>, from the ad rows of the i
+        with h_i != 0."""
         ops = self._ad_operators()
         out = self.zero()
         for i, hi in enumerate(h):
@@ -425,8 +437,9 @@ class HopfAlgebra(AlgebraPresentation):
         generating set of its own algebra, H's for Lambda and H*'s for
         lambda (`_test_indices`).  This method also runs on objects never
         verified, and then reads every basis element."""
-        if "integrals" in self._cache:
-            return self._cache["integrals"]
+        return _cached(self, "integrals", self._certified_integrals)
+
+    def _certified_integrals(self):
         dual = self.dual()
         lam = _regular_trace(dual)
         eps_lam = self.counit_of(lam)
@@ -445,16 +458,15 @@ class HopfAlgebra(AlgebraPresentation):
         if not _is_two_sided_integral(dual, dual_int, *_basis_and_counit(dual)):
             raise IntegralError("regular character of H is not a two-sided integral of H*; "
                                 "input is not semisimple")
-        pair_obj = IntegralPair(lam, dual_int)
-        self._cache["integrals"] = pair_obj
-        return pair_obj
+        return IntegralPair(lam, dual_int)
 
     def character_table(self) -> CharacterTable:
         """Irreducible characters from the central primitive idempotents and
         the regular trace; block of the integral comes first so chi_0 is the
         counit."""
-        if "characters" in self._cache:
-            return self._cache["characters"]
+        return _cached(self, "characters", self._checked_character_table)
+
+    def _checked_character_table(self):
         table = _character_table(self, self.integrals().integral)
         characters, degrees = table.characters, table.degrees
         if not vec_eq(characters[0], self.counit):
@@ -469,15 +481,12 @@ class HopfAlgebra(AlgebraPresentation):
                 val = self.pair(chi_j, image)
                 if val != (1 if i == j else 0):
                     raise NotSemisimpleError("irreducible characters are not orthonormal")
-        self._cache["characters"] = table
         return table
 
     def characters_subspace(self) -> Subspace:
         """R(H), the span of the irreducible characters."""
-        if "r_space" not in self._cache:
-            table = self.character_table()
-            self._cache["r_space"] = Subspace.from_vectors(self.field, self.dim, table.characters)
-        return self._cache["r_space"]
+        return _cached(self, "r_space", lambda: Subspace.from_vectors(
+            self.field, self.dim, self.character_table().characters))
 
     def bilinear_form(self, p, q):
         """(p|q) = <s(q) p, integral> -- the symmetric form making Irr(H)
@@ -488,28 +497,29 @@ class HopfAlgebra(AlgebraPresentation):
         """G p, dense, for the sparse Gram matrix G[a][k] =
         sum_j Delta(integral)_(j, k) S(e_j)_a, built whole on first use and
         cached.  A caller pairing p with many q forms G p once."""
-        gram = self._cache.get("gram")
-        if gram is None:
-            gram = [{} for _ in range(self.dim)]
-            for (j, k), c in self.comult_of(self.integrals().integral).items():
-                for a, s in self.antipode[j].items():
-                    _tensor_add(gram[a], k, c * s)
-            self._cache["gram"] = gram
+        gram = _cached(self, "gram", self._gram_matrix)
         zero = self.field.zero
         return [sum((g * p[k] for k, g in row.items() if not p[k].is_zero()), zero) for row in gram]
+
+    def _gram_matrix(self):
+        gram = [{} for _ in range(self.dim)]
+        for (j, k), c in self.comult_of(self.integrals().integral).items():
+            for a, s in self.antipode[j].items():
+                _tensor_add(gram[a], k, c * s)
+        return gram
 
     def grouplikes(self):
         """All g with Delta(g) = g x g and eps(g) = 1: the characters of the
         degree-1 blocks of the dual algebra, in the order of its center
         (an algebra map H* -> k is evaluation at a grouplike of H)."""
-        if "grouplikes" in self._cache:
-            return self._cache["grouplikes"]
+        return _cached(self, "grouplikes", self._checked_grouplikes)
+
+    def _checked_grouplikes(self):
         _, degrees, characters = _central_blocks(self.dual())
         out = [g for g, d in zip(characters, degrees) if d == 1]
         for g in out:
             if self.comult_of(g) != _tensor2_of_pair(g, g, self.field) or not self.counit_of(g).is_one():
                 raise NotSemisimpleError("dual line did not produce a grouplike")
-        self._cache["grouplikes"] = out
         return out
 
     # -- quasitriangular helpers ---------------------------------------------------
@@ -549,6 +559,21 @@ class HopfAlgebra(AlgebraPresentation):
     def __repr__(self):
         tag = self.name or "HopfAlgebra"
         return f"<{tag}: dim {self.dim} over {self.field!r}>"
+
+
+class _AdTable:
+    """The rows ad[i] = hopf._ad_row(i), each built on first read and stored
+    whole in the table's own `_cache`."""
+
+    def __init__(self, hopf):
+        self._hopf = hopf
+        self._cache = {}
+
+    def __getitem__(self, i):
+        return _cached(self, i, lambda: self._hopf._ad_row(i))
+
+    def __iter__(self):
+        return (self[i] for i in range(self._hopf.dim))
 
 
 # -- integer structure constants ------------------------------------------------

@@ -443,18 +443,30 @@ def _krylov(apply, v, field):
 # -- algebra presentations ----------------------------------------------------
 
 
+def _cached(obj, key, build):
+    """obj._cache[key], filled with build() (never None) on first read.
+    Racing first reads may each build a value, but each stores it through
+    `setdefault`, one dict operation and atomic under the GIL, and returns
+    what that returns: every reader gets the value stored first."""
+    value = obj._cache.get(key)
+    if value is None:
+        value = obj._cache.setdefault(key, build())
+    return value
+
+
 class AlgebraPresentation:
     """Associative unital algebra by structure constants.
 
     mult[i] is a sparse row {j: {k: c}} meaning e_i * e_j = sum_k c e_k; it
     holds only the j with e_i e_j != 0, and each cell only nonzero c.
 
-    Derived data is cached in `_cache`.  `_cache["proven"]` marks an
-    algebra whose own axioms are proven (associative, with its unit; a
-    HopfAlgebra sets it when verify() passes).  From then on every check
-    whose passing set is a subalgebra reads only the generating set
-    (`_test_indices`): it holds 1, and a subalgebra that holds a set
-    generating the algebra is the algebra.
+    Derived data is cached in `_cache`, each entry filled through
+    `_cached`.  `_cache["proven"]` marks an algebra whose own axioms are
+    proven (associative, with its unit; a HopfAlgebra sets it when
+    verify() passes).  From then on every check whose passing set is a
+    subalgebra reads only the generating set (`_test_indices`): it holds
+    1, and a subalgebra that holds a set generating the algebra is the
+    algebra.
     """
 
     def __init__(self, field, dim, mult, unit):
@@ -504,15 +516,14 @@ class AlgebraPresentation:
         A = {a : (x a) y = x (a y) for all x, y} is closed under products
         and holds 1 once the unit axiom holds, so S <= A makes A the whole
         algebra."""
-        gens = self._cache.get("generators")
-        if gens is None:
-            one = self.field.one
-            row_terms = [sum(len(cell) for cell in row.values()) for row in self.mult]
-            budget = sum(row_terms[m] for row in self.mult for cell in row.values() for m in cell)
-            found = _greedy_generators(self, [{i: one} for i in range(self.dim)], budget)
-            gens = tuple(found[0]) if found is not None else tuple(range(self.dim))
-            self._cache["generators"] = gens
-        return gens
+        return _cached(self, "generators", self._greedy_generating_set)
+
+    def _greedy_generating_set(self):
+        one = self.field.one
+        row_terms = [sum(len(cell) for cell in row.values()) for row in self.mult]
+        budget = sum(row_terms[m] for row in self.mult for cell in row.values() for m in cell)
+        found = _greedy_generators(self, [{i: one} for i in range(self.dim)], budget)
+        return tuple(found[0]) if found is not None else tuple(range(self.dim))
 
     def _test_indices(self):
         """The basis indices that a check whose passing set is a subalgebra

@@ -12,10 +12,21 @@ and on their pairs, is exhaustive.  Normality of the chain members is not
 required by the conditions themselves and is surfaced separately as a
 diagnostic.
 
-step_conditions evaluates both on sparse data that already exists.  (i)
-compares b Lambda_i with Lambda_i b, summed from the products e_m Lambda_i
-and Lambda_i e_m that the nonzero cells of mult give.  For (ii) it reads
-e_i ad e_m from the cached ad table of H and, for each row a, forms
+When N_{i+1} is normal, stable under the adjoint action of H, the a in
+N_{i+1} that pass (ii) for every b form a subalgebra that holds 1:
+(a a') ad b = a ad (a' ad b) with a' ad b in N_{i+1}, so
+((a a') ad b) Lambda_i = eps(a) (a' ad b) Lambda_i = eps(a a') b Lambda_i,
+and 1 ad b = b.  So (ii) reads a only over the generating set S of
+N_{i+1}'s presentation (`_test_indices`, whose indices are echelon rows),
+and a failure there reruns the loop over every row, which names the same
+witness as before.  A non-normal N_{i+1} reads every row.  (i) reads
+every row b: it is cheap.
+
+step_conditions evaluates both on sparse data.  (i) compares b Lambda_i
+with Lambda_i b, summed from the products e_m Lambda_i and Lambda_i e_m
+that the nonzero cells of mult give.  For (ii) it reads e_i ad e_m from
+the rows of H's ad table that a's support names, each built on first
+read, and, for each row a, forms
 D_a[m] = (a ad e_m) Lambda_i - eps(a) e_m Lambda_i over the support of
 N_{i+1}; since b = sum_m b_m e_m, the pair (a, b) fails exactly when
 sum_m b_m D_a[m] != 0, the same identity as (a ad b) Lambda_i =
@@ -42,7 +53,7 @@ from .coideal import (
 )
 from .coideal import _invariants, _require_own
 from .errors import ChainError, HopfLabError, NotNormalError
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, _first_witness
 from .linalg import (
     Subspace,
     _combination,
@@ -100,7 +111,12 @@ class SeriesReport:
 def step_conditions(prev: CoidealSubalgebra, nxt: CoidealSubalgebra) -> StepResult:
     """Check (i) and (ii) for one inclusion N_prev <= N_next on the pairs of
     echelon basis rows of N_next (see the module docstring); the witness is
-    the first failing row, or pair in row-major order."""
+    the first failing row, or pair in row-major order.
+
+    For a normal N_next, (ii) reads the rows a of N_next's generating set
+    only: the a that pass (ii) for every b form a subalgebra that holds 1.
+    When one of them fails, the full loop runs again (`_first_witness`),
+    so the witness is the one every row would name."""
     H = prev.hopf
     right, left = _products_with_basis(H, prev.integral)  # e_n Lambda, Lambda e_n
     rows = nxt.space.sparse_basis
@@ -109,16 +125,26 @@ def step_conditions(prev: CoidealSubalgebra, nxt: CoidealSubalgebra) -> StepResu
             return StepResult(False, True, ("central", r))
     ad = H._ad_operators()
     support = set().union(*rows)
-    for r, a in enumerate(rows):
-        eps_a = H.counit_of(nxt.space.basis[r])
-        diffs = {}  # D_a[m] = (a ad e_m) Lambda - eps(a) e_m Lambda
-        for m in support:
-            shifted = _combination({i: ad[i].get(m, {}) for i in a}, a)  # a ad e_m
-            _tensor_add(shifted, m, -eps_a)
-            diffs[m] = _combination(right, shifted)
-        for s, b in enumerate(rows):
-            if _combination(diffs, b):
-                return StepResult(True, False, ("adjoint", (r, s)))
+
+    def failing_pair(indices):
+        for r in indices:
+            a = rows[r]
+            eps_a = H.counit_of(nxt.space.basis[r])
+            ops = {i: ad[i] for i in a}  # one table read per index of a
+            diffs = {}  # D_a[m] = (a ad e_m) Lambda - eps(a) e_m Lambda
+            for m in support:
+                shifted = _combination({i: op.get(m, {}) for i, op in ops.items()}, a)  # a ad e_m
+                _tensor_add(shifted, m, -eps_a)
+                diffs[m] = _combination(right, shifted)
+            for s, b in enumerate(rows):
+                if _combination(diffs, b):
+                    return r, s
+        return None
+
+    indices = nxt.presentation()._test_indices() if nxt.normal else range(nxt.dim)
+    witness = _first_witness(failing_pair, indices, nxt.dim)
+    if witness is not None:
+        return StepResult(True, False, ("adjoint", witness))
     return StepResult(True, True)
 
 

@@ -429,6 +429,16 @@ def test_unreadable_input_exits_2_without_a_traceback(tmp_path, case):
     assert "Traceback" not in done.stderr
 
 
+def test_python_dash_m_hopflab_runs_main(runner):
+    # the same report as main, exit 0, through the package's __main__
+    src = os.path.dirname(os.path.dirname(hopflab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "hopflab", "verify", path_of("z2")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout == runner.invoke(main, ["verify", path_of("z2")]).output
+
+
 # argv for a command whose output path cannot be written: MISSING is no
 # directory, FILE is a regular file
 BAD_OUTPUT_PATHS = {

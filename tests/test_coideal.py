@@ -489,6 +489,21 @@ def test_hopf_center_is_the_left_kernel_of_the_adjoint_module(name):
     assert hopf_center(H) == left_kernel(H, ad)
 
 
+@pytest.mark.parametrize("name", corpus_names() + ["D(kD4)"])
+def test_hopf_center_reads_the_diagonal_of_the_ad_table_only(name):
+    # the entries (e_i ad e_m)_m that chi_ad sums are those of the full
+    # table, and hopf_center builds no table row
+    if name == "D(kD4)":
+        table, labels = dihedral8_table()
+        H = drinfeld_double(group_algebra(table, conductor=4, labels=labels))
+    else:
+        H = load(name, verify=False)[0]
+    hopf_center(H)
+    assert "ad" not in H._cache
+    for i, row in enumerate(H._ad_operators()):
+        assert H._ad_row(i, diagonal=True) == {m: {m: op[m]} for m, op in row.items() if m in op}
+
+
 def test_hopf_center_refuses_a_kernel_that_is_not_central(s3, monkeypatch):
     monkeypatch.setattr(coideal, "_invariants", lambda hopf, functionals: Subspace.full(hopf.field, hopf.dim))
     with pytest.raises(HopfLabError, match="not a central Hopf subalgebra"):

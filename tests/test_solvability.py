@@ -15,7 +15,8 @@ from hopflab.builders import (
 from hopflab.coideal import coideal_closure, coideal_from_subspace
 from hopflab.corpus import coideal_lattice, load
 from hopflab.errors import ChainError, HopfLabError, NotCoidealError, NotNormalError
-from hopflab.linalg import Subspace, vec_eq
+from hopflab.hopf import HopfAlgebra, _first_witness
+from hopflab.linalg import AlgebraPresentation, Subspace, vec_eq
 from hopflab import solvability
 from hopflab.solvability import (
     ascending_central_series,
@@ -356,3 +357,79 @@ def test_step_conditions_match_the_dense_oracle(name):
             assert (got.central, got.adjoint, got.witness) == (want.central, want.adjoint, want.witness)
             failing += not want.ok
     assert failing == LATTICE_FAILING_STEPS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_FAILING_STEPS))
+def test_step_conditions_over_generators_match_the_dense_oracle(name):
+    # the same pairs on a proven H, whose normal members read (ii) over
+    # their generating sets only
+    H = load(name)[0]
+    contexts = [ctx for _, ctx in coideal_lattice(name, H)]
+    assert H._cache["proven"] and any(ctx.normal and len(ctx.presentation()._test_indices()) < ctx.dim
+                                      for ctx in contexts)
+    for prev in contexts:
+        for nxt in contexts:
+            if nxt.space.contains(prev.space):
+                got, want = solvability.step_conditions(prev, nxt), dense_step_conditions(prev, nxt)
+                assert (got.central, got.adjoint, got.witness) == (want.central, want.adjoint, want.witness)
+
+
+def _contexts_k_and_h(H):
+    return coideal_closure(H, []), coideal_from_subspace(H, Subspace.full(H.field, H.dim))
+
+
+def test_step_over_generators_names_the_full_loops_witness(monkeypatch):
+    # k < d-s3 first fails at row 0, which lies in the greedy's S; with the
+    # generating set (3, 4) patched in, the pass over S first fails at
+    # row 3, and the full loop that follows names the pair (0, 8)
+    H = load("d-s3")[0]
+    k, full = _contexts_k_and_h(H)
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraPresentation, "generating_set", lambda self: tuple(range(self.dim)))
+        over_all = solvability.step_conditions(k, full)
+    over_s = []
+
+    def first_witness(check, gens, dim):
+        over_s.append(check(gens))
+        return _first_witness(check, gens, dim)
+
+    monkeypatch.setattr(AlgebraPresentation, "generating_set", lambda self: (3, 4))
+    monkeypatch.setattr(solvability, "_first_witness", first_witness)
+    got = solvability.step_conditions(k, full)
+    assert over_s == [(3, 1)]
+    assert got.witness == over_all.witness == dense_step_conditions(k, full).witness == ("adjoint", (0, 8))
+
+
+def _rows_built(monkeypatch, H):
+    """The indices i whose ad rows H builds from now on, in order."""
+    built = []
+    ad_row = HopfAlgebra._ad_row
+    monkeypatch.setattr(HopfAlgebra, "_ad_row", lambda self, i, diagonal=False: (
+        self is H and built.append(i)) or ad_row(self, i, diagonal))
+    return built
+
+
+@pytest.mark.parametrize("gen, normal, rows", [("(123)", True, [4]), ("(12)", False, [0, 2])])
+def test_step_reads_the_generating_set_of_a_normal_member_only(monkeypatch, gen, normal, rows):
+    # k < k<g> in kS3: both members' presentations have S = {g}, row 1; the
+    # normal A3 builds the ad row of (123) alone, the non-normal k<(12)>
+    # those of e and (12), every row
+    H = load("s3")[0]
+    k = coideal_closure(H, [])
+    nxt = coideal_closure(H, [H.basis(H.index_of_label(gen))])
+    assert nxt.normal == normal and nxt.presentation()._test_indices() == (1,)
+    del H._cache["ad"]
+    built = _rows_built(monkeypatch, H)
+    assert solvability.step_conditions(k, nxt).ok
+    assert built == rows
+
+
+def test_step_from_k_to_d_s3_builds_the_ad_rows_of_s_only(monkeypatch):
+    # k's normality test reads the rows of H's S, 19 of 36; the step
+    # k < H reads S too, and fails in S, so it builds no other row
+    H = load("d-s3")[0]
+    built = _rows_built(monkeypatch, H)
+    k, full = _contexts_k_and_h(H)
+    assert sorted(built) == list(H.generating_set()) and len(built) == 19
+    assert not solvability.step_conditions(k, full).ok
+    assert sorted(built) == sorted(H._ad_operators()._cache) == list(H.generating_set())
